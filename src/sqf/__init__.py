@@ -55,7 +55,6 @@ from .engine import (
     bloom_build,
     bloom_probe,
     execute_pipeline,
-    host_hash_join,
     result_checksum,
 )
 
@@ -74,6 +73,6 @@ __all__ = [
     "ColumnStats", "ColumnType", "Schema", "Table", "TypeKind",
     "dump_csv", "load_csv", "save_csv", "table_stats",
     "BloomCascadeConfig", "ExecReport", "align", "bloom_build", "bloom_probe",
-    "execute_pipeline", "host_hash_join", "result_checksum",
+    "execute_pipeline", "result_checksum",
     "__version__",
 ]

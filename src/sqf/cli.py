@@ -1,5 +1,9 @@
 """Command-line driver: run or explain queries, benchmark the shipped suite.
 
+All three commands share one path: a session loads the profiles once and
+each table (with its stats) on first use; a query is read, parsed, bound and
+enumerated once; the chosen candidate is placed on a fresh fabric and run.
+
 Reports are JSON with stable key order and floats printed with 9 significant
 digits; everything outside the `meta` section is byte-deterministic for a
 fixed --seed. `SQF_LOG=debug|info|warn` controls diagnostics on stderr.
@@ -13,12 +17,13 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import suite as suite_mod
 from .engine.exec import execute_pipeline, result_checksum
-from .errors import SqfError
+from .errors import NoCandidates, SqfError
 from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
@@ -66,48 +71,90 @@ def _write_report(path, report: dict):
     Path(path).write_text(text, encoding="utf-8")
 
 
-class _Prepared:
-    def __init__(self, args, query_path: Path):
-        self.query_text = query_path.read_text(encoding="utf-8").strip()
-        plan = parse_query(self.query_text)
-        tables_dir = Path(args.tables)
-        names = [plan.source] + ([plan.join.table] if plan.join else [])
-        self.tables = {}
-        self.table_paths = {}
-        for name in names:
-            path = tables_dir / f"{name}.csv"
-            self.tables[name] = load_csv(path)
-            self.table_paths[name] = str(path)
-        catalog = {name: t.schema for name, t in self.tables.items()}
-        self.bound = bind(plan, catalog)
-        self.stats = {name: table_stats(t) for name, t in self.tables.items()}
-        self.library = load_library(args.library)
-        self.device = load_device_profile(args.device)
-        self.candidates = enumerate_pipelines(self.bound, self.library, self.device)
-        self.filtered = _apply_filters(self.candidates, args)
-
-    def estimates(self):
-        """Every enumerated candidate with its estimate (filters only narrow
-        what select_best may choose, not what the report shows)."""
-        return [
-            (cand, full_estimate(cand, self.stats, self.device))
-            for cand in self.candidates
-        ]
+def _read_query(path) -> str:
+    """The query file's text. A directory or a file that is not UTF-8 is an
+    SqfError; a missing file stays FileNotFoundError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").strip()
+    except (IsADirectoryError, UnicodeError) as exc:
+        raise SqfError(f"cannot read query file {path}: {exc}") from None
 
 
-def _apply_filters(candidates, args):
-    from .errors import NoCandidates
+@dataclass
+class _Planned:
+    """One query parsed, bound and enumerated, with the tables it reads."""
 
-    layout = getattr(args, "layout", "auto")
-    join = getattr(args, "join", "auto")
-    out = list(candidates)
-    if layout != "auto":
-        out = [c for c in out if c.layout == layout]
-    if join != "auto":
-        out = [c for c in out if c.join_algo == _JOIN_FILTER[join]]
-    if not out:
-        raise NoCandidates(f"no candidates left after --layout={layout} --join={join}")
-    return out
+    text: str
+    bound: object
+    paths: dict
+    tables: dict
+    stats: dict
+    candidates: list
+
+    def narrowed(self, layout: str, join: str) -> list:
+        """The candidates --layout/--join leave for select_best to choose from."""
+        out = self.candidates
+        if layout != "auto":
+            out = [c for c in out if c.layout == layout]
+        if join != "auto":
+            out = [c for c in out if c.join_algo == _JOIN_FILTER[join]]
+        if not out:
+            raise NoCandidates(f"no candidates left after --layout={layout} --join={join}")
+        return out
+
+    def estimates(self, device) -> list:
+        """Every enumerated candidate with its estimate (--layout/--join only
+        narrow what select_best may choose, not what reports show)."""
+        return [(c, full_estimate(c, self.stats, device)) for c in self.candidates]
+
+
+class _Session:
+    """What one command loads once: the library and device profile, and each
+    table with its stats on first use. A table that fails to load is not kept."""
+
+    def __init__(self, tables_dir, library_path, device_path):
+        self.tables_dir = Path(tables_dir)
+        self.library = load_library(library_path)
+        self.device = load_device_profile(device_path)
+        self._tables = {}  # name -> (path, Table, ColumnStats)
+
+    def _table(self, name: str):
+        if name not in self._tables:
+            path = self.tables_dir / f"{name}.csv"
+            table = load_csv(path)
+            self._tables[name] = (str(path), table, table_stats(table))
+        return self._tables[name]
+
+    def plan(self, text: str, parsed=None) -> _Planned:
+        """Bind and enumerate `text`, parsing it unless `parsed` is its parse."""
+        if parsed is None:
+            parsed = parse_query(text)
+        names = [parsed.source] + ([parsed.join.table] if parsed.join else [])
+        entries = {name: self._table(name) for name in names}
+        tables = {name: table for name, (_, table, _) in entries.items()}
+        bound = bind(parsed, {name: t.schema for name, t in tables.items()})
+        return _Planned(
+            text=text,
+            bound=bound,
+            paths={name: path for name, (path, _, _) in entries.items()},
+            tables=tables,
+            stats={name: stats for name, (_, _, stats) in entries.items()},
+            candidates=enumerate_pipelines(bound, self.library, self.device),
+        )
+
+    def run_chosen(self, planned: _Planned, candidates: list, seed: int):
+        """Select the best of `candidates`, place it on a fresh fabric and
+        execute it: (chosen, estimate, placement, reconfig, result, exec report)."""
+        chosen, est = select_best(candidates, planned.stats, self.device)
+        log.info("chosen candidate: %s", chosen.tag)
+        fabric = FabricState(self.device)
+        placement = allocate(fabric, chosen.modules)
+        reconfig = reconfigure(fabric, placement)
+        result, exec_report = execute_pipeline(
+            chosen, planned.tables, fabric, placement, self.device,
+            seed=seed, estimate=est,
+        )
+        return chosen, est, placement, reconfig, result, exec_report
 
 
 def _candidate_dict(cand, est) -> dict:
@@ -149,26 +196,17 @@ def _candidate_dict(cand, est) -> dict:
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
-    prepared = _Prepared(args, Path(args.query))
-    chosen, chosen_est = select_best(prepared.filtered, prepared.stats, prepared.device)
-    log.info("chosen candidate: %s", chosen.tag)
-
-    fabric = FabricState(prepared.device)
-    placement = allocate(fabric, chosen.modules)
-    reconfig = reconfigure(fabric, placement)
-    result, exec_report = execute_pipeline(
-        chosen, prepared.tables, fabric, placement, prepared.device,
-        seed=args.seed, estimate=chosen_est,
-    )
+    session = _Session(args.tables, args.library, args.device)
+    planned = session.plan(_read_query(args.query))
+    chosen, _, placement, reconfig, result, exec_report = session.run_chosen(
+        planned, planned.narrowed(args.layout, args.join), args.seed)
 
     # oracle_checked is true only when the check ran AND the multisets match;
     # a failed check still records oracle_match/first_diff and exits 2.
-    oracle_ran = False
     oracle_match = None
     first_diff = None
     if args.oracle:
-        expected = reference_execute(prepared.bound, prepared.tables)
-        oracle_ran = True
+        expected = reference_execute(planned.bound, planned.tables)
         oracle_match = multisets_equal(result, expected)
         if not oracle_match:
             diff = first_multiset_diff(result, expected)
@@ -179,7 +217,7 @@ def cmd_run(args) -> int:
             }
 
     warnings = []
-    for name, table in prepared.tables.items():
+    for name, table in planned.tables.items():
         warnings.extend(f"{name}: {w}" for w in table.load_warnings)
 
     report = {
@@ -189,13 +227,14 @@ def cmd_run(args) -> int:
             "exec_wall_seconds": exec_report.wall_seconds,
         },
         "seed": args.seed,
-        "query": prepared.query_text,
+        "query": planned.text,
         "tables": {
-            name: {"path": prepared.table_paths[name], "rows": t.row_count}
-            for name, t in prepared.tables.items()
+            name: {"path": planned.paths[name], "rows": t.row_count}
+            for name, t in planned.tables.items()
         },
         "chosen": chosen.tag,
-        "candidates": [_candidate_dict(c, e) for c, e in prepared.estimates()],
+        "candidates": [_candidate_dict(c, e)
+                       for c, e in planned.estimates(session.device)],
         "placement": {
             "region": placement.region,
             "entries": [
@@ -225,23 +264,25 @@ def cmd_run(args) -> int:
                 for s in exec_report.stages
             ],
         },
-        "oracle_checked": bool(oracle_ran and oracle_match),
+        "oracle_checked": bool(oracle_match),
         "oracle_match": oracle_match,
         "first_diff": first_diff,
         "warnings": warnings,
     }
     if args.out:
         _write_report(args.out, report)
-    if oracle_ran and not oracle_match:
+    if oracle_match is False:
         print("oracle mismatch: engine and reference results differ", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_explain(args) -> int:
-    prepared = _Prepared(args, Path(args.query))
-    pairs = prepared.estimates()
-    chosen, _ = select_best(prepared.filtered, prepared.stats, prepared.device)
+    session = _Session(args.tables, args.library, args.device)
+    planned = session.plan(_read_query(args.query))
+    pairs = planned.estimates(session.device)
+    chosen, _ = select_best(planned.narrowed(args.layout, args.join),
+                            planned.stats, session.device)
 
     header = f"{'':2}{'tag':<22}{'slots':>6}{'total_s':>14}{'energy_j':>14}{'reconfig_s':>14}"
     print(header)
@@ -254,7 +295,7 @@ def cmd_explain(args) -> int:
         )
     if args.out:
         report = {
-            "query": prepared.query_text,
+            "query": planned.text,
             "chosen": chosen.tag,
             "candidates": [_candidate_dict(c, e) for c, e in pairs],
         }
@@ -262,95 +303,67 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _bench_fields(session, planned, strategy, seed, baseline_dev) -> dict:
+    started = time.perf_counter()
+    chosen, est, _, _, result, exec_report = session.run_chosen(
+        planned, planned.narrowed("auto", strategy), seed)
+    wall = time.perf_counter() - started
+    base_seconds, base_joules = software_baseline(chosen, planned.stats, baseline_dev)
+    return {
+        "chosen": chosen.tag,
+        "estimated_total_seconds": est.total_seconds,
+        "estimated_energy_joules": est.energy_joules,
+        "reconfig_seconds": est.reconfig_seconds,
+        "overhead_fraction": est.reconfig_seconds / est.total_seconds
+        if est.total_seconds > 0
+        else 0.0,
+        "measured_wall_seconds": wall,
+        "result_rows": exec_report.result_rows,
+        "checksum": f"0x{result_checksum(result):016x}",
+        "baseline_seconds": base_seconds,
+        "baseline_energy_joules": base_joules,
+        "energy_ratio_vs_baseline": base_joules / est.energy_joules
+        if est.energy_joules > 0
+        else None,
+    }
+
+
 def cmd_bench(args) -> int:
     suite_dir = Path(args.suite)
     manifest = suite_mod.load_manifest(suite_dir)
     suite_mod.materialize(suite_dir)
-
-    lib_path = args.library or (suite_dir / manifest["library"])
-    dev_path = args.device or (suite_dir / manifest["device"])
-    baseline_path = suite_dir / manifest["baseline_device"]
-    baseline_dev = load_device_profile(baseline_path)
+    session = _Session(suite_dir / manifest["tables_dir"],
+                       args.library or suite_dir / manifest["library"],
+                       args.device or suite_dir / manifest["device"])
+    baseline_dev = load_device_profile(suite_dir / manifest["baseline_device"])
 
     rows = []
-    failures = 0
     for query_name in manifest["queries"]:
+        # a query that does not parse fails every row; one that parses but
+        # cannot be planned fails only the rows its join makes applicable
+        parsed = planned = error = None
         try:
-            query_text = (suite_dir / query_name).read_text(encoding="utf-8")
-            has_join = parse_query(query_text).join is not None
-            parse_error = None
+            text = _read_query(suite_dir / query_name)
+            parsed = parse_query(text)
+            planned = session.plan(text, parsed)
         except (SqfError, FileNotFoundError) as exc:
-            has_join = False
-            parse_error = exc
+            error = exc
         for strategy in BENCH_STRATEGIES:
-            row = {
-                "query": query_name,
-                "strategy": strategy,
-                "status": "ok",
-            }
-            if parse_error is not None:
-                failures += 1
-                row["status"] = type(parse_error).__name__
-                row["detail"] = str(parse_error)
-                rows.append(row)
-                continue
-            if strategy != "auto" and not has_join:
-                row["status"] = "not_applicable"
-                rows.append(row)
-                continue
-            ns = argparse.Namespace(
-                query=str(suite_dir / query_name),
-                tables=str(suite_dir / manifest["tables_dir"]),
-                library=str(lib_path),
-                device=str(dev_path),
-                seed=args.seed,
-                layout="auto",
-                join=strategy if strategy != "auto" else "auto",
-                oracle=False,
-                out=None,
-            )
-            try:
-                started = time.perf_counter()
-                prepared = _Prepared(ns, Path(ns.query))
-                chosen, est = select_best(prepared.filtered, prepared.stats,
-                                          prepared.device)
-                fabric = FabricState(prepared.device)
-                placement = allocate(fabric, chosen.modules)
-                reconfigure(fabric, placement)
-                result, exec_report = execute_pipeline(
-                    chosen, prepared.tables, fabric, placement, prepared.device,
-                    seed=args.seed, estimate=est,
-                )
-                wall = time.perf_counter() - started
-                base_seconds, base_joules = software_baseline(
-                    chosen, prepared.stats, baseline_dev
-                )
-                row.update(
-                    {
-                        "chosen": chosen.tag,
-                        "estimated_total_seconds": est.total_seconds,
-                        "estimated_energy_joules": est.energy_joules,
-                        "reconfig_seconds": est.reconfig_seconds,
-                        "overhead_fraction": est.reconfig_seconds / est.total_seconds
-                        if est.total_seconds > 0
-                        else 0.0,
-                        "measured_wall_seconds": wall,
-                        "result_rows": exec_report.result_rows,
-                        "checksum": f"0x{result_checksum(result):016x}",
-                        "baseline_seconds": base_seconds,
-                        "baseline_energy_joules": base_joules,
-                        "energy_ratio_vs_baseline": base_joules / est.energy_joules
-                        if est.energy_joules > 0
-                        else None,
-                    }
-                )
-            except (SqfError, FileNotFoundError) as exc:
-                failures += 1
-                row["status"] = type(exc).__name__
-                row["detail"] = str(exc)
+            row = {"query": query_name, "strategy": strategy, "status": "ok"}
             rows.append(row)
+            if strategy != "auto" and parsed is not None and parsed.join is None:
+                row["status"] = "not_applicable"
+                continue
+            try:
+                if error is not None:
+                    raise error
+                row.update(_bench_fields(session, planned, strategy, args.seed,
+                                         baseline_dev))
+            except (SqfError, FileNotFoundError) as exc:
+                row.update(status=type(exc).__name__, detail=str(exc))
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
+    failures = sum(1 for r in rows if "detail" in r)
     over = [r for r in ok_rows
             if r["overhead_fraction"] > manifest["max_overhead_fraction"]]
     report = {

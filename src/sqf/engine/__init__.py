@@ -10,7 +10,7 @@ from .bloom import (
     bloom_probe,
     bloom_probe_many,
 )
-from .hostjoin import host_hash_join, host_hash_join_indexed
+from .hostjoin import host_hash_join_indexed
 from .exec import (
     ExecReport,
     StageCount,
@@ -25,7 +25,7 @@ __all__ = [
     "AlignedBlock", "align",
     "BloomCascade", "BloomCascadeConfig", "analytic_fp_rate", "bloom_build",
     "bloom_dims", "bloom_probe", "bloom_probe_many",
-    "host_hash_join", "host_hash_join_indexed",
+    "host_hash_join_indexed",
     "ExecReport", "StageCount", "compile_predicate", "compile_value",
     "execute_pipeline", "join_key_u64", "result_checksum",
 ]

@@ -45,19 +45,3 @@ def host_hash_join_indexed(
             pos += 1
     return out
 
-
-def host_hash_join(
-    build_blocks,
-    probe_blocks,
-    build_key_index: int,
-    probe_key_index: int,
-    key_type: ColumnType,
-    build_is_left: bool = True,
-) -> list[tuple]:
-    """All equal-key pairs concatenated left‖right."""
-    rows = []
-    for _, _, brow, prow in host_hash_join_indexed(
-        build_blocks, probe_blocks, build_key_index, probe_key_index, key_type
-    ):
-        rows.append(brow + prow if build_is_left else prow + brow)
-    return rows

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..arith import INT64_MAX, INT64_MIN
 from ..errors import QuerySyntaxError
 from .ast import (
     AGG_FNS,
@@ -37,8 +38,6 @@ from .ast import (
     StrLiteral,
 )
 
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 
 KEYWORDS = frozenset(
     ["SELECT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY",

@@ -91,7 +91,6 @@ class ModuleInstance:
     params: tuple[tuple[str, object], ...]  # canonical sorted (key, value) pairs
     slots: int
     bitstream_bytes: int
-    selectivity_hint: float | None = None
 
     @property
     def kind(self) -> ModuleKind:
@@ -208,7 +207,6 @@ def instantiate(
     lib: ModuleLibrary,
     kind: ModuleKind,
     params: dict | None = None,
-    selectivity_hint: float | None = None,
 ) -> ModuleInstance:
     """Create a parameterized instance; slots and bitstream size follow the spec."""
     spec = lib.spec(kind)
@@ -221,5 +219,4 @@ def instantiate(
         params=canonical,
         slots=slots,
         bitstream_bytes=slots * spec.bitstream_bytes_per_slot,
-        selectivity_hint=selectivity_hint,
     )

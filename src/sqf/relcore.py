@@ -16,10 +16,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .arith import INT64_MAX, INT64_MIN
 from .errors import CharOverflow, HeaderMismatch, MalformedCell
 
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 CHAR_MAX_WIDTH = 64
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -201,7 +200,9 @@ def load_csv(path, declared_schema: Schema | None = None, strict: bool = True) -
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such table file: {p}")
-    text = p.read_text(encoding="ascii")
+    # a non-ASCII byte decodes to a surrogate, which the header and cell
+    # checks reject with its line and column
+    text = p.read_text(encoding="ascii", errors="surrogateescape")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

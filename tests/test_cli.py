@@ -296,3 +296,101 @@ def test_explain_never_touches_a_fabric(tmp_path, monkeypatch, capsys):
     ])
     assert rc == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_bench_loads_each_table_and_profile_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import sqf.cli as cli_mod
+
+    calls = Counter()  # (function, argument) -> calls
+
+    def counting(name, real):
+        def wrapper(arg, *rest):
+            calls[name, id(arg) if name == "table_stats" else str(arg)] += 1
+            return real(arg, *rest)
+        return wrapper
+
+    for name in ("load_csv", "table_stats", "load_library", "load_device_profile"):
+        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    suite = _mini_suite(tmp_path)
+    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")])
+    assert rc == 0
+    assert set(calls.values()) == {1}, calls
+    # two tables (items, dims); device and baseline profiles; one library
+    assert Counter(name for name, _ in calls) == {
+        "load_csv": 2, "table_stats": 2, "load_device_profile": 2, "load_library": 1,
+    }
+
+
+def test_bench_missing_table_fails_only_its_rows(tmp_path):
+    suite = _mini_suite(tmp_path)
+    (suite / "q3.sql").write_text("SELECT a FROM gone\n")
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["queries"].append("q3.sql")
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--suite", str(suite), "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    status = {(r["query"], r["strategy"]): r["status"] for r in report["rows"]}
+    assert status[("q3.sql", "auto")] == "FileNotFoundError"
+    assert all(status[("q3.sql", s)] == "not_applicable"
+               for s in ("hash", "merge", "codesign"))
+    assert all(s in ("ok", "not_applicable")
+               for (q, _), s in status.items() if q != "q3.sql")
+    assert [r for r in report["rows"] if r["status"] == "FileNotFoundError"][0][
+        "detail"].endswith("gone.csv")
+    assert report["summary"]["failed"] == 1
+    assert report["summary"]["ok"] == 5
+
+
+def test_bench_bad_library_exits_1(tmp_path, capsys):
+    suite = _mini_suite(tmp_path)
+    bad = tmp_path / "bad_library.json"
+    bad.write_text("{not json")
+    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json"),
+               "--library", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.json").exists()
+
+
+def _explain_fails_cleanly(capsys, query, tables) -> str:
+    rc = main(["explain", "--query", str(query), "--tables", str(tables),
+               "--library", LIB, "--device", DEV])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_non_utf8_query_file_is_an_error(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    query = tmp_path / "q.sql"
+    query.write_bytes(b"SELECT a FROM t WHERE a > \xff\n")
+    assert "q.sql" in _explain_fails_cleanly(capsys, query, tables)
+
+
+def test_directory_as_query_is_an_error(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    assert str(tables) in _explain_fails_cleanly(capsys, tables, tables)
+
+
+def test_non_ascii_table_byte_is_an_error(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    (tables / "t.csv").write_bytes(b"a:INT,b:INT,s:CHAR(2)\n1,2,ab\n3,4,\xc3\xa9\n")
+    err = _explain_fails_cleanly(capsys, _query(tmp_path, "SELECT a FROM t"), tables)
+    assert "line 3, column 3" in err
+
+
+def test_bench_unreadable_query_is_a_failed_row(tmp_path):
+    suite = _mini_suite(tmp_path)
+    (suite / "q1.sql").write_bytes(b"SELECT \xff FROM items\n")
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--suite", str(suite), "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert {r["status"] for r in rows if r["query"] == "q1.sql"} == {"SqfError"}
+    assert {r["status"] for r in rows if r["query"] == "q2.sql"} == {"ok"}

@@ -19,7 +19,7 @@ from sqf.engine.bloom import (
     forwarded_hashes,
 )
 from sqf.engine.exec import execute_pipeline, result_checksum
-from sqf.engine.hostjoin import host_hash_join
+from sqf.engine.hostjoin import host_hash_join_indexed
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -179,20 +179,26 @@ def _blocks_for(rows, schema, key_idx, key_type, seed=0):
     return align(rows, schema, 64, with_hash=True, hashes=hashes)
 
 
+def _host_join(build, probe, key_type):
+    """Joined rows, build side first, in the order the host join emits them."""
+    return [brow + prow
+            for _, _, brow, prow in host_hash_join_indexed(build, probe, 0, 0, key_type)]
+
+
 INT1 = Schema((("k", ColumnType.int64()),))
 
 
 def test_host_join_example():
     build = _blocks_for([(1,), (2,)], INT1, 0, ColumnType.int64())
     probe = _blocks_for([(2,), (3,)], INT1, 0, ColumnType.int64())
-    rows = host_hash_join(build, probe, 0, 0, ColumnType.int64())
+    rows = _host_join(build, probe, ColumnType.int64())
     assert rows == [(2, 2)]
 
 
 def test_host_join_multiset_semantics():
     build = _blocks_for([(2,), (2,)], INT1, 0, ColumnType.int64())
     probe = _blocks_for([(2,)], INT1, 0, ColumnType.int64())
-    rows = host_hash_join(build, probe, 0, 0, ColumnType.int64())
+    rows = _host_join(build, probe, ColumnType.int64())
     assert len(rows) == 2
 
 
@@ -203,7 +209,7 @@ def test_host_join_verifies_keys_not_just_hashes():
     key_type = ColumnType.char(3)
     build = _blocks_for([("ab",)], schema, 0, key_type)
     probe = _blocks_for([("ab ",)], schema, 0, key_type)  # same canonical form
-    rows = host_hash_join(build, probe, 0, 0, ColumnType.char(3))
+    rows = _host_join(build, probe, ColumnType.char(3))
     assert rows == [("ab", "ab ")]
 
 
