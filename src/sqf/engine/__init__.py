@@ -10,14 +10,12 @@ from .bloom import (
     bloom_probe,
     bloom_probe_many,
 )
-from .hostjoin import host_hash_join_indexed
+from .hostjoin import host_hash_join
 from .exec import (
     ExecReport,
     StageCount,
-    compile_predicate,
-    compile_value,
     execute_pipeline,
-    join_key_u64,
+    key_images,
     result_checksum,
 )
 
@@ -25,7 +23,6 @@ __all__ = [
     "AlignedBlock", "align",
     "BloomCascade", "BloomCascadeConfig", "analytic_fp_rate", "bloom_build",
     "bloom_dims", "bloom_probe", "bloom_probe_many",
-    "host_hash_join_indexed",
-    "ExecReport", "StageCount", "compile_predicate", "compile_value",
-    "execute_pipeline", "join_key_u64", "result_checksum",
+    "host_hash_join",
+    "ExecReport", "StageCount", "execute_pipeline", "key_images", "result_checksum",
 ]

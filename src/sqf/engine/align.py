@@ -3,6 +3,10 @@
 Records never straddle block boundaries and block padding is zeroed, so the
 host side can walk blocks with fixed strides. In co-design mode each record
 carries the tuple payload plus its forwarded 64-bit hash.
+
+The executor checks only the record size (`records_per_block`): its host
+join reads forwarded hashes and keys as arrays, not block bytes. `align` is
+the reference for the block layout.
 """
 
 from __future__ import annotations
@@ -25,6 +29,15 @@ class AlignedBlock:
         return len(self.tuples)
 
 
+def records_per_block(schema: Schema, block_bytes: int, with_hash: bool = False) -> int:
+    """Records of `schema` that fit one block; a record wider than a block
+    raises TupleTooLarge."""
+    record_bytes = schema.tuple_bytes + (8 if with_hash else 0)
+    if record_bytes > block_bytes:
+        raise TupleTooLarge(record_bytes, block_bytes)
+    return block_bytes // record_bytes
+
+
 def align(
     tuples,
     schema: Schema,
@@ -33,10 +46,7 @@ def align(
     hashes=None,
 ) -> list[AlignedBlock]:
     """Greedy packing in stream order; floor(block/record) tuples per block."""
-    record_bytes = schema.tuple_bytes + (8 if with_hash else 0)
-    if record_bytes > block_bytes:
-        raise TupleTooLarge(record_bytes, block_bytes)
-    per_block = block_bytes // record_bytes
+    per_block = records_per_block(schema, block_bytes, with_hash)
     tuples = list(tuples)
     if with_hash:
         hashes = list(hashes)

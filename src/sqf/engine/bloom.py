@@ -71,18 +71,22 @@ class BloomCascade:
 
 def forwarded_hashes(cascade: BloomCascade, keys) -> np.ndarray:
     """Stage-0 hashes for a key array, as forwarded to the host join."""
-    arr = np.asarray(list(keys), dtype=np.uint64)
-    return fnv1a64_u64_many(arr, cascade.hash_seed(0, 0))
+    return fnv1a64_u64_many(_key_array(keys), cascade.hash_seed(0, 0))
+
+
+def _key_array(keys) -> np.ndarray:
+    if isinstance(keys, np.ndarray):
+        return keys.astype(np.uint64, copy=False)
+    return np.array([int(k) & MASK64 for k in keys], dtype=np.uint64)
 
 
 def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
     """Insert every 64-bit key into every stage."""
     cascade = BloomCascade(config)
-    key_list = [int(k) & MASK64 for k in keys]
-    cascade.inserted_count = len(key_list)
-    if not key_list:
+    arr = _key_array(keys)
+    cascade.inserted_count = len(arr)
+    if not len(arr):
         return cascade
-    arr = np.array(key_list, dtype=np.uint64)
     m = np.uint64(config.bits_per_stage)
     for stage in range(config.stages):
         bits = cascade.stage_bits[stage]

@@ -6,10 +6,18 @@ solely from the cost calculus. Predicates evaluate all operands (no short
 circuit), and join output is processed in (left row, right row) order, so
 arithmetic faults surface on the same logical row on every join algorithm
 and on the reference route.
+
+The engine is columnar: every stage runs as vector kernels over numpy
+columns (`Table.columns`). A stream is held as row positions into the
+tables it reads, and cells are gathered only where a stage reads them.
+Arithmetic yields a fault code per row; a stage raises the fault of its
+first faulting row, which is the row the reference evaluator faults on.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -19,7 +27,6 @@ import numpy as np
 if TYPE_CHECKING:  # runtime import would be circular via the planner
     from ..planner import CandidatePipeline
 
-from ..arith import add64, div64, mul64, sub64
 from ..errors import ArithmeticOverflow, DivisionByZero, NotReconfigured
 from ..fabric import DeviceProfile, FabricState, Placement
 from ..frontend.binder import (
@@ -29,25 +36,27 @@ from ..frontend.binder import (
     BInt,
     BoundPlan,
     BStr,
-    FromAggregate,
     FromGroupKey,
     ValueRef,
     expr_has_arith,
     expr_slots,
+    needs_reorder,
     split_conjuncts,
 )
-from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, MASK64, fnv1a64, fold_checksum
-from ..frontend.binder import needs_reorder
-from ..relcore import ColumnType, Table, TypeKind, canon_cell, encode_row, pad_char
-from .align import align
-from .bloom import (
-    BloomCascadeConfig,
-    bloom_build,
-    bloom_dims,
-    bloom_probe_many,
-    forwarded_hashes,
+from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
+from ..relcore import Column, ColumnType, Table, TypeKind, encode_columns, pad_bytes
+from .align import records_per_block
+from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many, forwarded_hashes
+from .hostjoin import host_hash_join
+from .kernels import (
+    OVERFLOW,
+    checked_arith,
+    group_extreme,
+    group_ids,
+    group_sums,
+    match_pairs,
+    sort_order,
 )
-from .hostjoin import host_hash_join_indexed
 
 
 @dataclass(frozen=True)
@@ -72,92 +81,116 @@ class ExecReport:
 
 
 # --------------------------------------------------------------------------
-# expression compilation (closures over the flat joined row)
+# streams and expression evaluation
 # --------------------------------------------------------------------------
 
-_CMP_INT = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-_ARITH = {"+": add64, "-": sub64, "*": mul64, "/": div64}
+class _Stream:
+    """Rows as positions into each join side's table, plus the computed
+    columns, which are aligned with the stream."""
+
+    def __init__(self, tables, positions: dict, computed=()):
+        self.tables = tables  # by join slot
+        self.positions = positions  # join slot -> row positions
+        self.computed = list(computed)
+        self.n = len(next(iter(positions.values())))
+
+    def column(self, ref: ValueRef) -> Column:
+        if ref.kind == "computed":
+            return self.computed[ref.index]
+        return self.tables[ref.slot].columns[ref.index].take(self.positions[ref.slot])
+
+    def keep(self, index) -> "_Stream":
+        return _Stream(self.tables, {s: p[index] for s, p in self.positions.items()},
+                       [c.take(index) for c in self.computed])
 
 
-def compile_value(expr, index_fn):
-    """Build an evaluator row -> value; index_fn maps a ValueRef to its
-    position in whatever row shape the caller evaluates against."""
+_CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_BOOL = {"AND": np.logical_and, "OR": np.logical_or}
+
+
+def _first_fault(*faults):
+    """Per-row first fault of operands evaluated in the given order."""
+    out = None
+    for fault in faults:
+        if fault is not None:
+            out = fault if out is None else np.where(out != 0, out, fault)
+    return out
+
+
+def _evaluate(expr, stream: _Stream):
+    """(values, fault codes or None) of a bound expression over a stream.
+
+    INT values are int64, CHAR values padded bytes, conditions booleans;
+    literals broadcast. A row's fault is its first in evaluation order:
+    left operand, right operand, then the operation itself.
+    """
     if isinstance(expr, ValueRef):
-        idx = index_fn(expr)
-        return lambda row: row[idx]
+        return stream.column(expr).values, None
     if isinstance(expr, BInt):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, BStr):
-        value = expr.value
-        return lambda row: value
+        return np.int64(expr.value), None
+    if isinstance(expr, BStr):  # padded to its bound width, at least 1
+        return np.array([expr.value.ljust(1).encode("ascii")]), None
     if isinstance(expr, BArith):
-        f = compile_value(expr.lhs, index_fn)
-        g = compile_value(expr.rhs, index_fn)
-        op = _ARITH[expr.op]
-        return lambda row: op(f(row), g(row))
-    raise TypeError(f"not a value expression: {expr!r}")
-
-
-def compile_predicate(expr, index_fn):
-    """Build an evaluator row -> bool. All operands are evaluated (no short
-    circuit), keeping fault behaviour order-independent."""
+        a, fa = _evaluate(expr.lhs, stream)
+        b, fb = _evaluate(expr.rhs, stream)
+        values, fault = checked_arith(expr.op, a, b)
+        return values, _first_fault(fa, fb, fault)
     if isinstance(expr, BCmp):
-        f = compile_value(expr.lhs, index_fn)
-        g = compile_value(expr.rhs, index_fn)
+        a, fa = _evaluate(expr.lhs, stream)
+        b, fb = _evaluate(expr.rhs, stream)
         if expr.kind is TypeKind.CHAR:
-            width = expr.width
-            if expr.op == "=":
-                return lambda row: pad_char(f(row), width) == pad_char(g(row), width)
-            return lambda row: pad_char(f(row), width) != pad_char(g(row), width)
-        op = _CMP_INT[expr.op]
-        return lambda row: op(f(row), g(row))
+            a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
+        return _CMP[expr.op](a, b), _first_fault(fa, fb)
     if isinstance(expr, BBool):
-        fns = [compile_predicate(c, index_fn) for c in expr.children]
+        parts = [_evaluate(child, stream) for child in expr.children]
         if expr.op == "NOT":
-            f = fns[0]
-            return lambda row: not f(row)
-        if expr.op == "AND":
-            return lambda row: all([f(row) for f in fns])
-        return lambda row: any([f(row) for f in fns])
-    raise TypeError(f"not a predicate: {expr!r}")
+            values = np.logical_not(parts[0][0])
+        else:
+            values = functools.reduce(_BOOL[expr.op], [v for v, _ in parts])
+        return values, _first_fault(*(f for _, f in parts))
+    raise TypeError(f"not an expression: {expr!r}")
 
 
-def _filter_rows(rows, pred, label: str):
-    """Keep rows passing `pred`; arithmetic faults carry the row ordinal."""
-    kept = []
-    for ordinal, row in enumerate(rows):
-        try:
-            ok = pred(row)
-        except ArithmeticOverflow:
-            raise ArithmeticOverflow(ordinal, label) from None
-        except DivisionByZero:
-            raise DivisionByZero(ordinal) from None
-        if ok:
-            kept.append(row)
-    return kept
+def _raise_first(checks, n: int) -> None:
+    """Raise the fault of the earliest faulting row. `checks` holds (fault
+    codes or None, label) pairs in the order a row evaluates them."""
+    first = None
+    for fault, label in checks:
+        if fault is None:
+            continue
+        fault = np.broadcast_to(fault, (n,))
+        hits = np.flatnonzero(fault)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), int(fault[hits[0]]), label)
+    if first is not None:
+        row, code, label = first
+        if code == OVERFLOW:
+            raise ArithmeticOverflow(row, label)
+        raise DivisionByZero(row)
 
 
-def join_key_u64(value, key_type: ColumnType) -> int:
-    """64-bit image of a join key (CHAR keys hash their padded bytes)."""
+def _mask(pred, stream: _Stream) -> np.ndarray:
+    """Rows passing a predicate; an arithmetic fault raises for its row."""
+    values, fault = _evaluate(pred, stream)
+    _raise_first([(fault, "WHERE")], stream.n)
+    return np.broadcast_to(values, (stream.n,))
+
+
+def key_images(keys: np.ndarray, key_type: ColumnType) -> np.ndarray:
+    """64-bit images of canonical join keys: INT keys as their two's
+    complement bits, padded CHAR keys hashed under KEY_IMAGE_SEED."""
     if key_type.kind is TypeKind.INT:
-        return value & MASK64
-    return fnv1a64(pad_char(value, key_type.width_bytes).encode("ascii"), KEY_IMAGE_SEED)
+        return keys.view(np.uint64)
+    return fnv1a64_rows(keys.view(np.uint8).reshape(len(keys), key_type.width_bytes),
+                        KEY_IMAGE_SEED)
 
 
 def result_checksum(table: Table) -> int:
-    """Order-insensitive 64-bit digest of a result table."""
-    schema = table.schema
-    return fold_checksum(
-        fnv1a64(encode_row(row, schema), CHECKSUM_SEED) for row in table.rows
-    )
+    """Order-insensitive 64-bit digest of a result table: the row hashes of
+    its column view, summed modulo 2^64."""
+    hashes = fnv1a64_rows(encode_columns(table.columns), CHECKSUM_SEED)
+    return int(hashes.sum(dtype=np.uint64))
 
 
 # --------------------------------------------------------------------------
@@ -186,58 +219,48 @@ def execute_pipeline(
     bloom_fp: int | None = None
 
     if bp.has_join:
-        flat_rows, bloom_fp = _join_stream(c, bp, tables, dev, seed, stages)
+        stream, bloom_fp = _join_stream(c, bp, tables, dev, seed, stages)
     else:
-        rows = list(tables[bp.left_table].rows)
-        stages.append(StageCount("source", len(rows), len(rows)))
+        table = tables[bp.left_table]
+        stream = _Stream((table,), {0: np.arange(table.row_count)})
+        stages.append(StageCount("source", stream.n, stream.n))
         if bp.restriction is not None:
-            pred = compile_predicate(bp.restriction, bp.flat_index)
-            kept = _filter_rows(rows, pred, "WHERE")
-            stages.append(StageCount("restriction", len(rows), len(kept)))
-            rows = kept
-        flat_rows = rows
+            kept = stream.keep(_mask(bp.restriction, stream))
+            stages.append(StageCount("restriction", stream.n, kept.n))
+            stream = kept
 
     if c.roles == ("passthrough",):
-        stages.append(StageCount("passthrough", len(flat_rows), len(flat_rows)))
+        stages.append(StageCount("passthrough", stream.n, stream.n))
 
     if bp.computed:
-        fns = [compile_value(comp.expr, bp.flat_index) for comp in bp.computed]
-        names = [comp.name for comp in bp.computed]
-        widened = []
-        for ordinal, row in enumerate(flat_rows):
-            extras = []
-            for fn, name in zip(fns, names):
-                try:
-                    extras.append(fn(row))
-                except ArithmeticOverflow:
-                    raise ArithmeticOverflow(ordinal, name) from None
-                except DivisionByZero:
-                    raise DivisionByZero(ordinal) from None
-            widened.append(row + tuple(extras))
-        stages.append(StageCount("alu", len(flat_rows), len(widened)))
-        flat_rows = widened
+        _alu(bp, stream)
+        stages.append(StageCount("alu", stream.n, stream.n))
 
     if bp.grouped:
-        canonical = _aggregate(bp, flat_rows)
-        stages.append(StageCount("aggregate", len(flat_rows), len(canonical)))
-        result_rows = _project_grouped(bp, canonical)
+        canonical = _aggregate(bp, stream)
+        stages.append(StageCount("aggregate", stream.n, len(canonical[0].values)))
+        n_keys = len(bp.group_by)
+        columns = [canonical[col.source.index if isinstance(col.source, FromGroupKey)
+                             else n_keys + col.source.index] for col in bp.output]
     else:
-        result_rows = _project_plain(bp, flat_rows)
+        columns = [stream.column(col.source.ref) for col in bp.output]
+    n_out = len(columns[0].values)
     if needs_reorder(bp):
-        stages.append(StageCount("reorder", len(result_rows), len(result_rows)))
+        stages.append(StageCount("reorder", n_out, n_out))
 
     if bp.order_by:
-        _sort_rows(result_rows, bp)
-        stages.append(StageCount("sort", len(result_rows), len(result_rows)))
+        order = sort_order([(columns[idx].values, asc) for idx, asc in bp.order_by])
+        columns = [col.take(order) for col in columns]
+        stages.append(StageCount("sort", n_out, n_out))
 
-    table = Table(bp.output_schema, tuple(result_rows))
+    table = Table.from_columns(bp.output_schema, columns)
     report = ExecReport(
         stages=tuple(stages),
         wall_seconds=time.perf_counter() - started,
         simulated_seconds=estimate.total_seconds if estimate is not None else None,
         bloom_false_positives=bloom_fp,
         order_specified=bool(bp.order_by),
-        result_rows=len(result_rows),
+        result_rows=n_out,
     )
     return table, report
 
@@ -254,274 +277,152 @@ def _check_configured(c, fabric: FabricState, placement: Placement):
             raise NotReconfigured()
 
 
+def _alu(bp: BoundPlan, stream: _Stream) -> None:
+    """Append the computed columns; raise at the first row that faults."""
+    checks = []
+    for comp in bp.computed:
+        if comp.ctype.kind is TypeKind.CHAR:  # a column or a string literal
+            if isinstance(comp.expr, ValueRef):
+                column = stream.column(comp.expr)
+            else:
+                column = Column.from_values(comp.ctype, [comp.expr.value] * stream.n)
+            fault = None
+        else:
+            values, fault = _evaluate(comp.expr, stream)
+            column = Column(comp.ctype, np.broadcast_to(values, (stream.n,)))
+        checks.append((fault, comp.name))
+        stream.computed.append(column)
+    _raise_first(checks, stream.n)
+
+
 # --------------------------------------------------------------------------
 # join machinery
 # --------------------------------------------------------------------------
 
 def _join_stream(c, bp: BoundPlan, tables, dev: DeviceProfile, seed, stages):
-    left = tables[bp.left_table]
-    right = tables[bp.right_table]
-    l_rows = list(left.rows)
-    r_rows = list(right.rows)
-    stages.append(StageCount("source", len(l_rows) + len(r_rows), len(l_rows) + len(r_rows)))
+    sides = (tables[bp.left_table], tables[bp.right_table])
+    positions = [np.arange(t.row_count) for t in sides]
+    n_source = sum(len(p) for p in positions)
+    stages.append(StageCount("source", n_source, n_source))
 
     # Pre-join filtering is only sound when the predicate cannot fault:
     # with arithmetic inside, the whole predicate runs on the joined stream
     # in (left, right) order, exactly like the reference evaluator.
     pred = bp.restriction
     pushdown = pred is not None and not expr_has_arith(pred)
-    residual_pred = None
-    post_join_pred = None
-    if pred is not None and pushdown:
-        left_parts, right_parts, mixed = [], [], []
+    mixed = []
+    if pushdown:
         for conj in split_conjuncts(pred):
             slots = expr_slots(conj)
-            if slots <= {0}:
-                left_parts.append(compile_predicate(conj, lambda ref: ref.index))
-            elif slots == {1}:
-                right_parts.append(compile_predicate(conj, lambda ref: ref.index))
+            slot = 0 if slots <= {0} else 1 if slots == {1} else None
+            if slot is None:
+                mixed.append(conj)
             else:
-                mixed.append(compile_predicate(conj, bp.flat_index))
-        n_in = len(l_rows) + len(r_rows)
-        if left_parts:
-            l_rows = [r for r in l_rows if all([f(r) for f in left_parts])]
-        if right_parts:
-            r_rows = [r for r in r_rows if all([f(r) for f in right_parts])]
-        stages.append(StageCount("restriction", n_in, len(l_rows) + len(r_rows)))
-        if mixed:
-            residual_pred = lambda row: all([f(row) for f in mixed])
-    elif pred is not None:
-        post_join_pred = compile_predicate(pred, bp.flat_index)
+                side = _Stream(sides, {slot: positions[slot]})
+                positions[slot] = positions[slot][_mask(conj, side)]
+        stages.append(StageCount("restriction", n_source, sum(len(p) for p in positions)))
 
     key_type = bp.join_key_type
-    li, ri = bp.join_left_index, bp.join_right_index
+    keys = [_join_keys(side.columns[k], pos, key_type)
+            for side, k, pos in zip(sides, (bp.join_left_index, bp.join_right_index),
+                                    positions)]
     bloom_fp = None
-
     if c.join_algo == "hash_codesign":
-        pairs, bloom_fp = _codesign_pairs(c, bp, l_rows, r_rows, dev, seed, stages)
-        joined = [l_rows[a] + r_rows[b] for a, b in pairs]
-        if residual_pred is not None:
-            joined = [row for row in joined if residual_pred(row)]
-        host = stages.pop()  # patch host stage output with residual applied
-        stages.append(StageCount(host.name, host.input_count, len(joined)))
+        (left, right), bloom_fp, n_in = _codesign_pairs(c, bp, keys, dev, seed, stages)
+        name = "host_join"
     else:
+        left, right = match_pairs(keys[0], keys[1])
         if c.join_algo == "merge_fpga":
-            pairs = _merge_join_pairs(l_rows, r_rows, li, ri, key_type, stages)
-            n_in = len(l_rows) + len(r_rows)
+            stages.append(StageCount("sort_left", len(keys[0]), len(keys[0])))
+            stages.append(StageCount("sort_right", len(keys[1]), len(keys[1])))
+            name, n_in = "merge_join", len(keys[0]) + len(keys[1])
         else:
-            pairs = _hash_join_pairs(l_rows, r_rows, li, ri, key_type)
-            n_in = max(len(l_rows), len(r_rows))
-        pairs.sort()
-        joined = [l_rows[a] + r_rows[b] for a, b in pairs]
-        if residual_pred is not None:
-            joined = [row for row in joined if residual_pred(row)]
-        name = "merge_join" if c.join_algo == "merge_fpga" else "hash_join"
-        stages.append(StageCount(name, n_in, len(joined)))
+            name, n_in = "hash_join", max(map(len, keys))
+    stream = _Stream(sides, {0: positions[0][left], 1: positions[1][right]})
+    if mixed:
+        stream = stream.keep(np.logical_and.reduce([_mask(conj, stream) for conj in mixed]))
+    stages.append(StageCount(name, n_in, stream.n))
 
-    if post_join_pred is not None:
-        kept = _filter_rows(joined, post_join_pred, "WHERE")
-        stages.append(StageCount("restriction", len(joined), len(kept)))
-        joined = kept
-    return joined, bloom_fp
+    if pred is not None and not pushdown:
+        kept = stream.keep(_mask(pred, stream))
+        stages.append(StageCount("restriction", stream.n, kept.n))
+        stream = kept
+    return stream, bloom_fp
 
 
-def _hash_join_pairs(l_rows, r_rows, li, ri, key_type):
-    build_is_left = len(l_rows) <= len(r_rows)
-    if build_is_left:
-        build, bkey, probe, pkey = l_rows, li, r_rows, ri
-    else:
-        build, bkey, probe, pkey = r_rows, ri, l_rows, li
-    table: dict = {}
-    for idx, row in enumerate(build):
-        table.setdefault(canon_cell(row[bkey], key_type), []).append(idx)
-    pairs = []
-    for pidx, row in enumerate(probe):
-        for bidx in table.get(canon_cell(row[pkey], key_type), ()):
-            pairs.append((bidx, pidx) if build_is_left else (pidx, bidx))
-    return pairs
+def _join_keys(column: Column, positions: np.ndarray, key_type: ColumnType) -> np.ndarray:
+    """Canonical join keys of the rows at `positions`: INT values, or CHAR
+    bytes padded to the key width."""
+    values = column.values[positions]
+    if key_type.kind is TypeKind.CHAR:
+        return pad_bytes(values, key_type.width_bytes)
+    return values
 
 
-def _merge_join_pairs(l_rows, r_rows, li, ri, key_type, stages):
-    lsorted = sorted(
-        ((canon_cell(row[li], key_type), idx) for idx, row in enumerate(l_rows)),
-    )
-    stages.append(StageCount("sort_left", len(l_rows), len(l_rows)))
-    rsorted = sorted(
-        ((canon_cell(row[ri], key_type), idx) for idx, row in enumerate(r_rows)),
-    )
-    stages.append(StageCount("sort_right", len(r_rows), len(r_rows)))
-    pairs = []
-    i = j = 0
-    while i < len(lsorted) and j < len(rsorted):
-        lk, rk = lsorted[i][0], rsorted[j][0]
-        if lk < rk:
-            i += 1
-        elif lk > rk:
-            j += 1
-        else:
-            i2 = i
-            while i2 < len(lsorted) and lsorted[i2][0] == lk:
-                i2 += 1
-            j2 = j
-            while j2 < len(rsorted) and rsorted[j2][0] == rk:
-                j2 += 1
-            for a in range(i, i2):
-                for b in range(j, j2):
-                    pairs.append((lsorted[a][1], rsorted[b][1]))
-            i, j = i2, j2
-    return pairs
-
-
-def _codesign_pairs(c, bp: BoundPlan, l_rows, r_rows, dev, seed, stages):
-    """Bloom pre-filter, alignment, and the software host join."""
-    key_type = bp.join_key_type
-    li, ri = bp.join_left_index, bp.join_right_index
-    build_is_left = len(l_rows) <= len(r_rows)
-    if build_is_left:
-        build_rows, bkey, bschema = l_rows, li, bp.left_schema
-        probe_rows, pkey, pschema = r_rows, ri, bp.right_schema
-    else:
-        build_rows, bkey, bschema = r_rows, ri, bp.right_schema
-        probe_rows, pkey, pschema = l_rows, li, bp.left_schema
+def _codesign_pairs(c, bp: BoundPlan, keys, dev, seed, stages):
+    """Bloom pre-filter, alignment, and the software host join. Returns the
+    (left, right) position pairs in (left, right) order, the bloom false
+    positives, and the host join's input count."""
+    build_is_left = len(keys[0]) <= len(keys[1])
+    build, probe = (0, 1) if build_is_left else (1, 0)
+    schemas = (bp.left_schema, bp.right_schema)
 
     bloom_module = next(m for m, role in zip(c.modules, c.roles) if role == "bloom_cascade")
     n_stages = bloom_module.param("stages", 2)
-    m_bits, k = bloom_dims(len(build_rows))
-    cfg = BloomCascadeConfig(n_stages, m_bits, k, seed)
+    m_bits, k = bloom_dims(len(keys[build]))
+    build_images = key_images(keys[build], bp.join_key_type)
+    cascade = bloom_build(BloomCascadeConfig(n_stages, m_bits, k, seed), build_images)
+    build_hashes = forwarded_hashes(cascade, build_images)
+    mask, probe_hashes = bloom_probe_many(cascade, key_images(keys[probe], bp.join_key_type))
+    passed = np.flatnonzero(mask)
+    stages.append(StageCount("bloom_cascade", len(keys[probe]), len(passed)))
+    bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][passed], keys[build])))
 
-    build_keys = [join_key_u64(row[bkey], key_type) for row in build_rows]
-    cascade = bloom_build(cfg, build_keys)
-    build_hashes = forwarded_hashes(cascade, build_keys) if build_keys else []
-
-    probe_keys = [join_key_u64(row[pkey], key_type) for row in probe_rows]
-    if probe_keys:
-        mask, probe_hashes = bloom_probe_many(cascade, np.array(probe_keys, dtype=np.uint64))
-    else:
-        mask = np.zeros(0, dtype=bool)
-        probe_hashes = np.zeros(0, dtype=np.uint64)
-    passed = [i for i in range(len(probe_rows)) if mask[i]]
-    stages.append(StageCount("bloom_cascade", len(probe_rows), len(passed)))
-
-    true_keys = {canon_cell(row[bkey], key_type) for row in build_rows}
-    bloom_fp = sum(
-        1 for i in passed if canon_cell(probe_rows[i][pkey], key_type) not in true_keys
-    )
-
-    block_bytes = dev.cache_line_bytes  # fixed multiplier of 1
-    build_blocks = align(build_rows, bschema, block_bytes, with_hash=True,
-                         hashes=[int(h) for h in build_hashes])
-    probe_blocks = align([probe_rows[i] for i in passed], pschema, block_bytes,
-                         with_hash=True, hashes=[int(probe_hashes[i]) for i in passed])
-    aligned = len(passed) + len(build_rows)
+    # alignment packs records into cache-line blocks; the host join reads
+    # the forwarded hashes and keys, so only the record size is checked
+    for side in (build, probe):
+        records_per_block(schemas[side], dev.cache_line_bytes, with_hash=True)
+    aligned = len(passed) + len(keys[build])
     stages.append(StageCount("align", aligned, aligned))
 
-    pairs = []
-    for bpos, ppos, _, _ in host_hash_join_indexed(
-        build_blocks, probe_blocks, bkey, pkey, key_type
-    ):
-        orig_probe = passed[ppos]
-        pairs.append((bpos, orig_probe) if build_is_left else (orig_probe, bpos))
-    pairs.sort()
-    stages.append(StageCount("host_join", aligned, len(pairs)))
-    return pairs, bloom_fp
+    build_pos, probe_pos = host_hash_join(build_hashes, keys[build],
+                                          probe_hashes[passed], keys[probe][passed])
+    probe_pos = passed[probe_pos]
+    if build_is_left:  # pairs come in probe order; a stable sort puts left first
+        order = np.argsort(build_pos, kind="stable")
+        return (build_pos[order], probe_pos[order]), bloom_fp, aligned
+    return (probe_pos, build_pos), bloom_fp, aligned
 
 
 # --------------------------------------------------------------------------
-# aggregation, projection, ordering
+# aggregation
 # --------------------------------------------------------------------------
 
-def _aggregate(bp: BoundPlan, rows):
-    """Fold the stream into canonical (group keys..., aggregates...) rows,
-    group keys in first-appearance order."""
-    key_info = [(bp.flat_index(ref), ref.ctype) for ref in bp.group_by]
-    agg_info = [
-        (agg.fn, bp.flat_index(agg.arg) if agg.arg is not None else None,
-         agg.arg.ctype if agg.arg is not None else None)
-        for agg in bp.aggregates
-    ]
-    groups: dict = {}
-    for ordinal, row in enumerate(rows):
-        canon_key = tuple(canon_cell(row[i], t) for i, t in key_info)
-        entry = groups.get(canon_key)
-        if entry is None:
-            raws = tuple(row[i] for i, _ in key_info)
-            entry = (raws, [_acc_new(fn) for fn, _, _ in agg_info])
-            groups[canon_key] = entry
-        accs = entry[1]
-        for pos, (fn, idx, ctype) in enumerate(agg_info):
-            try:
-                _acc_update(accs[pos], fn, row, idx, ctype)
-            except ArithmeticOverflow:
-                raise ArithmeticOverflow(ordinal, bp.aggregates[pos].name) from None
-
-    if not bp.group_by and not groups:
-        # Global aggregate over an empty stream: only COUNT has a value in a
-        # NULL-free data model; anything else yields no row.
-        if bp.aggregates and all(a.fn == "COUNT" for a in bp.aggregates):
-            return [tuple(0 for _ in bp.aggregates)]
-        return []
-    out = []
-    for raws, accs in groups.values():
-        out.append(raws + tuple(_acc_final(acc, fn) for acc, (fn, _, _) in zip(accs, agg_info)))
+def _aggregate(bp: BoundPlan, stream: _Stream) -> list[Column]:
+    """Fold the stream into canonical (group keys..., aggregates...) columns,
+    groups in first-appearance order. SUM and AVG accumulate in stream
+    order and raise at the first row whose running sum overflows."""
+    if stream.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
+        # a global COUNT over an empty stream is 0; with no NULL in the
+        # model, any other aggregate over it yields no row
+        return [Column(a.ctype, np.zeros(1, dtype=np.int64)) for a in bp.aggregates]
+    keys = [stream.column(ref) for ref in bp.group_by]
+    gid, first = group_ids([col.values for col in keys], stream.n)
+    groups = len(first)
+    counts = np.bincount(gid, minlength=groups)
+    out = [col.take(first) for col in keys]
+    checks = []
+    for agg in bp.aggregates:
+        arg = stream.column(agg.arg) if agg.arg is not None else None
+        if agg.fn == "COUNT":
+            out.append(Column(agg.ctype, counts))
+        elif agg.fn in ("SUM", "AVG"):
+            sums, fault = group_sums(arg.values, gid, groups)
+            checks.append((fault, agg.name))
+            if agg.fn == "AVG":
+                sums = checked_arith("/", sums, counts)[0]
+            out.append(Column(agg.ctype, sums))
+        else:
+            out.append(arg.take(group_extreme(arg.values, gid, groups, agg.fn)))
+    _raise_first(checks, stream.n)
     return out
-
-
-def _acc_new(fn: str):
-    if fn in ("COUNT",):
-        return [0]
-    if fn in ("SUM", "AVG"):
-        return [0, 0]  # sum, count
-    return [None, None]  # canonical best, raw best
-
-
-def _acc_update(acc, fn, row, idx, ctype):
-    if fn == "COUNT":
-        acc[0] += 1
-        return
-    if fn in ("SUM", "AVG"):
-        acc[0] = add64(acc[0], row[idx])
-        acc[1] += 1
-        return
-    value = row[idx]
-    canon = canon_cell(value, ctype)
-    if acc[0] is None:
-        acc[0], acc[1] = canon, value
-    elif fn == "MIN" and canon < acc[0]:
-        acc[0], acc[1] = canon, value
-    elif fn == "MAX" and canon > acc[0]:
-        acc[0], acc[1] = canon, value
-
-
-def _acc_final(acc, fn):
-    if fn == "COUNT":
-        return acc[0]
-    if fn == "SUM":
-        return acc[0]
-    if fn == "AVG":
-        return div64(acc[0], acc[1])
-    return acc[1]
-
-
-def _project_grouped(bp: BoundPlan, canonical_rows):
-    n_keys = len(bp.group_by)
-    mapping = []
-    for col in bp.output:
-        if isinstance(col.source, FromGroupKey):
-            mapping.append(col.source.index)
-        elif isinstance(col.source, FromAggregate):
-            mapping.append(n_keys + col.source.index)
-        else:  # pragma: no cover - binder prevents this
-            raise AssertionError("plain value in grouped projection")
-    return [tuple(row[i] for i in mapping) for row in canonical_rows]
-
-
-def _project_plain(bp: BoundPlan, flat_rows):
-    mapping = [bp.flat_index(col.source.ref) for col in bp.output]
-    return [tuple(row[i] for i in mapping) for row in flat_rows]
-
-
-def _sort_rows(rows: list, bp: BoundPlan):
-    """Stable multi-key sort; CHAR keys compare on padded content."""
-    for idx, ascending in reversed(bp.order_by):
-        ctype = bp.output_schema.columns[idx][1]
-        rows.sort(key=lambda r, i=idx, t=ctype: canon_cell(r[i], t), reverse=not ascending)

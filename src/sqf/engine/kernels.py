@@ -1,0 +1,132 @@
+"""Vector kernels of the columnar engine: checked 64-bit arithmetic, pair
+matching for joins, grouping, and ordering.
+
+Arithmetic returns a per-row fault code beside the values instead of
+raising, so the executor can report the first faulting row in stream order.
+A faulted row's value is unspecified. The scalar primitives in `sqf.arith`
+are the reference these kernels are tested against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..arith import INT64_MAX, INT64_MIN
+
+OK, OVERFLOW, DIVZERO = 0, 1, 2  # per-row fault codes
+
+_MIN = np.int64(INT64_MIN)
+
+
+def checked_arith(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(values, fault codes) of `a op b` over int64 operands, elementwise.
+
+    Overflow is detected exactly. Division truncates toward zero, as
+    `sqf.arith.div64` does; a zero divisor is DIVZERO and INT64_MIN / -1 is
+    OVERFLOW.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    with np.errstate(all="ignore"):  # wrapped results are flagged, not used
+        if op == "+":
+            r = a + b
+            fault = ((a ^ r) & (b ^ r)) < 0
+        elif op == "-":
+            r = a - b
+            fault = ((a ^ b) & (a ^ r)) < 0
+        elif op == "*":
+            r = a * b
+            # a wrapped product fails r // a == b; a == -1 is kept out of the
+            # division because INT64_MIN // -1 itself wraps
+            plain = (a != 0) & (a != -1)
+            q = r // np.where(plain, a, 1)
+            fault = (plain & (q != b)) | ((a == -1) & (b == _MIN))
+        elif op == "/":
+            zero = b == 0
+            wraps = (a == _MIN) & (b == -1)
+            q, rem = np.divmod(a, np.where(zero | wraps, 1, b))
+            # numpy floors; step back toward zero when the signs differ
+            r = q + ((rem != 0) & ((a < 0) != (b < 0)))
+            return r, np.where(zero, DIVZERO, wraps * OVERFLOW).astype(np.uint8)
+        else:
+            raise ValueError(f"unknown operator {op!r}")
+    return r, fault.astype(np.uint8)
+
+
+def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All (outer position, inner position) pairs with equal keys, ordered
+    by outer position, then inner position."""
+    keys, codes = np.unique(np.concatenate((outer, inner)), return_inverse=True)
+    codes = codes.reshape(-1)
+    outer_code, inner_code = codes[: len(outer)], codes[len(outer):]
+    order = np.argsort(inner_code, kind="stable")  # inner rows grouped by key
+    per_key = np.bincount(inner_code, minlength=len(keys))
+    counts = per_key[outer_code]
+    lo = (np.cumsum(per_key) - per_key)[outer_code]
+    outer_pos = np.repeat(np.arange(len(outer)), counts)
+    first = np.cumsum(counts) - counts  # each outer row's first pair
+    inner_pos = order[np.repeat(lo - first, counts) + np.arange(counts.sum())]
+    return outer_pos, inner_pos
+
+
+def rank(values: np.ndarray) -> np.ndarray:
+    """Int64 codes that order like `values` (INT as-is, padded CHAR by rank)."""
+    if values.dtype == np.int64:
+        return values
+    return np.unique(values, return_inverse=True)[1].reshape(-1)
+
+
+def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(group id per row, first row of each group), groups numbered in order
+    of first appearance. No keys means one group holding every row."""
+    codes = np.zeros(n, dtype=np.int64)
+    for key in keys:
+        values, code = np.unique(key, return_inverse=True)
+        codes = np.unique(codes * len(values) + code.reshape(-1), return_inverse=True)[1]
+    _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[by_appearance] = np.arange(len(first))
+    return renumber[codes.reshape(-1)], first[by_appearance]
+
+
+def group_sums(values: np.ndarray, gid: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """(per-group sums, fault codes per row), accumulated in stream order.
+
+    A row faults when its group's running sum leaves the int64 range there.
+    Each value is split into 32-bit halves so that running sums stay exact
+    in int64.
+    """
+    order = np.argsort(gid, kind="stable")
+    v = values[order]
+    ordered_gid = gid[order]
+    starts = np.searchsorted(ordered_gid, np.arange(groups))
+    hi = np.cumsum(v >> 32)
+    lo = np.cumsum(v & 0xFFFFFFFF)
+    hi -= np.concatenate(([0], hi))[starts][ordered_gid]  # restart per group
+    lo -= np.concatenate(([0], lo))[starts][ordered_gid]
+    hi += lo >> 32  # exact running sum = hi * 2^32 + (lo mod 2^32)
+    lo &= 0xFFFFFFFF
+    fault = np.zeros(len(v), dtype=np.uint8)
+    fault[order[(hi < -(1 << 31)) | (hi >= 1 << 31)]] = OVERFLOW
+    ends = np.searchsorted(ordered_gid, np.arange(groups), "right") - 1
+    return (hi[ends] << 32) + lo[ends], fault
+
+
+def group_extreme(values: np.ndarray, gid: np.ndarray, groups: int, fn: str) -> np.ndarray:
+    """Row of each group's first MIN or MAX value, in stream order."""
+    code = rank(values)
+    if fn == "MIN":
+        extreme = np.full(groups, INT64_MAX, dtype=np.int64)
+        np.minimum.at(extreme, gid, code)
+    else:
+        extreme = np.full(groups, INT64_MIN, dtype=np.int64)
+        np.maximum.at(extreme, gid, code)
+    rows = np.flatnonzero(code == extreme[gid])
+    return rows[np.unique(gid[rows], return_index=True)[1]]
+
+
+def sort_order(keys) -> np.ndarray:
+    """Stable permutation by (values, ascending) keys, first key major."""
+    codes = [rank(values) if asc else ~rank(values) for values, asc in reversed(keys)]
+    return np.lexsort(codes)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InsufficientSlots, InvalidField, LibraryParseError, NotAllocated
-from .library import ModuleInstance
+from .library import ModuleInstance, json_float, json_int
 
 _PROFILE_FIELDS = (
     "regions",
@@ -33,6 +33,7 @@ _PROFILE_FIELDS = (
     "host_tuples_per_s",
     "cache_line_bytes",
 )
+_INT_FIELDS = ("regions", "slots_per_region", "cache_line_bytes")
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,10 @@ def load_device_profile(path) -> DeviceProfile:
     for key in _PROFILE_FIELDS:
         if key not in rec:
             raise InvalidField(key, "missing field")
-    return DeviceProfile(
-        regions=int(rec["regions"]),
-        slots_per_region=int(rec["slots_per_region"]),
-        icap_bytes_per_s=float(rec["icap_bytes_per_s"]),
-        mem_bytes_per_s=float(rec["mem_bytes_per_s"]),
-        clock_hz=float(rec["clock_hz"]),
-        p_static_w=float(rec["p_static_w"]),
-        p_slot_active_w=float(rec["p_slot_active_w"]),
-        p_reconfig_w=float(rec["p_reconfig_w"]),
-        host_tuples_per_s=float(rec["host_tuples_per_s"]),
-        cache_line_bytes=int(rec["cache_line_bytes"]),
-    )
+    return DeviceProfile(**{
+        key: json_int(rec, key) if key in _INT_FIELDS else json_float(rec, key)
+        for key in _PROFILE_FIELDS
+    })
 
 
 @dataclass(frozen=True)
@@ -113,14 +106,6 @@ class Placement:
     @property
     def region(self) -> int:
         return self.entries[0].region
-
-    @property
-    def total_slots(self) -> int:
-        return sum(e.stop - e.start for e in self.entries)
-
-    @property
-    def total_bitstream_bytes(self) -> int:
-        return sum(e.instance.bitstream_bytes for e in self.entries)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ Grammar:
 
 Reserved words are case-insensitive. Errors carry the character position of
 the offending token and the set of things that would have been accepted.
+
+Expressions nest at most MAX_NESTING deep, counting both the tree depth of
+operators and the nesting of parentheses and NOT, so no later stage ever
+walks a tree deep enough to exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ KEYWORDS = frozenset(
     ["SELECT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY",
      "ORDER", "ASC", "DESC", "AND", "OR", "NOT", "AS"]
 )
+
+MAX_NESTING = 32
 
 _SYMBOLS = ("<=", ">=", "<>", ",", "(", ")", "*", ".", ";", "+", "-", "/", "=", "<", ">")
 
@@ -108,6 +114,8 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.nesting = 0  # open parentheses and NOTs
+        self.depths: dict[int, int] = {}  # id(operator node) -> operator levels
 
     # -- token helpers ----------------------------------------------------
 
@@ -151,6 +159,24 @@ class _Parser:
     def expect_sym(self, sym: str):
         if not self.eat_sym(sym):
             self.fail(f"`{sym}`")
+
+    def too_deep(self, tok: Token):
+        raise QuerySyntaxError(tok.pos, (f"at most {MAX_NESTING} levels of nesting",),
+                               tok.text)
+
+    def enter(self, tok: Token):
+        """Open one level of parentheses or NOT at `tok`."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.too_deep(tok)
+
+    def node(self, tok: Token, node, *children):
+        """Record an operator node made at `tok` and check its tree depth."""
+        depth = 1 + max(self.depths.get(id(child), 0) for child in children)
+        if depth > MAX_NESTING:
+            self.too_deep(tok)
+        self.depths[id(node)] = depth
+        return node
 
     def expect_ident(self, what: str = "identifier") -> str:
         tok = self.peek()
@@ -299,24 +325,27 @@ class _Parser:
         return self.parse_or()
 
     def parse_or(self):
-        children = [self.parse_and()]
-        while self.eat_kw("OR"):
-            children.append(self.parse_and())
-        if len(children) == 1:
-            return children[0]
-        return BoolOp("OR", tuple(children))
+        return self.parse_bool("OR", self.parse_and)
 
     def parse_and(self):
-        children = [self.parse_not()]
-        while self.eat_kw("AND"):
-            children.append(self.parse_not())
+        return self.parse_bool("AND", self.parse_not)
+
+    def parse_bool(self, op: str, parse_child):
+        tok = self.peek()
+        children = [parse_child()]
+        while self.eat_kw(op):
+            children.append(parse_child())
         if len(children) == 1:
             return children[0]
-        return BoolOp("AND", tuple(children))
+        return self.node(tok, BoolOp(op, tuple(children)), *children)
 
     def parse_not(self):
+        tok = self.peek()
         if self.eat_kw("NOT"):
-            return BoolOp("NOT", (self.parse_not(),))
+            self.enter(tok)
+            child = self.parse_not()
+            self.nesting -= 1
+            return self.node(tok, BoolOp("NOT", (child,)), child)
         return self.parse_cmp()
 
     def parse_cmp(self):
@@ -325,28 +354,25 @@ class _Parser:
         if tok.kind == "sym" and tok.text in ("=", "<>", "<", "<=", ">", ">="):
             self.advance()
             rhs = self.parse_add()
-            return Cmp(tok.text, lhs, rhs)
+            return self.node(tok, Cmp(tok.text, lhs, rhs), lhs, rhs)
         return lhs
 
     def parse_add(self):
-        node = self.parse_mul()
-        while True:
-            if self.eat_sym("+"):
-                node = Arith("+", node, self.parse_mul())
-            elif self.eat_sym("-"):
-                node = Arith("-", node, self.parse_mul())
-            else:
-                return node
+        return self.parse_arith(("+", "-"), self.parse_mul)
 
     def parse_mul(self):
-        node = self.parse_primary()
+        return self.parse_arith(("*", "/"), self.parse_primary)
+
+    def parse_arith(self, ops: tuple[str, ...], parse_operand):
+        """A left-associative chain of `ops` over operands."""
+        node = parse_operand()
         while True:
-            if self.eat_sym("*"):
-                node = Arith("*", node, self.parse_primary())
-            elif self.eat_sym("/"):
-                node = Arith("/", node, self.parse_primary())
-            else:
+            tok = self.peek()
+            if not (tok.kind == "sym" and tok.text in ops):
                 return node
+            self.advance()
+            rhs = parse_operand()
+            node = self.node(tok, Arith(tok.text, node, rhs), node, rhs)
 
     def parse_primary(self):
         tok = self.peek()
@@ -366,8 +392,10 @@ class _Parser:
         if tok.kind == "ident":
             return self.parse_colref()
         if self.eat_sym("("):
+            self.enter(tok)
             inner = self.parse_expr()
             self.expect_sym(")")
+            self.nesting -= 1
             return inner
         self.fail("integer literal", "string literal", "column name", "`(`")
 

@@ -4,8 +4,9 @@ The function is an FNV-1a variant: the 8 little-endian bytes of a seed word
 are absorbed before the payload, and the raw FNV state is passed through a
 final avalanche mix (raw FNV-1a has weak low bits, which matters when bit
 indices are taken modulo a power of two). The exact byte-level definition
-lives in docs/hashing.md; scalar and vectorized paths must agree bit for bit
-and are tested against each other.
+lives in docs/hashing.md. The row-matrix kernel `fnv1a64_rows` serves every
+vectorized caller; the scalar `fnv1a64` is its test reference, and the two
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,11 +36,19 @@ def mix64(h: int) -> int:
     return h
 
 
-def fnv1a64(data: bytes, seed: int = 0) -> int:
-    """Hash `data` under `seed`; the result is a uniform 64-bit value."""
+def _seeded_state(seed: int) -> int:
+    """FNV state after absorbing the 8 little-endian bytes of `seed`."""
     h = FNV_OFFSET
     for b in (seed & MASK64).to_bytes(8, "little"):
         h = ((h ^ b) * FNV_PRIME) & MASK64
+    return h
+
+
+def fnv1a64(data: bytes, seed: int = 0) -> int:
+    """Hash `data` under `seed`; the result is a uniform 64-bit value.
+
+    Scalar reference for fnv1a64_rows."""
+    h = _seeded_state(seed)
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & MASK64
     return mix64(h)
@@ -50,27 +59,28 @@ def fnv1a64_u64(key: int, seed: int = 0) -> int:
     return fnv1a64((key & MASK64).to_bytes(8, "little"), seed)
 
 
-def fnv1a64_u64_many(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized fnv1a64_u64 over a uint64 array."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    h = np.full(keys.shape, FNV_OFFSET, dtype=np.uint64)
+def fnv1a64_rows(matrix: np.ndarray, seed: int = 0) -> np.ndarray:
+    """fnv1a64 of every row of a (rows, bytes) uint8 matrix, as uint64.
+
+    Row i hashes to fnv1a64(bytes(matrix[i]), seed). The kernel absorbs one
+    byte column across all rows per step.
+    """
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    h = np.full(matrix.shape[0], _seeded_state(seed), dtype=np.uint64)
     prime = np.uint64(FNV_PRIME)
-    for b in (seed & MASK64).to_bytes(8, "little"):
-        h = (h ^ np.uint64(b)) * prime
-    for i in range(8):
-        byte = (keys >> np.uint64(8 * i)) & np.uint64(0xFF)
-        h = (h ^ byte) * prime
-    h ^= h >> np.uint64(33)
+    for byte in np.ascontiguousarray(matrix.T):
+        h ^= byte
+        h *= prime
+    shift = np.uint64(33)
+    h ^= h >> shift
     h *= np.uint64(_MIX_C1)
-    h ^= h >> np.uint64(33)
+    h ^= h >> shift
     h *= np.uint64(_MIX_C2)
-    h ^= h >> np.uint64(33)
+    h ^= h >> shift
     return h
 
 
-def fold_checksum(hashes) -> int:
-    """Order-insensitive 64-bit fold: sum of row hashes modulo 2^64."""
-    total = 0
-    for h in hashes:
-        total = (total + int(h)) & MASK64
-    return total
+def fnv1a64_u64_many(keys: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Vectorized fnv1a64_u64 over a uint64 array."""
+    keys = np.ascontiguousarray(keys, dtype="<u8")
+    return fnv1a64_rows(keys.view(np.uint8).reshape(-1, 8), seed).reshape(keys.shape)

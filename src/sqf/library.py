@@ -124,6 +124,27 @@ class ModuleLibrary:
         return tuple(self.specs)
 
 
+def json_int(rec: dict, name: str) -> int:
+    """An integer field of a JSON record; booleans and fractions are rejected."""
+    value = rec[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidField(name, "must be an integer")
+    return value
+
+
+def json_float(rec: dict, name: str) -> float:
+    """A finite numeric field of a JSON record."""
+    value = rec[name]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidField(name, "must be a finite number")
+
+
 def load_library(path) -> ModuleLibrary:
     """Load the module catalog from a JSON array of spec records.
 
@@ -156,19 +177,13 @@ def load_library(path) -> ModuleLibrary:
             raise InvalidField("kind", f"unknown module kind `{rec['kind']}`") from None
         if kind in specs:
             raise DuplicateKind(kind.value)
-        if not isinstance(rec["base_slots"], int) or isinstance(rec["base_slots"], bool):
-            raise InvalidField("base_slots", "must be an integer")
-        if not isinstance(rec["slots_per_unit"], int):
-            raise InvalidField("slots_per_unit", "must be an integer")
-        if not isinstance(rec["bitstream_bytes_per_slot"], int):
-            raise InvalidField("bitstream_bytes_per_slot", "must be an integer")
         specs[kind] = ModuleSpec(
             kind=kind,
-            base_slots=rec["base_slots"],
-            slots_per_unit=rec["slots_per_unit"],
-            bitstream_bytes_per_slot=rec["bitstream_bytes_per_slot"],
-            tuples_per_cycle=float(rec["tuples_per_cycle"]),
-            max_clock_hz=float(rec["max_clock_hz"]),
+            base_slots=json_int(rec, "base_slots"),
+            slots_per_unit=json_int(rec, "slots_per_unit"),
+            bitstream_bytes_per_slot=json_int(rec, "bitstream_bytes_per_slot"),
+            tuples_per_cycle=json_float(rec, "tuples_per_cycle"),
+            max_clock_hz=json_float(rec, "max_clock_hz"),
         )
 
     for kind in ModuleKind:

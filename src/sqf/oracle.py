@@ -145,10 +145,21 @@ def _grouped_rows(bp: BoundPlan, rows):
             return [_shape_output(bp, (), agg_row)]
         return []
 
+    # every group folds in full; the query faults on the earliest row that
+    # overflows any group's running sum, as a streaming fold would
     out = []
+    faults = []
     for raw_keys, members in groups.values():
-        agg_values = tuple(_fold(bp, agg, members) for agg in bp.aggregates)
-        out.append(_shape_output(bp, raw_keys, agg_values))
+        agg_values = []
+        for agg in bp.aggregates:
+            try:
+                agg_values.append(_fold(bp, agg, members))
+            except ArithmeticOverflow as exc:
+                faults.append(exc.row)
+                agg_values.append(None)
+        out.append(_shape_output(bp, raw_keys, tuple(agg_values)))
+    if faults:
+        raise ArithmeticOverflow(min(faults))
     return out
 
 

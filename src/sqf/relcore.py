@@ -14,7 +14,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .arith import INT64_MAX, INT64_MIN
 from .errors import CharOverflow, HeaderMismatch, MalformedCell
@@ -94,9 +97,6 @@ class Schema:
                 return i
         raise KeyError(name)
 
-    def type_of(self, name: str) -> ColumnType:
-        return self.columns[self.index_of(name)][1]
-
     def header_text(self) -> str:
         return ",".join(f"{name}:{ctype.render()}" for name, ctype in self.columns)
 
@@ -128,6 +128,62 @@ def encode_row(row: tuple, schema: Schema) -> bytes:
     return b"".join(encode_cell(v, t) for v, (_, t) in zip(row, schema.columns))
 
 
+def pad_bytes(values: np.ndarray, width: int) -> np.ndarray:
+    """Space-pad an `S<n>` array (n <= width) to `S<width>`."""
+    if values.dtype.itemsize == width:
+        return values
+    n, size = len(values), values.dtype.itemsize
+    out = np.full((n, width), 0x20, dtype=np.uint8)
+    out[:, :size] = values.view(np.uint8).reshape(n, size)
+    return out.view(f"S{width}").reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One column as arrays. INT cells are an int64 array. CHAR cells are an
+    `S<width>` array of their space-padded bytes, which compares and hashes
+    like the padded content, plus an object array of the raw strings, which
+    is what results carry."""
+
+    ctype: ColumnType
+    values: np.ndarray
+    raw: np.ndarray | None = None  # CHAR only
+
+    @staticmethod
+    def from_values(ctype: ColumnType, values) -> "Column":
+        if ctype.kind is TypeKind.INT:
+            return Column(ctype, np.array(values, dtype=np.int64))
+        width = ctype.width_bytes
+        if any(len(v) > width for v in values):
+            raise ValueError(f"CHAR({width}) column holds a longer value")
+        raw = np.empty(len(values), dtype=object)
+        raw[:] = values
+        padded = np.array(values, dtype=f"S{width}")  # NUL-padded
+        cells = padded.view(np.uint8)
+        cells[cells == 0] = 0x20  # printable ASCII holds no NUL byte
+        return Column(ctype, padded, raw)
+
+    def take(self, index) -> "Column":
+        """Rows at `index` (positions or a boolean mask), in that order."""
+        raw = None if self.raw is None else self.raw[index]
+        return Column(self.ctype, self.values[index], raw)
+
+    def tolist(self) -> list:
+        return (self.values if self.raw is None else self.raw).tolist()
+
+
+def encode_columns(columns) -> np.ndarray:
+    """(rows, row bytes) uint8 matrix whose row i is encode_row of row i."""
+    n = len(columns[0].values)
+    parts = []
+    for col in columns:
+        values = np.ascontiguousarray(col.values)
+        if col.ctype.kind is TypeKind.INT:
+            values = values.astype("<i8", copy=False)
+        parts.append(values.view(np.uint8).reshape(n, values.dtype.itemsize))
+    return np.concatenate(parts, axis=1)
+
+
 @dataclass(frozen=True)
 class Table:
     schema: Schema
@@ -136,33 +192,58 @@ class Table:
 
     def __post_init__(self):
         arity = self.schema.arity
-        for i, row in enumerate(self.rows):
-            if len(row) != arity:
-                raise ValueError(f"row {i} has {len(row)} cells, schema has {arity}")
+        if set(map(len, self.rows)) - {arity}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != arity)
+            raise ValueError(f"row {i} has {len(row)} cells, schema has {arity}")
 
     @property
     def row_count(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def columns(self) -> tuple[Column, ...]:
+        """Column view of `rows`, built on first use and kept."""
+        cells = list(zip(*self.rows)) or [()] * self.schema.arity
+        return tuple(Column.from_values(ctype, list(values))
+                     for values, (_, ctype) in zip(cells, self.schema.columns))
+
+    @classmethod
+    def from_columns(cls, schema: Schema, columns) -> "Table":
+        """Table whose rows are read off `columns`, which it keeps as its
+        column view."""
+        table = cls(schema, tuple(zip(*(col.tolist() for col in columns))))
+        table.__dict__["columns"] = tuple(columns)
+        return table
 
 
 def _is_printable_ascii(text: str) -> bool:
     return all(0x20 <= ord(ch) <= 0x7E for ch in text)
 
 
+def _show(text: str) -> str:
+    """Text as read, with each non-ASCII byte shown as `\\xNN`."""
+    return text.encode("ascii", "surrogateescape").decode("ascii", "backslashreplace")
+
+
 def parse_header(line: str) -> Schema:
-    """Parse `name:TYPE[,name:TYPE...]`; returns None-equivalent errors as ValueError."""
+    """Parse `name:TYPE[,name:TYPE...]`; a bad column raises MalformedCell
+    at line 1 and that column."""
     cols = []
-    for part in line.split(","):
+    seen = set()
+    for col_no, part in enumerate(line.split(","), start=1):
         m = _HEADER_COL_RE.match(part)
         if not m:
-            raise ValueError(f"bad header column `{part}`")
+            raise MalformedCell(1, col_no, f"bad header column `{_show(part)}`")
         name, spec, width = m.group(1), m.group(2), m.group(3)
+        if name.lower() in seen:
+            raise MalformedCell(1, col_no, f"duplicate column name `{name}`")
+        seen.add(name.lower())
         if spec == "INT":
             cols.append((name, ColumnType.int64()))
         else:
             w = int(width)
             if not 1 <= w <= CHAR_MAX_WIDTH:
-                raise ValueError(f"CHAR width {w} out of range")
+                raise MalformedCell(1, col_no, f"CHAR width {w} out of range")
             cols.append((name, ColumnType.char(w)))
     return Schema(tuple(cols))
 
@@ -217,9 +298,9 @@ def load_csv(path, declared_schema: Schema | None = None, strict: bool = True) -
     header_schema = None
     try:
         header_schema = parse_header(lines[0])
-    except ValueError as exc:
+    except MalformedCell:
         if schema is None:
-            raise MalformedCell(1, 1, str(exc)) from exc
+            raise
     if header_schema is not None:
         if schema is not None and header_schema != schema:
             raise HeaderMismatch(schema.header_text(), lines[0])

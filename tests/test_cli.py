@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import REPO
 from sqf.cli import main
 
@@ -366,6 +368,48 @@ def _explain_fails_cleanly(capsys, query, tables) -> str:
     return err
 
 
+@pytest.mark.parametrize("profile, field, value", [
+    ("device", "clock_hz", float("nan")),
+    ("device", "icap_bytes_per_s", float("inf")),
+    pytest.param("device", "mem_bytes_per_s", 10**400, id="device-mem_bytes_per_s-1e400"),
+    ("device", "clock_hz", "fast"),
+    ("device", "regions", 2.7),
+    ("device", "regions", True),
+    ("device", "slots_per_region", 16.0),
+    ("device", "cache_line_bytes", "64"),
+    ("library", "max_clock_hz", float("nan")),
+    ("library", "tuples_per_cycle", float("-inf")),
+    ("library", "tuples_per_cycle", "1"),
+    ("library", "slots_per_unit", True),
+    ("library", "bitstream_bytes_per_slot", 1.5),
+])
+def test_bad_profile_number_is_an_error(tmp_path, capsys, profile, field, value):
+    device = json.loads((REPO / "device.default.json").read_text())
+    library = json.loads((REPO / "library.default.json").read_text())
+    if profile == "device":
+        device[field] = value
+    else:
+        library[0][field] = value
+    (tmp_path / "device.json").write_text(json.dumps(device))
+    (tmp_path / "library.json").write_text(json.dumps(library))
+    tables = _write_tables(tmp_path)
+    rc = main(["explain", "--query", _query(tmp_path, "SELECT a FROM t"),
+               "--tables", str(tables), "--library", str(tmp_path / "library.json"),
+               "--device", str(tmp_path / "device.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"error: invalid field `{field}`")
+
+
+@pytest.mark.parametrize("where", ["NOT " * 5000 + "a > 1",
+                                   "(" * 3000 + "a > 1" + ")" * 3000])
+def test_deep_nesting_is_a_syntax_error(tmp_path, capsys, where):
+    tables = _write_tables(tmp_path)
+    query = _query(tmp_path, f"SELECT a FROM t WHERE {where}")
+    assert "levels of nesting" in _explain_fails_cleanly(capsys, query, tables)
+
+
 def test_non_utf8_query_file_is_an_error(tmp_path, capsys):
     tables = _write_tables(tmp_path)
     query = tmp_path / "q.sql"
@@ -383,6 +427,14 @@ def test_non_ascii_table_byte_is_an_error(tmp_path, capsys):
     (tables / "t.csv").write_bytes(b"a:INT,b:INT,s:CHAR(2)\n1,2,ab\n3,4,\xc3\xa9\n")
     err = _explain_fails_cleanly(capsys, _query(tmp_path, "SELECT a FROM t"), tables)
     assert "line 3, column 3" in err
+
+
+def test_non_ascii_header_byte_names_its_column(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    (tables / "t.csv").write_bytes(b"a:INT,b\xc3\xa9:INT\n1,2\n")
+    err = _explain_fails_cleanly(capsys, _query(tmp_path, "SELECT a FROM t"), tables)
+    assert "line 1, column 2" in err
+    assert "`b\\xc3\\xa9:INT`" in err
 
 
 def test_bench_unreadable_query_is_a_failed_row(tmp_path):

@@ -18,8 +18,8 @@ from sqf.engine.bloom import (
     bloom_probe_many,
     forwarded_hashes,
 )
-from sqf.engine.exec import execute_pipeline, result_checksum
-from sqf.engine.hostjoin import host_hash_join_indexed
+from sqf.engine.exec import execute_pipeline, key_images, result_checksum
+from sqf.engine.hostjoin import host_hash_join
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -169,48 +169,44 @@ def test_align_conservation(n, block_bytes):
 # host hash join
 # ---------------------------------------------------------------------------
 
-def _blocks_for(rows, schema, key_idx, key_type, seed=0):
-    from sqf.engine.exec import join_key_u64
-
-    cfg = BloomCascadeConfig(1, 64, 1, seed)
-    cascade = bloom_build(cfg, [])
-    keys = [join_key_u64(row[key_idx], key_type) for row in rows]
-    hashes = [int(h) for h in forwarded_hashes(cascade, keys)] if keys else []
-    return align(rows, schema, 64, with_hash=True, hashes=hashes)
+def _forwarded(rows, key_type):
+    """Canonical keys of one-column rows and the hashes the bloom stage
+    forwards for them."""
+    keys = Table(Schema((("k", key_type),)), tuple(rows)).columns[0].values
+    cascade = bloom_build(BloomCascadeConfig(1, 64, 1, 0), [])
+    return forwarded_hashes(cascade, key_images(keys, key_type)), keys
 
 
 def _host_join(build, probe, key_type):
     """Joined rows, build side first, in the order the host join emits them."""
-    return [brow + prow
-            for _, _, brow, prow in host_hash_join_indexed(build, probe, 0, 0, key_type)]
-
-
-INT1 = Schema((("k", ColumnType.int64()),))
+    pairs = host_hash_join(*_forwarded(build, key_type), *_forwarded(probe, key_type))
+    return [build[b] + probe[p] for b, p in zip(*pairs)]
 
 
 def test_host_join_example():
-    build = _blocks_for([(1,), (2,)], INT1, 0, ColumnType.int64())
-    probe = _blocks_for([(2,), (3,)], INT1, 0, ColumnType.int64())
-    rows = _host_join(build, probe, ColumnType.int64())
+    rows = _host_join([(1,), (2,)], [(2,), (3,)], ColumnType.int64())
     assert rows == [(2, 2)]
 
 
 def test_host_join_multiset_semantics():
-    build = _blocks_for([(2,), (2,)], INT1, 0, ColumnType.int64())
-    probe = _blocks_for([(2,)], INT1, 0, ColumnType.int64())
-    rows = _host_join(build, probe, ColumnType.int64())
+    rows = _host_join([(2,), (2,)], [(2,)], ColumnType.int64())
     assert len(rows) == 2
 
 
 def test_host_join_verifies_keys_not_just_hashes():
     # identical forwarded hash (same key image) but different key cells can't
     # happen for INT; fake a collision via CHAR keys of different raw spelling
-    schema = Schema((("k", ColumnType.char(3)),))
-    key_type = ColumnType.char(3)
-    build = _blocks_for([("ab",)], schema, 0, key_type)
-    probe = _blocks_for([("ab ",)], schema, 0, key_type)  # same canonical form
-    rows = _host_join(build, probe, ColumnType.char(3))
+    rows = _host_join([("ab",)], [("ab ",)], ColumnType.char(3))  # same canonical form
     assert rows == [("ab", "ab ")]
+
+
+def test_host_join_drops_hash_collisions():
+    # every forwarded hash collides; only equal keys may pair
+    hashes = np.zeros(3, dtype=np.uint64)
+    build_keys = np.array([5, 7, 5], dtype=np.int64)
+    probe_keys = np.array([7, 5, 9], dtype=np.int64)
+    build, probe = host_hash_join(hashes, build_keys, hashes, probe_keys)
+    assert list(zip(build.tolist(), probe.tolist())) == [(1, 0), (0, 1), (2, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +378,25 @@ def test_concurrent_pipelines_in_distinct_regions(default_library):
         concurrent = [f.result()[0] for f in futures]
     for a, b in zip(sequential, concurrent):
         assert a.rows == b.rows
+
+
+def test_aggregate_overflow_faults_on_earliest_row(default_library):
+    # group 2 overflows at row 2, before group 1 does at row 3
+    big = 2**62
+    t = make_table([("g", "INT"), ("a", "INT"), ("b", "INT")],
+                   [(1, big, 0), (2, big, big), (2, big, big), (1, big, 0), (1, big, 0)])
+    sql = "SELECT g, SUM(a) FROM t GROUP BY g"
+    tables = {"t": t}
+    bp = bind_sql(sql, tables)
+    with pytest.raises(ArithmeticOverflow) as oracle_err:
+        reference_execute(bp, tables)
+    assert oracle_err.value.row == 2
+    dev = _device()
+    stats = {"t": table_stats(t)}
+    cands = enumerate_pipelines(bp, default_library, dev)
+    assert cands
+    for cand in cands:
+        with pytest.raises(ArithmeticOverflow) as engine_err:
+            run_candidate(cand, tables, dev, stats=stats)
+        assert engine_err.value.row == 2
+        assert engine_err.value.expr == "sum_a"

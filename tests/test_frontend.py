@@ -50,6 +50,24 @@ def test_parse_error_at_end_of_input():
     assert err.value.found == "end of input"
 
 
+def test_nesting_limit_is_pinned():
+    from sqf.frontend.parser import MAX_NESTING
+
+    assert MAX_NESTING == 32
+    # a chain of n additions is an operator tree n deep
+    parse_query("SELECT a" + " + a" * MAX_NESTING + " AS x FROM t")
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("SELECT a" + " + a" * (MAX_NESTING + 1) + " AS x FROM t")
+    assert err.value.found == "+"
+    assert err.value.position == len("SELECT a" + " + a" * MAX_NESTING) + 1
+    parse_query("SELECT a FROM t WHERE " + "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+                + " > 1")
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("SELECT a FROM t WHERE " + "(" * 3000 + "a > 1" + ")" * 3000)
+    assert err.value.position == len("SELECT a FROM t WHERE ") + MAX_NESTING
+    assert err.value.found == "("
+
+
 def test_parse_error_positions_are_token_boundaries():
     bad = ["SELECT", "SELECT a FROM t WHERE", "SELECT a FROM t ORDER", "SELECT ,",
            "SELECT a FROM t GROUP a", "SELECT a b FROM t", "SELECT a FROM t WHERE a <"]

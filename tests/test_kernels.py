@@ -1,0 +1,180 @@
+"""Vector kernels against their scalar references: the row-matrix hash
+against `fnv1a64(encode_row(...))`, checked arithmetic against `sqf.arith`,
+and the grouping and pairing kernels against naive loops."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import bind_sql, make_table, run_candidate
+from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
+from sqf.engine.exec import result_checksum
+from sqf.engine.kernels import DIVZERO, OK, OVERFLOW, checked_arith, group_sums, match_pairs
+from sqf.errors import ArithmeticOverflow, DivisionByZero
+from sqf.fabric import DeviceProfile
+from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
+from sqf.oracle import reference_execute
+from sqf.planner import enumerate_pipelines
+from sqf.relcore import ColumnType, Schema, Table, encode_columns, encode_row, table_stats
+
+EDGES = [INT64_MIN, INT64_MIN + 1, -(2**62), -(2**32), -7, -3, -2, -1, 0, 1, 2, 3, 7,
+         2**31, 2**32, 2**62, INT64_MAX - 1, INT64_MAX]
+int64s = st.one_of(st.sampled_from(EDGES), st.integers(INT64_MIN, INT64_MAX))
+
+
+# ---------------------------------------------------------------------------
+# row-matrix hash
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tables(draw):
+    types = draw(st.lists(
+        st.one_of(st.just(ColumnType.int64()),
+                  st.integers(1, 8).map(ColumnType.char)),
+        min_size=1, max_size=5))
+    schema = Schema(tuple((f"c{i}", t) for i, t in enumerate(types)))
+    cells = [int64s if t.kind.value == "INT"
+             else st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                          max_size=t.width_bytes)
+             for t in types]
+    rows = draw(st.lists(st.tuples(*cells), max_size=12))
+    return Table(schema, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.integers(0, MASK64))
+def test_row_matrix_hash_matches_scalar(table, seed):
+    hashes = fnv1a64_rows(encode_columns(table.columns), seed)
+    assert hashes.shape == (table.row_count,)
+    for h, row in zip(hashes.tolist(), table.rows):
+        assert h == fnv1a64(encode_row(row, table.schema), seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables())
+def test_checksum_is_sum_of_scalar_row_hashes(table):
+    from sqf.hashing import CHECKSUM_SEED
+
+    expected = sum(fnv1a64(encode_row(row, table.schema), CHECKSUM_SEED)
+                   for row in table.rows) & MASK64
+    assert result_checksum(table) == expected
+
+
+def test_row_matrix_hash_of_empty_table():
+    table = Table(Schema((("a", ColumnType.int64()), ("s", ColumnType.char(3)))), ())
+    assert fnv1a64_rows(encode_columns(table.columns)).shape == (0,)
+    assert result_checksum(table) == 0
+
+
+# ---------------------------------------------------------------------------
+# checked arithmetic
+# ---------------------------------------------------------------------------
+
+_SCALAR = {"+": add64, "-": sub64, "*": mul64, "/": div64}
+
+
+def _scalar(op, a, b):
+    try:
+        return _SCALAR[op](a, b), OK
+    except ArithmeticOverflow:
+        return None, OVERFLOW
+    except DivisionByZero:
+        return None, DIVZERO
+
+
+def _check_against_scalar(op, pairs):
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    values, faults = checked_arith(op, a, b)
+    expected = [_scalar(op, x, y) for x, y in pairs]
+    assert faults.tolist() == [kind for _, kind in expected]
+    for got, (want, kind) in zip(values.tolist(), expected):
+        if kind == OK:
+            assert got == want
+    # the first faulting ordinal and its kind, as the executor reports them
+    first = next(((i, k) for i, (_, k) in enumerate(expected) if k != OK), None)
+    hits = np.flatnonzero(faults)
+    assert (first is None) == (hits.size == 0)
+    if first is not None:
+        assert (int(hits[0]), int(faults[hits[0]])) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("+-*/"), st.lists(st.tuples(int64s, int64s), max_size=20))
+def test_checked_arith_matches_scalar(op, pairs):
+    _check_against_scalar(op, pairs)
+
+
+@pytest.mark.parametrize("op, pairs", [
+    ("+", [(1, 2), (INT64_MAX, 1), (INT64_MIN, -1), (INT64_MAX, INT64_MIN)]),
+    ("-", [(5, 7), (INT64_MIN, 1), (INT64_MAX, -1), (-1, INT64_MAX), (0, INT64_MIN)]),
+    ("*", [(3, -4), (INT64_MIN, -1), (-1, INT64_MIN), (2**32, 2**31), (2**32, -(2**31)),
+           (INT64_MAX, 2), (-1, INT64_MAX), (0, INT64_MIN)]),
+    ("/", [(7, 2), (-7, 2), (7, -2), (-7, -2), (5, 0), (INT64_MIN, -1), (INT64_MIN, 1),
+           (INT64_MIN, 2), (-1, INT64_MIN), (0, -3)]),
+])
+def test_checked_arith_edges(op, pairs):
+    _check_against_scalar(op, pairs)
+
+
+def test_checked_arith_truncates_toward_zero():
+    values, faults = checked_arith("/", np.array([-7, 7, -8, -1]), np.array([2, -2, 3, 2]))
+    assert values.tolist() == [-3, -3, -2, 0]
+    assert faults.tolist() == [OK] * 4
+
+
+@pytest.mark.parametrize("expr, error", [
+    ("(a * b) + (c / d)", ArithmeticOverflow),
+    ("(c / d) + (a * b)", DivisionByZero),
+])
+def test_left_operand_fault_comes_first(default_library, expr, error):
+    # row 1 faults in both operands; the one evaluated first is reported
+    t = make_table([("a", "INT"), ("b", "INT"), ("c", "INT"), ("d", "INT")],
+                   [(1, 1, 1, 1), (2**62, 4, 1, 0), (1, 1, 1, 0)])
+    tables_ = {"t": t}
+    bp = bind_sql(f"SELECT {expr} AS x FROM t", tables_)
+    with pytest.raises(error) as oracle_err:
+        reference_execute(bp, tables_)
+    dev = DeviceProfile()
+    stats = {"t": table_stats(t)}
+    for cand in enumerate_pipelines(bp, default_library, dev):
+        with pytest.raises(error) as engine_err:
+            run_candidate(cand, tables_, dev, stats=stats)
+        assert engine_err.value.row == oracle_err.value.row == 1
+
+
+# ---------------------------------------------------------------------------
+# grouping and pairing
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), int64s), min_size=1, max_size=30))
+def test_group_sums_match_a_streaming_fold(rows):
+    gid = np.array([g for g, _ in rows], dtype=np.int64)
+    groups = int(gid.max()) + 1
+    totals = [0] * groups
+    first_bad = -1
+    for ordinal, (g, v) in enumerate(rows):
+        try:
+            totals[g] = add64(totals[g], v)
+        except ArithmeticOverflow:
+            first_bad = ordinal
+            break
+    sums, fault = group_sums(np.array([v for _, v in rows], dtype=np.int64), gid, groups)
+    faulting = np.flatnonzero(fault)
+    assert (int(faulting[0]) if faulting.size else -1) == first_bad
+    assert set(fault.tolist()) <= {OK, OVERFLOW}
+    if first_bad < 0:
+        present = sorted(set(gid.tolist()))
+        assert [sums[g] for g in present] == [totals[g] for g in present]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=15), st.lists(st.integers(0, 5), max_size=15))
+def test_match_pairs_is_the_ordered_nested_loop(outer, inner):
+    o, i = match_pairs(np.array(outer, dtype=np.int64), np.array(inner, dtype=np.int64))
+    expected = [(a, b) for a, x in enumerate(outer) for b, y in enumerate(inner) if x == y]
+    assert list(zip(o.tolist(), i.tolist())) == expected
