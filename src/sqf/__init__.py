@@ -45,7 +45,6 @@ from .relcore import (
     TypeKind,
     dump_csv,
     load_csv,
-    save_csv,
     table_stats,
 )
 from .engine import (
@@ -71,7 +70,7 @@ __all__ = [
     "CandidatePipeline", "CostEstimate", "enumerate_pipelines",
     "estimate_energy", "estimate_time", "full_estimate", "select_best",
     "ColumnStats", "ColumnType", "Schema", "Table", "TypeKind",
-    "dump_csv", "load_csv", "save_csv", "table_stats",
+    "dump_csv", "load_csv", "table_stats",
     "BloomCascadeConfig", "ExecReport", "align", "bloom_build", "bloom_probe",
     "execute_pipeline", "result_checksum",
     "__version__",

@@ -7,6 +7,10 @@ circuit), and join output is processed in (left row, right row) order, so
 arithmetic faults surface on the same logical row on every join algorithm
 and on the reference route.
 
+The engine runs a candidate's stage list as the planner built it: which
+stages exist, their order, and where each predicate applies are decided
+there, so the stages the calculus prices are the stages that run.
+
 The engine is columnar: every stage runs as vector kernels over numpy
 columns (`Table.columns`). A stream is held as row positions into the
 tables it reads, and cells are gathered only where a stage reads them.
@@ -38,10 +42,6 @@ from ..frontend.binder import (
     BStr,
     FromGroupKey,
     ValueRef,
-    expr_has_arith,
-    expr_slots,
-    needs_reorder,
-    split_conjuncts,
 )
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
 from ..relcore import Column, ColumnType, Table, TypeKind, encode_columns, pad_bytes
@@ -206,7 +206,7 @@ def execute_pipeline(
     seed: int = 0,
     estimate=None,
 ) -> tuple[Table, ExecReport]:
-    """Run a planner candidate and report per-stage counts.
+    """Run a planner candidate's stages in order, one StageCount per stage.
 
     Requires `placement` to be allocated and reconfigured for `c`'s modules.
     Result row order is fully specified only when the plan has ORDER BY.
@@ -214,53 +214,17 @@ def execute_pipeline(
     started = time.perf_counter()
     bp = c.plan
     _check_configured(c, fabric, placement)
-
-    stages: list[StageCount] = []
-    bloom_fp: int | None = None
-
-    if bp.has_join:
-        stream, bloom_fp = _join_stream(c, bp, tables, dev, seed, stages)
-    else:
-        table = tables[bp.left_table]
-        stream = _Stream((table,), {0: np.arange(table.row_count)})
-        stages.append(StageCount("source", stream.n, stream.n))
-        if bp.restriction is not None:
-            kept = stream.keep(_mask(bp.restriction, stream))
-            stages.append(StageCount("restriction", stream.n, kept.n))
-            stream = kept
-
-    if c.roles == ("passthrough",):
-        stages.append(StageCount("passthrough", stream.n, stream.n))
-
-    if bp.computed:
-        _alu(bp, stream)
-        stages.append(StageCount("alu", stream.n, stream.n))
-
-    if bp.grouped:
-        canonical = _aggregate(bp, stream)
-        stages.append(StageCount("aggregate", stream.n, len(canonical[0].values)))
-        n_keys = len(bp.group_by)
-        columns = [canonical[col.source.index if isinstance(col.source, FromGroupKey)
-                             else n_keys + col.source.index] for col in bp.output]
-    else:
-        columns = [stream.column(col.source.ref) for col in bp.output]
-    n_out = len(columns[0].values)
-    if needs_reorder(bp):
-        stages.append(StageCount("reorder", n_out, n_out))
-
-    if bp.order_by:
-        order = sort_order([(columns[idx].values, asc) for idx, asc in bp.order_by])
-        columns = [col.take(order) for col in columns]
-        stages.append(StageCount("sort", n_out, n_out))
-
+    run = _Run(bp, tables, dev, seed)
+    stages = tuple(StageCount(s.role, *getattr(run, s.role)(s)) for s in c.stages)
+    columns = run.output()
     table = Table.from_columns(bp.output_schema, columns)
     report = ExecReport(
-        stages=tuple(stages),
+        stages=stages,
         wall_seconds=time.perf_counter() - started,
         simulated_seconds=estimate.total_seconds if estimate is not None else None,
-        bloom_false_positives=bloom_fp,
+        bloom_false_positives=run.bloom_fp,
         order_specified=bool(bp.order_by),
-        result_rows=n_out,
+        result_rows=len(columns[0].values),
     )
     return table, report
 
@@ -275,6 +239,142 @@ def _check_configured(c, fabric: FabricState, placement: Placement):
             raise NotReconfigured("placement holds different module content")
         if not fabric.is_resident(entry):
             raise NotReconfigured()
+
+
+class _Run:
+    """One execution. Each stage role is a method that advances the run and
+    returns the stage's (input, output) row counts.
+
+    Until a join, each join side is a vector of row positions; the join
+    pairs them into one stream. A plan without a join streams from the start.
+    """
+
+    def __init__(self, bp: BoundPlan, tables: dict, dev: DeviceProfile, seed: int):
+        self.bp, self.dev, self.seed = bp, dev, seed
+        self.sides = tuple(tables[name] for name in bp.table_names())
+        self.positions = [np.arange(t.row_count) for t in self.sides]
+        self.stream = None if bp.has_join else _Stream(self.sides, {0: self.positions[0]})
+        self.columns = None  # output columns, once projected or aggregated
+        self.bloom_fp = None
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self.positions)) if self.stream is None else self.stream.n
+
+    @functools.cached_property
+    def keys(self) -> list[np.ndarray]:
+        """Canonical join keys of each side's rows as they reach the join:
+        INT values, or CHAR bytes padded to the key width."""
+        bp = self.bp
+        keys = [side.columns[k].values[pos] for side, k, pos in
+                zip(self.sides, (bp.join_left_index, bp.join_right_index), self.positions)]
+        if bp.join_key_type.kind is TypeKind.CHAR:
+            keys = [pad_bytes(k, bp.join_key_type.width_bytes) for k in keys]
+        return keys
+
+    def output(self) -> list[Column]:
+        if self.columns is None:
+            self.columns = [self.stream.column(col.source.ref) for col in self.bp.output]
+        return self.columns
+
+    def _filter(self, predicates) -> None:
+        """Apply (slot, predicate) filters: slot 0/1 filters that join side,
+        None the stream."""
+        for slot, pred in predicates:
+            if slot is None:
+                self.stream = self.stream.keep(_mask(pred, self.stream))
+            else:
+                side = _Stream(self.sides, {slot: self.positions[slot]})
+                self.positions[slot] = self.positions[slot][_mask(pred, side)]
+
+    def _join(self, stage, left, right, n_in):
+        """Pair the sides' rows (left, right), then apply the stage's filters."""
+        self.stream = _Stream(self.sides, {0: self.positions[0][left],
+                                           1: self.positions[1][right]})
+        self._filter(stage.predicates)
+        return n_in, self.stream.n
+
+    def source(self, stage):
+        return self.n, self.n
+
+    passthrough = source
+
+    def restriction(self, stage):
+        n_in = self.n
+        self._filter(stage.predicates)
+        return n_in, self.n
+
+    def sort_left(self, stage):
+        return len(self.keys[0]), len(self.keys[0])
+
+    def sort_right(self, stage):
+        return len(self.keys[1]), len(self.keys[1])
+
+    def hash_join(self, stage):
+        return self._join(stage, *match_pairs(*self.keys), max(map(len, self.keys)))
+
+    def merge_join(self, stage):
+        return self._join(stage, *match_pairs(*self.keys), sum(map(len, self.keys)))
+
+    def bloom_cascade(self, stage):
+        """Build the cascade over the smaller side and probe the other."""
+        keys, key_type = self.keys, self.bp.join_key_type
+        self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
+        probe = 1 - build
+        m_bits, k = bloom_dims(len(keys[build]))
+        build_images = key_images(keys[build], key_type)
+        config = BloomCascadeConfig(stage.module.param("stages", 2), m_bits, k, self.seed)
+        cascade = bloom_build(config, build_images)
+        self.build_hashes = forwarded_hashes(cascade, build_images)
+        mask, probe_hashes = bloom_probe_many(cascade, key_images(keys[probe], key_type))
+        self.passed = np.flatnonzero(mask)
+        self.probe_hashes = probe_hashes[self.passed]
+        self.bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][self.passed], keys[build])))
+        return len(keys[probe]), len(self.passed)
+
+    def align(self, stage):
+        """Alignment packs records into cache-line blocks; the host join
+        reads the forwarded hashes and keys, so only the record size is
+        checked."""
+        schemas = (self.bp.left_schema, self.bp.right_schema)
+        for side in (self.build, 1 - self.build):
+            records_per_block(schemas[side], self.dev.cache_line_bytes, with_hash=True)
+        aligned = len(self.passed) + len(self.keys[self.build])
+        return aligned, aligned
+
+    def host_join(self, stage):
+        keys, build, passed = self.keys, self.build, self.passed
+        build_pos, probe_pos = host_hash_join(self.build_hashes, keys[build],
+                                              self.probe_hashes, keys[1 - build][passed])
+        probe_pos = passed[probe_pos]
+        if build == 0:  # pairs come in probe order; a stable sort puts left first
+            order = np.argsort(build_pos, kind="stable")
+            left, right = build_pos[order], probe_pos[order]
+        else:
+            left, right = probe_pos, build_pos
+        return self._join(stage, left, right, len(passed) + len(keys[build]))
+
+    def alu(self, stage):
+        _alu(self.bp, self.stream)
+        return self.n, self.n
+
+    def aggregate(self, stage):
+        bp = self.bp
+        canonical = _aggregate(bp, self.stream)
+        n_keys = len(bp.group_by)
+        self.columns = [canonical[col.source.index if isinstance(col.source, FromGroupKey)
+                                  else n_keys + col.source.index] for col in bp.output]
+        return self.stream.n, len(canonical[0].values)
+
+    def reorder(self, stage):
+        n = len(self.output()[0].values)
+        return n, n
+
+    def sort(self, stage):
+        columns = self.output()
+        order = sort_order([(columns[idx].values, asc) for idx, asc in self.bp.order_by])
+        self.columns = [col.take(order) for col in columns]
+        return len(order), len(order)
 
 
 def _alu(bp: BoundPlan, stream: _Stream) -> None:
@@ -293,105 +393,6 @@ def _alu(bp: BoundPlan, stream: _Stream) -> None:
         checks.append((fault, comp.name))
         stream.computed.append(column)
     _raise_first(checks, stream.n)
-
-
-# --------------------------------------------------------------------------
-# join machinery
-# --------------------------------------------------------------------------
-
-def _join_stream(c, bp: BoundPlan, tables, dev: DeviceProfile, seed, stages):
-    sides = (tables[bp.left_table], tables[bp.right_table])
-    positions = [np.arange(t.row_count) for t in sides]
-    n_source = sum(len(p) for p in positions)
-    stages.append(StageCount("source", n_source, n_source))
-
-    # Pre-join filtering is only sound when the predicate cannot fault:
-    # with arithmetic inside, the whole predicate runs on the joined stream
-    # in (left, right) order, exactly like the reference evaluator.
-    pred = bp.restriction
-    pushdown = pred is not None and not expr_has_arith(pred)
-    mixed = []
-    if pushdown:
-        for conj in split_conjuncts(pred):
-            slots = expr_slots(conj)
-            slot = 0 if slots <= {0} else 1 if slots == {1} else None
-            if slot is None:
-                mixed.append(conj)
-            else:
-                side = _Stream(sides, {slot: positions[slot]})
-                positions[slot] = positions[slot][_mask(conj, side)]
-        stages.append(StageCount("restriction", n_source, sum(len(p) for p in positions)))
-
-    key_type = bp.join_key_type
-    keys = [_join_keys(side.columns[k], pos, key_type)
-            for side, k, pos in zip(sides, (bp.join_left_index, bp.join_right_index),
-                                    positions)]
-    bloom_fp = None
-    if c.join_algo == "hash_codesign":
-        (left, right), bloom_fp, n_in = _codesign_pairs(c, bp, keys, dev, seed, stages)
-        name = "host_join"
-    else:
-        left, right = match_pairs(keys[0], keys[1])
-        if c.join_algo == "merge_fpga":
-            stages.append(StageCount("sort_left", len(keys[0]), len(keys[0])))
-            stages.append(StageCount("sort_right", len(keys[1]), len(keys[1])))
-            name, n_in = "merge_join", len(keys[0]) + len(keys[1])
-        else:
-            name, n_in = "hash_join", max(map(len, keys))
-    stream = _Stream(sides, {0: positions[0][left], 1: positions[1][right]})
-    if mixed:
-        stream = stream.keep(np.logical_and.reduce([_mask(conj, stream) for conj in mixed]))
-    stages.append(StageCount(name, n_in, stream.n))
-
-    if pred is not None and not pushdown:
-        kept = stream.keep(_mask(pred, stream))
-        stages.append(StageCount("restriction", stream.n, kept.n))
-        stream = kept
-    return stream, bloom_fp
-
-
-def _join_keys(column: Column, positions: np.ndarray, key_type: ColumnType) -> np.ndarray:
-    """Canonical join keys of the rows at `positions`: INT values, or CHAR
-    bytes padded to the key width."""
-    values = column.values[positions]
-    if key_type.kind is TypeKind.CHAR:
-        return pad_bytes(values, key_type.width_bytes)
-    return values
-
-
-def _codesign_pairs(c, bp: BoundPlan, keys, dev, seed, stages):
-    """Bloom pre-filter, alignment, and the software host join. Returns the
-    (left, right) position pairs in (left, right) order, the bloom false
-    positives, and the host join's input count."""
-    build_is_left = len(keys[0]) <= len(keys[1])
-    build, probe = (0, 1) if build_is_left else (1, 0)
-    schemas = (bp.left_schema, bp.right_schema)
-
-    bloom_module = next(m for m, role in zip(c.modules, c.roles) if role == "bloom_cascade")
-    n_stages = bloom_module.param("stages", 2)
-    m_bits, k = bloom_dims(len(keys[build]))
-    build_images = key_images(keys[build], bp.join_key_type)
-    cascade = bloom_build(BloomCascadeConfig(n_stages, m_bits, k, seed), build_images)
-    build_hashes = forwarded_hashes(cascade, build_images)
-    mask, probe_hashes = bloom_probe_many(cascade, key_images(keys[probe], bp.join_key_type))
-    passed = np.flatnonzero(mask)
-    stages.append(StageCount("bloom_cascade", len(keys[probe]), len(passed)))
-    bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][passed], keys[build])))
-
-    # alignment packs records into cache-line blocks; the host join reads
-    # the forwarded hashes and keys, so only the record size is checked
-    for side in (build, probe):
-        records_per_block(schemas[side], dev.cache_line_bytes, with_hash=True)
-    aligned = len(passed) + len(keys[build])
-    stages.append(StageCount("align", aligned, aligned))
-
-    build_pos, probe_pos = host_hash_join(build_hashes, keys[build],
-                                          probe_hashes[passed], keys[probe][passed])
-    probe_pos = passed[probe_pos]
-    if build_is_left:  # pairs come in probe order; a stable sort puts left first
-        order = np.argsort(build_pos, kind="stable")
-        return (build_pos[order], probe_pos[order]), bloom_fp, aligned
-    return (probe_pos, build_pos), bloom_fp, aligned
 
 
 # --------------------------------------------------------------------------

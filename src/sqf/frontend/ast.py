@@ -9,9 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-ARITH_OPS = ("+", "-", "*", "/")
-CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
-BOOL_OPS = ("AND", "OR", "NOT")
 AGG_FNS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 

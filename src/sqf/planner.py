@@ -3,7 +3,9 @@
 The calculus is a bottleneck/phase model (documented in docs/calculus.md):
 streaming stages run concurrently at chained rates and contribute
 `max(input/rate)`; sorts and hash-join builds add serial blocking phases;
-reconfiguration and the embedded-host join phase add their own terms. All
+reconfiguration and the co-design host stages (the host join and every
+stage after it) add their own terms. Each candidate carries one ordered
+stage list, which the calculus prices and the engine runs. All
 cardinalities come from exact table statistics through textbook
 independence heuristics, so estimates are deterministic.
 """
@@ -25,6 +27,7 @@ from .frontend.binder import (
     BStr,
     FromValue,
     ValueRef,
+    expr_has_arith,
     expr_slots,
     needs_reorder,
     split_conjuncts,
@@ -36,6 +39,7 @@ from .relcore import TypeKind
 DEFAULT_CMP_SELECTIVITY = 1.0 / 3.0
 SORT_RUN_CAPACITY = 1024  # pinned; keeps worst-case chains within one region
 BLOOM_STAGES = 2
+_SORT = (ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY})
 
 JOIN_ALGO_NONE = "none"
 JOIN_ALGO_HASH = "hash_fpga"
@@ -46,14 +50,36 @@ HOST_HASH_JOIN = "HASH_JOIN_HOST"
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One stage of a candidate pipeline. `module` is None for the source
+    and for host stages: the host join and every stage after it.
+
+    `predicates` holds (slot, predicate) filters. Before the join, slot 0 or
+    1 filters that join side. Slot None filters the stage's output: a
+    restriction on one table or after the join, or the conjuncts spanning
+    both sides that a join applies to its output."""
+
+    role: str
+    module: ModuleInstance | None = None
+    predicates: tuple = ()
+
+
+@dataclass(frozen=True)
 class CandidatePipeline:
     tag: str
     join_algo: str
     layout: str  # "row" | "column"
-    modules: tuple[ModuleInstance, ...]
-    roles: tuple[str, ...]  # stage role per module, e.g. "sort_left"
-    host_stage: str | None
+    stages: tuple[Stage, ...]  # from the source, in the order the engine runs them
     plan: BoundPlan
+
+    @property
+    def modules(self) -> tuple[ModuleInstance, ...]:
+        """The fabric stages' modules in stream order."""
+        return tuple(s.module for s in self.stages if s.module is not None)
+
+    @property
+    def host_stage(self) -> str | None:
+        return HOST_HASH_JOIN if any(s.role == "host_join" for s in self.stages) else None
 
 
 @dataclass(frozen=True)
@@ -217,28 +243,12 @@ def estimate_selectivity(expr, bp: BoundPlan, stats: dict) -> float:
     return DEFAULT_CMP_SELECTIVITY
 
 
-def restriction_split(bp: BoundPlan, stats: dict):
-    """Per-side selectivities of a join plan's restriction.
-
-    Returns (left_sel, right_sel, residual_sel): conjuncts referencing only
-    one side filter that side's stream; conjuncts spanning both sides (or a
-    whole single-table predicate) become the residual applied at join output.
-    """
-    if bp.restriction is None:
-        return 1.0, 1.0, 1.0
-    if not bp.has_join:
-        return estimate_selectivity(bp.restriction, bp, stats), 1.0, 1.0
-    left = right = residual = 1.0
-    for conj in split_conjuncts(bp.restriction):
-        sel = estimate_selectivity(conj, bp, stats)
-        slots = expr_slots(conj)
-        if slots <= {0}:
-            left *= sel
-        elif slots == {1}:
-            right *= sel
-        else:
-            residual *= sel
-    return _clamp(left), _clamp(right), _clamp(residual)
+def _selectivity(predicates, bp: BoundPlan, stats: dict) -> float:
+    """Independence-heuristic selectivity of (slot, predicate) filters."""
+    out = 1.0
+    for _, pred in predicates:
+        out *= estimate_selectivity(pred, bp, stats)
+    return _clamp(out)
 
 
 def _merge_levels(n: float, capacity: int) -> int:
@@ -265,46 +275,70 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 # pipeline enumeration
 # --------------------------------------------------------------------------
 
-def _chain_for(bp: BoundPlan, lib: ModuleLibrary, join_algo: str):
-    """Module (kind, params, role) triples in canonical stream order, or None
-    if the library lacks a required kind."""
-    chain: list[tuple[ModuleKind, dict, str]] = []
-    terms = count_comparisons(bp.restriction) if bp.restriction is not None else 0
-    if terms:
-        chain.append((ModuleKind.RESTRICTION, {"terms": terms}, "restriction"))
+def _join_side(conj):
+    """The join side (0 or 1) a conjunct reads alone, or None if it reads both."""
+    slots = expr_slots(conj)
+    return 0 if slots <= {0} else 1 if slots == {1} else None
+
+
+def _plan_steps(bp: BoundPlan):
+    """The stages a plan needs around its join, decided once per plan:
+    (steps before the join, the filters a join applies to its output, steps
+    after the join). A step is (role, (kind, params), predicates).
+
+    A join plan's restriction is pushed below the join unless it holds
+    arithmetic. Then the whole predicate runs after the join, so a faulting
+    row is found in (left, right) join order, as the reference evaluator
+    finds it. Pushed down, a conjunct reading one side filters that side
+    and a conjunct spanning both is applied to the join output.
+    """
+    pred = bp.restriction
+    before, residual, after = [], (), []
+    if pred is not None:
+        restriction = (ModuleKind.RESTRICTION, {"terms": count_comparisons(pred)})
+        if not bp.has_join:
+            before.append(("restriction", restriction, ((None, pred),)))
+        elif expr_has_arith(pred):
+            after.append(("restriction", restriction, ((None, pred),)))
+        else:
+            filters = [(_join_side(conj), conj) for conj in split_conjuncts(pred)]
+            before.append(("restriction", restriction,
+                           tuple(f for f in filters if f[0] is not None)))
+            residual = tuple(f for f in filters if f[0] is None)
     nodes = count_arith_nodes(bp)
     if nodes:
-        chain.append((ModuleKind.ALU, {"nodes": nodes}, "alu"))
-
-    if join_algo == JOIN_ALGO_HASH:
-        chain.append((ModuleKind.HASH_JOIN, {}, "hash_join"))
-    elif join_algo == JOIN_ALGO_MERGE:
-        chain.append((ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY}, "sort_left"))
-        chain.append((ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY}, "sort_right"))
-        chain.append((ModuleKind.MERGE_JOIN, {}, "merge_join"))
-    elif join_algo == JOIN_ALGO_CODESIGN:
-        chain.append((ModuleKind.BLOOM_CASCADE, {"stages": BLOOM_STAGES}, "bloom_cascade"))
-        chain.append((ModuleKind.ALIGN, {}, "align"))
-        for kind, _, _ in chain:
-            if kind not in lib:
-                return None
-        return chain
-
+        after.append(("alu", (ModuleKind.ALU, {"nodes": nodes}), ()))
     if bp.grouped:
-        chain.append(
-            (ModuleKind.AGGREGATE, {"grouped": bool(bp.group_by)}, "aggregate")
-        )
+        after.append(("aggregate", (ModuleKind.AGGREGATE, {"grouped": bool(bp.group_by)}), ()))
     if needs_reorder(bp):
-        chain.append((ModuleKind.REORDER, {}, "reorder"))
+        after.append(("reorder", (ModuleKind.REORDER, {}), ()))
     if bp.order_by:
-        chain.append((ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY}, "sort"))
-    if not chain:
-        chain.append((ModuleKind.PASSTHROUGH, {}, "passthrough"))
-    for kind, _, _ in chain:
-        if kind not in lib:
-            return None
-    return chain
+        after.append(("sort", _SORT, ()))
+    return before, residual, after
 
+
+def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
+    """A candidate's stages in the order the engine runs them, or None if
+    the library lacks a module kind that a fabric stage needs. The host
+    join and every stage after it are host stages, with no module."""
+    before, residual, after = plan_steps
+    join = {
+        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), residual)],
+        JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
+                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), residual)],
+        JOIN_ALGO_CODESIGN: [
+            ("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {"stages": BLOOM_STAGES}), ()),
+            ("align", (ModuleKind.ALIGN, {}), ()),
+            ("host_join", None, residual)],
+    }.get(join_algo, [])
+    steps = before + join + after or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
+    host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
+    if any(module[0] not in lib for _, module, _ in steps[:host]):
+        return None
+    return (Stage("source"),) + tuple(
+        Stage(role, instantiate(lib, *module) if i < host else None, preds)
+        for i, (role, module, preds) in enumerate(steps)
+    )
 
 
 def _codesign_feasible(bp: BoundPlan, dev: DeviceProfile) -> bool:
@@ -325,54 +359,19 @@ def enumerate_pipelines(
     plan touches at most half of the source columns, then the co-design
     variant when a join exists and the library carries the filter modules."""
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
-    layouts = ["row"]
-    if _column_layout_eligible(bp):
-        layouts.append("column")
+    layouts = ["row", "column"] if _column_layout_eligible(bp) else ["row"]
+    variants = [(layout, algo) for layout in layouts for algo in algos]
+    if _codesign_feasible(bp, dev):
+        variants.append(("row", JOIN_ALGO_CODESIGN))
 
-    candidates: list[CandidatePipeline] = []
-    missing_note = None
-    for layout in layouts:
-        for algo in algos:
-            chain = _chain_for(bp, lib, algo)
-            if chain is None:
-                missing_note = f"library lacks a module kind for {algo}"
-                continue
-            modules = tuple(instantiate(lib, kind, params) for kind, params, _ in chain)
-            roles = tuple(role for _, _, role in chain)
-            candidates.append(
-                CandidatePipeline(
-                    tag=f"{layout}/{algo}",
-                    join_algo=algo,
-                    layout=layout,
-                    modules=modules,
-                    roles=roles,
-                    host_stage=None,
-                    plan=bp,
-                )
-            )
-    if (
-        bp.has_join
-        and ModuleKind.BLOOM_CASCADE in lib
-        and ModuleKind.ALIGN in lib
-        and _codesign_feasible(bp, dev)
-    ):
-        chain = _chain_for(bp, lib, JOIN_ALGO_CODESIGN)
-        if chain is not None:
-            modules = tuple(instantiate(lib, kind, params) for kind, params, _ in chain)
-            roles = tuple(role for _, _, role in chain)
-            candidates.append(
-                CandidatePipeline(
-                    tag=f"row/{JOIN_ALGO_CODESIGN}",
-                    join_algo=JOIN_ALGO_CODESIGN,
-                    layout="row",
-                    modules=modules,
-                    roles=roles,
-                    host_stage=HOST_HASH_JOIN,
-                    plan=bp,
-                )
-            )
+    plan_steps = _plan_steps(bp)
+    stages = {algo: _stages_for(plan_steps, lib, algo) for _, algo in variants}
+    candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp)
+                  for layout, algo in variants if stages[algo] is not None]
     if not candidates:
-        raise NoCandidates(missing_note or "no feasible candidate pipelines")
+        missing = [algo for algo, found in stages.items() if found is None]
+        raise NoCandidates(f"library lacks a module kind for {missing[-1]}" if missing
+                           else "no feasible candidate pipelines")
     return candidates
 
 
@@ -394,16 +393,24 @@ def _join_key_distinct(bp: BoundPlan, stats: dict) -> int:
     return max(d_l, d_r, 1)
 
 
+def _sort_blocking(module, n: float, rate: float) -> float:
+    """Merge passes of a fabric sort; a host sort has no blocking phase."""
+    if module is None:
+        return 0.0
+    cap = module.param("run_capacity", SORT_RUN_CAPACITY)
+    return _merge_levels(n, cap) * (n / rate if rate > 0 else 0.0)
+
+
 def estimate_time(
     c: CandidatePipeline, stats: dict, dev: DeviceProfile
 ) -> CostEstimate:
-    """Time fields of the cost model; energy is filled by estimate_energy."""
+    """Time fields of the cost model, one StageEstimate per stage of `c`;
+    energy is filled by estimate_energy."""
     bp = c.plan
     _require_stats(bp, stats)
     n_l = float(stats[bp.left_table].row_count)
     n_r = float(stats[bp.right_table].row_count) if bp.has_join else 0.0
-    sel_l, sel_r, residual = restriction_split(bp, stats)
-    nl_f, nr_f = n_l * sel_l, n_r * sel_r
+    key_d = _join_key_distinct(bp, stats) if bp.has_join else 1
 
     left_tb, right_tb = _effective_tuple_bytes(bp, c.layout)
     source_bytes = n_l * left_tb + n_r * right_tb
@@ -411,90 +418,71 @@ def estimate_time(
     source_tuples = n_l + n_r
     r0 = dev.mem_bytes_per_s / max(left_tb, right_tb if bp.has_join else 0, 1)
 
-    if bp.has_join:
-        key_d = _join_key_distinct(bp, stats)
-        join_key_out = nl_f * nr_f / key_d
-        join_out = join_key_out * residual
-        n_build = min(nl_f, nr_f)
-        n_probe = max(nl_f, nr_f)
-    else:
-        join_out = join_key_out = 0.0
-        n_build = n_probe = 0.0
-
     stages = [StageEstimate("source", source_tuples,
                             source_tuples / source_seconds if source_seconds > 0 else r0,
                             1.0, 0.0)]
+    stream_seconds = source_seconds
+    blocking_total = host_seconds = bloom_out = 0.0
     upstream_rate = r0
     flow = source_tuples if bp.has_join else n_l
-    blocking_total = 0.0
-    host_seconds = 0.0
-    bloom_out = 0.0
+    sides = [n_l, n_r]  # each join side's tuples on their way to the join
+    joined = not bp.has_join
 
-    for module, role in zip(c.modules, c.roles):
-        spec = module.spec
-        r_mod = spec.tuples_per_cycle * min(dev.clock_hz, spec.max_clock_hz)
-        rate = min(upstream_rate, r_mod)
+    for stage in c.stages[1:]:
+        role, module = stage.role, stage.module
+        if module is None:
+            rate = dev.host_tuples_per_s
+        else:
+            spec = module.spec
+            rate = min(upstream_rate, spec.tuples_per_cycle * min(dev.clock_hz, spec.max_clock_hz))
+        n_in = n_out = flow  # alu, reorder and passthrough keep every tuple
         blocking = 0.0
+        nl_f, nr_f = sides
 
-        if role == "restriction":
-            n_in = flow
-            n_out = (nl_f + nr_f) if bp.has_join else n_l * sel_l
-        elif role == "alu":
-            n_in = n_out = flow
-        elif role == "hash_join":
-            n_in = n_probe
-            n_out = join_out
-            blocking = n_build / rate if rate > 0 else 0.0
-        elif role == "sort_left":
-            n_in = n_out = nl_f
-            cap = module.param("run_capacity", SORT_RUN_CAPACITY)
-            blocking = _merge_levels(n_in, cap) * (n_in / rate if rate > 0 else 0.0)
-        elif role == "sort_right":
-            n_in = n_out = nr_f
-            cap = module.param("run_capacity", SORT_RUN_CAPACITY)
-            blocking = _merge_levels(n_in, cap) * (n_in / rate if rate > 0 else 0.0)
-        elif role == "merge_join":
-            n_in = nl_f + nr_f
-            n_out = join_out
+        if role == "restriction" and joined:
+            n_out = flow * _selectivity(stage.predicates, bp, stats)
+        elif role == "restriction":
+            sides = [n * _selectivity([p for p in stage.predicates if p[0] == slot], bp, stats)
+                     for slot, n in enumerate(sides)]
+            n_out = sides[0] + sides[1]
+        elif role in ("hash_join", "merge_join", "host_join"):
+            joined = True
+            n_out = nl_f * nr_f / key_d * _selectivity(stage.predicates, bp, stats)
+            if role == "hash_join":
+                n_in = max(nl_f, nr_f)
+                blocking = min(nl_f, nr_f) / rate if rate > 0 else 0.0
+            elif role == "merge_join":
+                n_in = nl_f + nr_f
+            else:
+                n_in = bloom_out
+        elif role in ("sort_left", "sort_right"):
+            n_in = n_out = sides[role == "sort_right"]
+            blocking = _sort_blocking(module, n_in, rate)
         elif role == "bloom_cascade":
-            n_in = n_probe
-            true_match = min(1.0, join_key_out / n_probe) if n_probe > 0 else 0.0
+            n_build = min(nl_f, nr_f)
+            n_in = max(nl_f, nr_f)
+            join_key_out = nl_f * nr_f / key_d
+            true_match = min(1.0, join_key_out / n_in) if n_in > 0 else 0.0
             m, k = bloom_dims(n_build)
-            stages_n = module.param("stages", BLOOM_STAGES)
-            fp = analytic_fp_rate(m, k, n_build, stages_n)
-            sel_bloom = _clamp(true_match + fp)
-            n_out = n_in * sel_bloom
-            bloom_out = n_out
+            fp = analytic_fp_rate(m, k, n_build, module.param("stages", BLOOM_STAGES))
+            n_out = bloom_out = n_in * _clamp(true_match + fp)
         elif role == "align":
-            n_in = n_out = bloom_out + n_build
+            n_in = n_out = bloom_out + min(nl_f, nr_f)
         elif role == "aggregate":
-            n_in = flow
             n_out = _group_count(bp, stats, n_in)
-        elif role in ("reorder", "passthrough"):
-            n_in = n_out = flow
         elif role == "sort":
-            n_in = n_out = flow
-            cap = module.param("run_capacity", SORT_RUN_CAPACITY)
-            blocking = _merge_levels(n_in, cap) * (n_in / rate if rate > 0 else 0.0)
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown stage role {role}")
+            blocking = _sort_blocking(module, n_in, rate)
 
         sel = n_out / n_in if n_in > 0 else 1.0
         stages.append(StageEstimate(role, n_in, rate, _clamp(sel), blocking))
-        blocking_total += blocking
-        upstream_rate = rate * sel if sel > 0 else rate
+        if module is None:
+            host_seconds += n_in / rate
+        else:
+            stream_seconds = max(stream_seconds, stages[-1].seconds)
+            blocking_total += blocking
+            upstream_rate = rate * sel if sel > 0 else rate
         flow = n_out
 
-    if c.host_stage is not None:
-        host_seconds = bloom_out / dev.host_tuples_per_s
-        stages.append(StageEstimate("host_join", bloom_out, dev.host_tuples_per_s,
-                                    _clamp(join_out / bloom_out) if bloom_out > 0 else 1.0,
-                                    0.0))
-
-    stream_seconds = max(
-        [source_seconds]
-        + [s.seconds for s in stages[1:] if s.name != "host_join"]
-    )
     reconfig_seconds = (
         sum(m.bitstream_bytes for m in c.modules) / dev.icap_bytes_per_s
     )
@@ -514,10 +502,10 @@ def estimate_energy(c: CandidatePipeline, t: CostEstimate, dev: DeviceProfile) -
     """Static power over the whole run, per-slot active power while a module
     streams (plus its own blocking phases), and reconfiguration power."""
     energy = dev.p_static_w * t.total_seconds
-    by_role = {s.name: s for s in t.stages}
-    for module, role in zip(c.modules, c.roles):
-        active = t.stream_seconds + by_role[role].blocking_seconds
-        energy += dev.p_slot_active_w * module.slots * active
+    for stage, est in zip(c.stages, t.stages):
+        if stage.module is not None:
+            active = t.stream_seconds + est.blocking_seconds
+            energy += dev.p_slot_active_w * stage.module.slots * active
     energy += dev.p_reconfig_w * t.reconfig_seconds
     return energy
 
@@ -551,9 +539,5 @@ def software_baseline(
     t = estimate_time(c, stats, dev)
     seconds = t.stages[0].seconds
     for stage in t.stages[1:]:
-        if stage.name == "host_join":
-            continue
         seconds += stage.input_tuples / dev.host_tuples_per_s
-    if c.host_stage is not None:
-        seconds += t.host_seconds
     return seconds, dev.p_static_w * seconds

@@ -221,8 +221,9 @@ def _is_printable_ascii(text: str) -> bool:
 
 
 def _show(text: str) -> str:
-    """Text as read, with each non-ASCII byte shown as `\\xNN`."""
-    return text.encode("ascii", "surrogateescape").decode("ascii", "backslashreplace")
+    """Text as read, with each control or non-ASCII byte shown as `\\xNN`."""
+    return "".join(chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02x}"
+                   for b in text.encode("ascii", "surrogateescape"))
 
 
 def parse_header(line: str) -> Schema:
@@ -281,9 +282,11 @@ def load_csv(path, declared_schema: Schema | None = None, strict: bool = True) -
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such table file: {p}")
-    # a non-ASCII byte decodes to a surrogate, which the header and cell
-    # checks reject with its line and column
-    text = p.read_text(encoding="ascii", errors="surrogateescape")
+    # bytes, not text: universal newlines would turn `\r\n` and a bare `\r`
+    # into `\n`. A `\r` and a non-ASCII byte (decoded to a surrogate) both
+    # reach the header and cell checks, which reject them with their line
+    # and column.
+    text = p.read_bytes().decode("ascii", errors="surrogateescape")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -332,10 +335,6 @@ def dump_csv(table: Table) -> str:
             cells.append(str(value) if ctype.kind is TypeKind.INT else value)
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
-
-
-def save_csv(table: Table, path) -> None:
-    Path(path).write_text(dump_csv(table), encoding="ascii")
 
 
 @dataclass(frozen=True)

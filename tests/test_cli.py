@@ -437,6 +437,18 @@ def test_non_ascii_header_byte_names_its_column(tmp_path, capsys):
     assert "`b\\xc3\\xa9:INT`" in err
 
 
+def test_crlf_table_is_an_error(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    (tables / "t.csv").write_bytes(b"a:INT,b:INT,s:CHAR(2)\r\n1,2,ab\r\n")
+    rc = main(["run", "--query", _query(tmp_path, "SELECT a FROM t"),
+               "--tables", str(tables), "--library", LIB, "--device", DEV,
+               "--out", str(tmp_path / "r.json"), "--oracle"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "line 1, column 3" in err
+
+
 def test_bench_unreadable_query_is_a_failed_row(tmp_path):
     suite = _mini_suite(tmp_path)
     (suite / "q1.sql").write_bytes(b"SELECT \xff FROM items\n")

@@ -1,0 +1,96 @@
+"""CLI fuzz: mutated table CSVs and profile JSON end in exit 0, 1 or 2.
+
+`sqf run --oracle` must answer any input with a result (0), an `error: …`
+line (1) or an oracle mismatch (2); an exception escaping `main` would reach
+the user as a traceback. Examples are derandomized and bounded so the module
+runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import REPO
+from sqf.cli import main
+
+QUERY = ("SELECT t.a, u.d, t.a + u.d AS total FROM t JOIN u ON t.a = u.c "
+         "WHERE t.b > 3 ORDER BY a")
+T_CSV = b"a:INT,b:INT,s:CHAR(2)\n" + b"".join(
+    b"%d,%d,%s\n" % (i, i * 3 % 17, b"ab" if i % 2 else b"cd") for i in range(12))
+U_CSV = b"c:INT,d:INT\n" + b"".join(b"%d,%d\n" % (i % 9, i) for i in range(8))
+CSV_BYTES = [b"\r", b"\n", b",", b"\x00", b"\xff", b"0", b"7", b"9"]
+# small values only: `regions` and `slots_per_region` size the fabric
+JSON_VALUES = [0, -1, 1, 7, 0.5, 1e-300, 1e300, float("nan"), "x", None, True, []]
+
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+edits = st.lists(st.tuples(st.integers(0, len(T_CSV) - 1), st.sampled_from(CSV_BYTES),
+                           st.booleans()), min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for pos, byte, insert in edits:
+        pos %= len(data) or 1
+        data = data[:pos] + byte + data[pos + (0 if insert else 1):]
+    return data
+
+
+def _run(work, t_csv=T_CSV, device=None, library=None, capsys=None) -> None:
+    tables = work / "tables"
+    tables.mkdir(exist_ok=True)
+    (tables / "t.csv").write_bytes(t_csv)
+    (tables / "u.csv").write_bytes(U_CSV)
+    (work / "q.sql").write_text(QUERY + "\n")
+    for name, doc, default in (("device", device, "device.default.json"),
+                               ("library", library, "library.default.json")):
+        if doc is None:
+            doc = json.loads((REPO / default).read_text())
+        (work / f"{name}.json").write_text(json.dumps(doc))
+    try:
+        rc = main(["run", "--query", str(work / "q.sql"), "--tables", str(tables),
+                   "--library", str(work / "library.json"),
+                   "--device", str(work / "device.json"),
+                   "--out", str(work / "report.json"), "--oracle"])
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+
+
+def test_fuzz_table_csv(tmp_path, capsys):
+    _run(tmp_path, capsys=capsys)  # the unmutated inputs run cleanly
+    assert json.loads((tmp_path / "report.json").read_text())["oracle_match"] is True
+
+    @FUZZ
+    @given(edits)
+    def check(mutations):
+        _run(tmp_path, t_csv=_mutate(T_CSV, mutations), capsys=capsys)
+
+    check()
+
+
+def test_fuzz_profile_json(tmp_path, capsys):
+    device = json.loads((REPO / "device.default.json").read_text())
+    library = json.loads((REPO / "library.default.json").read_text())
+    device_fields = sorted(k for k in device if k != "comment")
+    library_fields = sorted({k for rec in library for k in rec if k != "comment"})
+
+    @FUZZ
+    @given(st.sampled_from(device_fields), st.sampled_from(JSON_VALUES),
+           st.integers(0, len(library) - 1), st.sampled_from(library_fields),
+           st.sampled_from(JSON_VALUES), st.integers(0, 2))
+    def check(dev_field, dev_value, entry, lib_field, lib_value, which):
+        dev_doc = dict(device)
+        lib_doc = [dict(rec) for rec in library]
+        if which != 1:
+            dev_doc[dev_field] = dev_value
+        if which != 0:
+            lib_doc[entry][lib_field] = lib_value
+        _run(tmp_path, device=dev_doc, library=lib_doc, capsys=capsys)
+
+    check()

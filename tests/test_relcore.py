@@ -41,6 +41,28 @@ def test_load_csv_malformed_cell_position(tmp_path):
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("data, line, column, shown", [
+    (b"a:INT,b:CHAR(2)\r\n1,xy\r\n", 1, 2, "`b:CHAR(2)\\x0d`"),
+    (b"a:INT,b:CHAR(2)\n1,xy\r\n", 2, 2, "control byte"),
+    (b"a:INT,b:CHAR(2)\n1,x\ry\n", 2, 2, "control byte"),
+], ids=["crlf", "crlf-data-line", "bare-cr"])
+def test_load_csv_rejects_carriage_returns(tmp_path, data, line, column, shown):
+    """Only `\\n` ends a line; a `\\r` is a bad byte where it stands."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(MalformedCell) as err:
+        load_csv(path)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert shown in str(err.value)
+
+
+def test_header_error_shows_control_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a:INT,b\x00\x1f:INT\n1,2\n")
+    with pytest.raises(MalformedCell, match=r"`b\\x00\\x1f:INT`"):
+        load_csv(path)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "absent.csv")

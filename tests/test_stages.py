@@ -1,0 +1,101 @@
+"""One stage list per candidate: the calculus prices the stages the engine
+runs, in the order it runs them."""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from _qgen import random_case
+from conftest import bind_sql, run_candidate
+from sqf.errors import ArithmeticOverflow, DivisionByZero
+from sqf.library import ModuleKind
+from sqf.planner import enumerate_pipelines, full_estimate, software_baseline
+from sqf.relcore import load_csv, table_stats
+
+
+def _stage_names(cand, tables, stats, dev):
+    """(estimated, executed) stage names of one candidate."""
+    est = full_estimate(cand, stats, dev)
+    _, report = run_candidate(cand, tables, dev, stats=stats)
+    return [s.name for s in est.stages], [s.name for s in report.stages]
+
+
+@pytest.fixture(scope="module")
+def suite(suite_dir):
+    tables = {name: load_csv(suite_dir / "tables" / f"{name}.csv")
+              for name in ("orders", "customers")}
+    stats = {name: table_stats(t) for name, t in tables.items()}
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    queries = {name: (suite_dir / name).read_text().strip() for name in manifest["queries"]}
+    return tables, stats, queries
+
+
+def test_suite_estimates_list_the_executed_stages(suite, default_library, default_device):
+    tables, stats, queries = suite
+    checked = 0
+    for name, sql in queries.items():
+        for cand in enumerate_pipelines(bind_sql(sql, tables), default_library,
+                                        default_device):
+            estimated, executed = _stage_names(cand, tables, stats, default_device)
+            assert estimated == executed, (name, cand.tag)
+            assert [s.role for s in cand.stages] == executed, (name, cand.tag)
+            checked += 1
+    assert checked == 37
+
+
+def test_random_estimates_list_the_executed_stages(default_library, default_device):
+    """Criterion 1's random queries; a candidate that faults reports no stages."""
+    rng = random.Random(0xC0FFEE)
+    checked = 0
+    for case in range(1000):
+        sql, tables = random_case(rng)
+        stats = {name: table_stats(t) for name, t in tables.items()}
+        for cand in enumerate_pipelines(bind_sql(sql, tables), default_library,
+                                        default_device):
+            try:
+                estimated, executed = _stage_names(cand, tables, stats, default_device)
+            except (ArithmeticOverflow, DivisionByZero):
+                continue
+            assert estimated == executed, (case, cand.tag, sql)
+            checked += 1
+    assert checked > 2000
+
+
+def test_q09_restriction_and_alu_run_after_the_join(suite, default_library,
+                                                    default_device):
+    """q09's predicate holds arithmetic, so it runs on the joined stream;
+    on the co-design candidate that is on the host, after the host join."""
+    tables, _, queries = suite
+    cands = {c.tag: c for c in enumerate_pipelines(bind_sql(queries["q09.sql"], tables),
+                                                   default_library, default_device)}
+    K = ModuleKind
+    assert [m.kind for m in cands["row/hash_fpga"].modules] == [
+        K.HASH_JOIN, K.RESTRICTION, K.ALU, K.REORDER]
+    assert [m.kind for m in cands["row/merge_fpga"].modules] == [
+        K.SORT, K.SORT, K.MERGE_JOIN, K.RESTRICTION, K.ALU, K.REORDER]
+    codesign = cands["row/hash_codesign"]
+    assert [m.kind for m in codesign.modules] == [K.BLOOM_CASCADE, K.ALIGN]
+    assert [(s.role, s.module) for s in codesign.stages[3:]] == [
+        ("host_join", None), ("restriction", None), ("alu", None), ("reorder", None)]
+
+
+def test_host_stages_are_priced(suite, default_library, default_device):
+    """Stages after the host join run at host_tuples_per_s into host_seconds,
+    and the software baseline counts every stage after the source."""
+    tables, stats, queries = suite
+    dev = default_device
+    cand = next(c for c in enumerate_pipelines(bind_sql(queries["q08.sql"], tables),
+                                               default_library, dev)
+                if c.host_stage is not None)
+    est = full_estimate(cand, stats, dev)
+    host = [s for s in est.stages if s.rate_tps == dev.host_tuples_per_s]
+    assert [s.name for s in host] == ["host_join", "aggregate", "sort"]
+    assert all(s.blocking_seconds == 0.0 for s in host)
+    assert est.host_seconds == pytest.approx(sum(s.input_tuples for s in host)
+                                             / dev.host_tuples_per_s)
+    seconds, _ = software_baseline(cand, stats, dev)
+    assert seconds == pytest.approx(est.stages[0].seconds + sum(
+        s.input_tuples for s in est.stages[1:]) / dev.host_tuples_per_s)
