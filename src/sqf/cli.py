@@ -216,10 +216,6 @@ def cmd_run(args) -> int:
                 "oracle_count": diff[2],
             }
 
-    warnings = []
-    for name, table in planned.tables.items():
-        warnings.extend(f"{name}: {w}" for w in table.load_warnings)
-
     report = {
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -267,7 +263,6 @@ def cmd_run(args) -> int:
         "oracle_checked": bool(oracle_match),
         "oracle_match": oracle_match,
         "first_diff": first_diff,
-        "warnings": warnings,
     }
     if args.out:
         _write_report(args.out, report)

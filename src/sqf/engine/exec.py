@@ -188,7 +188,7 @@ def key_images(keys: np.ndarray, key_type: ColumnType) -> np.ndarray:
 
 def result_checksum(table: Table) -> int:
     """Order-insensitive 64-bit digest of a result table: the row hashes of
-    its column view, summed modulo 2^64."""
+    its columns, summed modulo 2^64."""
     hashes = fnv1a64_rows(encode_columns(table.columns), CHECKSUM_SEED)
     return int(hashes.sum(dtype=np.uint64))
 
@@ -216,15 +216,14 @@ def execute_pipeline(
     _check_configured(c, fabric, placement)
     run = _Run(bp, tables, dev, seed)
     stages = tuple(StageCount(s.role, *getattr(run, s.role)(s)) for s in c.stages)
-    columns = run.output()
-    table = Table.from_columns(bp.output_schema, columns)
+    table = Table(bp.output_schema, tuple(run.output()))
     report = ExecReport(
         stages=stages,
         wall_seconds=time.perf_counter() - started,
         simulated_seconds=estimate.total_seconds if estimate is not None else None,
         bloom_false_positives=run.bloom_fp,
         order_specified=bool(bp.order_by),
-        result_rows=len(columns[0].values),
+        result_rows=table.row_count,
     )
     return table, report
 

@@ -18,13 +18,6 @@ class CsvError(SqfError):
     pass
 
 
-class HeaderMismatch(CsvError):
-    def __init__(self, declared: str, found: str):
-        super().__init__(f"header mismatch: declared `{declared}` but file has `{found}`")
-        self.declared = declared
-        self.found = found
-
-
 class MalformedCell(CsvError):
     def __init__(self, line: int, column: int, reason: str):
         super().__init__(f"line {line}, column {column}: {reason}")

@@ -127,7 +127,7 @@ def reference_execute(bp: BoundPlan, tables: dict) -> Table:
         ctype = bp.output_schema.columns[idx][1]
         out_rows.sort(key=lambda r, i=idx, t=ctype: canon_cell(r[i], t),
                       reverse=not ascending)
-    return Table(bp.output_schema, tuple(out_rows))
+    return Table.from_rows(bp.output_schema, out_rows)
 
 
 def _grouped_rows(bp: BoundPlan, rows):

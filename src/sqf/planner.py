@@ -422,7 +422,7 @@ def estimate_time(
                             source_tuples / source_seconds if source_seconds > 0 else r0,
                             1.0, 0.0)]
     stream_seconds = source_seconds
-    blocking_total = host_seconds = bloom_out = 0.0
+    blocking_total = host_seconds = 0.0
     upstream_rate = r0
     flow = source_tuples if bp.has_join else n_l
     sides = [n_l, n_r]  # each join side's tuples on their way to the join
@@ -435,7 +435,7 @@ def estimate_time(
         else:
             spec = module.spec
             rate = min(upstream_rate, spec.tuples_per_cycle * min(dev.clock_hz, spec.max_clock_hz))
-        n_in = n_out = flow  # alu, reorder and passthrough keep every tuple
+        n_in = n_out = flow  # default: read the previous stage's output, keep it all
         blocking = 0.0
         nl_f, nr_f = sides
 
@@ -453,8 +453,6 @@ def estimate_time(
                 blocking = min(nl_f, nr_f) / rate if rate > 0 else 0.0
             elif role == "merge_join":
                 n_in = nl_f + nr_f
-            else:
-                n_in = bloom_out
         elif role in ("sort_left", "sort_right"):
             n_in = n_out = sides[role == "sort_right"]
             blocking = _sort_blocking(module, n_in, rate)
@@ -465,9 +463,9 @@ def estimate_time(
             true_match = min(1.0, join_key_out / n_in) if n_in > 0 else 0.0
             m, k = bloom_dims(n_build)
             fp = analytic_fp_rate(m, k, n_build, module.param("stages", BLOOM_STAGES))
-            n_out = bloom_out = n_in * _clamp(true_match + fp)
-        elif role == "align":
-            n_in = n_out = bloom_out + min(nl_f, nr_f)
+            n_out = n_in * _clamp(true_match + fp)
+        elif role == "align":  # probe survivors plus the build side
+            n_in = n_out = flow + min(nl_f, nr_f)
         elif role == "aggregate":
             n_out = _group_count(bp, stats, n_in)
         elif role == "sort":

@@ -1,26 +1,29 @@
 """Relational data model: typed columns, immutable tables, CSV ingest, statistics.
 
 The data model is deliberately small: 64-bit signed integers and fixed-width
-ASCII CHAR(n) cells, streamed as flat tuples. Tables are immutable after load
-and safe to share across concurrently executing pipelines.
+ASCII CHAR(n) cells. A table is stored as its columns, one numpy-backed
+`Column` per schema column; row tuples are a view read off them. Tables are
+immutable after load and safe to share across concurrently executing
+pipelines.
 
 CSV dialect: comma separator, no quoting, no escapes, `\\n` line terminators,
 printable ASCII only. The first line is a typed header such as
-`orderkey:INT,status:CHAR(1),total:INT`.
+`orderkey:INT,status:CHAR(1),total:INT`; a CHAR cell wider than its column
+is an error.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .arith import INT64_MAX, INT64_MIN
-from .errors import CharOverflow, HeaderMismatch, MalformedCell
+from .errors import CharOverflow, MalformedCell
 
 CHAR_MAX_WIDTH = 64
 
@@ -184,40 +187,42 @@ def encode_columns(columns) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
+    """An immutable table: one Column per schema column, all of one length.
+    Tables compare by identity; compare results with `rows` or the
+    oracle's multisets."""
+
     schema: Schema
-    rows: tuple[tuple, ...]
-    load_warnings: tuple[str, ...] = field(default=(), compare=False)
+    columns: tuple[Column, ...]
 
     def __post_init__(self):
-        arity = self.schema.arity
-        if set(map(len, self.rows)) - {arity}:
-            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != arity)
-            raise ValueError(f"row {i} has {len(row)} cells, schema has {arity}")
+        if len(self.columns) != self.schema.arity:
+            raise ValueError(f"{len(self.columns)} columns, schema has {self.schema.arity}")
+        if len({len(col.values) for col in self.columns}) != 1:
+            raise ValueError("columns differ in length")
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0].values)
 
     @cached_property
-    def columns(self) -> tuple[Column, ...]:
-        """Column view of `rows`, built on first use and kept."""
-        cells = list(zip(*self.rows)) or [()] * self.schema.arity
-        return tuple(Column.from_values(ctype, list(values))
-                     for values, (_, ctype) in zip(cells, self.schema.columns))
+    def rows(self) -> tuple[tuple, ...]:
+        """Row tuples read off the columns (CHAR cells as their raw strings),
+        built on first use and kept."""
+        return tuple(zip(*(col.tolist() for col in self.columns)))
 
     @classmethod
-    def from_columns(cls, schema: Schema, columns) -> "Table":
-        """Table whose rows are read off `columns`, which it keeps as its
-        column view."""
-        table = cls(schema, tuple(zip(*(col.tolist() for col in columns))))
-        table.__dict__["columns"] = tuple(columns)
-        return table
-
-
-def _is_printable_ascii(text: str) -> bool:
-    return all(0x20 <= ord(ch) <= 0x7E for ch in text)
+    def from_rows(cls, schema: Schema, rows) -> "Table":
+        """Table of the given row tuples (CHAR cells as raw strings)."""
+        arity = schema.arity
+        rows = tuple(rows)
+        if set(map(len, rows)) - {arity}:
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != arity)
+            raise ValueError(f"row {i} has {len(row)} cells, schema has {arity}")
+        cells = list(zip(*rows)) or [()] * arity
+        return cls(schema, tuple(Column.from_values(ctype, list(values))
+                                 for values, (_, ctype) in zip(cells, schema.columns)))
 
 
 def _show(text: str) -> str:
@@ -249,9 +254,9 @@ def parse_header(line: str) -> Schema:
     return Schema(tuple(cols))
 
 
-def _parse_cell(text: str, ctype: ColumnType, line_no: int, col_no: int,
-                strict: bool, warnings: list):
-    if not _is_printable_ascii(text):
+def _parse_cell(text: str, ctype: ColumnType, line_no: int, col_no: int):
+    # on the surrogateescape decode, exactly the bytes 0x20-0x7E are printable
+    if not text.isprintable():
         raise MalformedCell(line_no, col_no, "non-ASCII or control byte in cell")
     if ctype.kind is TypeKind.INT:
         if not _INT_CELL_RE.match(text):
@@ -261,24 +266,13 @@ def _parse_cell(text: str, ctype: ColumnType, line_no: int, col_no: int,
             raise MalformedCell(line_no, col_no, f"`{text}` exceeds 64-bit range")
         return value
     if len(text) > ctype.width_bytes:
-        if strict:
-            raise CharOverflow(line_no, col_no, ctype.width_bytes, len(text))
-        warnings.append(
-            f"line {line_no}, column {col_no}: CHAR({ctype.width_bytes}) "
-            f"cell truncated from {len(text)} bytes"
-        )
-        return text[: ctype.width_bytes]
+        raise CharOverflow(line_no, col_no, ctype.width_bytes, len(text))
     return text
 
 
-def load_csv(path, declared_schema: Schema | None = None, strict: bool = True) -> Table:
-    """Load a typed CSV file into an immutable Table.
-
-    The first line must be a typed header unless `declared_schema` is given,
-    in which case a header line, if present, is validated against it. Strict
-    mode (the default) rejects over-width CHAR cells; lenient mode truncates
-    them and records a warning on the returned table.
-    """
+def load_csv(path) -> Table:
+    """Load a typed CSV file, whose first line is its typed header, into an
+    immutable Table. The first bad cell raises with its line and column."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such table file: {p}")
@@ -290,40 +284,21 @@ def load_csv(path, declared_schema: Schema | None = None, strict: bool = True) -
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-
-    schema = declared_schema
-    data_start = 0  # index into `lines`
     if not lines:
-        if schema is None:
-            raise MalformedCell(1, 1, "empty file has no header")
-        return Table(schema, ())
+        raise MalformedCell(1, 1, "empty file has no header")
 
-    header_schema = None
-    try:
-        header_schema = parse_header(lines[0])
-    except MalformedCell:
-        if schema is None:
-            raise
-    if header_schema is not None:
-        if schema is not None and header_schema != schema:
-            raise HeaderMismatch(schema.header_text(), lines[0])
-        schema = header_schema
-        data_start = 1
-
-    warnings: list[str] = []
-    rows = []
+    schema = parse_header(lines[0])
+    types = [ctype for _, ctype in schema.columns]
+    values = [[] for _ in types]
     arity = schema.arity
-    for offset, line in enumerate(lines[data_start:]):
-        line_no = data_start + offset + 1  # 1-based, header is line 1
+    for line_no, line in enumerate(lines[1:], start=2):  # header is line 1
         cells = line.split(",")
         if len(cells) != arity:
             raise MalformedCell(line_no, len(cells), f"expected {arity} cells, got {len(cells)}")
-        row = tuple(
-            _parse_cell(cell, ctype, line_no, col_no, strict, warnings)
-            for col_no, (cell, (_, ctype)) in enumerate(zip(cells, schema.columns), start=1)
-        )
-        rows.append(row)
-    return Table(schema, tuple(rows), tuple(warnings))
+        for col_no, (cell, ctype, out) in enumerate(zip(cells, types, values), start=1):
+            out.append(_parse_cell(cell, ctype, line_no, col_no))
+    return Table(schema, tuple(Column.from_values(ctype, column)
+                               for ctype, column in zip(types, values)))
 
 
 def dump_csv(table: Table) -> str:
@@ -363,10 +338,13 @@ class ColumnStats:
 def table_stats(table: Table) -> ColumnStats:
     """Exact counts, no sampling. CHAR min/max compare on padded content."""
     stats = []
-    for idx, (name, ctype) in enumerate(table.schema.columns):
-        values = [canon_cell(row[idx], ctype) for row in table.rows]
-        if values:
-            stats.append(ColumnStat(name, len(set(values)), min(values), max(values)))
-        else:
+    for (name, ctype), col in zip(table.schema.columns, table.columns):
+        distinct = np.unique(col.values)  # sorted; padded bytes sort as padded text
+        if not len(distinct):
             stats.append(ColumnStat(name, 0, None, None))
-    return ColumnStats(len(table.rows), tuple(stats))
+            continue
+        lo, hi = distinct[0].item(), distinct[-1].item()
+        if ctype.kind is TypeKind.CHAR:
+            lo, hi = lo.decode("ascii"), hi.decode("ascii")
+        stats.append(ColumnStat(name, len(distinct), lo, hi))
+    return ColumnStats(table.row_count, tuple(stats))

@@ -66,7 +66,7 @@ def _table(rng: random.Random, prefix: str, n_rows: int, key_kind=None,
             else:
                 row.append(rng.choice(pool))
         rows.append(tuple(row))
-    return Table(Schema(tuple(cols)), tuple(rows))
+    return Table.from_rows(Schema(tuple(cols)), tuple(rows))
 
 
 class _QueryBuilder:

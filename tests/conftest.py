@@ -39,7 +39,7 @@ def make_table(cols, rows) -> Table:
             schema_cols.append((name, ColumnType.int64()))
         else:
             schema_cols.append((name, ColumnType.char(kind)))
-    return Table(Schema(tuple(schema_cols)), tuple(tuple(r) for r in rows))
+    return Table.from_rows(Schema(tuple(schema_cols)), tuple(tuple(r) for r in rows))
 
 
 def bind_sql(sql: str, tables: dict):

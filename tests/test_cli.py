@@ -85,7 +85,7 @@ def test_run_exit_2_on_oracle_mismatch(tmp_path, monkeypatch, capsys):
 
         from sqf.relcore import Table
 
-        wrong = Table(table.schema, table.rows[:-1]) if table.rows else table
+        wrong = Table.from_rows(table.schema, table.rows[:-1]) if table.rows else table
         return wrong, replace(report, result_rows=wrong.row_count)
 
     monkeypatch.setattr(cli_mod, "execute_pipeline", broken)

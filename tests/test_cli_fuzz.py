@@ -1,4 +1,5 @@
-"""CLI fuzz: mutated table CSVs and profile JSON end in exit 0, 1 or 2.
+"""CLI fuzz: mutated table CSVs, profile JSON and query text end in exit 0,
+1 or 2.
 
 `sqf run --oracle` must answer any input with a result (0), an `error: …`
 line (1) or an oracle mismatch (2); an exception escaping `main` would reach
@@ -22,14 +23,23 @@ T_CSV = b"a:INT,b:INT,s:CHAR(2)\n" + b"".join(
     b"%d,%d,%s\n" % (i, i * 3 % 17, b"ab" if i % 2 else b"cd") for i in range(12))
 U_CSV = b"c:INT,d:INT\n" + b"".join(b"%d,%d\n" % (i % 9, i) for i in range(8))
 CSV_BYTES = [b"\r", b"\n", b",", b"\x00", b"\xff", b"0", b"7", b"9"]
+QUERY_BYTES = [b"(", b")", b"'", b'"', b"\xff", b" NOT ", b"1234567890123456789012345",
+               b"/0", b";"]
 # small values only: `regions` and `slots_per_region` size the fabric
 JSON_VALUES = [0, -1, 1, 7, 0.5, 1e-300, 1e300, float("nan"), "x", None, True, []]
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-edits = st.lists(st.tuples(st.integers(0, len(T_CSV) - 1), st.sampled_from(CSV_BYTES),
-                           st.booleans()), min_size=1, max_size=4)
+
+def _edits(data: bytes, pieces, boundaries=()):
+    """Up to 4 (position, bytes, insert or overwrite) edits of `data`; a
+    position is any byte, or one of `boundaries` half the time."""
+    position = st.integers(0, len(data) - 1)
+    if boundaries:
+        position = st.one_of(position, st.sampled_from(boundaries))
+    return st.lists(st.tuples(position, st.sampled_from(pieces), st.booleans()),
+                    min_size=1, max_size=4)
 
 
 def _mutate(data: bytes, edits) -> bytes:
@@ -39,12 +49,13 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
-def _run(work, t_csv=T_CSV, device=None, library=None, capsys=None) -> None:
+def _run(work, t_csv=T_CSV, device=None, library=None, query=QUERY.encode(),
+         capsys=None) -> None:
     tables = work / "tables"
     tables.mkdir(exist_ok=True)
     (tables / "t.csv").write_bytes(t_csv)
     (tables / "u.csv").write_bytes(U_CSV)
-    (work / "q.sql").write_text(QUERY + "\n")
+    (work / "q.sql").write_bytes(query + b"\n")
     for name, doc, default in (("device", device, "device.default.json"),
                                ("library", library, "library.default.json")):
         if doc is None:
@@ -67,9 +78,21 @@ def test_fuzz_table_csv(tmp_path, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["oracle_match"] is True
 
     @FUZZ
-    @given(edits)
+    @given(_edits(T_CSV, CSV_BYTES))
     def check(mutations):
         _run(tmp_path, t_csv=_mutate(T_CSV, mutations), capsys=capsys)
+
+    check()
+
+
+def test_fuzz_query_text(tmp_path, capsys):
+    query = QUERY.encode()
+    spaces = [i for i, byte in enumerate(query) if byte == ord(" ")]
+
+    @FUZZ
+    @given(_edits(query, QUERY_BYTES, spaces))
+    def check(mutations):
+        _run(tmp_path, query=_mutate(query, mutations), capsys=capsys)
 
     check()
 

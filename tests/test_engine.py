@@ -172,7 +172,7 @@ def test_align_conservation(n, block_bytes):
 def _forwarded(rows, key_type):
     """Canonical keys of one-column rows and the hashes the bloom stage
     forwards for them."""
-    keys = Table(Schema((("k", key_type),)), tuple(rows)).columns[0].values
+    keys = Table.from_rows(Schema((("k", key_type),)), tuple(rows)).columns[0].values
     cascade = bloom_build(BloomCascadeConfig(1, 64, 1, 0), [])
     return forwarded_hashes(cascade, key_images(keys, key_type)), keys
 
@@ -346,10 +346,10 @@ def test_overflow_on_join_restriction_matches_oracle(default_library):
 
 def test_checksum_is_order_insensitive():
     schema = Schema((("a", ColumnType.int64()),))
-    t1 = Table(schema, ((1,), (2,), (3,)))
-    t2 = Table(schema, ((3,), (1,), (2,)))
+    t1 = Table.from_rows(schema, ((1,), (2,), (3,)))
+    t2 = Table.from_rows(schema, ((3,), (1,), (2,)))
     assert result_checksum(t1) == result_checksum(t2)
-    t3 = Table(schema, ((1,), (2,)))
+    t3 = Table.from_rows(schema, ((1,), (2,)))
     assert result_checksum(t1) != result_checksum(t3)
 
 

@@ -41,7 +41,7 @@ def tables(draw):
                           max_size=t.width_bytes)
              for t in types]
     rows = draw(st.lists(st.tuples(*cells), max_size=12))
-    return Table(schema, tuple(rows))
+    return Table.from_rows(schema, tuple(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -64,7 +64,8 @@ def test_checksum_is_sum_of_scalar_row_hashes(table):
 
 
 def test_row_matrix_hash_of_empty_table():
-    table = Table(Schema((("a", ColumnType.int64()), ("s", ColumnType.char(3)))), ())
+    schema = Schema((("a", ColumnType.int64()), ("s", ColumnType.char(3))))
+    table = Table.from_rows(schema, ())
     assert fnv1a64_rows(encode_columns(table.columns)).shape == (0,)
     assert result_checksum(table) == 0
 

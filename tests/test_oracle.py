@@ -70,7 +70,7 @@ def test_output_invariant_under_input_permutation():
 
 def test_first_multiset_diff_reports_deterministically():
     t1 = make_table([("a", "INT")], [(1,), (2,)])
-    t2 = Table(t1.schema, ((1,), (3,)))
+    t2 = Table.from_rows(t1.schema, ((1,), (3,)))
     diff = first_multiset_diff(t1, t2)
     assert diff is not None
     row, in_a, in_b = diff

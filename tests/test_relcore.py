@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqf.errors import CharOverflow, HeaderMismatch, MalformedCell
+from sqf.errors import CharOverflow, MalformedCell
 from sqf.relcore import (
     ColumnType,
     Schema,
     Table,
+    canon_cell,
     dump_csv,
     load_csv,
-    parse_header,
     table_stats,
 )
 
@@ -68,32 +68,13 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "absent.csv")
 
 
-def test_load_csv_declared_schema_mismatch(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("id:INT\n7\n")
-    declared = parse_header("id:INT,extra:INT")
-    with pytest.raises(HeaderMismatch):
-        load_csv(path, declared_schema=declared)
-    # matching declared schema is fine
-    assert load_csv(path, declared_schema=parse_header("id:INT")).rows == ((7,),)
-
-
-def test_load_csv_headerless_with_declared_schema(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("3\n4\n")
-    table = load_csv(path, declared_schema=parse_header("id:INT"))
-    assert [r[0] for r in table.rows] == [3, 4]
-
-
 def test_char_overflow_strict_vs_lenient(tmp_path):
+    """A CHAR cell wider than its column is an error; nothing truncates it."""
     path = tmp_path / "t.csv"
     path.write_text("tag:CHAR(2)\nabc\n")
     with pytest.raises(CharOverflow) as err:
         load_csv(path)
     assert (err.value.line, err.value.column) == (2, 1)
-    lenient = load_csv(path, strict=False)
-    assert lenient.rows == (("ab",),)
-    assert len(lenient.load_warnings) == 1
 
 
 def test_non_ascii_rejected(tmp_path):
@@ -113,7 +94,8 @@ def test_int_range_is_checked(tmp_path):
 
 
 def test_load_then_dump_is_byte_identical(tmp_path):
-    text = "id:INT,name:CHAR(8)\n1,ann\n-5,\n7,with  sp\n"
+    """Rows carry each CHAR cell as read, not padded: trailing spaces stay."""
+    text = "id:INT,name:CHAR(8)\n1,ann\n-5,\n7,with  sp\n8,tail \n9,   \n"
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="ascii")
     assert dump_csv(load_csv(path)) == text
@@ -127,7 +109,7 @@ def test_table_stats_examples():
     assert s.columns[0].min_value == 1
     assert s.columns[0].max_value == 3
 
-    empty = Table(t.schema, ())
+    empty = Table.from_rows(t.schema, ())
     s0 = table_stats(empty)
     assert s0.row_count == 0
     assert s0.columns[0].min_value is None and s0.columns[0].max_value is None
@@ -136,20 +118,22 @@ def test_table_stats_examples():
 
 
 def make(values):
-    return Table(Schema((("a", ColumnType.int64()),)), tuple((v,) for v in values))
+    return Table.from_rows(Schema((("a", ColumnType.int64()),)), tuple((v,) for v in values))
 
 
 _table_strategy = st.builds(
     lambda ints, chars: _build_table(ints, chars),
-    st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=60),
-    st.lists(st.text(alphabet="abcXYZ 09_", min_size=0, max_size=6), max_size=60),
+    st.lists(st.one_of(st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 1]),
+                       st.integers(min_value=-(2**63), max_value=2**63 - 1)), max_size=60),
+    st.lists(st.one_of(st.sampled_from(["", " ", "      ", "ab ", "a  "]),
+                       st.text(alphabet="abcXYZ 09_", min_size=0, max_size=6)), max_size=60),
 )
 
 
 def _build_table(ints, chars):
     n = min(len(ints), len(chars))
     schema = Schema((("a", ColumnType.int64()), ("s", ColumnType.char(6))))
-    return Table(schema, tuple((ints[i], chars[i].rstrip()) for i in range(n)))
+    return Table.from_rows(schema, tuple((ints[i], chars[i]) for i in range(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,14 +155,11 @@ def test_stats_properties(table):
     stats = table_stats(table)
     assert stats.row_count == table.row_count
     for idx, stat in enumerate(stats.columns):
-        values = [row[idx] for row in table.rows]
-        assert stat.distinct_count <= stats.row_count
-        if values:
-            ctype = table.schema.columns[idx][1]
-            from sqf.relcore import canon_cell
-
-            canon = [canon_cell(v, ctype) for v in values]
-            assert stat.min_value in canon and stat.max_value in canon
-            assert stat.min_value <= stat.max_value
+        ctype = table.schema.columns[idx][1]
+        canon = [canon_cell(row[idx], ctype) for row in table.rows]
+        assert stat.distinct_count == len(set(canon))
+        if canon:
+            assert (stat.min_value, stat.max_value) == (min(canon), max(canon))
+            assert type(stat.min_value) is type(stat.max_value) is type(canon[0])
         else:
             assert stat.min_value is None and stat.max_value is None

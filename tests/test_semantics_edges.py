@@ -156,16 +156,6 @@ def test_or_across_join_sides(default_library, default_device):
     _check_all(sql, {"t": t, "u": u}, default_library, default_device)
 
 
-def test_lenient_load_warnings_reach_report(tmp_path):
-    from sqf.relcore import load_csv
-
-    path = tmp_path / "t.csv"
-    path.write_text("s:CHAR(2)\nabc\nxy\n")
-    table = load_csv(path, strict=False)
-    assert len(table.load_warnings) == 1
-    assert "truncated" in table.load_warnings[0]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="SELECTFROMWHEREJOIN abc012*,.()<>='+-/;\n", max_size=60))
 def test_parser_never_reports_out_of_range_positions(text):

@@ -99,3 +99,23 @@ def test_host_stages_are_priced(suite, default_library, default_device):
     seconds, _ = software_baseline(cand, stats, dev)
     assert seconds == pytest.approx(est.stages[0].seconds + sum(
         s.input_tuples for s in est.stages[1:]) / dev.host_tuples_per_s)
+
+
+def test_host_join_reads_the_align_output(suite, default_library, default_device):
+    """The host join's input is what align hands it, probe survivors plus the
+    build side, in the estimate and in the executed counts alike."""
+    tables, stats, queries = suite
+    checked = 0
+    for name, sql in queries.items():
+        for cand in enumerate_pipelines(bind_sql(sql, tables), default_library,
+                                        default_device):
+            if cand.host_stage is None:
+                continue
+            est = {s.name: s for s in full_estimate(cand, stats, default_device).stages}
+            assert est["host_join"].input_tuples == (
+                est["align"].input_tuples * est["align"].selectivity), (name, cand.tag)
+            _, report = run_candidate(cand, tables, default_device, stats=stats)
+            ran = {s.name: s for s in report.stages}
+            assert ran["host_join"].input_count == ran["align"].output_count, (name, cand.tag)
+            checked += 1
+    assert checked == 6
