@@ -115,12 +115,11 @@ def count_comparisons(expr) -> int:
 
 
 def count_arith_nodes(bp: BoundPlan) -> int:
-    total = 0
-    if bp.restriction is not None:
-        total += sum(1 for n in walk_bound(bp.restriction) if isinstance(n, BArith))
-    for comp in bp.computed:
-        total += sum(1 for n in walk_bound(comp.expr) if isinstance(n, BArith))
-    return total
+    """ALU nodes: each computed select item's arithmetic nodes, and one for
+    an item without arithmetic (a copied column or a literal). A predicate's
+    arithmetic is evaluated by its restriction, not the ALU."""
+    return sum(max(1, sum(1 for n in walk_bound(comp.expr) if isinstance(n, BArith)))
+               for comp in bp.computed)
 
 
 def touched_columns(bp: BoundPlan) -> dict:

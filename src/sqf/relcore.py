@@ -10,6 +10,13 @@ CSV dialect: comma separator, no quoting, no escapes, `\\n` line terminators,
 printable ASCII only. The first line is a typed header such as
 `orderkey:INT,status:CHAR(1),total:INT`; a CHAR cell wider than its column
 is an error.
+
+Ingest is bulk: the body's bytes are checked and parsed as one uint8 array
+(printable bytes, separator positions, per-line separator counts, INT
+digits, CHAR widths), with no Python per cell. Errors come from the row
+loop: when any bulk check fails, or an INT cell has 19 or more digits and
+needs the exact range check, the file is loaded again cell by cell, and
+that loop raises at the first bad cell with its line and column.
 """
 
 from __future__ import annotations
@@ -276,11 +283,19 @@ def load_csv(path) -> Table:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such table file: {p}")
+    data = p.read_bytes()
+    table = _load_bulk(data)
+    return _load_rows(data) if table is None else table
+
+
+def _load_rows(data: bytes) -> Table:
+    """The row loop: every cell through `_parse_cell`, in file order, so the
+    first bad cell raises with its line and column."""
     # bytes, not text: universal newlines would turn `\r\n` and a bare `\r`
     # into `\n`. A `\r` and a non-ASCII byte (decoded to a surrogate) both
     # reach the header and cell checks, which reject them with their line
     # and column.
-    text = p.read_bytes().decode("ascii", errors="surrogateescape")
+    text = data.decode("ascii", errors="surrogateescape")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -299,6 +314,89 @@ def load_csv(path) -> Table:
             out.append(_parse_cell(cell, ctype, line_no, col_no))
     return Table(schema, tuple(Column.from_values(ctype, column)
                                for ctype, column in zip(types, values)))
+
+
+_INT_BULK_DIGITS = 18  # 10**18 - 1 < INT64_MAX; longer cells need int()
+
+
+def _load_bulk(data: bytes) -> Table | None:
+    """The table `_load_rows` returns, built from whole-array checks on the
+    body's bytes; None where any check fails or an INT cell is too long to
+    parse in bulk, so the row loop loads the file or locates its error."""
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        return None  # empty, or a header without its `\n`
+    try:
+        schema = parse_header(data[:head_end].decode("ascii", errors="surrogateescape"))
+    except MalformedCell:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
+    if body.size and body[-1] != ord("\n"):
+        body = np.append(body, np.uint8(ord("\n")))  # the last line lacks its `\n`
+    newline = body == ord("\n")
+    # printable ASCII is 0x20-0x7E; a byte below 0x20 wraps around past it
+    if not ((body - np.uint8(0x20) < 0x5F) | newline).all():
+        return None
+    seps = np.flatnonzero(newline | (body == ord(",")))
+    arity = schema.arity
+    if seps.size % arity:
+        return None
+    # line i's separators are row i of `ends`: arity - 1 commas, then its `\n`
+    ends = seps.reshape(-1, arity)
+    expected = np.full(arity, ord(","), dtype=np.uint8)
+    expected[-1] = ord("\n")
+    if not (body[ends] == expected).all():
+        return None
+    starts = np.empty_like(seps)
+    starts[:1] = 0
+    starts[1:] = seps[:-1] + 1
+    starts = starts.reshape(-1, arity)
+
+    columns = []
+    for j, (_, ctype) in enumerate(schema.columns):
+        bulk = _bulk_int if ctype.kind is TypeKind.INT else _bulk_char
+        column = bulk(body, starts[:, j], ends[:, j], ctype)
+        if column is None:
+            return None
+        columns.append(column)
+    return Table(schema, tuple(columns))
+
+
+def _bulk_int(body, start, end, ctype: ColumnType) -> Column | None:
+    """Cells `body[start:end]` matching `-?[0-9]{1,18}` as an int64 Column,
+    else None. Digits accumulate one position at a time across all cells."""
+    negative = body[start] == ord("-")  # an empty cell reads its separator
+    first = start + negative
+    digits = end - first
+    if digits.size and not (digits.min() >= 1 and digits.max() <= _INT_BULK_DIGITS):
+        return None
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(int(digits.max()) if digits.size else 0):
+        live = digits > k
+        digit = body[np.minimum(first + k, end)] - np.uint8(ord("0"))  # wraps below `0`
+        if (live & (digit > 9)).any():
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    return Column(ctype, np.where(negative, -value, value))
+
+
+def _bulk_char(body, start, end, ctype: ColumnType) -> Column | None:
+    """Cells `body[start:end]` of at most the declared width as a CHAR
+    Column, else None."""
+    width = ctype.width_bytes
+    length = end - start
+    if length.size and length.max() > width:
+        return None
+    cells = np.zeros((len(start), width), dtype=np.uint8)
+    for k in range(int(length.max()) if length.size else 0):
+        cells[:, k] = body[np.minimum(start + k, end)]
+    pad = np.arange(width) >= length[:, None]
+    cells[pad] = 0
+    # widened to UCS-4 code points, NUL-padded cells read as `U<width>`
+    # strings without their padding
+    raw = cells.astype(np.uint32).view(f"U{width}").reshape(-1).astype(object)
+    cells[pad] = 0x20
+    return Column(ctype, cells.view(f"S{width}").reshape(-1), raw)
 
 
 def dump_csv(table: Table) -> str:

@@ -1,5 +1,5 @@
 """CLI fuzz: mutated table CSVs, profile JSON and query text end in exit 0,
-1 or 2.
+1 or 2, and generated valid cases in exit 0 or 1.
 
 `sqf run --oracle` must answer any input with a result (0), an `error: …`
 line (1) or an oracle mismatch (2); an exception escaping `main` would reach
@@ -10,12 +10,15 @@ runs in a few seconds.
 from __future__ import annotations
 
 import json
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _qgen import random_case
 from conftest import REPO
 from sqf.cli import main
+from sqf.relcore import dump_csv
 
 QUERY = ("SELECT t.a, u.d, t.a + u.d AS total FROM t JOIN u ON t.a = u.c "
          "WHERE t.b > 3 ORDER BY a")
@@ -50,11 +53,11 @@ def _mutate(data: bytes, edits) -> bytes:
 
 
 def _run(work, t_csv=T_CSV, device=None, library=None, query=QUERY.encode(),
-         capsys=None) -> None:
+         capsys=None, u_csv=U_CSV, join="auto", exits=(0, 1, 2)) -> None:
     tables = work / "tables"
     tables.mkdir(exist_ok=True)
     (tables / "t.csv").write_bytes(t_csv)
-    (tables / "u.csv").write_bytes(U_CSV)
+    (tables / "u.csv").write_bytes(u_csv)
     (work / "q.sql").write_bytes(query + b"\n")
     for name, doc, default in (("device", device, "device.default.json"),
                                ("library", library, "library.default.json")):
@@ -65,11 +68,11 @@ def _run(work, t_csv=T_CSV, device=None, library=None, query=QUERY.encode(),
         rc = main(["run", "--query", str(work / "q.sql"), "--tables", str(tables),
                    "--library", str(work / "library.json"),
                    "--device", str(work / "device.json"),
-                   "--out", str(work / "report.json"), "--oracle"])
+                   "--out", str(work / "report.json"), "--oracle", "--join", join])
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
     err = capsys.readouterr().err
-    assert rc in (0, 1, 2), err
+    assert rc in exits, err
     assert "Traceback" not in err
 
 
@@ -93,6 +96,24 @@ def test_fuzz_query_text(tmp_path, capsys):
     @given(_edits(query, QUERY_BYTES, spaces))
     def check(mutations):
         _run(tmp_path, query=_mutate(query, mutations), capsys=capsys)
+
+    check()
+
+
+def test_fuzz_generated_cases(tmp_path, capsys):
+    """Criterion 1's generated queries and tables, written as CSV and run
+    through the CLI under every join strategy: valid by construction, so the
+    oracle always agrees (no exit 2). A forced strategy without a candidate
+    or a row that faults is an `error:` line."""
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        sql, tables = random_case(random.Random(seed))
+        csv = {name: dump_csv(table).encode("ascii") for name, table in tables.items()}
+        for join in ("auto", "hash", "merge", "codesign"):
+            _run(tmp_path, t_csv=csv["t"], u_csv=csv.get("u", U_CSV), query=sql.encode(),
+                 join=join, exits=(0, 1), capsys=capsys)
 
     check()
 

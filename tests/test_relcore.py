@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqf.errors import CharOverflow, MalformedCell
+from sqf.errors import CharOverflow, CsvError, MalformedCell
 from sqf.relcore import (
     ColumnType,
     Schema,
     Table,
+    _load_rows,
     canon_cell,
     dump_csv,
     load_csv,
     table_stats,
 )
+from test_cli_fuzz import FUZZ, _edits, _mutate
 
 
 def test_load_csv_basic(tmp_path):
@@ -163,3 +168,129 @@ def test_stats_properties(table):
             assert type(stat.min_value) is type(stat.max_value) is type(canon[0])
         else:
             assert stat.min_value is None and stat.max_value is None
+
+
+# ---------------------------------------------------------------------------
+# bulk ingest: load_csv against the row loop it falls back to
+# ---------------------------------------------------------------------------
+
+PARITY_CSV = b"a:INT,s:CHAR(16),b:INT\n" + b"".join(
+    b"%d,%s,%d\n" % row for row in [
+        (0, b"abc def", -7), (-12, b"", 999999999999999999), (7, b"a  ", -999999999999999999),
+        (123456789012345678, b"        ", 42), (-1, b"x_9 yz", 5), (10, b"zz", 9)])
+# bytes that keep a cell valid are listed thrice, so more mutated files load
+PARITY_BYTES = [b"\r", b"\n", b",", b"\x00", b"\xff", b"\x7f", b"-", b"+", b"0" * 17,
+                b"9" * 17] + [b"0", b"7", b"9", b" ", b"a"] * 3
+# the first byte of every CHAR cell: most edits there keep the file valid
+CHAR_CELLS = [m.end() for m in re.finditer(rb"\n[^,]*,", PARITY_CSV)]
+
+
+def _load_outcome(path):
+    """(bulk load_csv, row loop) results of one file: a Table, or the error's
+    (type, message, line, column)."""
+    outcomes = []
+    for load in (load_csv, lambda p: _load_rows(p.read_bytes())):
+        try:
+            outcomes.append(load(path))
+        except CsvError as err:
+            outcomes.append((type(err), str(err), err.line, err.column))
+    return outcomes
+
+
+def _assert_same_load(path):
+    bulk, rows = _load_outcome(path)
+    if not isinstance(rows, Table):
+        assert bulk == rows
+        return rows
+    assert isinstance(bulk, Table), bulk
+    assert bulk.schema == rows.schema
+    for got, want in zip(bulk.columns, rows.columns):
+        assert got.ctype == want.ctype
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+        assert (got.raw is None) == (want.raw is None)
+        if want.raw is not None:
+            assert got.raw.dtype == want.raw.dtype
+            assert got.raw.tolist() == want.raw.tolist()
+    return rows
+
+
+def test_bulk_load_matches_row_loop(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(PARITY_CSV)
+    assert _assert_same_load(path).row_count == 6  # the unmutated file loads
+
+    @FUZZ
+    @given(_edits(PARITY_CSV, PARITY_BYTES, CHAR_CELLS))
+    def check(mutations):
+        path.write_bytes(_mutate(PARITY_CSV, mutations))
+        _assert_same_load(path)
+
+    check()
+
+
+@pytest.mark.parametrize("cell, value", [
+    (b"007", 7), (b"-0", 0), (b"-9223372036854775808", -(2**63)),
+    (b"1000000000000000000", 10**18), (b"9223372036854775807", 2**63 - 1),
+    (b"-000000000000000000001", -1),
+])
+def test_bulk_load_int_cells(tmp_path, cell, value):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a:INT,s:CHAR(1)\n1,x\n" + cell + b",y\n")
+    assert _assert_same_load(path).rows == ((1, "x"), (value, "y"))
+
+
+@pytest.mark.parametrize("cell", [b"9223372036854775808", b"+5", b"-", b"", b" 5", b"5 ",
+                                  b"--5", b"1-"])
+def test_bulk_load_rejects_int_cells(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a:INT,s:CHAR(1)\n1,x\n" + cell + b",y\n")
+    rows = _assert_same_load(path)
+    assert rows[0] is MalformedCell and rows[2:] == (3, 1)
+
+
+def test_bulk_load_char_cells_keep_their_spaces(tmp_path):
+    text = b"s:CHAR(4),a:INT\n,1\n    ,2\nab ,3\n a,4\nabcd,5\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    table = _assert_same_load(path)
+    assert [row[0] for row in table.rows] == ["", "    ", "ab ", " a", "abcd"]
+    assert table.columns[0].values.tolist() == [b"    ", b"    ", b"ab  ", b" a  ", b"abcd"]
+
+
+@pytest.mark.parametrize("data, rows", [
+    (b"a:INT,s:CHAR(2)\n1,x\n2,yy", ((1, "x"), (2, "yy"))),
+    (b"a:INT,s:CHAR(2)\n", ()),
+    (b"a:INT,s:CHAR(2)", ()),
+    (b"s:CHAR(2)\nab\n\n", (("ab",), ("",))),
+])
+def test_bulk_load_line_ends(tmp_path, data, rows):
+    """No final newline, a header-only file with and without its newline,
+    and an empty last line of a one-column CHAR table."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    assert _assert_same_load(path).rows == rows
+
+
+@pytest.mark.parametrize("bad", [b"\r", b"\xc3\xa9", b"\x7f"])
+def test_bulk_load_reports_a_late_bad_byte_at_its_line(tmp_path, bad):
+    body = b"".join(b"%d,ab\n" % i for i in range(60))
+    data = b"a:INT,s:CHAR(4)\n" + body + b"61,a" + bad + b"\n62,cd\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    err = _assert_same_load(path)
+    assert err[0] is MalformedCell and err[2:] == (62, 2)
+
+
+@pytest.mark.parametrize("data, line, column", [
+    (b"a:INT,b:INT\n1\n2,3,4\n", 2, 1),
+    (b"a:INT,b:INT\n1,2,3\n4\n", 2, 3),
+    (b"a:INT,b:INT\n1,2\n3\n", 3, 1),
+])
+def test_bulk_load_checks_each_line_arity(tmp_path, data, line, column):
+    """A file whose separator count fits the arity can still have a short
+    line and a long one."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    err = _assert_same_load(path)
+    assert err[0] is MalformedCell and err[2:] == (line, column)

@@ -9,9 +9,10 @@ import random
 import pytest
 
 from _qgen import random_case
-from conftest import bind_sql, run_candidate
+from conftest import bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.library import ModuleKind
+from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, full_estimate, software_baseline
 from sqf.relcore import load_csv, table_stats
 
@@ -119,3 +120,34 @@ def test_host_join_reads_the_align_output(suite, default_library, default_device
             assert ran["host_join"].input_count == ran["align"].output_count, (name, cand.tag)
             checked += 1
     assert checked == 6
+
+
+def test_predicate_arithmetic_takes_no_alu(default_library, default_device):
+    """A predicate's arithmetic runs in its restriction: with no computed
+    item there is no ALU stage to place, price or reconfigure."""
+    t = make_table([("a", "INT"), ("b", "INT")], [(1, 9), (2, 2), (3, 4)])
+    bp = bind_sql("SELECT a FROM t WHERE a * b > 5", {"t": t})
+    cands = enumerate_pipelines(bp, default_library, default_device)
+    assert cands
+    for cand in cands:
+        assert "alu" not in [s.role for s in cand.stages], cand.tag
+        assert ModuleKind.ALU not in [m.kind for m in cand.modules], cand.tag
+
+
+@pytest.mark.parametrize("sql, nodes", [
+    ("SELECT a + b AS x FROM t WHERE a * b > 5", 1),
+    ("SELECT a AS x FROM t", 1),
+    ("SELECT s AS x, 5 AS y FROM t WHERE a * b > 1", 2),
+])
+def test_alu_nodes_count_computed_items(sql, nodes, default_library, default_device):
+    """Each computed item takes its arithmetic nodes, and one node when it
+    has none (a copied column or a literal), so the ALU stage that builds it
+    exists and its result matches the reference."""
+    t = make_table([("a", "INT"), ("b", "INT"), ("s", 2)],
+                   [(1, 9, "ab"), (2, 2, "cd"), (3, 4, "")])
+    results = run_all_candidates(sql, {"t": t}, default_library, default_device)
+    expected = reference_execute(bind_sql(sql, {"t": t}), {"t": t})
+    for cand, table, _ in results:
+        alu = [s.module for s in cand.stages if s.role == "alu"]
+        assert [m.param("nodes") for m in alu] == [nodes], cand.tag
+        assert multisets_equal(table, expected), cand.tag
