@@ -114,6 +114,17 @@ class QueryPlan:
     order_by: tuple[OrderItem, ...]
 
 
+def unique_name(base: str, taken: set) -> str:
+    """`base`, else the first of `base_2`, `base_3`, ... whose lower case is
+    not in `taken` (a set of lower-cased names)."""
+    name = base
+    k = 2
+    while name.lower() in taken:
+        name = f"{base}_{k}"
+        k += 1
+    return name
+
+
 def render_expr(expr: Expr) -> str:
     """Fully parenthesized text form; reparsing it reproduces the tree."""
     if isinstance(expr, ColumnRef):
@@ -122,9 +133,7 @@ def render_expr(expr: Expr) -> str:
         return str(expr.value)
     if isinstance(expr, StrLiteral):
         return f"'{expr.value}'"
-    if isinstance(expr, Arith):
-        return f"({render_expr(expr.lhs)} {expr.op} {render_expr(expr.rhs)})"
-    if isinstance(expr, Cmp):
+    if isinstance(expr, (Arith, Cmp)):
         return f"({render_expr(expr.lhs)} {expr.op} {render_expr(expr.rhs)})"
     if isinstance(expr, BoolOp):
         if expr.op == "NOT":

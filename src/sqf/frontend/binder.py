@@ -25,6 +25,7 @@ from .ast import (
     Star,
     StrLiteral,
     render_expr,
+    unique_name,
 )
 
 
@@ -273,10 +274,15 @@ class _Binder:
 
     # -- expression typing ---------------------------------------------------
 
-    def bind_value_expr(self, expr: Expr) -> tuple[BExpr, ColumnType]:
+    def bind_value_expr(self, expr: Expr,
+                        parent: Expr | None = None) -> tuple[BExpr, ColumnType]:
+        """Bind `expr` as a value. A condition is an error, reported at the
+        operator `parent` when `expr` is one of its operands."""
         bound, tag = self.bind_expr(expr)
         if tag == "bool":
-            raise QueryTypeError(render_expr(expr), "expected a value, got a condition")
+            if parent is None:
+                raise QueryTypeError(render_expr(expr), "expected a value, got a condition")
+            raise QueryTypeError(render_expr(parent), "condition used as a value")
         return bound, tag
 
     def bind_bool_expr(self, expr: Expr) -> BExpr:
@@ -298,14 +304,14 @@ class _Binder:
                 raise QueryTypeError(render_expr(expr), "string literal longer than 64 bytes")
             return BStr(expr.value), ColumnType.char(width)
         if isinstance(expr, Arith):
-            lhs, lt = self.bind_value_tagged(expr.lhs, expr)
-            rhs, rt = self.bind_value_tagged(expr.rhs, expr)
+            lhs, lt = self.bind_value_expr(expr.lhs, expr)
+            rhs, rt = self.bind_value_expr(expr.rhs, expr)
             if lt.kind is not TypeKind.INT or rt.kind is not TypeKind.INT:
                 raise QueryTypeError(render_expr(expr), "arithmetic needs INT operands")
             return BArith(expr.op, lhs, rhs), ColumnType.int64()
         if isinstance(expr, Cmp):
-            lhs, lt = self.bind_value_tagged(expr.lhs, expr)
-            rhs, rt = self.bind_value_tagged(expr.rhs, expr)
+            lhs, lt = self.bind_value_expr(expr.lhs, expr)
+            rhs, rt = self.bind_value_expr(expr.rhs, expr)
             if lt.kind is not rt.kind:
                 raise QueryTypeError(render_expr(expr), "cannot compare INT with CHAR")
             if lt.kind is TypeKind.CHAR:
@@ -320,12 +326,6 @@ class _Binder:
             children = tuple(self.bind_bool_expr(c) for c in expr.children)
             return BBool(expr.op, children), "bool"
         raise TypeError(f"not an expression: {expr!r}")
-
-    def bind_value_tagged(self, expr: Expr, parent: Expr):
-        bound, tag = self.bind_expr(expr)
-        if tag == "bool":
-            raise QueryTypeError(render_expr(parent), "condition used as a value")
-        return bound, tag
 
     # -- plan binding ---------------------------------------------------------
 
@@ -405,9 +405,7 @@ class _Binder:
         ref = self.resolve_value(spec.arg)
         if spec.fn in ("SUM", "AVG") and ref.ctype.kind is not TypeKind.INT:
             raise QueryTypeError(spec.render(), f"{spec.fn} needs an INT column")
-        if spec.fn == "COUNT":
-            ctype = ColumnType.int64()
-        elif spec.fn in ("SUM", "AVG"):
+        if spec.fn in ("COUNT", "SUM", "AVG"):
             ctype = ColumnType.int64()
         else:
             ctype = ref.ctype
@@ -418,14 +416,9 @@ class _Binder:
         taken: set[str] = set()
 
         def add(name: str, source, ctype: ColumnType, qualifier: str | None):
-            final = name
-            if final.lower() in taken and qualifier:
-                final = f"{qualifier}_{name}"
-            k = 2
-            base = final
-            while final.lower() in taken:
-                final = f"{base}_{k}"
-                k += 1
+            if name.lower() in taken and qualifier:
+                name = f"{qualifier}_{name}"
+            final = unique_name(name, taken)
             taken.add(final.lower())
             output.append(OutputCol(final, source, ctype))
 

@@ -11,8 +11,12 @@ Grammar:
     expr   := or-, and-, NOT-, comparison-, additive-, multiplicative
               levels with the usual precedence; parentheses allowed
 
-Reserved words are case-insensitive. Errors carry the character position of
-the offending token and the set of things that would have been accepted.
+Tokens are ASCII: integers `[0-9]+`, identifiers `[A-Za-z_][A-Za-z0-9_]*`,
+single-quoted strings of printable ASCII, and the symbols below, separated
+by spaces, tabs, CRs and LFs. Any other character outside a string literal
+is a syntax error at its position. Reserved words are case-insensitive.
+Errors carry the character position of the offending token and the set of
+things that would have been accepted.
 
 Expressions nest at most MAX_NESTING deep, counting both the tree depth of
 operators and the nesting of parentheses and NOT, so no later stage ever
@@ -21,6 +25,7 @@ walks a tree deep enough to exhaust the interpreter's stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..arith import INT64_MAX, INT64_MIN
@@ -33,6 +38,7 @@ from .ast import (
     BoolOp,
     Cmp,
     ColumnRef,
+    Expr,
     IntLiteral,
     JoinSpec,
     NamedItem,
@@ -40,6 +46,7 @@ from .ast import (
     QueryPlan,
     Star,
     StrLiteral,
+    unique_name,
 )
 
 
@@ -52,6 +59,20 @@ MAX_NESTING = 32
 
 _SYMBOLS = ("<=", ">=", "<>", ",", "(", ")", "*", ".", ";", "+", "-", "/", "=", "<", ">")
 
+# Every token class once, all ASCII; any other character falls through to
+# `other` and is reported where it stands. A string body is printable ASCII
+# except the quote itself.
+_STRING_BODY = re.compile(r"[ -&(-~]*")
+_TOKEN = re.compile(
+    r"[ \t\r\n]+"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<string>'{_STRING_BODY.pattern}')"
+    rf"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -62,60 +83,35 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, word, i = m.lastgroup, m.group(), m.start()
+        if kind is None:  # whitespace
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("kw", word.upper(), i))
-            else:
-                tokens.append(Token("ident", word, i))
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                if not (0x20 <= ord(text[j]) <= 0x7E):
-                    raise QuerySyntaxError(j, ("printable ASCII character",), repr(text[j]))
-                j += 1
-            if j >= n:
+        if kind == "other":  # or a quote that opens no valid string literal
+            if word != "'":
+                raise QuerySyntaxError(i, ("a token",), repr(word))
+            j = _STRING_BODY.match(text, i + 1).end()
+            if j == len(text):
                 raise QuerySyntaxError(i, ("closing quote",), "end of input")
-            tokens.append(Token("string", text[i + 1 : j], i))
-            i = j + 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, i))
-                i += len(sym)
-                break
+            raise QuerySyntaxError(j, ("printable ASCII character",), repr(text[j]))
+        if kind == "ident" and word.upper() in KEYWORDS:
+            tokens.append(Token("kw", word.upper(), i))
+        elif kind == "string":
+            tokens.append(Token("string", word[1:-1], i))
         else:
-            raise QuerySyntaxError(i, ("a token",), repr(ch))
-    tokens.append(Token("eof", "", n))
+            tokens.append(Token(kind, word, i))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.nesting = 0  # open parentheses and NOTs
         self.depths: dict[int, int] = {}  # id(operator node) -> operator levels
+        self.computed: list[tuple[str, Expr]] = []
+        self.aggregates: list[AggSpec] = []
 
     # -- token helpers ----------------------------------------------------
 
@@ -132,33 +128,17 @@ class _Parser:
         found = tok.text if tok.kind != "eof" else "end of input"
         raise QuerySyntaxError(tok.pos, tuple(sorted(expected)), found)
 
-    def at_kw(self, word: str) -> bool:
+    def eat(self, text: str) -> bool:
+        """Consume the keyword or symbol `text` if it is next."""
         tok = self.peek()
-        return tok.kind == "kw" and tok.text == word
-
-    def eat_kw(self, word: str) -> bool:
-        if self.at_kw(word):
+        if tok.kind in ("kw", "sym") and tok.text == text:
             self.advance()
             return True
         return False
 
-    def expect_kw(self, word: str):
-        if not self.eat_kw(word):
-            self.fail(word)
-
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == sym
-
-    def eat_sym(self, sym: str) -> bool:
-        if self.at_sym(sym):
-            self.advance()
-            return True
-        return False
-
-    def expect_sym(self, sym: str):
-        if not self.eat_sym(sym):
-            self.fail(f"`{sym}`")
+    def expect(self, text: str):
+        if not self.eat(text):
+            self.fail(text if text in KEYWORDS else f"`{text}`")
 
     def too_deep(self, tok: Token):
         raise QuerySyntaxError(tok.pos, (f"at most {MAX_NESTING} levels of nesting",),
@@ -188,69 +168,66 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> QueryPlan:
-        self.expect_kw("SELECT")
-        raw_items = self.parse_items()
-        self.expect_kw("FROM")
+        self.expect("SELECT")
+        if self.eat("*"):
+            projection = (Star(),)
+        else:
+            projection = self.parse_list(self.parse_item)
+        self.expect("FROM")
         source = self.expect_ident("table name")
         join = None
-        if self.eat_kw("JOIN"):
+        if self.eat("JOIN"):
             table = self.expect_ident("table name")
-            self.expect_kw("ON")
+            self.expect("ON")
             left = self.parse_colref()
-            self.expect_sym("=")
+            self.expect("=")
             right = self.parse_colref()
             join = JoinSpec(table, left, right)
         restriction = None
-        if self.eat_kw("WHERE"):
+        if self.eat("WHERE"):
             restriction = self.parse_expr()
         group_by: tuple = ()
-        if self.eat_kw("GROUP"):
-            self.expect_kw("BY")
-            cols = [self.parse_colref()]
-            while self.eat_sym(","):
-                cols.append(self.parse_colref())
-            group_by = tuple(cols)
+        if self.eat("GROUP"):
+            self.expect("BY")
+            group_by = self.parse_list(self.parse_colref)
         order_by: tuple = ()
-        if self.eat_kw("ORDER"):
-            self.expect_kw("BY")
-            keys = [self.parse_order_key()]
-            while self.eat_sym(","):
-                keys.append(self.parse_order_key())
-            order_by = tuple(keys)
-        self.eat_sym(";")
+        if self.eat("ORDER"):
+            self.expect("BY")
+            order_by = self.parse_list(self.parse_order_key)
+        self.eat(";")
         if self.peek().kind != "eof":
             self.fail("end of input")
 
-        computed, aggregates, projection = self.shape_items(raw_items)
         return QueryPlan(
             source=source,
             join=join,
             restriction=restriction,
-            computed=computed,
+            computed=tuple(self.computed),
             group_by=group_by,
-            aggregates=aggregates,
+            aggregates=tuple(self.aggregates),
             projection=projection,
             order_by=order_by,
         )
 
+    def parse_list(self, parse_one) -> tuple:
+        """One or more `parse_one` separated by commas."""
+        items = [parse_one()]
+        while self.eat(","):
+            items.append(parse_one())
+        return tuple(items)
+
     def parse_order_key(self) -> OrderItem:
         name = self.expect_ident("output column name")
         ascending = True
-        if self.eat_kw("DESC"):
+        if self.eat("DESC"):
             ascending = False
         else:
-            self.eat_kw("ASC")
+            self.eat("ASC")
         return OrderItem(name, ascending)
 
-    def parse_items(self) -> list:
-        if self.eat_sym("*"):
-            return [Star()]
-        items = [self.parse_item()]
-        while self.eat_sym(","):
-            items.append(self.parse_item())
-        return items
-
     def parse_item(self):
+        """One select item: a computed or aggregate item is appended to its
+        list, and the item's projection entry is returned."""
         tok = self.peek()
         if (
             tok.kind == "ident"
@@ -260,62 +237,31 @@ class _Parser:
         ):
             fn = tok.text.upper()
             self.advance()
-            self.expect_sym("(")
-            if self.eat_sym("*"):
+            self.expect("(")
+            if self.eat("*"):
                 arg = None
             else:
                 arg = self.parse_colref()
-            self.expect_sym(")")
+            self.expect(")")
             alias = None
-            if self.eat_kw("AS"):
+            if self.eat("AS"):
                 alias = self.expect_ident("alias")
-            return ("agg", fn, arg, alias)
+            base = f"{fn.lower()}_{arg.name if arg is not None else 'star'}"
+            name = alias or unique_name(base, {agg.name.lower() for agg in self.aggregates})
+            self.aggregates.append(AggSpec(fn, arg, name))
+            return AggItem(len(self.aggregates) - 1)
         expr = self.parse_expr()
-        if self.eat_kw("AS"):
+        if self.eat("AS"):
             alias = self.expect_ident("alias")
-            return ("computed", alias, expr)
+            self.computed.append((alias, expr))
+            return NamedItem(ColumnRef(None, alias))
         if isinstance(expr, ColumnRef):
-            return ("column", expr)
+            return NamedItem(expr)
         self.fail("AS")
-
-    def shape_items(self, raw_items):
-        """Split parsed select items into computed defs, aggregates, projection."""
-        computed: list = []
-        aggregates: list = []
-        projection: list = []
-        agg_names = set()
-        for item in raw_items:
-            if isinstance(item, Star):
-                projection.append(item)
-                continue
-            tag = item[0]
-            if tag == "column":
-                projection.append(NamedItem(item[1]))
-            elif tag == "computed":
-                name, expr = item[1], item[2]
-                computed.append((name, expr))
-                projection.append(NamedItem(ColumnRef(None, name)))
-            else:  # aggregate
-                _, fn, arg, alias = item
-                name = alias or self.default_agg_name(fn, arg, agg_names)
-                agg_names.add(name.lower())
-                projection.append(AggItem(len(aggregates)))
-                aggregates.append(AggSpec(fn, arg, name))
-        return tuple(computed), tuple(aggregates), tuple(projection)
-
-    @staticmethod
-    def default_agg_name(fn: str, arg: ColumnRef | None, taken: set) -> str:
-        base = f"{fn.lower()}_{arg.name if arg is not None else 'star'}"
-        name = base
-        k = 2
-        while name.lower() in taken:
-            name = f"{base}_{k}"
-            k += 1
-        return name
 
     def parse_colref(self) -> ColumnRef:
         first = self.expect_ident("column name")
-        if self.eat_sym("."):
+        if self.eat("."):
             return ColumnRef(first, self.expect_ident("column name"))
         return ColumnRef(None, first)
 
@@ -333,7 +279,7 @@ class _Parser:
     def parse_bool(self, op: str, parse_child):
         tok = self.peek()
         children = [parse_child()]
-        while self.eat_kw(op):
+        while self.eat(op):
             children.append(parse_child())
         if len(children) == 1:
             return children[0]
@@ -341,7 +287,7 @@ class _Parser:
 
     def parse_not(self):
         tok = self.peek()
-        if self.eat_kw("NOT"):
+        if self.eat("NOT"):
             self.enter(tok)
             child = self.parse_not()
             self.nesting -= 1
@@ -379,8 +325,7 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             return self.int_literal(tok, negative=False)
-        if self.at_sym("-"):
-            self.advance()
+        if self.eat("-"):
             num = self.peek()
             if num.kind != "int":
                 self.fail("integer literal")
@@ -391,10 +336,10 @@ class _Parser:
             return StrLiteral(tok.text)
         if tok.kind == "ident":
             return self.parse_colref()
-        if self.eat_sym("("):
+        if self.eat("("):
             self.enter(tok)
             inner = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             self.nesting -= 1
             return inner
         self.fail("integer literal", "string literal", "column name", "`(`")

@@ -364,7 +364,8 @@ def enumerate_pipelines(
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
     plan_steps = _plan_steps(bp)
-    stages = {algo: _stages_for(plan_steps, lib, algo) for _, algo in variants}
+    stages = {algo: _stages_for(plan_steps, lib, algo)
+              for algo in dict.fromkeys(algo for _, algo in variants)}
     candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp)
                   for layout, algo in variants if stages[algo] is not None]
     if not candidates:

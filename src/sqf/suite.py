@@ -15,18 +15,77 @@ import json
 import random
 from pathlib import Path
 
-from .errors import SqfError
+from .errors import InvalidField, SqfError
+from .library import json_float, json_int
+
+
+_GEN_FIELDS = {"serial": (), "randint": ("lo", "hi"), "choice": ("values",)}
+
+
+def _object(value, what: str, keys=()) -> dict:
+    """`value` as a JSON object holding every one of `keys`."""
+    if not isinstance(value, dict):
+        raise SqfError(f"{what} must be an object")
+    for key in keys:
+        if key not in value:
+            raise SqfError(f"{what} is missing `{key}`")
+    return value
+
+
+def _text(rec: dict, name: str, csv: bool = False) -> str:
+    """A string field; one that is written into a table CSV must be ASCII."""
+    value = rec[name]
+    if not isinstance(value, str) or (csv and not value.isascii()):
+        raise InvalidField(name, "must be an ASCII string" if csv else "must be a string")
+    return value
 
 
 def load_manifest(suite_dir) -> dict:
+    """The suite's manifest, with every field checked for the type that
+    `materialize` and `sqf bench` read it as."""
     path = Path(suite_dir) / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"no suite manifest: {path}")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("seed", "max_overhead_fraction", "tables_dir", "queries", "tables",
-                "library", "device", "baseline_device"):
-        if key not in manifest:
-            raise SqfError(f"suite manifest is missing `{key}`")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeError) as exc:
+        raise SqfError(f"{path}: {exc}") from None
+    _object(manifest, "suite manifest",
+            ("seed", "max_overhead_fraction", "tables_dir", "queries", "tables",
+             "library", "device", "baseline_device"))
+    json_int(manifest, "seed")
+    json_float(manifest, "max_overhead_fraction")
+    for key in ("tables_dir", "library", "device", "baseline_device"):
+        _text(manifest, key)
+    queries = manifest["queries"]
+    if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
+        raise InvalidField("queries", "must be a list of file names")
+    for name, spec in _object(manifest["tables"], "suite manifest `tables`").items():
+        table = f"suite table `{name}`"
+        _object(spec, table, ("rows", "columns"))
+        if json_int(spec, "rows") < 0:
+            raise InvalidField("rows", "must be non-negative")
+        if not isinstance(spec["columns"], list):
+            raise InvalidField("columns", "must be a list")
+        for col_no, col in enumerate(spec["columns"], start=1):
+            column = f"{table} column {col_no}"
+            _object(col, column, ("name", "type", "gen"))
+            _text(col, "name", csv=True)
+            _text(col, "type", csv=True)
+            gen = _object(col["gen"], f"{column} gen", ("kind",))
+            kind = _text(gen, "kind")
+            if kind not in _GEN_FIELDS:
+                raise SqfError(f"unknown generator kind `{kind}`")
+            _object(gen, f"{column} gen", _GEN_FIELDS[kind])
+            if kind == "serial" and "start" in gen:
+                json_int(gen, "start")
+            if kind == "randint" and json_int(gen, "lo") > json_int(gen, "hi"):
+                raise InvalidField("hi", "must not be below `lo`")
+            if kind == "choice" and not (
+                isinstance(gen["values"], list) and gen["values"]
+                and all(isinstance(v, str) and v.isascii() for v in gen["values"])
+            ):
+                raise InvalidField("values", "must be a non-empty list of ASCII strings")
     return manifest
 
 
@@ -37,9 +96,7 @@ def _gen_cell(rng: random.Random, spec: dict, row_index: int) -> str:
         return str(row_index + gen.get("start", 0))
     if kind == "randint":
         return str(rng.randint(gen["lo"], gen["hi"]))
-    if kind == "choice":
-        return rng.choice(gen["values"])
-    raise SqfError(f"unknown generator kind `{kind}`")
+    return rng.choice(gen["values"])
 
 
 def materialize(suite_dir, force: bool = False) -> list:
@@ -51,7 +108,10 @@ def materialize(suite_dir, force: bool = False) -> list:
     suite_dir = Path(suite_dir)
     manifest = load_manifest(suite_dir)
     tables_dir = suite_dir / manifest["tables_dir"]
-    tables_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        tables_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # `tables_dir` names a file, or is not writable
+        raise SqfError(f"cannot create the suite's tables directory: {exc}") from None
     written = []
     for name, spec in manifest["tables"].items():
         path = tables_dir / f"{name}.csv"

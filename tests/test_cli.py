@@ -458,3 +458,36 @@ def test_bench_unreadable_query_is_a_failed_row(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert {r["status"] for r in rows if r["query"] == "q1.sql"} == {"SqfError"}
     assert {r["status"] for r in rows if r["query"] == "q2.sql"} == {"ok"}
+
+
+_ITEMS_GEN = ("tables", "items", "columns", 0, "gen")
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(None, None, id="not-json"),
+    pytest.param(("queries",), 5, id="queries-5"),
+    pytest.param(("tables",), [], id="tables-list"),
+    pytest.param(("tables", "items", "rows"), "many", id="rows-many"),
+    pytest.param(_ITEMS_GEN, {"kind": "randint", "hi": 9}, id="randint-without-lo"),
+    pytest.param(_ITEMS_GEN, {"kind": "randint", "lo": 9, "hi": 1}, id="randint-lo-above-hi"),
+    pytest.param(_ITEMS_GEN, {"kind": "choice", "values": []}, id="empty-choice"),
+    pytest.param(("max_overhead_fraction",), "x", id="max_overhead_fraction-x"),
+    pytest.param(("tables_dir",), "q1.sql", id="tables_dir-a-file"),
+])
+def test_bad_manifest_is_an_error(tmp_path, capsys, path, value):
+    suite = _mini_suite(tmp_path)
+    if path is None:
+        (suite / "manifest.json").write_text("{not json")
+    else:
+        manifest = json.loads((suite / "manifest.json").read_text())
+        target = manifest
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (suite / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+

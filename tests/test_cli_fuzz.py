@@ -1,5 +1,5 @@
 """CLI fuzz: mutated table CSVs, profile JSON and query text end in exit 0,
-1 or 2, and generated valid cases in exit 0 or 1.
+1 or 2, and generated valid cases and mutated suite manifests in exit 0 or 1.
 
 `sqf run --oracle` must answer any input with a result (0), an `error: …`
 line (1) or an oracle mismatch (2); an exception escaping `main` would reach
@@ -27,7 +27,7 @@ T_CSV = b"a:INT,b:INT,s:CHAR(2)\n" + b"".join(
 U_CSV = b"c:INT,d:INT\n" + b"".join(b"%d,%d\n" % (i % 9, i) for i in range(8))
 CSV_BYTES = [b"\r", b"\n", b",", b"\x00", b"\xff", b"0", b"7", b"9"]
 QUERY_BYTES = [b"(", b")", b"'", b'"', b"\xff", b" NOT ", b"1234567890123456789012345",
-               b"/0", b";"]
+               b"/0", b";", "²".encode(), "٣".encode(), "ſ".encode()]
 # small values only: `regions` and `slots_per_region` size the fabric
 JSON_VALUES = [0, -1, 1, 7, 0.5, 1e-300, 1e300, float("nan"), "x", None, True, []]
 
@@ -136,5 +136,64 @@ def test_fuzz_profile_json(tmp_path, capsys):
         if which != 0:
             lib_doc[entry][lib_field] = lib_value
         _run(tmp_path, device=dev_doc, library=lib_doc, capsys=capsys)
+
+    check()
+
+
+MANIFEST = {
+    "seed": 5,
+    "max_overhead_fraction": 0.5,
+    "tables_dir": "tables",
+    "library": str(REPO / "library.default.json"),
+    "device": str(REPO / "device.default.json"),
+    "baseline_device": str(REPO / "device.baseline.json"),
+    "queries": ["q1.sql", "q2.sql"],
+    "tables": {
+        "items": {"rows": 40, "columns": [
+            {"name": "a", "type": "INT", "gen": {"kind": "randint", "lo": 0, "hi": 99}},
+            {"name": "b", "type": "INT", "gen": {"kind": "serial", "start": 0}},
+            {"name": "s", "type": "CHAR(2)", "gen": {"kind": "choice", "values": ["ab", "cd"]}},
+        ]},
+        "dims": {"rows": 8, "columns": [
+            {"name": "x", "type": "INT", "gen": {"kind": "serial", "start": 0}},
+            {"name": "y", "type": "INT", "gen": {"kind": "randint", "lo": 0, "hi": 9}},
+        ]},
+    },
+}
+QUERIES = {"q1.sql": "SELECT a, s FROM items WHERE a > 10",
+           "q2.sql": "SELECT items.a, dims.y FROM items JOIN dims ON items.b = dims.x"}
+
+
+def _fields(doc, path=()):
+    """The path of every field of a JSON document, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def test_fuzz_manifest_json(tmp_path, capsys):
+    """`sqf bench` on a suite whose manifest has one field set to a JSON
+    value of any type answers with a report (0) or an `error: …` line (1)."""
+    fields = list(_fields(MANIFEST))
+    examples = iter(range(10**6))
+
+    @FUZZ
+    @given(st.sampled_from(fields), st.sampled_from(JSON_VALUES))
+    def check(field, value):
+        suite = tmp_path / f"suite{next(examples)}"
+        suite.mkdir()
+        for name, text in QUERIES.items():
+            (suite / name).write_text(text + "\n")
+        manifest = json.loads(json.dumps(MANIFEST))
+        target = manifest
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        (suite / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["bench", "--suite", str(suite), "--out", str(suite / "bench.json")])
+        err = capsys.readouterr().err
+        assert rc in (0, 1), err
+        assert "Traceback" not in err
 
     check()

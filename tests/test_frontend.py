@@ -22,8 +22,10 @@ from sqf.frontend import (
     bind,
     parse_query,
     pretty_print,
+    tokenize,
 )
 from sqf.frontend.binder import FromValue
+from sqf.frontend.parser import _SYMBOLS, KEYWORDS
 
 
 def test_parse_simple_select():
@@ -75,6 +77,68 @@ def test_parse_error_positions_are_token_boundaries():
         with pytest.raises(QuerySyntaxError) as err:
             parse_query(text)
         assert 0 <= err.value.position <= len(text)
+
+
+@pytest.mark.parametrize("text, char", [
+    ("SELECT a FROM t WHERE a = ²", "²"),
+    ("SELECT a FROM t WHERE a = 1²", "²"),
+    ("SELECT a FROM t WHERE a = ٣", "٣"),
+    ("SELECT é FROM t", "é"),
+    ("ſELECT a FROM t ORDER BY a DESC", "ſ"),
+])
+def test_non_ascii_outside_a_string_is_a_syntax_error(text, char):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert err.value.position == text.index(char)
+    assert err.value.expected == ("a token",)
+    assert err.value.found == repr(char)
+
+
+@pytest.mark.parametrize("literal, char", [("'é'", "é"), ("'a\x01b'", "\x01")])
+def test_string_literal_must_be_printable_ascii(literal, char):
+    text = f"SELECT a FROM t WHERE s = {literal}"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert err.value.position == text.index(char)
+    assert err.value.expected == ("printable ASCII character",)
+    assert err.value.found == repr(char)
+
+
+def test_unterminated_string_fails_at_its_quote():
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("SELECT a FROM t WHERE s = 'ab")
+    assert err.value.position == len("SELECT a FROM t WHERE s = ")
+    assert err.value.expected == ("closing quote",)
+    assert err.value.found == "end of input"
+
+
+_KEYWORD_TEXT = st.sampled_from(sorted(KEYWORDS)).flatmap(
+    lambda word: st.tuples(*(st.sampled_from((c.lower(), c)) for c in word))
+).map("".join)
+_TOKENS = st.one_of(
+    st.tuples(st.just("kw"), _KEYWORD_TEXT),
+    st.tuples(st.just("ident"), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+              .filter(lambda word: word.upper() not in KEYWORDS)),
+    st.tuples(st.just("int"), st.from_regex(r"[0-9]+", fullmatch=True)),
+    st.tuples(st.just("string"), st.from_regex(r"[ -&(-~]*", fullmatch=True)),
+    st.tuples(st.just("sym"), st.sampled_from(_SYMBOLS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TOKENS, st.from_regex(r"[ \t\r\n]+", fullmatch=True)),
+                max_size=12),
+       st.from_regex(r"[ \t\r\n]*", fullmatch=True))
+def test_tokenize_round_trip(tokens, lead):
+    """Valid tokens joined by whitespace come back as the same (kind, text)
+    sequence, each at its first character."""
+    text, expected = lead, []
+    for (kind, word), gap in tokens:
+        expected.append((kind, word.upper() if kind == "kw" else word, len(text)))
+        text += (f"'{word}'" if kind == "string" else word) + gap
+    got = tokenize(text)
+    assert [(t.kind, t.text, t.pos) for t in got[:-1]] == expected
+    assert (got[-1].kind, got[-1].pos) == ("eof", len(text))
 
 
 def test_keywords_case_insensitive():
