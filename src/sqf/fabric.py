@@ -14,26 +14,10 @@ concurrently once configured.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
-from .errors import InsufficientSlots, InvalidField, LibraryParseError, NotAllocated
-from .library import ModuleInstance, json_float, json_int
-
-_PROFILE_FIELDS = (
-    "regions",
-    "slots_per_region",
-    "icap_bytes_per_s",
-    "mem_bytes_per_s",
-    "clock_hz",
-    "p_static_w",
-    "p_slot_active_w",
-    "p_reconfig_w",
-    "host_tuples_per_s",
-    "cache_line_bytes",
-)
-_INT_FIELDS = ("regions", "slots_per_region", "cache_line_bytes")
+from .errors import InsufficientSlots, InvalidField, NotAllocated
+from .library import ModuleInstance, json_float, json_int, read_json, record
 
 
 @dataclass(frozen=True)
@@ -50,8 +34,9 @@ class DeviceProfile:
     cache_line_bytes: int = 64
 
     def __post_init__(self):
-        if self.regions < 1 or self.slots_per_region < 1:
-            raise InvalidField("regions", "regions and slots_per_region must be positive")
+        for name in ("regions", "slots_per_region"):
+            if getattr(self, name) < 1:
+                raise InvalidField(name, "must be positive")
         for name in ("icap_bytes_per_s", "mem_bytes_per_s", "clock_hz", "host_tuples_per_s"):
             if getattr(self, name) <= 0:
                 raise InvalidField(name, "must be positive")
@@ -63,28 +48,16 @@ class DeviceProfile:
             raise InvalidField("cache_line_bytes", "must be a positive power of two")
 
 
+# the annotations are strings under `from __future__ import annotations`
+_PROFILE_CHECKS = {f.name: json_int if f.type == "int" else json_float
+                   for f in fields(DeviceProfile)}
+
+
 def load_device_profile(path) -> DeviceProfile:
     """Load a profile from JSON with exactly the DeviceProfile fields
     (plus an optional documentation-only `comment`)."""
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such device profile: {p}")
-    try:
-        rec = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LibraryParseError(f"{p}: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise LibraryParseError(f"{p}: top level must be an object")
-    for key in rec:
-        if key not in _PROFILE_FIELDS and key != "comment":
-            raise InvalidField(key, "unknown field")
-    for key in _PROFILE_FIELDS:
-        if key not in rec:
-            raise InvalidField(key, "missing field")
-    return DeviceProfile(**{
-        key: json_int(rec, key) if key in _INT_FIELDS else json_float(rec, key)
-        for key in _PROFILE_FIELDS
-    })
+    doc = read_json(path, "device profile", dict)
+    return DeviceProfile(**record(doc, "device profile", _PROFILE_CHECKS))
 
 
 @dataclass(frozen=True)

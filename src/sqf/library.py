@@ -12,6 +12,10 @@ Instances scale in slots with a kind-specific unit quantity:
 
 so `slots = base_slots + slots_per_unit * units` and
 `bitstream_bytes = slots * bitstream_bytes_per_slot`.
+
+`read_json` and `record` read every JSON configuration file: this catalog,
+the device profiles and the suite manifest. Each is UTF-8 JSON whose
+objects hold exactly their documented fields plus an optional `comment`.
 """
 
 from __future__ import annotations
@@ -52,16 +56,6 @@ class ModuleKind(enum.Enum):
 
 
 OPTIONAL_KINDS = frozenset({ModuleKind.BLOOM_CASCADE, ModuleKind.ALIGN})
-
-_SPEC_FIELDS = (
-    "kind",
-    "base_slots",
-    "slots_per_unit",
-    "bitstream_bytes_per_slot",
-    "tuples_per_cycle",
-    "max_clock_hz",
-)
-
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -145,46 +139,60 @@ def json_float(rec: dict, name: str) -> float:
     raise InvalidField(name, "must be a finite number")
 
 
-def load_library(path) -> ModuleLibrary:
-    """Load the module catalog from a JSON array of spec records.
-
-    Records carry exactly the ModuleSpec field names plus an optional
-    `comment` string (documentation only); anything else is rejected.
-    """
+def read_json(path, what: str, top: type):
+    """The JSON document in the UTF-8 file `path`, whose top level must be a
+    `top` (`dict` or `list`); `what` names the file in a missing-file error."""
     p = Path(path)
     if not p.is_file():
-        raise FileNotFoundError(f"no such library file: {p}")
+        raise FileNotFoundError(f"no such {what}: {p}")
     try:
-        records = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LibraryParseError(f"{p}: {exc}") from exc
-    if not isinstance(records, list):
-        raise LibraryParseError(f"{p}: top level must be an array of spec records")
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    # ValueError covers undecodable bytes, malformed JSON and integers past
+    # the digit limit; RecursionError, arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise LibraryParseError(f"{p}: {exc}") from None
+    if not isinstance(doc, top):
+        raise LibraryParseError(
+            f"{p}: top level must be {'an object' if top is dict else 'an array'}")
+    return doc
 
+
+def record(value, what: str, checks: dict, optional=()) -> dict:
+    """`value` as a JSON object holding exactly the keys of `checks` (those in
+    `optional` may be absent) plus an optional documentation-only `comment`;
+    each present field becomes `check(value, key)`."""
+    if not isinstance(value, dict):
+        raise LibraryParseError(f"{what} must be an object")
+    for key in value:
+        if key not in checks and key != "comment":
+            raise InvalidField(key, "unknown field")
+    for key in checks:
+        if key not in value and key not in optional:
+            raise InvalidField(key, "missing field")
+    return {key: check(value, key) for key, check in checks.items() if key in value}
+
+
+def _kind(rec: dict, name: str) -> ModuleKind:
+    try:
+        return ModuleKind(rec[name])
+    except ValueError:
+        raise InvalidField(name, f"unknown module kind `{rec[name]}`") from None
+
+
+_SPEC_CHECKS = {"kind": _kind, "base_slots": json_int, "slots_per_unit": json_int,
+                "bitstream_bytes_per_slot": json_int, "tuples_per_cycle": json_float,
+                "max_clock_hz": json_float}
+
+
+def load_library(path) -> ModuleLibrary:
+    """Load the module catalog from a JSON array of spec records, each a
+    `record` of exactly the ModuleSpec fields."""
     specs: dict = {}
-    for rec in records:
-        if not isinstance(rec, dict):
-            raise LibraryParseError("spec record must be an object")
-        for key in rec:
-            if key not in _SPEC_FIELDS and key != "comment":
-                raise InvalidField(key, "unknown field")
-        for key in _SPEC_FIELDS:
-            if key not in rec:
-                raise InvalidField(key, "missing field")
-        try:
-            kind = ModuleKind(rec["kind"])
-        except ValueError:
-            raise InvalidField("kind", f"unknown module kind `{rec['kind']}`") from None
-        if kind in specs:
-            raise DuplicateKind(kind.value)
-        specs[kind] = ModuleSpec(
-            kind=kind,
-            base_slots=json_int(rec, "base_slots"),
-            slots_per_unit=json_int(rec, "slots_per_unit"),
-            bitstream_bytes_per_slot=json_int(rec, "bitstream_bytes_per_slot"),
-            tuples_per_cycle=json_float(rec, "tuples_per_cycle"),
-            max_clock_hz=json_float(rec, "max_clock_hz"),
-        )
+    for rec in read_json(path, "library file", list):
+        spec = ModuleSpec(**record(rec, "spec record", _SPEC_CHECKS))
+        if spec.kind in specs:
+            raise DuplicateKind(spec.kind.value)
+        specs[spec.kind] = spec
 
     for kind in ModuleKind:
         if kind not in specs and kind not in OPTIONAL_KINDS:

@@ -4,32 +4,21 @@ The repository ships the suite's queries and a manifest that pins the table
 generator (seed, row counts, column distributions) plus the released
 overhead bound. Table CSVs are materialized on demand from the manifest, so
 `bench` output stays byte-deterministic without committing megabytes of
-data.
+data. Every object of the manifest holds exactly its documented fields
+(plus an optional `comment`); an unknown, missing or mistyped one is an error.
 
 Run `python -m sqf.suite <suite_dir>` to materialize the tables explicitly.
 """
 
 from __future__ import annotations
 
-import json
 import random
+import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import InvalidField, SqfError
-from .library import json_float, json_int
-
-
-_GEN_FIELDS = {"serial": (), "randint": ("lo", "hi"), "choice": ("values",)}
-
-
-def _object(value, what: str, keys=()) -> dict:
-    """`value` as a JSON object holding every one of `keys`."""
-    if not isinstance(value, dict):
-        raise SqfError(f"{what} must be an object")
-    for key in keys:
-        if key not in value:
-            raise SqfError(f"{what} is missing `{key}`")
-    return value
+from .library import json_float, json_int, read_json, record
 
 
 def _text(rec: dict, name: str, csv: bool = False) -> str:
@@ -40,52 +29,65 @@ def _text(rec: dict, name: str, csv: bool = False) -> str:
     return value
 
 
+def _typed(kind: type, what: str):
+    """The check of a field holding a JSON value of type `kind`."""
+    def check(rec: dict, name: str):
+        if not isinstance(rec[name], kind):
+            raise InvalidField(name, f"must be {what}")
+        return rec[name]
+    return check
+
+
+def _queries(rec: dict, name: str) -> list:
+    value = rec[name]
+    if not isinstance(value, list) or not all(isinstance(q, str) for q in value):
+        raise InvalidField(name, "must be a list of file names")
+    return value
+
+
+def _choices(rec: dict, name: str) -> list:
+    value = rec[name]
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, str) and v.isascii() for v in value)):
+        raise InvalidField(name, "must be a non-empty list of ASCII strings")
+    return value
+
+
+_MANIFEST_CHECKS = {"seed": json_int, "max_overhead_fraction": json_float,
+                    "tables_dir": _text, "library": _text, "device": _text,
+                    "baseline_device": _text, "queries": _queries,
+                    "tables": _typed(dict, "an object")}
+_TABLE_CHECKS = {"rows": json_int, "columns": _typed(list, "a list")}
+_COLUMN_CHECKS = {"name": partial(_text, csv=True), "type": partial(_text, csv=True),
+                  "gen": _typed(dict, "an object")}
+_GEN_CHECKS = {  # by the generator's `kind`; `start` is optional
+    "serial": {"kind": _text, "start": json_int},
+    "randint": {"kind": _text, "lo": json_int, "hi": json_int},
+    "choice": {"kind": _text, "values": _choices},
+}
+
+
 def load_manifest(suite_dir) -> dict:
-    """The suite's manifest, with every field checked for the type that
-    `materialize` and `sqf bench` read it as."""
-    path = Path(suite_dir) / "manifest.json"
-    if not path.is_file():
-        raise FileNotFoundError(f"no suite manifest: {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeError) as exc:
-        raise SqfError(f"{path}: {exc}") from None
-    _object(manifest, "suite manifest",
-            ("seed", "max_overhead_fraction", "tables_dir", "queries", "tables",
-             "library", "device", "baseline_device"))
-    json_int(manifest, "seed")
-    json_float(manifest, "max_overhead_fraction")
-    for key in ("tables_dir", "library", "device", "baseline_device"):
-        _text(manifest, key)
-    queries = manifest["queries"]
-    if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-        raise InvalidField("queries", "must be a list of file names")
-    for name, spec in _object(manifest["tables"], "suite manifest `tables`").items():
+    """The suite's manifest: at every level a `record` of exactly the
+    documented fields, each checked for the type that `materialize` and
+    `sqf bench` read it as."""
+    manifest = read_json(Path(suite_dir) / "manifest.json", "suite manifest", dict)
+    record(manifest, "suite manifest", _MANIFEST_CHECKS)
+    for name, spec in manifest["tables"].items():
         table = f"suite table `{name}`"
-        _object(spec, table, ("rows", "columns"))
-        if json_int(spec, "rows") < 0:
+        if record(spec, table, _TABLE_CHECKS)["rows"] < 0:
             raise InvalidField("rows", "must be non-negative")
-        if not isinstance(spec["columns"], list):
-            raise InvalidField("columns", "must be a list")
         for col_no, col in enumerate(spec["columns"], start=1):
             column = f"{table} column {col_no}"
-            _object(col, column, ("name", "type", "gen"))
-            _text(col, "name", csv=True)
-            _text(col, "type", csv=True)
-            gen = _object(col["gen"], f"{column} gen", ("kind",))
+            gen = record(col, column, _COLUMN_CHECKS)["gen"]
+            if "kind" not in gen:
+                raise InvalidField("kind", "missing field")
             kind = _text(gen, "kind")
-            if kind not in _GEN_FIELDS:
+            if kind not in _GEN_CHECKS:
                 raise SqfError(f"unknown generator kind `{kind}`")
-            _object(gen, f"{column} gen", _GEN_FIELDS[kind])
-            if kind == "serial" and "start" in gen:
-                json_int(gen, "start")
-            if kind == "randint" and json_int(gen, "lo") > json_int(gen, "hi"):
+            record(gen, f"{column} gen", _GEN_CHECKS[kind], optional=("start",))
+            if kind == "randint" and gen["lo"] > gen["hi"]:
                 raise InvalidField("hi", "must not be below `lo`")
-            if kind == "choice" and not (
-                isinstance(gen["values"], list) and gen["values"]
-                and all(isinstance(v, str) and v.isascii() for v in gen["values"])
-            ):
-                raise InvalidField("values", "must be a non-empty list of ASCII strings")
     return manifest
 
 
@@ -142,7 +144,11 @@ def main(argv=None) -> int:
     parser.add_argument("suite_dir")
     parser.add_argument("--force", action="store_true")
     args = parser.parse_args(argv)
-    written = materialize(args.suite_dir, force=args.force)
+    try:
+        written = materialize(args.suite_dir, force=args.force)
+    except (SqfError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(path)
     return 0

@@ -491,3 +491,42 @@ def test_bad_manifest_is_an_error(tmp_path, capsys, path, value):
     assert "Traceback" not in err
     assert err.startswith("error: ")
 
+
+_PROFILES = {"library": "library.default.json", "device": "device.default.json",
+             "baseline_device": "device.baseline.json"}
+_FLOAT_FIELD = {"library": "tuples_per_cycle", "device": "clock_hz",
+                "baseline_device": "clock_hz", "manifest": "max_overhead_fraction"}
+_BAD_JSON = {  # case: (the field it is written into, the JSON text written there)
+    "xff": ("comment", b'"\xff"'),
+    "nested-100000": ("comment", b"[" * 100_000 + b"]" * 100_000),
+    "digits-5000": ("float", b"9" * 5000),
+    "unknown-gen-key": ("strat", b"1"),  # in a `serial` gen, a misspelled `start`
+}
+
+
+@pytest.mark.parametrize("target, case", [
+    (target, case) for case in _BAD_JSON for target in _FLOAT_FIELD
+    if case != "unknown-gen-key" or target == "manifest"])
+def test_bad_config_file_is_an_error(tmp_path, capsys, target, case):
+    """Undecodable bytes, nesting past the recursion limit, a number past the
+    integer-digit limit and an unknown key: `error: …` and exit 1, never a
+    traceback, for the library, both profiles and the suite manifest."""
+    suite = _mini_suite(tmp_path)
+    docs = {name: json.loads((REPO / file).read_text()) for name, file in _PROFILES.items()}
+    docs["manifest"] = json.loads((suite / "manifest.json").read_text())
+    paths = {name: tmp_path / f"{name}.json" for name in _PROFILES}
+    docs["manifest"].update({name: str(path) for name, path in paths.items()})
+    paths["manifest"] = suite / "manifest.json"
+
+    field, text = _BAD_JSON[case]
+    doc = docs[target][0] if target == "library" else docs[target]
+    if field == "strat":
+        doc = doc["tables"]["dims"]["columns"][0]["gen"]
+    doc[_FLOAT_FIELD[target] if field == "float" else field] = "@@"
+    for name, doc in docs.items():
+        paths[name].write_bytes(json.dumps(doc).encode().replace(b'"@@"', text))
+    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")

@@ -1,5 +1,6 @@
 """CLI fuzz: mutated table CSVs, profile JSON and query text end in exit 0,
-1 or 2, and generated valid cases and mutated suite manifests in exit 0 or 1.
+1 or 2, and generated valid cases, mutated suite manifests and byte-edited
+configuration files in exit 0 or 1.
 
 `sqf run --oracle` must answer any input with a result (0), an `error: …`
 line (1) or an oracle mismatch (2); an exception escaping `main` would reach
@@ -30,6 +31,8 @@ QUERY_BYTES = [b"(", b")", b"'", b'"', b"\xff", b" NOT ", b"12345678901234567890
                b"/0", b";", "²".encode(), "٣".encode(), "ſ".encode()]
 # small values only: `regions` and `slots_per_region` size the fabric
 JSON_VALUES = [0, -1, 1, 7, 0.5, 1e-300, 1e300, float("nan"), "x", None, True, []]
+# no digits: an edit must not turn `regions` or `slots_per_region` into a huge count
+JSON_BYTES = [b"\xff", b"[", b"]", b"{", b"}", b'"', b"\x00", b",", b":"]
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -172,6 +175,20 @@ def _fields(doc, path=()):
         yield from _fields(value, path + (key,))
 
 
+def _bench(suite, files, capsys) -> None:
+    """`sqf bench` on a new suite directory holding the queries and `files`
+    (name: bytes) answers with a report (0) or an `error: …` line (1)."""
+    suite.mkdir()
+    for name, text in QUERIES.items():
+        (suite / name).write_text(text + "\n")
+    for name, data in files.items():
+        (suite / name).write_bytes(data)
+    rc = main(["bench", "--suite", str(suite), "--out", str(suite / "bench.json")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1), err
+    assert "Traceback" not in err
+
+
 def test_fuzz_manifest_json(tmp_path, capsys):
     """`sqf bench` on a suite whose manifest has one field set to a JSON
     value of any type answers with a report (0) or an `error: …` line (1)."""
@@ -181,19 +198,31 @@ def test_fuzz_manifest_json(tmp_path, capsys):
     @FUZZ
     @given(st.sampled_from(fields), st.sampled_from(JSON_VALUES))
     def check(field, value):
-        suite = tmp_path / f"suite{next(examples)}"
-        suite.mkdir()
-        for name, text in QUERIES.items():
-            (suite / name).write_text(text + "\n")
         manifest = json.loads(json.dumps(MANIFEST))
         target = manifest
         for key in field[:-1]:
             target = target[key]
         target[field[-1]] = value
-        (suite / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(["bench", "--suite", str(suite), "--out", str(suite / "bench.json")])
-        err = capsys.readouterr().err
-        assert rc in (0, 1), err
-        assert "Traceback" not in err
+        _bench(tmp_path / f"suite{next(examples)}",
+               {"manifest.json": json.dumps(manifest).encode()}, capsys)
+
+    check()
+
+
+def test_fuzz_config_bytes(tmp_path, capsys):
+    """Byte edits of the library, the device profile or the suite manifest,
+    read by one JSON reader, end in a report (0) or an `error: …` line (1)."""
+    manifest = dict(MANIFEST, library="library.json", device="device.json")
+    files = {"library.json": (REPO / "library.default.json").read_bytes(),
+             "device.json": (REPO / "device.default.json").read_bytes(),
+             "manifest.json": json.dumps(manifest, indent=1).encode()}
+    examples = iter(range(10**6))
+
+    @FUZZ
+    @given(st.sampled_from(sorted(files)), st.data())
+    def check(name, data):
+        edits = data.draw(_edits(files[name], JSON_BYTES))
+        _bench(tmp_path / f"suite{next(examples)}",
+               dict(files, **{name: _mutate(files[name], edits)}), capsys)
 
     check()

@@ -42,6 +42,13 @@ def test_profile_rejects_unknown_field(tmp_path):
         load_device_profile(path)
 
 
+@pytest.mark.parametrize("field", ["regions", "slots_per_region"])
+def test_profile_names_the_field_below_one(field):
+    with pytest.raises(InvalidField) as err:
+        DeviceProfile(**{field: 0})
+    assert err.value.name == field
+
+
 def test_allocate_first_fit():
     dev = DeviceProfile(regions=1, slots_per_region=8)
     fabric = FabricState(dev)
