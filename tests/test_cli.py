@@ -530,3 +530,40 @@ def test_bad_config_file_is_an_error(tmp_path, capsys, target, case):
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+GOLDEN = REPO / "tests" / "golden" / "suite_seed7.json"
+
+
+def golden_reports(suite_dir, work) -> dict:
+    """The `sqf run --seed 7 --oracle` report of every suite query and the
+    `sqf bench --seed 7` report, without the fields that hold wall-clock
+    times or paths."""
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    runs = {}
+    for name in manifest["queries"]:
+        out = work / f"{name}.json"
+        assert main(["run", "--query", str(suite_dir / name),
+                     "--tables", str(suite_dir / manifest["tables_dir"]),
+                     "--library", LIB, "--device", DEV, "--out", str(out),
+                     "--seed", "7", "--oracle"]) == 0
+        report = json.loads(out.read_text())
+        del report["meta"]
+        for table in report["tables"].values():
+            del table["path"]
+        runs[name] = report
+    out = work / "bench.json"
+    assert main(["bench", "--suite", str(suite_dir), "--out", str(out), "--seed", "7"]) == 0
+    bench = json.loads(out.read_text())
+    del bench["meta"], bench["suite"]
+    for row in bench["rows"]:
+        row.pop("measured_wall_seconds", None)
+    return {"run": runs, "bench": bench}
+
+
+def test_suite_reports_match_golden(suite_dir, tmp_path):
+    """Estimates, placements, reconfigurations and results on the shipped
+    suite change only on purpose: such a change regenerates the golden file
+    from `golden_reports` and says so."""
+    text = json.dumps(golden_reports(suite_dir, tmp_path), indent=2) + "\n"
+    assert text == GOLDEN.read_text(encoding="utf-8")
