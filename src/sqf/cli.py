@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -173,24 +173,7 @@ def _candidate_dict(cand, est) -> dict:
             for m in cand.modules
         ],
         "slots": sum(m.slots for m in cand.modules),
-        "estimate": {
-            "stream_seconds": est.stream_seconds,
-            "blocking_seconds": est.blocking_seconds,
-            "reconfig_seconds": est.reconfig_seconds,
-            "host_seconds": est.host_seconds,
-            "total_seconds": est.total_seconds,
-            "energy_joules": est.energy_joules,
-            "stages": [
-                {
-                    "name": s.name,
-                    "input_tuples": s.input_tuples,
-                    "rate_tps": s.rate_tps,
-                    "selectivity": s.selectivity,
-                    "blocking_seconds": s.blocking_seconds,
-                }
-                for s in est.stages
-            ],
-        },
+        "estimate": asdict(est),
     }
 
 
@@ -238,12 +221,7 @@ def cmd_run(args) -> int:
                 for e in placement.entries
             ],
         },
-        "reconfig": {
-            "seconds": reconfig.seconds,
-            "bytes": reconfig.bytes,
-            "wait_seconds": reconfig.wait_seconds,
-            "skipped_entries": reconfig.skipped_entries,
-        },
+        "reconfig": asdict(reconfig),
         "execution": {
             "result_rows": exec_report.result_rows,
             "checksum": f"0x{result_checksum(result):016x}",

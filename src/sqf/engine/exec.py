@@ -266,7 +266,7 @@ class _Run:
         INT values, or CHAR bytes padded to the key width."""
         bp = self.bp
         keys = [side.columns[k].values[pos] for side, k, pos in
-                zip(self.sides, (bp.join_left_index, bp.join_right_index), self.positions)]
+                zip(self.sides, bp.join_keys, self.positions)]
         if bp.join_key_type.kind is TypeKind.CHAR:
             keys = [pad_bytes(k, bp.join_key_type.width_bytes) for k in keys]
         return keys
@@ -335,9 +335,8 @@ class _Run:
         """Alignment packs records into cache-line blocks; the host join
         reads the forwarded hashes and keys, so only the record size is
         checked."""
-        schemas = (self.bp.left_schema, self.bp.right_schema)
         for side in (self.build, 1 - self.build):
-            records_per_block(schemas[side], self.dev.cache_line_bytes, with_hash=True)
+            records_per_block(self.bp.schemas[side], self.dev.cache_line_bytes, with_hash=True)
         aligned = len(self.passed) + len(self.keys[self.build])
         return aligned, aligned
 

@@ -83,6 +83,8 @@ class Placement:
 
 @dataclass(frozen=True)
 class ReconfigReport:
+    """A report's `reconfig` section lists these fields in this order."""
+
     seconds: float
     bytes: int
     wait_seconds: float

@@ -34,7 +34,7 @@ class ValueRef:
     """A resolved value source: a table column or a computed attribute."""
 
     kind: str  # "column" | "computed"
-    slot: int  # 0 = left, 1 = right; -1 for computed
+    slot: int  # 0 = FROM table, 1 = JOIN table; -1 for computed
     index: int
     ctype: ColumnType
 
@@ -113,13 +113,14 @@ class OutputCol:
 
 @dataclass(frozen=True)
 class BoundPlan:
+    """A plan resolved against its tables. `tables`, `schemas` and `join_keys`
+    (each side's key column, empty without a join) are indexed by slot, as
+    `ValueRef.slot` is: slot 0 is the FROM table and slot 1 the JOIN table."""
+
     plan: QueryPlan
-    left_table: str
-    left_schema: Schema
-    right_table: str | None
-    right_schema: Schema | None
-    join_left_index: int | None
-    join_right_index: int | None
+    tables: tuple[str, ...]
+    schemas: tuple[Schema, ...]
+    join_keys: tuple[int, ...]
     join_key_type: ColumnType | None
     restriction: BExpr | None
     computed: tuple[BoundComputed, ...]
@@ -131,24 +132,20 @@ class BoundPlan:
 
     @property
     def has_join(self) -> bool:
-        return self.right_table is not None
+        return len(self.tables) == 2
 
     @property
     def grouped(self) -> bool:
         return bool(self.aggregates) or bool(self.group_by)
 
     def flat_index(self, ref: ValueRef) -> int:
-        """Index of a ValueRef in the flattened left+right+computed row."""
-        la = self.left_schema.arity
-        if ref.kind == "column":
-            return ref.index if ref.slot == 0 else la + ref.index
-        ra = self.right_schema.arity if self.right_schema else 0
-        return la + ra + ref.index
+        """Index of a ValueRef in the flattened row: the sides' columns in
+        slot order, then the computed attributes."""
+        before = ref.slot if ref.kind == "column" else len(self.schemas)
+        return sum(schema.arity for schema in self.schemas[:before]) + ref.index
 
     def table_names(self) -> tuple[str, ...]:
-        if self.right_table is not None:
-            return (self.left_table, self.right_table)
-        return (self.left_table,)
+        return self.tables
 
 
 def walk_bound(expr):
@@ -192,12 +189,9 @@ def needs_reorder(bp: "BoundPlan") -> bool:
         return [c.source for c in bp.output] != canonical
     if bp.computed:
         return True
-    natural = []
-    for slot, schema in ((0, bp.left_schema), (1, bp.right_schema)):
-        if schema is None:
-            continue
-        for idx, (_, ctype) in enumerate(schema.columns):
-            natural.append(FromValue(ValueRef("column", slot, idx, ctype)))
+    natural = [FromValue(ValueRef("column", slot, idx, ctype))
+               for slot, schema in enumerate(bp.schemas)
+               for idx, (_, ctype) in enumerate(schema.columns)]
     return [c.source for c in bp.output] != natural
 
 
@@ -205,15 +199,13 @@ class _Binder:
     def __init__(self, plan: QueryPlan, catalog: dict):
         self.plan = plan
         self.catalog = catalog
-        self.left_table = plan.source
-        self.left_schema = self._lookup_table(plan.source)
-        self.right_table = None
-        self.right_schema = None
+        self.tables = (plan.source,)
+        self.schemas = (self._lookup_table(plan.source),)
         if plan.join:
             if plan.join.table.lower() == plan.source.lower():
                 raise QueryTypeError("FROM", "self-joins are not supported")
-            self.right_table = plan.join.table
-            self.right_schema = self._lookup_table(plan.join.table)
+            self.tables += (plan.join.table,)
+            self.schemas += (self._lookup_table(plan.join.table),)
         self.computed: list[BoundComputed] = []
         self.computed_index: dict[str, int] = {}
 
@@ -228,16 +220,14 @@ class _Binder:
     # -- reference resolution ----------------------------------------------
 
     def resolve_column(self, ref: ColumnRef) -> ValueRef:
-        """Resolve against table columns only (restriction/computed/join keys)."""
+        """Resolve against table columns only (restriction/computed/join keys).
+        A qualified reference searches its own table only."""
+        slots = range(len(self.tables))
         if ref.qualifier is not None:
-            slot, schema = self._slot_for_qualifier(ref.qualifier)
-            try:
-                idx = schema.index_of(ref.name)
-            except KeyError:
-                raise UnknownColumn(ref.render()) from None
-            return ValueRef("column", slot, idx, schema.columns[idx][1])
+            slots = (self._slot_for_qualifier(ref.qualifier),)
         hits = []
-        for slot, schema in self._slots():
+        for slot in slots:
+            schema = self.schemas[slot]
             try:
                 idx = schema.index_of(ref.name)
             except KeyError:
@@ -246,7 +236,7 @@ class _Binder:
         if len(hits) > 1:
             raise AmbiguousColumn(ref.name)
         if not hits:
-            raise UnknownColumn(ref.name)
+            raise UnknownColumn(ref.render())
         return hits[0]
 
     def resolve_value(self, ref: ColumnRef) -> ValueRef:
@@ -260,16 +250,10 @@ class _Binder:
             return ValueRef("computed", -1, k, self.computed[k].ctype)
         raise UnknownColumn(ref.render())
 
-    def _slots(self):
-        yield 0, self.left_schema
-        if self.right_schema is not None:
-            yield 1, self.right_schema
-
-    def _slot_for_qualifier(self, qualifier: str):
-        if qualifier.lower() == self.left_table.lower():
-            return 0, self.left_schema
-        if self.right_table is not None and qualifier.lower() == self.right_table.lower():
-            return 1, self.right_schema
+    def _slot_for_qualifier(self, qualifier: str) -> int:
+        for slot, table in enumerate(self.tables):
+            if qualifier.lower() == table.lower():
+                return slot
         raise UnknownTable(qualifier)
 
     # -- expression typing ---------------------------------------------------
@@ -331,11 +315,10 @@ class _Binder:
 
     def bind(self) -> BoundPlan:
         plan = self.plan
-        join_l = join_r = None
-        join_type = None
+        join_keys, join_type = (), None
         if plan.join:
-            join_l, join_r, join_type = self._bind_join_keys(plan.join.left_key,
-                                                             plan.join.right_key)
+            join_keys, join_type = self._bind_join_keys(plan.join.left_key,
+                                                        plan.join.right_key)
         restriction = None
         if plan.restriction is not None:
             restriction = self.bind_bool_expr(plan.restriction)
@@ -353,12 +336,9 @@ class _Binder:
         schema = Schema(tuple((c.name, c.ctype) for c in output))
         return BoundPlan(
             plan=plan,
-            left_table=self.left_table,
-            left_schema=self.left_schema,
-            right_table=self.right_table,
-            right_schema=self.right_schema,
-            join_left_index=join_l,
-            join_right_index=join_r,
+            tables=self.tables,
+            schemas=self.schemas,
+            join_keys=join_keys,
             join_key_type=join_type,
             restriction=restriction,
             computed=tuple(self.computed),
@@ -387,11 +367,11 @@ class _Binder:
             key_type = ColumnType.char(max(a.ctype.width_bytes, b.ctype.width_bytes))
         else:
             key_type = ColumnType.int64()
-        return a.index, b.index, key_type
+        return (a.index, b.index), key_type
 
     def _check_computed_name(self, name: str):
         low = name.lower()
-        for _, schema in self._slots():
+        for schema in self.schemas:
             if any(col.lower() == low for col in schema.names):
                 raise QueryTypeError(name, "computed name collides with a column")
         if low in self.computed_index:
@@ -445,11 +425,10 @@ class _Binder:
 
         for item in plan.projection:
             if isinstance(item, Star):
-                for slot, schema in self._slots():
-                    qualifier = self.left_table if slot == 0 else self.right_table
+                for slot, (table, schema) in enumerate(zip(self.tables, self.schemas)):
                     for idx, (name, ctype) in enumerate(schema.columns):
                         add(name, FromValue(ValueRef("column", slot, idx, ctype)),
-                            ctype, qualifier)
+                            ctype, table)
             elif isinstance(item, AggItem):  # pragma: no cover - shaped away above
                 raise AssertionError("aggregate outside grouping")
             else:

@@ -85,11 +85,11 @@ def _eval_at(expr, row, ordinal, bp):
 
 def reference_execute(bp: BoundPlan, tables: dict) -> Table:
     """Evaluate the plan the slow, obvious way."""
-    left = tables[bp.left_table]
+    left = tables[bp.tables[0]]
     if bp.has_join:
-        right = tables[bp.right_table]
+        right = tables[bp.tables[1]]
         key_type = bp.join_key_type
-        li, ri = bp.join_left_index, bp.join_right_index
+        li, ri = bp.join_keys
         rows = []
         for lrow in left.rows:
             lkey = canon_cell(lrow[li], key_type)

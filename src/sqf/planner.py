@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .engine.bloom import analytic_fp_rate, bloom_dims
 from .errors import MissingStats, NoCandidates
@@ -97,6 +98,9 @@ class StageEstimate:
 
 @dataclass(frozen=True)
 class CostEstimate:
+    """A candidate's estimate; a report's `estimate` section lists these
+    fields, and each StageEstimate's, in this order."""
+
     stream_seconds: float
     blocking_seconds: float
     reconfig_seconds: float
@@ -122,9 +126,9 @@ def count_arith_nodes(bp: BoundPlan) -> int:
                for comp in bp.computed)
 
 
-def touched_columns(bp: BoundPlan) -> dict:
+def touched_columns(bp: BoundPlan) -> list[set]:
     """Per-slot set of referenced column indices (join keys included)."""
-    touched = {0: set(), 1: set()}
+    touched = [set() for _ in bp.tables]
 
     def take(expr):
         for node in walk_bound(expr):
@@ -144,34 +148,23 @@ def touched_columns(bp: BoundPlan) -> dict:
     for col in bp.output:
         if isinstance(col.source, FromValue) and col.source.ref.kind == "column":
             touched[col.source.ref.slot].add(col.source.ref.index)
-    if bp.has_join:
-        touched[0].add(bp.join_left_index)
-        touched[1].add(bp.join_right_index)
+    for slot, index in enumerate(bp.join_keys):
+        touched[slot].add(index)
     return touched
 
 
-def _effective_tuple_bytes(bp: BoundPlan, layout: str) -> tuple[int, int]:
-    """Source-stage bytes per tuple for (left, right); column layout streams
-    only the touched columns."""
-    left_tb = bp.left_schema.tuple_bytes
-    right_tb = bp.right_schema.tuple_bytes if bp.right_schema else 0
-    if layout == "column":
-        touched = touched_columns(bp)
-        left_tb = max(
-            1, sum(bp.left_schema.columns[i][1].width_bytes for i in touched[0])
-        )
-        if bp.right_schema is not None:
-            right_tb = max(
-                1, sum(bp.right_schema.columns[i][1].width_bytes for i in touched[1])
-            )
-    return left_tb, right_tb
+def _effective_tuple_bytes(bp: BoundPlan, layout: str) -> list[int]:
+    """Source-stage bytes per tuple of each side; column layout streams only
+    the touched columns."""
+    if layout != "column":
+        return [schema.tuple_bytes for schema in bp.schemas]
+    return [max(1, sum(schema.columns[i][1].width_bytes for i in touched))
+            for schema, touched in zip(bp.schemas, touched_columns(bp))]
 
 
 def _column_layout_eligible(bp: BoundPlan) -> bool:
-    touched = touched_columns(bp)
-    total_cols = bp.left_schema.arity + (bp.right_schema.arity if bp.right_schema else 0)
-    used = len(touched[0]) + len(touched[1])
-    return 2 * used <= total_cols
+    used = sum(map(len, touched_columns(bp)))
+    return 2 * used <= sum(schema.arity for schema in bp.schemas)
 
 
 # --------------------------------------------------------------------------
@@ -182,10 +175,8 @@ def _clamp(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _column_stat(ref: ValueRef, bp: BoundPlan, stats: dict):
-    table = bp.left_table if ref.slot == 0 else bp.right_table
-    name = (bp.left_schema if ref.slot == 0 else bp.right_schema).columns[ref.index][0]
-    return stats[table].column(name)
+def _column_stat(slot: int, index: int, bp: BoundPlan, stats: dict):
+    return stats[bp.tables[slot]].column(bp.schemas[slot].columns[index][0])
 
 
 def _cmp_selectivity(cmp: BCmp, bp: BoundPlan, stats: dict) -> float:
@@ -194,7 +185,7 @@ def _cmp_selectivity(cmp: BCmp, bp: BoundPlan, stats: dict) -> float:
         lhs, rhs = rhs, lhs
         op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
     if isinstance(lhs, ValueRef) and lhs.kind == "column" and isinstance(rhs, (BInt, BStr)):
-        stat = _column_stat(lhs, bp, stats)
+        stat = _column_stat(lhs.slot, lhs.index, bp, stats)
         d = stat.distinct_count
         if op == "=":
             return _clamp(1.0 / d) if d > 0 else 1.0
@@ -215,8 +206,8 @@ def _cmp_selectivity(cmp: BCmp, bp: BoundPlan, stats: dict) -> float:
         and isinstance(lhs, ValueRef) and lhs.kind == "column"
         and isinstance(rhs, ValueRef) and rhs.kind == "column"
     ):
-        d1 = _column_stat(lhs, bp, stats).distinct_count
-        d2 = _column_stat(rhs, bp, stats).distinct_count
+        d1 = _column_stat(lhs.slot, lhs.index, bp, stats).distinct_count
+        d2 = _column_stat(rhs.slot, rhs.index, bp, stats).distinct_count
         d = max(d1, d2)
         return _clamp(1.0 / d) if d > 0 else 1.0
     return DEFAULT_CMP_SELECTIVITY
@@ -263,7 +254,7 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
     product = 1.0
     for ref in bp.group_by:
         if ref.kind == "column":
-            d = _column_stat(ref, bp, stats).distinct_count
+            d = _column_stat(ref.slot, ref.index, bp, stats).distinct_count
             product *= max(1, d)
         else:
             product *= max(1.0, n_in)
@@ -344,10 +335,7 @@ def _codesign_feasible(bp: BoundPlan, dev: DeviceProfile) -> bool:
     if not bp.has_join:
         return False
     block = dev.cache_line_bytes  # block multiplier is fixed at 1
-    return (
-        bp.left_schema.tuple_bytes + 8 <= block
-        and bp.right_schema.tuple_bytes + 8 <= block
-    )
+    return all(schema.tuple_bytes + 8 <= block for schema in bp.schemas)
 
 
 def enumerate_pipelines(
@@ -386,10 +374,8 @@ def _require_stats(bp: BoundPlan, stats: dict):
 
 
 def _join_key_distinct(bp: BoundPlan, stats: dict) -> int:
-    left_col = bp.left_schema.columns[bp.join_left_index][0]
-    right_col = bp.right_schema.columns[bp.join_right_index][0]
-    d_l = stats[bp.left_table].column(left_col).distinct_count
-    d_r = stats[bp.right_table].column(right_col).distinct_count
+    d_l, d_r = [_column_stat(slot, index, bp, stats).distinct_count
+                for slot, index in enumerate(bp.join_keys)]
     return max(d_l, d_r, 1)
 
 
@@ -408,15 +394,15 @@ def estimate_time(
     energy is filled by estimate_energy."""
     bp = c.plan
     _require_stats(bp, stats)
-    n_l = float(stats[bp.left_table].row_count)
-    n_r = float(stats[bp.right_table].row_count) if bp.has_join else 0.0
+    # each join side's tuples on their way to the join
+    sides = [float(stats[table].row_count) for table in bp.tables]
     key_d = _join_key_distinct(bp, stats) if bp.has_join else 1
 
-    left_tb, right_tb = _effective_tuple_bytes(bp, c.layout)
-    source_bytes = n_l * left_tb + n_r * right_tb
+    tuple_bytes = _effective_tuple_bytes(bp, c.layout)
+    source_bytes = sum(map(mul, sides, tuple_bytes))
     source_seconds = source_bytes / dev.mem_bytes_per_s
-    source_tuples = n_l + n_r
-    r0 = dev.mem_bytes_per_s / max(left_tb, right_tb if bp.has_join else 0, 1)
+    source_tuples = sum(sides)
+    r0 = dev.mem_bytes_per_s / max(*tuple_bytes, 1)
 
     stages = [StageEstimate("source", source_tuples,
                             source_tuples / source_seconds if source_seconds > 0 else r0,
@@ -424,8 +410,7 @@ def estimate_time(
     stream_seconds = source_seconds
     blocking_total = host_seconds = 0.0
     upstream_rate = r0
-    flow = source_tuples if bp.has_join else n_l
-    sides = [n_l, n_r]  # each join side's tuples on their way to the join
+    flow = source_tuples
     joined = not bp.has_join
 
     for stage in c.stages[1:]:
@@ -437,7 +422,6 @@ def estimate_time(
             rate = min(upstream_rate, spec.tuples_per_cycle * min(dev.clock_hz, spec.max_clock_hz))
         n_in = n_out = flow  # default: read the previous stage's output, keep it all
         blocking = 0.0
-        nl_f, nr_f = sides
 
         if role == "restriction" and joined:
             n_out = flow * _selectivity(stage.predicates, bp, stats)
@@ -447,25 +431,25 @@ def estimate_time(
             n_out = sides[0] + sides[1]
         elif role in ("hash_join", "merge_join", "host_join"):
             joined = True
-            n_out = nl_f * nr_f / key_d * _selectivity(stage.predicates, bp, stats)
+            n_out = sides[0] * sides[1] / key_d * _selectivity(stage.predicates, bp, stats)
             if role == "hash_join":
-                n_in = max(nl_f, nr_f)
-                blocking = min(nl_f, nr_f) / rate if rate > 0 else 0.0
+                n_in = max(sides)
+                blocking = min(sides) / rate if rate > 0 else 0.0
             elif role == "merge_join":
-                n_in = nl_f + nr_f
+                n_in = sides[0] + sides[1]
         elif role in ("sort_left", "sort_right"):
             n_in = n_out = sides[role == "sort_right"]
             blocking = _sort_blocking(module, n_in, rate)
         elif role == "bloom_cascade":
-            n_build = min(nl_f, nr_f)
-            n_in = max(nl_f, nr_f)
-            join_key_out = nl_f * nr_f / key_d
+            n_build = min(sides)
+            n_in = max(sides)
+            join_key_out = sides[0] * sides[1] / key_d
             true_match = min(1.0, join_key_out / n_in) if n_in > 0 else 0.0
             m, k = bloom_dims(n_build)
             fp = analytic_fp_rate(m, k, n_build, module.param("stages", BLOOM_STAGES))
             n_out = n_in * _clamp(true_match + fp)
         elif role == "align":  # probe survivors plus the build side
-            n_in = n_out = flow + min(nl_f, nr_f)
+            n_in = n_out = flow + min(sides)
         elif role == "aggregate":
             n_out = _group_count(bp, stats, n_in)
         elif role == "sort":

@@ -13,6 +13,7 @@ Run `python -m sqf.suite <suite_dir>` to materialize the tables explicitly.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -60,6 +61,7 @@ _MANIFEST_CHECKS = {"seed": json_int, "max_overhead_fraction": json_float,
 _TABLE_CHECKS = {"rows": json_int, "columns": _typed(list, "a list")}
 _COLUMN_CHECKS = {"name": partial(_text, csv=True), "type": partial(_text, csv=True),
                   "gen": _typed(dict, "an object")}
+_TABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the table names a query can read
 _GEN_CHECKS = {  # by the generator's `kind`; `start` is optional
     "serial": {"kind": _text, "start": json_int},
     "randint": {"kind": _text, "lo": json_int, "hi": json_int},
@@ -70,10 +72,13 @@ _GEN_CHECKS = {  # by the generator's `kind`; `start` is optional
 def load_manifest(suite_dir) -> dict:
     """The suite's manifest: at every level a `record` of exactly the
     documented fields, each checked for the type that `materialize` and
-    `sqf bench` read it as."""
+    `sqf bench` read it as. A table's name is an identifier, so its CSV is
+    written inside `tables_dir`."""
     manifest = read_json(Path(suite_dir) / "manifest.json", "suite manifest", dict)
     record(manifest, "suite manifest", _MANIFEST_CHECKS)
     for name, spec in manifest["tables"].items():
+        if not _TABLE_NAME.fullmatch(name):
+            raise InvalidField("tables", f"table name {name!r} must be an identifier")
         table = f"suite table `{name}`"
         if record(spec, table, _TABLE_CHECKS)["rows"] < 0:
             raise InvalidField("rows", "must be non-negative")
@@ -112,7 +117,7 @@ def materialize(suite_dir, force: bool = False) -> list:
     tables_dir = suite_dir / manifest["tables_dir"]
     try:
         tables_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # `tables_dir` names a file, or is not writable
+    except (OSError, ValueError) as exc:  # a file, not writable, or a NUL byte
         raise SqfError(f"cannot create the suite's tables directory: {exc}") from None
     written = []
     for name, spec in manifest["tables"].items():

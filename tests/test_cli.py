@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import REPO
+from sqf import suite as suite_mod
 from sqf.cli import main
 
 LIB = str(REPO / "library.default.json")
@@ -461,6 +462,7 @@ def test_bench_unreadable_query_is_a_failed_row(tmp_path):
 
 
 _ITEMS_GEN = ("tables", "items", "columns", 0, "gen")
+_RENAME_ITEMS = "rename items"  # the value is the table's new name
 
 
 @pytest.mark.parametrize("path, value", [
@@ -473,6 +475,9 @@ _ITEMS_GEN = ("tables", "items", "columns", 0, "gen")
     pytest.param(_ITEMS_GEN, {"kind": "choice", "values": []}, id="empty-choice"),
     pytest.param(("max_overhead_fraction",), "x", id="max_overhead_fraction-x"),
     pytest.param(("tables_dir",), "q1.sql", id="tables_dir-a-file"),
+    pytest.param(("tables_dir",), "t\x00", id="tables_dir-nul"),
+    pytest.param(_RENAME_ITEMS, "i\x00", id="table-name-nul"),
+    pytest.param(_RENAME_ITEMS, "../x", id="table-name-parent-dir"),
 ])
 def test_bad_manifest_is_an_error(tmp_path, capsys, path, value):
     suite = _mini_suite(tmp_path)
@@ -480,16 +485,22 @@ def test_bad_manifest_is_an_error(tmp_path, capsys, path, value):
         (suite / "manifest.json").write_text("{not json")
     else:
         manifest = json.loads((suite / "manifest.json").read_text())
-        target = manifest
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        if path == _RENAME_ITEMS:
+            manifest["tables"][value] = manifest["tables"].pop("items")
+        else:
+            target = manifest
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
         (suite / "manifest.json").write_text(json.dumps(manifest))
-    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "Traceback" not in err
-    assert err.startswith("error: ")
+    for entry, argv in ((main, ["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")]),
+                        (suite_mod.main, [str(suite)])):  # `python -m sqf.suite`
+        rc = entry(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 _PROFILES = {"library": "library.default.json", "device": "device.default.json",

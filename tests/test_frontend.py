@@ -266,9 +266,8 @@ def test_bind_char_only_equality():
 
 def test_bind_join_keys_resolved():
     bp = bind(parse_query("SELECT t.a, u.e FROM t JOIN u ON t.a = u.c"), CATALOG)
-    assert bp.join_left_index == 0  # t.a
-    assert bp.join_right_index == 0  # u.c
-    assert bp.left_table == "t" and bp.right_table == "u"
+    assert bp.join_keys == (0, 0)  # (t.a, u.c)
+    assert bp.tables == ("t", "u")
 
 
 def test_bind_ambiguous_column():
