@@ -3,6 +3,8 @@ serialized configuration port.
 
 Regions are linear slot chains. A pipeline is placed contiguously, in stream
 order, inside a single region (first-fit over regions, then start offsets).
+The live placements are the only record of occupancy: a region's free slots
+are the gaps between their entries.
 Loading bitstreams goes through one configuration port, so concurrent
 requests queue; a load is free when the identical module content is already
 resident at the exact slot range.
@@ -67,10 +69,6 @@ class PlacementEntry:
     start: int
     stop: int  # exclusive
 
-    @property
-    def slot_range(self) -> tuple[int, int]:
-        return (self.start, self.stop)
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -92,35 +90,16 @@ class ReconfigReport:
 
 
 class FabricState:
-    """Allocation bitmaps plus the residency cache of loaded bitstreams."""
+    """Active placements plus the residency cache of loaded bitstreams."""
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
-        self.occupied = [[False] * profile.slots_per_region for _ in range(profile.regions)]
         # residency: (region, start, stop) -> module identity, kept across release
         self.resident: dict[tuple[int, int, int], tuple] = {}
         self.placements: dict[int, Placement] = {}
         self.icap_busy_until = 0.0
 
     # -- queries -----------------------------------------------------------
-
-    def free_run_at(self, region: int, start: int) -> int:
-        bitmap = self.occupied[region]
-        n = 0
-        for i in range(start, self.profile.slots_per_region):
-            if bitmap[i]:
-                break
-            n += 1
-        return n
-
-    def max_contiguous_free(self) -> int:
-        best = 0
-        for region in range(self.profile.regions):
-            run = 0
-            for occ in self.occupied[region]:
-                run = 0 if occ else run + 1
-                best = max(best, run)
-        return best
 
     def is_allocated(self, placement: Placement) -> bool:
         return id(placement) in self.placements
@@ -130,23 +109,32 @@ class FabricState:
         return self.resident.get(key) == entry.instance.identity()
 
     def check_invariants(self) -> None:
-        """Active ranges pairwise disjoint and bitmap in sync; test hook."""
+        """Active ranges inside the device and pairwise disjoint; test hook."""
         ranges = []
         for placement in self.placements.values():
             for e in placement.entries:
                 ranges.append((e.region, e.start, e.stop))
         ranges.sort()
+        regions, slots = self.profile.regions, self.profile.slots_per_region
+        for region, start, stop in ranges:
+            if not (0 <= region < regions and 0 <= start and stop <= slots):
+                raise AssertionError(f"slot range {start}..{stop} outside region {region}")
         for (r1, _, e1), (r2, s2, _) in zip(ranges, ranges[1:]):
             if r1 == r2 and s2 < e1:
                 raise AssertionError(f"overlapping slot ranges in region {r1}")
-        rebuilt = [
-            [False] * self.profile.slots_per_region for _ in range(self.profile.regions)
-        ]
-        for region, start, stop in ranges:
-            for i in range(start, stop):
-                rebuilt[region][i] = True
-        if rebuilt != self.occupied:
-            raise AssertionError("occupied bitmap out of sync with active placements")
+
+
+def _free_runs(fabric: FabricState, region: int):
+    """The (start, length) gaps between the region's live entries, ascending."""
+    taken = sorted((e.start, e.stop) for p in fabric.placements.values()
+                   for e in p.entries if e.region == region)
+    cursor = 0
+    for start, stop in taken:
+        if start > cursor:
+            yield cursor, start - cursor
+        cursor = stop
+    if cursor < fabric.profile.slots_per_region:
+        yield cursor, fabric.profile.slots_per_region - cursor
 
 
 def allocate(fabric: FabricState, modules) -> Placement:
@@ -159,30 +147,25 @@ def allocate(fabric: FabricState, modules) -> Placement:
     if not modules:
         raise ValueError("cannot place an empty pipeline")
     needed = sum(m.slots for m in modules)
-    profile = fabric.profile
-    for region in range(profile.regions):
-        for start in range(profile.slots_per_region - needed + 1):
-            if fabric.free_run_at(region, start) >= needed:
+    longest = 0
+    for region in range(fabric.profile.regions):
+        for cursor, length in _free_runs(fabric, region):
+            if length >= needed:
                 entries = []
-                cursor = start
                 for m in modules:
                     entries.append(PlacementEntry(m, region, cursor, cursor + m.slots))
                     cursor += m.slots
                 placement = Placement(tuple(entries))
-                for i in range(start, start + needed):
-                    fabric.occupied[region][i] = True
                 fabric.placements[id(placement)] = placement
                 return placement
-    raise InsufficientSlots(needed, fabric.max_contiguous_free())
+            longest = max(longest, length)
+    raise InsufficientSlots(needed, longest)
 
 
 def release(fabric: FabricState, placement: Placement) -> None:
     """Free the slots; residency survives until the range is overwritten."""
     if id(placement) not in fabric.placements:
         raise NotAllocated()
-    for e in placement.entries:
-        for i in range(e.start, e.stop):
-            fabric.occupied[e.region][i] = False
     del fabric.placements[id(placement)]
 
 
@@ -200,13 +183,12 @@ def reconfigure(
     loaded_bytes = 0
     skipped = 0
     for e in placement.entries:
-        key = (e.region, e.start, e.stop)
-        if fabric.resident.get(key) == e.instance.identity():
+        if fabric.is_resident(e):
             skipped += 1
             continue
         loaded_bytes += e.instance.bitstream_bytes
         _evict_overlaps(fabric, e)
-        fabric.resident[key] = e.instance.identity()
+        fabric.resident[(e.region, e.start, e.stop)] = e.instance.identity()
     seconds = loaded_bytes / fabric.profile.icap_bytes_per_s
     if request_time is None:
         request_time = fabric.icap_busy_until

@@ -115,7 +115,8 @@ class OutputCol:
 class BoundPlan:
     """A plan resolved against its tables. `tables`, `schemas` and `join_keys`
     (each side's key column, empty without a join) are indexed by slot, as
-    `ValueRef.slot` is: slot 0 is the FROM table and slot 1 the JOIN table."""
+    `ValueRef.slot` is: slot 0 is the FROM table and slot 1 the JOIN table.
+    `tables` names each table by its catalog key, whatever the query's case."""
 
     plan: QueryPlan
     tables: tuple[str, ...]
@@ -199,22 +200,26 @@ class _Binder:
     def __init__(self, plan: QueryPlan, catalog: dict):
         self.plan = plan
         self.catalog = catalog
-        self.tables = (plan.source,)
-        self.schemas = (self._lookup_table(plan.source),)
+        key, schema = self._lookup_table(plan.source)
+        self.tables = (key,)
+        self.schemas = (schema,)
         if plan.join:
             if plan.join.table.lower() == plan.source.lower():
                 raise QueryTypeError("FROM", "self-joins are not supported")
-            self.tables += (plan.join.table,)
-            self.schemas += (self._lookup_table(plan.join.table),)
+            key, schema = self._lookup_table(plan.join.table)
+            self.tables += (key,)
+            self.schemas += (schema,)
         self.computed: list[BoundComputed] = []
         self.computed_index: dict[str, int] = {}
 
-    def _lookup_table(self, name: str) -> Schema:
+    def _lookup_table(self, name: str) -> tuple[str, Schema]:
+        """The catalog's key for `name` (an exact match first, then any
+        case-insensitive one) and its schema."""
         if name in self.catalog:
-            return self.catalog[name]
+            return name, self.catalog[name]
         for key, schema in self.catalog.items():
             if key.lower() == name.lower():
-                return schema
+                return key, schema
         raise UnknownTable(name)
 
     # -- reference resolution ----------------------------------------------

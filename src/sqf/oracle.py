@@ -90,11 +90,12 @@ def reference_execute(bp: BoundPlan, tables: dict) -> Table:
         right = tables[bp.tables[1]]
         key_type = bp.join_key_type
         li, ri = bp.join_keys
+        keyed = [(canon_cell(rrow[ri], key_type), rrow) for rrow in right.rows]
         rows = []
         for lrow in left.rows:
             lkey = canon_cell(lrow[li], key_type)
-            for rrow in right.rows:
-                if lkey == canon_cell(rrow[ri], key_type):
+            for rkey, rrow in keyed:
+                if lkey == rkey:
                     rows.append(lrow + rrow)
     else:
         rows = list(left.rows)

@@ -543,6 +543,17 @@ def test_bad_config_file_is_an_error(tmp_path, capsys, target, case):
     assert err.startswith("error: ")
 
 
+def test_explain_report_matches_the_run_report(suite_dir, tmp_path):
+    common = ["--query", str(suite_dir / "q09.sql"), "--tables", str(suite_dir / "tables"),
+              "--library", LIB, "--device", DEV]
+    assert main(["explain", *common, "--out", str(tmp_path / "explain.json")]) == 0
+    assert main(["run", *common, "--out", str(tmp_path / "run.json"), "--seed", "7"]) == 0
+    explain = json.loads((tmp_path / "explain.json").read_text())
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert set(explain) == {"query", "chosen", "candidates"}
+    assert explain == {key: run[key] for key in explain}
+
+
 GOLDEN = REPO / "tests" / "golden" / "suite_seed7.json"
 
 

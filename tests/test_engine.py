@@ -26,10 +26,11 @@ from sqf.errors import (
     NotReconfigured,
     TupleTooLarge,
 )
-from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure
+from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure, release
 from sqf.hashing import fnv1a64, fnv1a64_u64, fnv1a64_u64_many
+from sqf.library import ModuleKind, instantiate
 from sqf.oracle import multisets_equal, reference_execute
-from sqf.planner import enumerate_pipelines
+from sqf.planner import enumerate_pipelines, estimate_selectivity
 from sqf.relcore import ColumnType, Schema, Table, table_stats
 
 
@@ -257,6 +258,65 @@ def test_not_reconfigured(default_library):
     reconfigure(fabric, placement)
     table, _ = execute_pipeline(cand, {"t": t}, fabric, placement, dev)
     assert table.row_count == 1
+
+
+def _foreign_placement(case, lib, dev, t, cand):
+    """A fabric and a placement that do not hold `cand`'s configured pipeline."""
+    fabric = FabricState(dev)
+    modules = cand.modules
+    if case == "more_modules":
+        bp = bind_sql("SELECT a FROM t WHERE a > 0 ORDER BY a", {"t": t})
+        modules = enumerate_pipelines(bp, lib, dev)[0].modules
+        assert len(modules) != len(cand.modules)
+    elif case == "other_content":
+        modules = [instantiate(lib, ModuleKind.RESTRICTION, {"terms": 5})]
+        assert len(modules) == len(cand.modules)
+    placement = allocate(fabric, modules)
+    if case != "not_reconfigured":
+        reconfigure(fabric, placement)
+    if case == "released":
+        release(fabric, placement)
+    return fabric, placement
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("released", "not allocated"),
+    ("more_modules", "does not match the pipeline's modules"),
+    ("other_content", "different module content"),
+    ("not_reconfigured", "does not hold this pipeline's modules"),
+])
+def test_engine_refuses_a_fabric_without_its_pipeline(default_library, case, detail):
+    t = make_table([("a", "INT")], [(1,)])
+    bp = bind_sql("SELECT a FROM t WHERE a > 0", {"t": t})
+    dev = _device()
+    cand = enumerate_pipelines(bp, default_library, dev)[0]
+    fabric, placement = _foreign_placement(case, default_library, dev, t, cand)
+    with pytest.raises(NotReconfigured, match=detail):
+        execute_pipeline(cand, {"t": t}, fabric, placement, dev)
+
+
+@pytest.mark.parametrize("sql, mirrored", [
+    ("SELECT a, 'xy' AS tag FROM t", None),  # a CHAR literal computed by the ALU
+    ("SELECT COUNT(*) FROM t WHERE a > 100", None),  # a global COUNT of no rows
+    ("SELECT t.a, u.e FROM t JOIN u ON u.c = t.a", None),  # join keys right side first
+    ("SELECT a FROM t WHERE 2 < a", "a > 2"),  # the literal on the left
+])
+def test_uncommon_shapes_match_the_oracle(default_library, sql, mirrored):
+    tables = {
+        "t": make_table([("a", "INT"), ("b", 2)], [(i, f"p{i % 3}") for i in range(10)]),
+        "u": make_table([("c", "INT"), ("e", 3)], [(i % 4, f"e{i}") for i in range(6)]),
+    }
+    bp = bind_sql(sql, tables)
+    expected = reference_execute(bp, tables)
+    results = run_all_candidates(sql, tables, default_library, _device())
+    assert results
+    for cand, table, _ in results:
+        assert multisets_equal(table, expected), cand.tag
+    if mirrored is not None:
+        stats = {name: table_stats(t) for name, t in tables.items()}
+        other = bind_sql(f"SELECT a FROM t WHERE {mirrored}", tables)
+        assert estimate_selectivity(bp.restriction, bp, stats) == pytest.approx(
+            estimate_selectivity(other.restriction, other, stats))
 
 
 def test_sort_is_stable_permutation(default_library):

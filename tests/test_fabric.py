@@ -10,6 +10,8 @@ from sqf.errors import InsufficientSlots, InvalidField, NotAllocated
 from sqf.fabric import (
     DeviceProfile,
     FabricState,
+    Placement,
+    PlacementEntry,
     allocate,
     load_device_profile,
     reconfigure,
@@ -63,7 +65,7 @@ def test_allocate_back_to_back():
     allocate(fabric, [block(4)])
     second = allocate(fabric, [block(4)])
     assert second.region == 0
-    assert second.entries[0].slot_range == (4, 8)
+    assert (second.entries[0].start, second.entries[0].stop) == (4, 8)
 
 
 def test_allocate_insufficient_slots():
@@ -155,10 +157,13 @@ def test_residency_evicted_by_overlap():
 
 def test_allocate_release_round_trip_bitmap():
     fabric = FabricState(DeviceProfile())
-    before = [list(region) for region in fabric.occupied]
     p = allocate(fabric, [block(5)])
     release(fabric, p)
-    assert fabric.occupied == before
+    # both regions are whole again: each takes a full-width chain at slot 0
+    first = allocate(fabric, [block(16)])
+    second = allocate(fabric, [block(16)])
+    assert (first.region, first.entries[0].start) == (0, 0)
+    assert (second.region, second.entries[0].start) == (1, 0)
 
 
 def test_reconfigure_not_allocated():
@@ -190,4 +195,13 @@ def test_randomized_schedule_invariants():
             reconfigure(fabric, rng.choice(live))
         elif live:
             release(fabric, live.pop(rng.randrange(len(live))))
+        fabric.check_invariants()
+
+
+@pytest.mark.parametrize("region, start, stop", [(2, 0, 1), (0, 15, 17), (0, -1, 1)])
+def test_invariants_reject_a_range_outside_the_device(region, start, stop):
+    fabric = FabricState(DeviceProfile())
+    stray = Placement((PlacementEntry(block(stop - start), region, start, stop),))
+    fabric.placements[id(stray)] = stray
+    with pytest.raises(AssertionError):
         fabric.check_invariants()

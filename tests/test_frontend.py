@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import make_table, run_candidate
 from sqf.errors import (
     AmbiguousColumn,
     QuerySyntaxError,
@@ -26,6 +26,9 @@ from sqf.frontend import (
 )
 from sqf.frontend.binder import FromValue
 from sqf.frontend.parser import _SYMBOLS, KEYWORDS
+from sqf.oracle import multisets_equal, reference_execute
+from sqf.planner import enumerate_pipelines, select_best
+from sqf.relcore import table_stats
 
 
 def test_parse_simple_select():
@@ -268,6 +271,21 @@ def test_bind_join_keys_resolved():
     bp = bind(parse_query("SELECT t.a, u.e FROM t JOIN u ON t.a = u.c"), CATALOG)
     assert bp.join_keys == (0, 0)  # (t.a, u.c)
     assert bp.tables == ("t", "u")
+
+
+def test_bound_plan_names_tables_as_the_catalog_does(default_library, default_device):
+    orders = make_table([("id", "INT"), ("cust", "INT")], [(1, 7), (2, 8), (3, 7)])
+    customers = make_table([("cid", "INT"), ("name", 3)], [(7, "ann"), (8, "bob")])
+    tables = {"orders": orders, "customers": customers}
+    bp = bind(parse_query("SELECT ORDERS.id, Customers.name FROM ORDERS "
+                          "JOIN Customers ON ORDERS.cust = Customers.cid"),
+              {name: t.schema for name, t in tables.items()})
+    assert bp.tables == ("orders", "customers")
+    stats = {name: table_stats(t) for name, t in tables.items()}
+    cand, _ = select_best(enumerate_pipelines(bp, default_library, default_device),
+                          stats, default_device)
+    result, _ = run_candidate(cand, tables, default_device)
+    assert multisets_equal(result, reference_execute(bp, tables))
 
 
 def test_bind_ambiguous_column():
