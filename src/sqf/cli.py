@@ -1,8 +1,9 @@
 """Command-line driver: run or explain queries, benchmark the shipped suite.
 
 All three commands share one path: a session loads the profiles once and
-each table (with its stats) on first use; a query is read, parsed, bound and
-enumerated once; the chosen candidate is placed on a fresh fabric and run.
+each table (with its stats) on first use; a query is read, parsed, bound,
+enumerated and priced once; the chosen candidate is placed on a fresh fabric
+and run.
 
 Reports are JSON with stable key order and floats printed with 9 significant
 digits; everything outside the `meta` section is byte-deterministic for a
@@ -28,12 +29,7 @@ from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
 from .oracle import first_multiset_diff, multisets_equal, reference_execute
-from .planner import (
-    full_estimate,
-    enumerate_pipelines,
-    select_best,
-    software_baseline,
-)
+from .planner import enumerate_pipelines, rank, software_baseline
 from .relcore import load_csv, table_stats
 
 log = logging.getLogger("sqf")
@@ -68,7 +64,10 @@ def _round9(value):
 
 def _write_report(path, report: dict):
     text = json.dumps(_round9(report), indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SqfError(f"cannot write report {path}: {exc.strerror or exc}") from None
 
 
 def _read_query(path) -> str:
@@ -82,7 +81,7 @@ def _read_query(path) -> str:
 
 @dataclass
 class _Planned:
-    """One query parsed, bound and enumerated, with the tables it reads."""
+    """One query parsed, bound, enumerated and priced, with the tables it reads."""
 
     text: str
     bound: object
@@ -90,22 +89,21 @@ class _Planned:
     tables: dict
     stats: dict
     candidates: list
+    ranked: list  # every (candidate, estimate), in selection order
 
-    def narrowed(self, layout: str, join: str) -> list:
-        """The candidates --layout/--join leave for select_best to choose from."""
-        out = self.candidates
-        if layout != "auto":
-            out = [c for c in out if c.layout == layout]
-        if join != "auto":
-            out = [c for c in out if c.join_algo == _JOIN_FILTER[join]]
-        if not out:
-            raise NoCandidates(f"no candidates left after --layout={layout} --join={join}")
-        return out
+    def choose(self, layout: str, join: str) -> tuple:
+        """The best-ranked (candidate, estimate) that --layout/--join leave."""
+        for cand, est in self.ranked:
+            if (layout == "auto" or cand.layout == layout) and (
+                    join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
+                return cand, est
+        raise NoCandidates(f"no candidates left after --layout={layout} --join={join}")
 
-    def estimates(self, device) -> list:
-        """Every enumerated candidate with its estimate (--layout/--join only
-        narrow what select_best may choose, not what reports show)."""
-        return [(c, full_estimate(c, self.stats, device)) for c in self.candidates]
+    def estimates(self) -> list:
+        """Every enumerated candidate with its estimate, in enumeration order
+        (--layout/--join only narrow what may be chosen, not what reports show)."""
+        est_of = {id(cand): est for cand, est in self.ranked}
+        return [(cand, est_of[id(cand)]) for cand in self.candidates]
 
 
 class _Session:
@@ -116,36 +114,50 @@ class _Session:
         self.tables_dir = Path(tables_dir)
         self.library = load_library(library_path)
         self.device = load_device_profile(device_path)
-        self._tables = {}  # name -> (path, Table, ColumnStats)
+        self._tables = {}  # file stem -> (path, Table, ColumnStats)
+        self._stems = {}  # lower-case stem -> the `*.csv` stems that lower to it
+        for path in sorted(self.tables_dir.glob("*.csv")):
+            self._stems.setdefault(path.stem.lower(), []).append(path.stem)
 
     def _table(self, name: str):
-        if name not in self._tables:
-            path = self.tables_dir / f"{name}.csv"
+        """(stem, (path, Table, ColumnStats)) of the `<stem>.csv` whose stem is
+        `name` ignoring case; the plan and the report name the table `stem`."""
+        stems = self._stems.get(name.lower(), [name])
+        if len(stems) > 1:
+            raise SqfError(f"table {name} matches more than one file: "
+                           + ", ".join(str(self.tables_dir / f"{s}.csv") for s in stems))
+        stem = stems[0]
+        if stem not in self._tables:
+            path = self.tables_dir / f"{stem}.csv"
             table = load_csv(path)
-            self._tables[name] = (str(path), table, table_stats(table))
-        return self._tables[name]
+            self._tables[stem] = (str(path), table, table_stats(table))
+        return stem, self._tables[stem]
 
     def plan(self, text: str, parsed=None) -> _Planned:
-        """Bind and enumerate `text`, parsing it unless `parsed` is its parse."""
+        """Bind, enumerate and rank `text`, parsing it unless `parsed` is its parse."""
         if parsed is None:
             parsed = parse_query(text)
         names = [parsed.source] + ([parsed.join.table] if parsed.join else [])
-        entries = {name: self._table(name) for name in names}
+        entries = dict(self._table(name) for name in names)
         tables = {name: table for name, (_, table, _) in entries.items()}
         bound = bind(parsed, {name: t.schema for name, t in tables.items()})
+        stats = {name: stats for name, (_, _, stats) in entries.items()}
+        candidates = enumerate_pipelines(bound, self.library, self.device)
         return _Planned(
             text=text,
             bound=bound,
             paths={name: path for name, (path, _, _) in entries.items()},
             tables=tables,
-            stats={name: stats for name, (_, _, stats) in entries.items()},
-            candidates=enumerate_pipelines(bound, self.library, self.device),
+            stats=stats,
+            candidates=candidates,
+            ranked=rank(candidates, stats, self.device),
         )
 
-    def run_chosen(self, planned: _Planned, candidates: list, seed: int):
-        """Select the best of `candidates`, place it on a fresh fabric and
-        execute it: (chosen, estimate, placement, reconfig, result, exec report)."""
-        chosen, est = select_best(candidates, planned.stats, self.device)
+    def run_chosen(self, planned: _Planned, layout: str, join: str, seed: int):
+        """Choose the best candidate --layout/--join leave, place it on a fresh
+        fabric and execute it:
+        (chosen, estimate, placement, reconfig, result, exec report)."""
+        chosen, est = planned.choose(layout, join)
         log.info("chosen candidate: %s", chosen.tag)
         fabric = FabricState(self.device)
         placement = allocate(fabric, chosen.modules)
@@ -182,7 +194,7 @@ def cmd_run(args) -> int:
     session = _Session(args.tables, args.library, args.device)
     planned = session.plan(_read_query(args.query))
     chosen, _, placement, reconfig, result, exec_report = session.run_chosen(
-        planned, planned.narrowed(args.layout, args.join), args.seed)
+        planned, args.layout, args.join, args.seed)
 
     # oracle_checked is true only when the check ran AND the multisets match;
     # a failed check still records oracle_match/first_diff and exits 2.
@@ -212,8 +224,7 @@ def cmd_run(args) -> int:
             for name, t in planned.tables.items()
         },
         "chosen": chosen.tag,
-        "candidates": [_candidate_dict(c, e)
-                       for c, e in planned.estimates(session.device)],
+        "candidates": [_candidate_dict(c, e) for c, e in planned.estimates()],
         "placement": {
             "region": placement.region,
             "entries": [
@@ -253,9 +264,8 @@ def cmd_run(args) -> int:
 def cmd_explain(args) -> int:
     session = _Session(args.tables, args.library, args.device)
     planned = session.plan(_read_query(args.query))
-    pairs = planned.estimates(session.device)
-    chosen, _ = select_best(planned.narrowed(args.layout, args.join),
-                            planned.stats, session.device)
+    pairs = planned.estimates()
+    chosen, _ = planned.choose(args.layout, args.join)
 
     header = f"{'':2}{'tag':<22}{'slots':>6}{'total_s':>14}{'energy_j':>14}{'reconfig_s':>14}"
     print(header)
@@ -279,7 +289,7 @@ def cmd_explain(args) -> int:
 def _bench_fields(session, planned, strategy, seed, baseline_dev) -> dict:
     started = time.perf_counter()
     chosen, est, _, _, result, exec_report = session.run_chosen(
-        planned, planned.narrowed("auto", strategy), seed)
+        planned, "auto", strategy, seed)
     wall = time.perf_counter() - started
     base_seconds, base_joules = software_baseline(chosen, planned.stats, baseline_dev)
     return {

@@ -497,20 +497,22 @@ def full_estimate(c: CandidatePipeline, stats: dict, dev: DeviceProfile) -> Cost
     return replace(t, energy_joules=estimate_energy(c, t, dev))
 
 
+def rank(
+    cands: list[CandidatePipeline], stats: dict, dev: DeviceProfile
+) -> list[tuple[CandidatePipeline, CostEstimate]]:
+    """Every candidate with its estimate, each priced once, in selection order:
+    total time, then energy, then enumeration order."""
+    if not cands:
+        raise NoCandidates()
+    priced = [(c, full_estimate(c, stats, dev)) for c in cands]
+    return sorted(priced, key=lambda p: (p[1].total_seconds, p[1].energy_joules))
+
+
 def select_best(
     cands: list[CandidatePipeline], stats: dict, dev: DeviceProfile
 ) -> tuple[CandidatePipeline, CostEstimate]:
     """Argmin of total time; ties resolved by energy, then enumeration order."""
-    if not cands:
-        raise NoCandidates()
-    best = None
-    best_key = None
-    for idx, cand in enumerate(cands):
-        est = full_estimate(cand, stats, dev)
-        key = (est.total_seconds, est.energy_joules, idx)
-        if best_key is None or key < best_key:
-            best, best_key = (cand, est), key
-    return best
+    return rank(cands, stats, dev)[0]
 
 
 def software_baseline(

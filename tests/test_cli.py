@@ -589,3 +589,113 @@ def test_suite_reports_match_golden(suite_dir, tmp_path):
     from `golden_reports` and says so."""
     text = json.dumps(golden_reports(suite_dir, tmp_path), indent=2) + "\n"
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
+# one ranking per query
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, calls", [
+    ("run", 3), ("explain", 3),
+    ("bench", 67),  # 37 suite candidates, plus 30 ok rows priced on the baseline profile
+])
+def test_each_candidate_is_priced_once(suite_dir, tmp_path, monkeypatch, command, calls):
+    import sqf.planner as planner_mod
+
+    count = [0]
+    real = planner_mod.estimate_time
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(planner_mod, "estimate_time", counting)
+    if command == "bench":
+        argv = ["bench", "--suite", str(suite_dir), "--seed", "7"]
+    else:
+        argv = [command, "--query", str(suite_dir / "q09.sql"),
+                "--tables", str(suite_dir / "tables"), "--library", LIB, "--device", DEV]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert count[0] == calls
+
+
+def test_choose_matches_select_best_on_the_narrowed_list(suite_dir):
+    from sqf.cli import _Session
+    from sqf.errors import NoCandidates
+    from sqf.planner import select_best
+
+    algo = {"hash": "hash_fpga", "merge": "merge_fpga", "codesign": "hash_codesign"}
+    session = _Session(suite_dir / "tables", LIB, DEV)
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    for name in manifest["queries"]:
+        planned = session.plan((suite_dir / name).read_text().strip())
+        for layout in ("row", "column", "auto"):
+            for join in ("hash", "merge", "codesign", "auto"):
+                narrowed = [c for c in planned.candidates
+                            if layout in ("auto", c.layout)
+                            and (join == "auto" or c.join_algo == algo[join])]
+                try:
+                    want = select_best(narrowed, planned.stats, session.device)
+                except NoCandidates:
+                    with pytest.raises(NoCandidates):
+                        planned.choose(layout, join)
+                    continue
+                got = planned.choose(layout, join)
+                assert (got[0].tag, got[1]) == (want[0].tag, want[1]), (name, layout, join)
+
+
+# --------------------------------------------------------------------------
+# table files and report files
+# --------------------------------------------------------------------------
+
+def _run_suite_query(suite_dir, tmp_path, text) -> dict:
+    out = tmp_path / "r.json"
+    assert main(["run", "--query", _query(tmp_path, text),
+                 "--tables", str(suite_dir / "tables"), "--library", LIB, "--device", DEV,
+                 "--out", str(out), "--seed", "7", "--oracle"]) == 0
+    report = json.loads(out.read_text())
+    assert report["oracle_match"] is True
+    return report
+
+
+@pytest.mark.parametrize("spelled, lower", [
+    ("SELECT COUNT(*) FROM ORDERS", "SELECT COUNT(*) FROM orders"),
+    ("SELECT Orders.orderkey, CUSTOMERS.acct FROM Orders JOIN CUSTOMERS "
+     "ON Orders.custkey = CUSTOMERS.custkey WHERE CUSTOMERS.nation = 7",
+     "SELECT orders.orderkey, customers.acct FROM orders JOIN customers "
+     "ON orders.custkey = customers.custkey WHERE customers.nation = 7"),
+])
+def test_table_file_in_another_case(suite_dir, tmp_path, spelled, lower):
+    got = _run_suite_query(suite_dir, tmp_path, spelled)
+    want = _run_suite_query(suite_dir, tmp_path, lower)
+    for key in ("tables", "chosen", "candidates", "execution"):
+        assert got[key] == want[key], key
+
+
+def test_two_table_files_differing_in_case_are_an_error(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for name in ("t", "T"):
+        (tables / f"{name}.csv").write_text("a:INT\n1\n")
+    err = _explain_fails_cleanly(capsys, _query(tmp_path, "SELECT a FROM t"), tables)
+    assert "T.csv" in err and "t.csv" in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", ["run", "explain", "bench"])
+def test_unwritable_out_is_an_error(tmp_path, capsys, command, target):
+    out = tmp_path / "out"
+    if target == "directory":
+        out.mkdir()
+    else:
+        out = out / "report.json"
+    if command == "bench":
+        argv = ["bench", "--suite", str(_mini_suite(tmp_path))]
+    else:
+        argv = [command, "--query", _query(tmp_path, "SELECT a FROM t"),
+                "--tables", str(_write_tables(tmp_path)), "--library", LIB, "--device", DEV]
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: cannot write report {out}: ")
+    assert "Traceback" not in err
