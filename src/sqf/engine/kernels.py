@@ -5,6 +5,13 @@ Arithmetic returns a per-row fault code beside the values instead of
 raising, so the executor can report the first faulting row in stream order.
 A faulted row's value is unspecified. The scalar primitives in `sqf.arith`
 are the reference these kernels are tested against.
+
+Joins and grouping address keys by a dense code. An INT64 key whose span
+is smaller than its row count is coded by its offset from the minimum,
+with no sort; any other key (padded CHAR bytes, forwarded uint64 hashes,
+wide INT spans) is coded by sorting. SUM skips its running-sum overflow
+scan only when the row count times the largest magnitude proves that no
+running sum can leave int64.
 """
 
 from __future__ import annotations
@@ -53,14 +60,26 @@ def checked_arith(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     return r, fault.astype(np.uint8)
 
 
+def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(code per value, number of codes): equal values share a code, and
+    codes order like the values. A dense INT64 range is coded by offset,
+    anything else by sorting."""
+    if values.dtype == np.int64 and len(values):
+        lo = int(values.min())
+        span = int(values.max()) - lo
+        if span < len(values):
+            return values - lo, span + 1
+    distinct, code = np.unique(values, return_inverse=True)
+    return code.reshape(-1), len(distinct)
+
+
 def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (outer position, inner position) pairs with equal keys, ordered
     by outer position, then inner position."""
-    keys, codes = np.unique(np.concatenate((outer, inner)), return_inverse=True)
-    codes = codes.reshape(-1)
-    outer_code, inner_code = codes[: len(outer)], codes[len(outer):]
+    code, n_codes = codes(np.concatenate((outer, inner)))
+    outer_code, inner_code = code[: len(outer)], code[len(outer):]
     order = np.argsort(inner_code, kind="stable")  # inner rows grouped by key
-    per_key = np.bincount(inner_code, minlength=len(keys))
+    per_key = np.bincount(inner_code, minlength=n_codes)
     counts = per_key[outer_code]
     lo = (np.cumsum(per_key) - per_key)[outer_code]
     outer_pos = np.repeat(np.arange(len(outer)), counts)
@@ -71,32 +90,42 @@ def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def rank(values: np.ndarray) -> np.ndarray:
     """Int64 codes that order like `values` (INT as-is, padded CHAR by rank)."""
-    if values.dtype == np.int64:
-        return values
-    return np.unique(values, return_inverse=True)[1].reshape(-1)
+    return values if values.dtype == np.int64 else codes(values)[0]
 
 
 def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(group id per row, first row of each group), groups numbered in order
     of first appearance. No keys means one group holding every row."""
-    codes = np.zeros(n, dtype=np.int64)
+    if not keys:
+        return np.zeros(n, dtype=np.int64), np.zeros(min(n, 1), dtype=np.int64)
+    gid, n_ids = np.zeros(n, dtype=np.int64), 1
     for key in keys:
-        values, code = np.unique(key, return_inverse=True)
-        codes = np.unique(codes * len(values) + code.reshape(-1), return_inverse=True)[1]
-    _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first)
-    renumber = np.empty(len(first), dtype=np.int64)
-    renumber[by_appearance] = np.arange(len(first))
-    return renumber[codes.reshape(-1)], first[by_appearance]
+        code, n_codes = codes(key)
+        gid, n_ids = gid * n_codes + code, n_ids * n_codes
+        if n_ids > n:  # keep ids below n, so the next product stays in int64
+            gid, n_ids = codes(gid)
+    first = np.full(n_ids, n, dtype=np.int64)
+    np.minimum.at(first, gid, np.arange(n))
+    first = np.sort(first[first < n])  # one row per group, by appearance
+    renumber = np.empty(n_ids, dtype=np.int64)
+    renumber[gid[first]] = np.arange(len(first))
+    return renumber[gid], first
 
 
 def group_sums(values: np.ndarray, gid: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
     """(per-group sums, fault codes per row), accumulated in stream order.
 
     A row faults when its group's running sum leaves the int64 range there.
-    Each value is split into 32-bit halves so that running sums stay exact
-    in int64.
+    When n rows of magnitude at most m have n * m <= INT64_MAX, no running
+    sum can, and the sums are added directly. Otherwise each value is split
+    into 32-bit halves so that running sums stay exact in int64.
     """
+    n = len(values)
+    # Python ints: -INT64_MIN does not fit in int64
+    if n == 0 or n * max(-int(values.min()), int(values.max())) <= INT64_MAX:
+        sums = np.zeros(groups, dtype=np.int64)
+        np.add.at(sums, gid, values)
+        return sums, np.zeros(n, dtype=np.uint8)
     order = np.argsort(gid, kind="stable")
     v = values[order]
     ordered_gid = gid[order]

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.exec import result_checksum
-from sqf.engine.kernels import DIVZERO, OK, OVERFLOW, checked_arith, group_sums, match_pairs
+from sqf.engine.hostjoin import host_hash_join
+from sqf.engine.kernels import (
+    DIVZERO, OK, OVERFLOW, checked_arith, group_ids, group_sums, match_pairs,
+)
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
 from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
@@ -151,31 +154,140 @@ def test_left_operand_fault_comes_first(default_library, expr, error):
 # grouping and pairing
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), int64s), min_size=1, max_size=30))
-def test_group_sums_match_a_streaming_fold(rows):
-    gid = np.array([g for g, _ in rows], dtype=np.int64)
-    groups = int(gid.max()) + 1
-    totals = [0] * groups
-    first_bad = -1
+def _streaming_fold(rows):
+    """(per-group totals, first overflowing ordinal or -1) of add64 folds."""
+    totals = {}
     for ordinal, (g, v) in enumerate(rows):
         try:
-            totals[g] = add64(totals[g], v)
+            totals[g] = add64(totals.get(g, 0), v)
         except ArithmeticOverflow:
-            first_bad = ordinal
-            break
+            return totals, ordinal
+    return totals, -1
+
+
+def _check_group_sums(rows):
+    gid = np.array([g for g, _ in rows], dtype=np.int64)
+    groups = int(gid.max()) + 1
+    totals, first_bad = _streaming_fold(rows)
     sums, fault = group_sums(np.array([v for _, v in rows], dtype=np.int64), gid, groups)
     faulting = np.flatnonzero(fault)
     assert (int(faulting[0]) if faulting.size else -1) == first_bad
     assert set(fault.tolist()) <= {OK, OVERFLOW}
     if first_bad < 0:
-        present = sorted(set(gid.tolist()))
-        assert [sums[g] for g in present] == [totals[g] for g in present]
+        assert {g: int(sums[g]) for g in totals} == totals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), int64s), min_size=1, max_size=30))
+def test_group_sums_match_a_streaming_fold(rows):
+    _check_group_sums(rows)
+
+
+_M = INT64_MAX // 7  # 7 * _M == INT64_MAX
+
+
+@pytest.mark.parametrize("rows, sorts", [
+    # n * max |v| == INT64_MAX: no running sum can overflow, so no scan
+    ([(0, _M)] * 7, 0),
+    ([(0, -_M)] * 7, 0),
+    # one step past the bound: the scan runs, and finds the real overflow...
+    ([(0, _M + 1)] * 7, 1),
+    ([(0, -_M - 1)] * 7, 1),
+    # ...or finds none
+    ([(0, -_M)] * 6 + [(0, -_M - 1)], 1),  # ends on INT64_MIN exactly
+    ([(0, _M + 1), (0, -_M - 1)] * 3 + [(0, _M + 1)], 1),
+    ([(g % 2, _M + 1) for g in range(7)], 1),
+    # a lone INT64_MIN: its magnitude is past INT64_MAX, but it fits
+    ([(0, INT64_MIN)], 1),
+    ([(0, INT64_MIN), (0, -1)], 1),
+])
+def test_group_sums_at_the_overflow_bound(monkeypatch, rows, sorts):
+    assert 7 * _M == INT64_MAX
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    _check_group_sums(rows)
+    assert len(calls) == sorts
+
+
+def _first_appearance(rows):
+    """(group id per row, first row of each group) by a dict lookup per row."""
+    ids, first = {}, []
+    for ordinal, row in enumerate(rows):
+        if row not in ids:
+            ids[row] = len(first)
+            first.append(ordinal)
+    return [ids[row] for row in rows], first
+
+
+@st.composite
+def key_kinds(draw, kinds=("narrow", "wide", "char")):
+    """(cell strategy, dtype) of one key column: narrow INT (coded by offset),
+    wide INT from EDGES (coded by sorting), uint64 like forwarded hashes, or
+    padded CHAR of width 1-8."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "narrow":
+        return st.integers(-3, 3), np.int64
+    if kind == "wide":
+        return st.sampled_from(EDGES), np.int64
+    if kind == "hash":
+        return st.sampled_from([0, 1, 2**63, MASK64 - 1, MASK64]), np.uint64
+    width = draw(st.integers(1, 8))
+    return st.text("ab ", max_size=width).map(lambda c: c.ljust(width).encode()), f"S{width}"
+
+
+def _draw_column(data, kind, min_size=0, max_size=15):
+    cells, dtype = kind
+    return np.array(data.draw(st.lists(cells, min_size=min_size, max_size=max_size)),
+                    dtype=dtype)
+
+
+def _check_group_ids(keys, n):
+    gid, first = group_ids(keys, n)
+    want_gid, want_first = _first_appearance(list(zip(*[k.tolist() for k in keys]))
+                                             if keys else [()] * n)
+    assert gid.tolist() == want_gid
+    assert first.tolist() == want_first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.lists(key_kinds(), max_size=3), st.integers(0, 12))
+def test_group_ids_number_groups_by_first_appearance(data, kinds, n):
+    _check_group_ids([_draw_column(data, kind, n, n) for kind in kinds], n)
+
+
+def test_group_ids_redensify_when_the_key_product_exceeds_the_rows():
+    # more key combinations than rows, whichever key comes first
+    a = np.array([3, 1, 3, 0], dtype=np.int64)
+    b = np.array([b"x", b"y", b"x", b"z"])
+    c = np.array([INT64_MIN, 0, INT64_MIN, INT64_MAX], dtype=np.int64)
+    _check_group_ids([a, b, c], 4)
+    _check_group_ids([c, a, b, a], 4)
+
+
+def _pairs_by_nested_loop(outer, inner):
+    return [(a, b) for a, x in enumerate(outer) for b, y in enumerate(inner) if x == y]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), key_kinds(("narrow", "wide", "hash", "char")))
+def test_match_pairs_is_the_ordered_nested_loop(data, kind):
+    outer, inner = _draw_column(data, kind), _draw_column(data, kind)
+    o, i = match_pairs(outer, inner)
+    assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
+                                                                      inner.tolist())
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=15), st.lists(st.integers(0, 5), max_size=15))
-def test_match_pairs_is_the_ordered_nested_loop(outer, inner):
-    o, i = match_pairs(np.array(outer, dtype=np.int64), np.array(inner, dtype=np.int64))
-    expected = [(a, b) for a, x in enumerate(outer) for b, y in enumerate(inner) if x == y]
-    assert list(zip(o.tolist(), i.tolist())) == expected
+@given(st.lists(st.integers(0, 8), max_size=15), st.lists(st.integers(0, 8), max_size=15))
+def test_host_hash_join_drops_hash_collisions(build, probe):
+    # hash = key mod 3, so keys 0, 3 and 6 collide
+    build_keys, probe_keys = np.array(build, dtype=np.int64), np.array(probe, dtype=np.int64)
+    build_pos, probe_pos = host_hash_join((build_keys % 3).astype(np.uint64), build_keys,
+                                          (probe_keys % 3).astype(np.uint64), probe_keys)
+    assert list(zip(probe_pos.tolist(), build_pos.tolist())) == _pairs_by_nested_loop(probe, build)
