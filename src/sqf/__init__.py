@@ -50,7 +50,6 @@ from .relcore import (
 from .engine import (
     BloomCascadeConfig,
     ExecReport,
-    align,
     bloom_build,
     bloom_probe,
     execute_pipeline,
@@ -71,7 +70,7 @@ __all__ = [
     "estimate_energy", "estimate_time", "full_estimate", "select_best",
     "ColumnStats", "ColumnType", "Schema", "Table", "TypeKind",
     "dump_csv", "load_csv", "table_stats",
-    "BloomCascadeConfig", "ExecReport", "align", "bloom_build", "bloom_probe",
+    "BloomCascadeConfig", "ExecReport", "bloom_build", "bloom_probe",
     "execute_pipeline", "result_checksum",
     "__version__",
 ]

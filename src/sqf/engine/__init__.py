@@ -1,6 +1,6 @@
-"""Pipeline execution: bloom cascade, alignment, host join, and the executor."""
+"""Pipeline execution: the executor, the bloom cascade, and the co-design
+record rule (`align`). Every join strategy pairs rows on canonical keys."""
 
-from .align import AlignedBlock, align
 from .bloom import (
     BloomCascade,
     BloomCascadeConfig,
@@ -10,7 +10,6 @@ from .bloom import (
     bloom_probe,
     bloom_probe_many,
 )
-from .hostjoin import host_hash_join
 from .exec import (
     ExecReport,
     StageCount,
@@ -20,9 +19,7 @@ from .exec import (
 )
 
 __all__ = [
-    "AlignedBlock", "align",
     "BloomCascade", "BloomCascadeConfig", "analytic_fp_rate", "bloom_build",
     "bloom_dims", "bloom_probe", "bloom_probe_many",
-    "host_hash_join",
     "ExecReport", "StageCount", "execute_pipeline", "key_images", "result_checksum",
 ]

@@ -1,74 +1,24 @@
-"""Cache-line alignment stage: pack tuples into fixed-size blocks.
+"""Cache-line alignment stage of the co-design join.
 
-Records never straddle block boundaries and block padding is zeroed, so the
-host side can walk blocks with fixed strides. In co-design mode each record
-carries the tuple payload plus its forwarded 64-bit hash.
-
-The executor checks only the record size (`records_per_block`): its host
-join reads forwarded hashes and keys as arrays, not block bytes. `align` is
-the reference for the block layout.
+A co-design record is a tuple plus the 8-byte hash forwarded from the bloom
+cascade. Alignment packs records into cache-line blocks without letting one
+straddle a block boundary, so a record must fit one block. The planner
+offers the co-design variant only where both sides' records fit, and the
+executor checks them again against the device it runs on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import TupleTooLarge
-from ..relcore import Schema, encode_row
+from ..relcore import Schema
 
 
-@dataclass(frozen=True)
-class AlignedBlock:
-    block_bytes: int
-    data: bytes
-    tuples: tuple[tuple, ...]
-    hashes: tuple[int, ...] | None  # present in co-design (with_hash) mode
-
-    @property
-    def tuple_count(self) -> int:
-        return len(self.tuples)
+def record_bytes(schema: Schema) -> int:
+    """Bytes of one co-design record: the tuple plus its forwarded hash."""
+    return schema.tuple_bytes + 8
 
 
-def records_per_block(schema: Schema, block_bytes: int, with_hash: bool = False) -> int:
-    """Records of `schema` that fit one block; a record wider than a block
-    raises TupleTooLarge."""
-    record_bytes = schema.tuple_bytes + (8 if with_hash else 0)
-    if record_bytes > block_bytes:
-        raise TupleTooLarge(record_bytes, block_bytes)
-    return block_bytes // record_bytes
-
-
-def align(
-    tuples,
-    schema: Schema,
-    block_bytes: int,
-    with_hash: bool = False,
-    hashes=None,
-) -> list[AlignedBlock]:
-    """Greedy packing in stream order; floor(block/record) tuples per block."""
-    per_block = records_per_block(schema, block_bytes, with_hash)
-    tuples = list(tuples)
-    if with_hash:
-        hashes = list(hashes)
-        if len(hashes) != len(tuples):
-            raise ValueError("need one forwarded hash per tuple")
-
-    blocks: list[AlignedBlock] = []
-    for start in range(0, len(tuples), per_block):
-        chunk = tuples[start : start + per_block]
-        parts = []
-        for offset, row in enumerate(chunk):
-            parts.append(encode_row(row, schema))
-            if with_hash:
-                parts.append((hashes[start + offset] & ((1 << 64) - 1)).to_bytes(8, "little"))
-        payload = b"".join(parts)
-        data = payload + b"\x00" * (block_bytes - len(payload))
-        blocks.append(
-            AlignedBlock(
-                block_bytes=block_bytes,
-                data=data,
-                tuples=tuple(chunk),
-                hashes=tuple(hashes[start : start + per_block]) if with_hash else None,
-            )
-        )
-    return blocks
+def check_record_fits(schema: Schema, block_bytes: int) -> None:
+    """Raise TupleTooLarge when a record of `schema` is wider than a block."""
+    if record_bytes(schema) > block_bytes:
+        raise TupleTooLarge(record_bytes(schema), block_bytes)

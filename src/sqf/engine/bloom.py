@@ -3,8 +3,10 @@
 A cascade is a sequence of identical-shape stages with stage-distinct hash
 seeds; a key passes only if every stage reports membership, so false
 positives multiply down while false negatives stay impossible. Probing also
-yields the stage-0 hash, which the host join stage reuses instead of
-recomputing key hashes in software.
+yields each key's stage-0 hash: the hash a co-design record forwards to the
+host, whose 8 bytes size the record (`align.record_bytes`). The engine pairs
+rows on the canonical keys themselves, which is what matching forwarded
+hashes and then verifying the keys yields.
 
 Every bit index uses its own independently seeded 64-bit hash (see
 sqf.hashing): index_j = hash(key, seed(stage, j)) mod m. Double hashing
@@ -67,11 +69,6 @@ class BloomCascade:
 
     def hash_seed(self, stage: int, j: int) -> int:
         return (self.config.seed + SEED_STRIDE * (stage + 1) + _HASH_STRIDE * j) & MASK64
-
-
-def forwarded_hashes(cascade: BloomCascade, keys) -> np.ndarray:
-    """Stage-0 hashes for a key array, as forwarded to the host join."""
-    return fnv1a64_u64_many(_key_array(keys), cascade.hash_seed(0, 0))
 
 
 def _key_array(keys) -> np.ndarray:

@@ -45,9 +45,8 @@ from ..frontend.binder import (
 )
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
 from ..relcore import Column, ColumnType, Table, TypeKind, encode_columns, pad_bytes
-from .align import records_per_block
-from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many, forwarded_hashes
-from .hostjoin import host_hash_join
+from .align import check_record_fits
+from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many
 from .kernels import (
     OVERFLOW,
     checked_arith,
@@ -260,10 +259,9 @@ class _Run:
     def n(self) -> int:
         return sum(map(len, self.positions)) if self.stream is None else self.stream.n
 
-    @functools.cached_property
     def keys(self) -> list[np.ndarray]:
-        """Canonical join keys of each side's rows as they reach the join:
-        INT values, or CHAR bytes padded to the key width."""
+        """Canonical join keys of each side's current rows: INT values, or
+        CHAR bytes padded to the key width."""
         bp = self.bp
         keys = [side.columns[k].values[pos] for side, k, pos in
                 zip(self.sides, bp.join_keys, self.positions)]
@@ -286,8 +284,10 @@ class _Run:
                 side = _Stream(self.sides, {slot: self.positions[slot]})
                 self.positions[slot] = self.positions[slot][_mask(pred, side)]
 
-    def _join(self, stage, left, right, n_in):
-        """Pair the sides' rows (left, right), then apply the stage's filters."""
+    def _join(self, stage, n_in):
+        """Pair the sides' rows with equal keys in (left, right) order, then
+        apply the stage's filters."""
+        left, right = match_pairs(*self.keys())
         self.stream = _Stream(self.sides, {0: self.positions[0][left],
                                            1: self.positions[1][right]})
         self._filter(stage.predicates)
@@ -304,53 +304,39 @@ class _Run:
         return n_in, self.n
 
     def sort_left(self, stage):
-        return len(self.keys[0]), len(self.keys[0])
+        return len(self.positions[0]), len(self.positions[0])
 
     def sort_right(self, stage):
-        return len(self.keys[1]), len(self.keys[1])
+        return len(self.positions[1]), len(self.positions[1])
 
     def hash_join(self, stage):
-        return self._join(stage, *match_pairs(*self.keys), max(map(len, self.keys)))
+        return self._join(stage, max(map(len, self.positions)))
 
     def merge_join(self, stage):
-        return self._join(stage, *match_pairs(*self.keys), sum(map(len, self.keys)))
+        return self._join(stage, self.n)
+
+    host_join = merge_join
 
     def bloom_cascade(self, stage):
-        """Build the cascade over the smaller side and probe the other."""
-        keys, key_type = self.keys, self.bp.join_key_type
+        """Build the cascade over the smaller side and keep the probe rows
+        that pass it, a side filter like a pushed-down restriction."""
+        keys, key_type = self.keys(), self.bp.join_key_type
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
         probe = 1 - build
         m_bits, k = bloom_dims(len(keys[build]))
-        build_images = key_images(keys[build], key_type)
         config = BloomCascadeConfig(stage.module.param("stages", 2), m_bits, k, self.seed)
-        cascade = bloom_build(config, build_images)
-        self.build_hashes = forwarded_hashes(cascade, build_images)
-        mask, probe_hashes = bloom_probe_many(cascade, key_images(keys[probe], key_type))
-        self.passed = np.flatnonzero(mask)
-        self.probe_hashes = probe_hashes[self.passed]
-        self.bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][self.passed], keys[build])))
-        return len(keys[probe]), len(self.passed)
+        cascade = bloom_build(config, key_images(keys[build], key_type))
+        passed = bloom_probe_many(cascade, key_images(keys[probe], key_type))[0]
+        self.positions[probe] = self.positions[probe][passed]
+        self.bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][passed], keys[build])))
+        return len(keys[probe]), len(self.positions[probe])
 
     def align(self, stage):
-        """Alignment packs records into cache-line blocks; the host join
-        reads the forwarded hashes and keys, so only the record size is
-        checked."""
+        """Alignment packs each side's co-design records into cache-line
+        blocks; the engine checks only that a record fits one."""
         for side in (self.build, 1 - self.build):
-            records_per_block(self.bp.schemas[side], self.dev.cache_line_bytes, with_hash=True)
-        aligned = len(self.passed) + len(self.keys[self.build])
-        return aligned, aligned
-
-    def host_join(self, stage):
-        keys, build, passed = self.keys, self.build, self.passed
-        build_pos, probe_pos = host_hash_join(self.build_hashes, keys[build],
-                                              self.probe_hashes, keys[1 - build][passed])
-        probe_pos = passed[probe_pos]
-        if build == 0:  # pairs come in probe order; a stable sort puts left first
-            order = np.argsort(build_pos, kind="stable")
-            left, right = build_pos[order], probe_pos[order]
-        else:
-            left, right = probe_pos, build_pos
-        return self._join(stage, left, right, len(passed) + len(keys[build]))
+            check_record_fits(self.bp.schemas[side], self.dev.cache_line_bytes)
+        return self.n, self.n
 
     def alu(self, stage):
         _alu(self.bp, self.stream)

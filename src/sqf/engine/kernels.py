@@ -8,8 +8,9 @@ are the reference these kernels are tested against.
 
 Joins and grouping address keys by a dense code. An INT64 key whose span
 is smaller than its row count is coded by its offset from the minimum,
-with no sort; any other key (padded CHAR bytes, forwarded uint64 hashes,
-wide INT spans) is coded by sorting. SUM skips its running-sum overflow
+with no sort; any other key (padded CHAR bytes, wide INT spans) is coded
+by sorting. Every join strategy pairs rows through `match_pairs` on
+canonical keys. SUM skips its running-sum overflow
 scan only when the row count times the largest magnitude proves that no
 running sum can leave int64.
 """

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from operator import mul
 
+from .engine.align import record_bytes
 from .engine.bloom import analytic_fp_rate, bloom_dims
 from .errors import MissingStats, NoCandidates
 from .fabric import DeviceProfile
@@ -335,7 +336,7 @@ def _codesign_feasible(bp: BoundPlan, dev: DeviceProfile) -> bool:
     if not bp.has_join:
         return False
     block = dev.cache_line_bytes  # block multiplier is fixed at 1
-    return all(schema.tuple_bytes + 8 <= block for schema in bp.schemas)
+    return all(record_bytes(schema) <= block for schema in bp.schemas)
 
 
 def enumerate_pipelines(

@@ -3,23 +3,15 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import bind_sql, make_table, run_all_candidates, run_candidate
-from sqf.engine.align import align
-from sqf.engine.bloom import (
-    BloomCascadeConfig,
-    bloom_build,
-    bloom_probe,
-    bloom_probe_many,
-    forwarded_hashes,
-)
-from sqf.engine.exec import execute_pipeline, key_images, result_checksum
-from sqf.engine.hostjoin import host_hash_join
+from sqf.arith import INT64_MAX, INT64_MIN
+from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
+from sqf.engine.exec import execute_pipeline, result_checksum
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -29,9 +21,9 @@ from sqf.errors import (
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure, release
 from sqf.hashing import fnv1a64, fnv1a64_u64, fnv1a64_u64_many
 from sqf.library import ModuleKind, instantiate
-from sqf.oracle import multisets_equal, reference_execute
+from sqf.oracle import canonical_multiset, multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, estimate_selectivity
-from sqf.relcore import ColumnType, Schema, Table, table_stats
+from sqf.relcore import ColumnType, Schema, Table, load_csv, table_stats
 
 
 # ---------------------------------------------------------------------------
@@ -123,91 +115,136 @@ def test_vectorized_probe_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# alignment
+# co-design join: bloom cascade, record check, host join
 # ---------------------------------------------------------------------------
 
-S12 = Schema((("a", ColumnType.int64()), ("s", ColumnType.char(4))))  # 12 B
+def _codesign_against_hash_fpga(sql, tables, lib, dev=None):
+    """Run every candidate; the co-design result must be hash_fpga's, row for
+    row in the same order. Returns {tag: (result table, exec report)}."""
+    results = {cand.tag: (table, report) for cand, table, report
+               in run_all_candidates(sql, tables, lib, dev or DeviceProfile())}
+    assert results["row/hash_codesign"][0].rows == results["row/hash_fpga"][0].rows
+    return results
 
 
-def test_align_packing_example():
-    tuples = [(i, "abcd") for i in range(10)]
-    blocks = align(tuples, S12, 64)
-    assert [b.tuple_count for b in blocks] == [5, 5]
-    assert all(len(b.data) == 64 for b in blocks)
-    # zero padding after the 60 payload bytes
-    assert blocks[0].data[60:] == b"\x00" * 4
+def _build_slot(results) -> int:
+    """The slot the bloom cascade builds over: the smaller side at the join,
+    as the merge join's two sorts count it."""
+    merge = results["row/merge_fpga"][1]
+    left, right = (s.input_count for s in merge.stages if s.name in ("sort_left", "sort_right"))
+    return 0 if left <= right else 1
 
 
-def test_align_empty():
-    assert align([], S12, 64) == []
+def test_host_join_example(default_library):
+    small, big = [(1,), (2,)], [(2,), (3,), (4,)]
+    for build, (l, r) in enumerate([(small, big), (big, small)]):
+        tables = {"l": make_table([("a", "INT")], l), "r": make_table([("b", "INT")], r)}
+        results = _codesign_against_hash_fpga("SELECT l.a, r.b FROM l JOIN r ON l.a = r.b",
+                                              tables, default_library)
+        assert _build_slot(results) == build
+        assert all(table.rows == ((2, 2),) for table, _ in results.values())
 
 
-def test_align_tuple_too_large():
-    wide = Schema((("a", ColumnType.int64()),) * 1)
-    wide = Schema((("a", ColumnType.char(64)), ("b", ColumnType.char(8))))  # 72 B
-    with pytest.raises(TupleTooLarge):
-        align([("x" * 64, "y" * 8)], wide, 64)
+def test_host_join_multiset_semantics(default_library):
+    """Many-to-many keys fan out to every pair, in (left, right) order,
+    whichever side the bloom cascade builds over."""
+    small = [(2, "p"), (1, "q"), (2, "s")]
+    big = [(2, "w"), (3, "x"), (2, "y"), (2, "z")]
+    for build, (l, r) in enumerate([(small, big), (big, small)]):
+        tables = {"l": make_table([("k", "INT"), ("v", 1)], l),
+                  "r": make_table([("k", "INT"), ("v", 1)], r)}
+        results = _codesign_against_hash_fpga("SELECT l.v, r.v FROM l JOIN r ON l.k = r.k",
+                                              tables, default_library)
+        assert _build_slot(results) == build
+        expected = tuple((x[1], y[1]) for x in l for y in r if x[0] == y[0])
+        assert len(expected) == 6
+        assert all(table.rows == expected for table, _ in results.values())
 
 
-def test_align_with_hash_reduces_capacity():
-    tuples = [(i, "abcd") for i in range(10)]
-    blocks = align(tuples, S12, 64, with_hash=True, hashes=list(range(10)))
-    # 12 + 8 = 20 B records -> 3 per 64 B block
-    assert [b.tuple_count for b in blocks] == [3, 3, 3, 1]
+def test_host_join_verifies_keys_not_just_hashes(default_library):
+    """CHAR keys pair on their canonical (padded) form across widths:
+    'ab' in CHAR(3) meets 'ab ' in CHAR(5)."""
+    tables = {"l": make_table([("k", 3)], [("ab",), ("ba",), ("a",), ("ab",)]),
+              "r": make_table([("k", 5)], [("ab ",), ("b",), ("a b",), ("ab",), ("a  ",)])}
+    sql = "SELECT l.k, r.k FROM l JOIN r ON l.k = r.k"
+    results = _codesign_against_hash_fpga(sql, tables, default_library)
+    expected = canonical_multiset(reference_execute(bind_sql(sql, tables), tables))
+    assert sum(expected.values()) == 5
+    assert all(canonical_multiset(table) == expected for table, _ in results.values())
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 200), st.sampled_from([64, 128, 256]))
-def test_align_conservation(n, block_bytes):
-    tuples = [(i, "ab") for i in range(n)]
-    blocks = align(tuples, S12, block_bytes)
-    assert sum(b.tuple_count for b in blocks) == n
-    flat = [t for b in blocks for t in b.tuples]
-    assert flat == tuples
+def test_host_join_drops_hash_collisions(default_library):
+    """Bloom false positives reach the host join and die there: the
+    co-design result is still hash_fpga's, row for row."""
+    tables = {"l": make_table([("k", "INT"), ("v", "INT")],
+                              [(i * 7 % 3001, i) for i in range(3000)]),
+              "r": make_table([("k", "INT")], [(i,) for i in range(0, 3000, 100)])}
+    results = _codesign_against_hash_fpga("SELECT l.v, r.k FROM l JOIN r ON l.k = r.k",
+                                          tables, default_library)
+    report = results["row/hash_codesign"][1]
+    assert report.bloom_false_positives > 0
+    stages = {s.name: s for s in report.stages}
+    survivors = stages["bloom_cascade"].output_count
+    assert stages["host_join"].output_count == survivors - report.bloom_false_positives
 
 
-# ---------------------------------------------------------------------------
-# host hash join
-# ---------------------------------------------------------------------------
-
-def _forwarded(rows, key_type):
-    """Canonical keys of one-column rows and the hashes the bloom stage
-    forwards for them."""
-    keys = Table.from_rows(Schema((("k", key_type),)), tuple(rows)).columns[0].values
-    cascade = bloom_build(BloomCascadeConfig(1, 64, 1, 0), [])
-    return forwarded_hashes(cascade, key_images(keys, key_type)), keys
+def _suite_tables(suite_dir):
+    return {name: load_csv(suite_dir / "tables" / f"{name}.csv")
+            for name in ("orders", "customers")}
 
 
-def _host_join(build, probe, key_type):
-    """Joined rows, build side first, in the order the host join emits them."""
-    pairs = host_hash_join(*_forwarded(build, key_type), *_forwarded(probe, key_type))
-    return [build[b] + probe[p] for b, p in zip(*pairs)]
+@pytest.mark.parametrize("query", ["q07", "q08", "q09", "q10", "q11", "q12"])
+def test_codesign_join_matches_hash_fpga_on_suite_joins(suite_dir, default_library,
+                                                        default_device, query):
+    """A suite join query as written and with its two tables swapped:
+    customers, the smaller side, builds the bloom cascade on the right, then
+    on the left."""
+    tables = _suite_tables(suite_dir)
+    sql = (suite_dir / f"{query}.sql").read_text()
+    assert "FROM orders JOIN customers" in sql
+    build_slots = []
+    for form in (sql, sql.replace("FROM orders JOIN customers", "FROM customers JOIN orders")):
+        results = _codesign_against_hash_fpga(form, tables, default_library, default_device)
+        build_slots.append(_build_slot(results))
+    assert build_slots == [1, 0]
 
 
-def test_host_join_example():
-    rows = _host_join([(1,), (2,)], [(2,), (3,)], ColumnType.int64())
-    assert rows == [(2, 2)]
+def test_align_tuple_too_large(default_library, default_device, suite_dir):
+    """A device whose cache line is narrower than a record fails the align
+    stage, even for a candidate planned on a device it fits."""
+    tables = _suite_tables(suite_dir)
+    bp = bind_sql((suite_dir / "q09.sql").read_text(), tables)
+    cand = next(c for c in enumerate_pipelines(bp, default_library, default_device)
+                if c.tag == "row/hash_codesign")
+    with pytest.raises(TupleTooLarge, match="record of 34 B does not fit a 16 B block"):
+        run_candidate(cand, tables, replace(default_device, cache_line_bytes=16))
 
 
-def test_host_join_multiset_semantics():
-    rows = _host_join([(2,), (2,)], [(2,)], ColumnType.int64())
-    assert len(rows) == 2
+def test_a_record_as_wide_as_the_cache_line_fits(default_library, default_device):
+    """Three INT columns make a 24 B tuple and a 32 B record: a 32 B cache
+    line holds it, so the planner offers co-design and the engine runs it."""
+    cols = [("k", "INT"), ("a", "INT"), ("b", "INT")]
+    tables = {"l": make_table(cols, [(i % 5, i, -i) for i in range(12)]),
+              "r": make_table(cols, [(i, i, i) for i in range(4)])}
+    dev = replace(default_device, cache_line_bytes=32)
+    results = _codesign_against_hash_fpga("SELECT l.a, r.b FROM l JOIN r ON l.k = r.k",
+                                          tables, default_library, dev)
+    assert results["row/hash_codesign"][0].row_count == 10
+    wider = {**tables, "r": make_table(cols + [("c", 1)], [(0, 0, 0, "x")])}
+    bp = bind_sql("SELECT l.a FROM l JOIN r ON l.k = r.k", wider)
+    assert "row/hash_codesign" not in [c.tag for c in enumerate_pipelines(bp, default_library, dev)]
 
 
-def test_host_join_verifies_keys_not_just_hashes():
-    # identical forwarded hash (same key image) but different key cells can't
-    # happen for INT; fake a collision via CHAR keys of different raw spelling
-    rows = _host_join([("ab",)], [("ab ",)], ColumnType.char(3))  # same canonical form
-    assert rows == [("ab", "ab ")]
-
-
-def test_host_join_drops_hash_collisions():
-    # every forwarded hash collides; only equal keys may pair
-    hashes = np.zeros(3, dtype=np.uint64)
-    build_keys = np.array([5, 7, 5], dtype=np.int64)
-    probe_keys = np.array([7, 5, 9], dtype=np.int64)
-    build, probe = host_hash_join(hashes, build_keys, hashes, probe_keys)
-    assert list(zip(build.tolist(), probe.tolist())) == [(1, 0), (0, 1), (2, 1)]
+def test_codesign_needs_records_that_fit_a_cache_line(default_library, default_device,
+                                                      suite_dir):
+    """q09's records are a customers tuple (26 B) and an orders tuple (37 B),
+    each plus its 8-byte forwarded hash: 34 B and 45 B."""
+    tables = _suite_tables(suite_dir)
+    bp = bind_sql((suite_dir / "q09.sql").read_text(), tables)
+    for block, offered in ((32, False), (64, True)):
+        dev = replace(default_device, cache_line_bytes=block)
+        tags = [c.tag for c in enumerate_pipelines(bp, default_library, dev)]
+        assert ("row/hash_codesign" in tags) is offered, block
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +497,58 @@ def test_aggregate_overflow_faults_on_earliest_row(default_library):
             run_candidate(cand, tables, dev, stats=stats)
         assert engine_err.value.row == 2
         assert engine_err.value.expr == "sum_a"
+
+
+def _outcome(run):
+    """("ok", result multiset) or ("fault", (error, row))."""
+    try:
+        return "ok", canonical_multiset(run())
+    except (ArithmeticOverflow, DivisionByZero) as exc:
+        return "fault", (type(exc).__name__, exc.row)
+
+
+def test_sum_and_avg_overflow_match_the_oracle(default_library, monkeypatch):
+    """INT cells near +-2^62 and at the int64 limits drive SUM and AVG through
+    group_sums' running-sum scan, grouped and global, with and without a join
+    and a WHERE; every candidate matches the oracle, faulting row included."""
+    from sqf.engine import exec as exec_mod
+
+    scans, real = [], exec_mod.group_sums
+
+    def group_sums(values, gid, groups):
+        # the direct path's bound; past it, group_sums scans running sums
+        scans.append(len(values) * max(-int(values.min(initial=0)),
+                                       int(values.max(initial=0))) > INT64_MAX)
+        return real(values, gid, groups)
+
+    monkeypatch.setattr(exec_mod, "group_sums", group_sums)
+    rng = random.Random(0x5EED)
+    cells = [2**62, -(2**62), 2**62 + 1, -(2**62) - 1, 3 * 2**60, INT64_MAX, INT64_MIN,
+             INT64_MAX - 1, INT64_MIN + 1, 0, 1, -1, 5]
+    dev = _device()
+    faults = oks = 0
+    for _ in range(120):
+        t = make_table([("g", "INT"), ("a", "INT")],
+                       [(rng.randint(0, 2), rng.choice(cells)) for _ in range(rng.randint(1, 9))])
+        u = make_table([("k", "INT"), ("w", "INT")],
+                       [(rng.randint(0, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 4))])
+        tables = {"t": t, "u": u}
+        fn = rng.choice(["SUM", "AVG"])
+        grouped, joined, where = rng.random() < 0.5, rng.random() < 0.5, rng.random() < 0.5
+        select = f"{fn}(t.a) AS s, COUNT(*) AS n"
+        sql = f"SELECT t.g, {select}" if grouped else f"SELECT {select}"
+        sql += " FROM t JOIN u ON t.g = u.k" if joined else " FROM t"
+        if where:
+            sql += " WHERE u.w <> 0" if joined else " WHERE t.a <> 0"
+        if grouped:
+            sql += " GROUP BY t.g"
+        bp = bind_sql(sql, tables)
+        expected = _outcome(lambda: reference_execute(bp, tables))
+        stats = {name: table_stats(tbl) for name, tbl in tables.items()}
+        for cand in enumerate_pipelines(bp, default_library, dev):
+            got = _outcome(lambda: run_candidate(cand, tables, dev, stats=stats)[0])
+            assert got == expected, (sql, t.rows, u.rows, cand.tag)
+        faults += expected[0] == "fault"
+        oks += expected[0] == "ok"
+    print(f"{sum(scans)} of {len(scans)} sums scanned, {faults} faults, {oks} ok")
+    assert any(scans) and faults and oks

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.exec import result_checksum
-from sqf.engine.hostjoin import host_hash_join
 from sqf.engine.kernels import (
     DIVZERO, OK, OVERFLOW, checked_arith, group_ids, group_sums, match_pairs,
 )
@@ -228,8 +227,8 @@ def _first_appearance(rows):
 @st.composite
 def key_kinds(draw, kinds=("narrow", "wide", "char")):
     """(cell strategy, dtype) of one key column: narrow INT (coded by offset),
-    wide INT from EDGES (coded by sorting), uint64 like forwarded hashes, or
-    padded CHAR of width 1-8."""
+    wide INT from EDGES (coded by sorting), uint64 (coded by sorting, as any
+    key that is not int64), or padded CHAR of width 1-8."""
     kind = draw(st.sampled_from(kinds))
     if kind == "narrow":
         return st.integers(-3, 3), np.int64
@@ -281,13 +280,3 @@ def test_match_pairs_is_the_ordered_nested_loop(data, kind):
     o, i = match_pairs(outer, inner)
     assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
                                                                       inner.tolist())
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 8), max_size=15), st.lists(st.integers(0, 8), max_size=15))
-def test_host_hash_join_drops_hash_collisions(build, probe):
-    # hash = key mod 3, so keys 0, 3 and 6 collide
-    build_keys, probe_keys = np.array(build, dtype=np.int64), np.array(probe, dtype=np.int64)
-    build_pos, probe_pos = host_hash_join((build_keys % 3).astype(np.uint64), build_keys,
-                                          (probe_keys % 3).astype(np.uint64), probe_keys)
-    assert list(zip(probe_pos.tolist(), build_pos.tolist())) == _pairs_by_nested_loop(probe, build)
