@@ -29,7 +29,7 @@ from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
 from .oracle import first_multiset_diff, multisets_equal, reference_execute
-from .planner import enumerate_pipelines, rank, software_baseline
+from .planner import codesign_misfits, enumerate_pipelines, rank, software_baseline
 from .relcore import load_csv, table_stats
 
 log = logging.getLogger("sqf")
@@ -90,14 +90,21 @@ class _Planned:
     stats: dict
     candidates: list
     ranked: list  # every (candidate, estimate), in selection order
+    device: object
 
     def choose(self, layout: str, join: str) -> tuple:
-        """The best-ranked (candidate, estimate) that --layout/--join leave."""
+        """The best-ranked (candidate, estimate) that --layout/--join leave.
+        A forced co-design join names the records too wide for a cache line."""
         for cand, est in self.ranked:
             if (layout == "auto" or cand.layout == layout) and (
                     join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
                 return cand, est
-        raise NoCandidates(f"no candidates left after --layout={layout} --join={join}")
+        reason = f"no candidates left after --layout={layout} --join={join}"
+        misfits = codesign_misfits(self.bound, self.device)
+        if join == "codesign" and self.bound.has_join and misfits:
+            reason += (f" (co-design records wider than the {self.device.cache_line_bytes} B"
+                       " cache line: " + ", ".join(f"{t} {n} B" for t, n in misfits) + ")")
+        raise NoCandidates(reason)
 
     def estimates(self) -> list:
         """Every enumerated candidate with its estimate, in enumeration order
@@ -151,6 +158,7 @@ class _Session:
             stats=stats,
             candidates=candidates,
             ranked=rank(candidates, stats, self.device),
+            device=self.device,
         )
 
     def run_chosen(self, planned: _Planned, layout: str, join: str, seed: int):

@@ -2,11 +2,15 @@
 
 A cascade is a sequence of identical-shape stages with stage-distinct hash
 seeds; a key passes only if every stage reports membership, so false
-positives multiply down while false negatives stay impossible. Probing also
-yields each key's stage-0 hash: the hash a co-design record forwards to the
-host, whose 8 bytes size the record (`align.record_bytes`). The engine pairs
-rows on the canonical keys themselves, which is what matching forwarded
-hashes and then verifying the keys yields.
+positives multiply down while false negatives stay impossible. Each stage
+stores its bits one per bool.
+
+Probing also returns each key's stage-0 hash, the hash a co-design record
+forwards to the host. The engine reads nothing of it; only tests read the
+returned hashes. The forwarded hash enters the model as the 8 bytes
+`align.record_bytes` adds to each record, and the host join pairs rows on
+their canonical keys, which is what matching forwarded hashes and then
+verifying the keys yields.
 
 Every bit index uses its own independently seeded 64-bit hash (see
 sqf.hashing): index_j = hash(key, seed(stage, j)) mod m. Double hashing
@@ -63,8 +67,8 @@ class BloomCascade:
 
     def __init__(self, config: BloomCascadeConfig):
         self.config = config
-        nbytes = (config.bits_per_stage + 7) // 8
-        self.stage_bits = [np.zeros(nbytes, dtype=np.uint8) for _ in range(config.stages)]
+        self.stage_bits = [np.zeros(config.bits_per_stage, dtype=bool)
+                           for _ in range(config.stages)]
         self.inserted_count = 0
 
     def hash_seed(self, stage: int, j: int) -> int:
@@ -88,12 +92,7 @@ def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
     for stage in range(config.stages):
         bits = cascade.stage_bits[stage]
         for j in range(config.hashes_per_stage):
-            idx = fnv1a64_u64_many(arr, cascade.hash_seed(stage, j)) % m
-            np.bitwise_or.at(
-                bits,
-                (idx >> np.uint64(3)).astype(np.int64),
-                np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8),
-            )
+            bits[fnv1a64_u64_many(arr, cascade.hash_seed(stage, j)) % m] = True
     return cascade
 
 
@@ -107,7 +106,7 @@ def bloom_probe(cascade: BloomCascade, key: int) -> tuple[bool, int]:
         bits = cascade.stage_bits[stage]
         for j in range(cfg.hashes_per_stage):
             idx = fnv1a64_u64(key, cascade.hash_seed(stage, j)) % m
-            if not (bits[idx >> 3] >> (idx & 7)) & 1:
+            if not bits[idx]:
                 return False, hash64
     return True, hash64
 
@@ -126,7 +125,5 @@ def bloom_probe_many(cascade: BloomCascade, keys: np.ndarray) -> tuple[np.ndarra
             h = fnv1a64_u64_many(arr, cascade.hash_seed(stage, j))
             if stage == 0 and j == 0:
                 hashes = h.copy()
-            idx = h % m
-            byte = bits[(idx >> np.uint64(3)).astype(np.int64)]
-            passed &= ((byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1).astype(bool)
+            passed &= bits[h % m]
     return passed, hashes

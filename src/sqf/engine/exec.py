@@ -33,16 +33,8 @@ if TYPE_CHECKING:  # runtime import would be circular via the planner
 
 from ..errors import ArithmeticOverflow, DivisionByZero, NotReconfigured
 from ..fabric import DeviceProfile, FabricState, Placement
-from ..frontend.binder import (
-    BArith,
-    BBool,
-    BCmp,
-    BInt,
-    BoundPlan,
-    BStr,
-    FromGroupKey,
-    ValueRef,
-)
+from ..frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
+from ..frontend.binder import BCmp, BoundPlan, FromGroupKey, ValueRef
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
 from ..relcore import Column, ColumnType, Table, TypeKind, encode_columns, pad_bytes
 from .align import check_record_fits
@@ -126,11 +118,11 @@ def _evaluate(expr, stream: _Stream):
     """
     if isinstance(expr, ValueRef):
         return stream.column(expr).values, None
-    if isinstance(expr, BInt):
+    if isinstance(expr, IntLiteral):
         return np.int64(expr.value), None
-    if isinstance(expr, BStr):  # padded to its bound width, at least 1
+    if isinstance(expr, StrLiteral):  # padded to its bound width, at least 1
         return np.array([expr.value.ljust(1).encode("ascii")]), None
-    if isinstance(expr, BArith):
+    if isinstance(expr, Arith):
         a, fa = _evaluate(expr.lhs, stream)
         b, fb = _evaluate(expr.rhs, stream)
         values, fault = checked_arith(expr.op, a, b)
@@ -141,7 +133,7 @@ def _evaluate(expr, stream: _Stream):
         if expr.kind is TypeKind.CHAR:
             a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
         return _CMP[expr.op](a, b), _first_fault(fa, fb)
-    if isinstance(expr, BBool):
+    if isinstance(expr, BoolOp):
         parts = [_evaluate(child, stream) for child in expr.children]
         if expr.op == "NOT":
             values = np.logical_not(parts[0][0])

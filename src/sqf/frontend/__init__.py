@@ -19,14 +19,10 @@ from .ast import (
     render_expr,
 )
 from .binder import (
-    BArith,
-    BBool,
     BCmp,
-    BInt,
     BoundAgg,
     BoundComputed,
     BoundPlan,
-    BStr,
     FromAggregate,
     FromGroupKey,
     FromValue,
@@ -40,7 +36,7 @@ __all__ = [
     "AggItem", "AggSpec", "Arith", "BoolOp", "Cmp", "ColumnRef", "Expr",
     "IntLiteral", "JoinSpec", "NamedItem", "OrderItem", "QueryPlan", "Star",
     "StrLiteral", "pretty_print", "render_expr",
-    "BArith", "BBool", "BCmp", "BInt", "BoundAgg", "BoundComputed",
-    "BoundPlan", "BStr", "FromAggregate", "FromGroupKey", "FromValue",
-    "OutputCol", "ValueRef", "bind", "parse_query", "tokenize",
+    "BCmp", "BoundAgg", "BoundComputed", "BoundPlan", "FromAggregate",
+    "FromGroupKey", "FromValue", "OutputCol", "ValueRef", "bind",
+    "parse_query", "tokenize",
 ]

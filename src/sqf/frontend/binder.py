@@ -1,9 +1,11 @@
 """Name resolution and type checking: QueryPlan -> BoundPlan.
 
-A bound plan carries, for every expression, the resolved (side, column index,
-type) of each reference, plus the fully determined output schema. Binding is
-a pure function of (plan, catalog) and re-binding a bound plan's query yields
-an equal BoundPlan.
+Binding resolves each column reference to a ValueRef (slot, column index,
+type) and types each comparison as a BCmp; every other expression node (the
+literals, Arith and BoolOp) passes through as the parser's own class. A bound
+plan also carries the fully determined output schema. Binding is a pure
+function of (plan, catalog) and re-binding a bound plan's query yields an
+equal BoundPlan.
 """
 
 from __future__ import annotations
@@ -40,23 +42,6 @@ class ValueRef:
 
 
 @dataclass(frozen=True)
-class BInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class BStr:
-    value: str
-
-
-@dataclass(frozen=True)
-class BArith:
-    op: str
-    lhs: "BExpr"
-    rhs: "BExpr"
-
-
-@dataclass(frozen=True)
 class BCmp:
     op: str
     lhs: "BExpr"
@@ -65,13 +50,8 @@ class BCmp:
     width: int  # CHAR comparison width (both sides padded to it); 0 for INT
 
 
-@dataclass(frozen=True)
-class BBool:
-    op: str
-    children: tuple["BExpr", ...]
-
-
-BExpr = object  # ValueRef | BInt | BStr | BArith | BCmp | BBool
+# The parsed tree with each ColumnRef replaced by a ValueRef and each Cmp by a BCmp.
+BExpr = object  # ValueRef | IntLiteral | StrLiteral | Arith | BCmp | BoolOp
 
 
 @dataclass(frozen=True)
@@ -152,17 +132,17 @@ class BoundPlan:
 def walk_bound(expr):
     """Yield every node of a bound expression tree."""
     yield expr
-    if isinstance(expr, (BArith, BCmp)):
+    if isinstance(expr, (Arith, BCmp)):
         yield from walk_bound(expr.lhs)
         yield from walk_bound(expr.rhs)
-    elif isinstance(expr, BBool):
+    elif isinstance(expr, BoolOp):
         for child in expr.children:
             yield from walk_bound(child)
 
 
 def split_conjuncts(expr) -> list:
     """Top-level AND conjuncts of a bound predicate."""
-    if isinstance(expr, BBool) and expr.op == "AND":
+    if isinstance(expr, BoolOp) and expr.op == "AND":
         out = []
         for child in expr.children:
             out.extend(split_conjuncts(child))
@@ -178,7 +158,7 @@ def expr_slots(expr) -> set:
 
 
 def expr_has_arith(expr) -> bool:
-    return any(isinstance(n, BArith) for n in walk_bound(expr))
+    return any(isinstance(n, Arith) for n in walk_bound(expr))
 
 
 def needs_reorder(bp: "BoundPlan") -> bool:
@@ -286,18 +266,17 @@ class _Binder:
             ref = self.resolve_column(expr)
             return ref, ref.ctype
         if isinstance(expr, IntLiteral):
-            return BInt(expr.value), ColumnType.int64()
+            return expr, ColumnType.int64()
         if isinstance(expr, StrLiteral):
-            width = max(1, min(len(expr.value), 64))
             if len(expr.value) > 64:
                 raise QueryTypeError(render_expr(expr), "string literal longer than 64 bytes")
-            return BStr(expr.value), ColumnType.char(width)
+            return expr, ColumnType.char(max(1, len(expr.value)))
         if isinstance(expr, Arith):
             lhs, lt = self.bind_value_expr(expr.lhs, expr)
             rhs, rt = self.bind_value_expr(expr.rhs, expr)
             if lt.kind is not TypeKind.INT or rt.kind is not TypeKind.INT:
                 raise QueryTypeError(render_expr(expr), "arithmetic needs INT operands")
-            return BArith(expr.op, lhs, rhs), ColumnType.int64()
+            return Arith(expr.op, lhs, rhs), ColumnType.int64()
         if isinstance(expr, Cmp):
             lhs, lt = self.bind_value_expr(expr.lhs, expr)
             rhs, rt = self.bind_value_expr(expr.rhs, expr)
@@ -313,7 +292,7 @@ class _Binder:
             return BCmp(expr.op, lhs, rhs, TypeKind.INT, 0), "bool"
         if isinstance(expr, BoolOp):
             children = tuple(self.bind_bool_expr(c) for c in expr.children)
-            return BBool(expr.op, children), "bool"
+            return BoolOp(expr.op, children), "bool"
         raise TypeError(f"not an expression: {expr!r}")
 
     # -- plan binding ---------------------------------------------------------

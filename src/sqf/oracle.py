@@ -18,28 +18,19 @@ from collections import Counter
 
 from .arith import add64, div64, mul64, sub64
 from .errors import ArithmeticOverflow, DivisionByZero
-from .frontend.binder import (
-    BArith,
-    BBool,
-    BCmp,
-    BInt,
-    BoundPlan,
-    BStr,
-    FromAggregate,
-    FromGroupKey,
-    ValueRef,
-)
+from .frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
+from .frontend.binder import BCmp, BoundPlan, FromAggregate, FromGroupKey, ValueRef
 from .relcore import Table, TypeKind, canon_cell, canon_row, encode_row, pad_char
 
 
 def _eval(expr, row, bp: BoundPlan):
     if isinstance(expr, ValueRef):
         return row[bp.flat_index(expr)]
-    if isinstance(expr, BInt):
+    if isinstance(expr, IntLiteral):
         return expr.value
-    if isinstance(expr, BStr):
+    if isinstance(expr, StrLiteral):
         return expr.value
-    if isinstance(expr, BArith):
+    if isinstance(expr, Arith):
         lhs = _eval(expr.lhs, row, bp)
         rhs = _eval(expr.rhs, row, bp)
         if expr.op == "+":
@@ -64,7 +55,7 @@ def _eval(expr, row, bp: BoundPlan):
             ">": lhs > rhs,
             ">=": lhs >= rhs,
         }[expr.op]
-    if isinstance(expr, BBool):
+    if isinstance(expr, BoolOp):
         values = [_eval(c, row, bp) for c in expr.children]
         if expr.op == "NOT":
             return not values[0]

@@ -20,13 +20,10 @@ from .engine.align import record_bytes
 from .engine.bloom import analytic_fp_rate, bloom_dims
 from .errors import MissingStats, NoCandidates
 from .fabric import DeviceProfile
+from .frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
 from .frontend.binder import (
-    BArith,
-    BBool,
     BCmp,
-    BInt,
     BoundPlan,
-    BStr,
     FromValue,
     ValueRef,
     expr_has_arith,
@@ -123,7 +120,7 @@ def count_arith_nodes(bp: BoundPlan) -> int:
     """ALU nodes: each computed select item's arithmetic nodes, and one for
     an item without arithmetic (a copied column or a literal). A predicate's
     arithmetic is evaluated by its restriction, not the ALU."""
-    return sum(max(1, sum(1 for n in walk_bound(comp.expr) if isinstance(n, BArith)))
+    return sum(max(1, sum(1 for n in walk_bound(comp.expr) if isinstance(n, Arith)))
                for comp in bp.computed)
 
 
@@ -182,10 +179,11 @@ def _column_stat(slot: int, index: int, bp: BoundPlan, stats: dict):
 
 def _cmp_selectivity(cmp: BCmp, bp: BoundPlan, stats: dict) -> float:
     lhs, rhs, op = cmp.lhs, cmp.rhs, cmp.op
-    if isinstance(rhs, ValueRef) and isinstance(lhs, (BInt, BStr)):
+    literal = (IntLiteral, StrLiteral)
+    if isinstance(rhs, ValueRef) and isinstance(lhs, literal):
         lhs, rhs = rhs, lhs
         op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    if isinstance(lhs, ValueRef) and lhs.kind == "column" and isinstance(rhs, (BInt, BStr)):
+    if isinstance(lhs, ValueRef) and lhs.kind == "column" and isinstance(rhs, literal):
         stat = _column_stat(lhs.slot, lhs.index, bp, stats)
         d = stat.distinct_count
         if op == "=":
@@ -218,7 +216,7 @@ def estimate_selectivity(expr, bp: BoundPlan, stats: dict) -> float:
     """Independence-heuristic selectivity of a bound predicate, in [0, 1]."""
     if isinstance(expr, BCmp):
         return _cmp_selectivity(expr, bp, stats)
-    if isinstance(expr, BBool):
+    if isinstance(expr, BoolOp):
         subs = [estimate_selectivity(c, bp, stats) for c in expr.children]
         if expr.op == "NOT":
             return _clamp(1.0 - subs[0])
@@ -332,11 +330,12 @@ def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
     )
 
 
-def _codesign_feasible(bp: BoundPlan, dev: DeviceProfile) -> bool:
-    if not bp.has_join:
-        return False
-    block = dev.cache_line_bytes  # block multiplier is fixed at 1
-    return all(record_bytes(schema) <= block for schema in bp.schemas)
+def codesign_misfits(bp: BoundPlan, dev: DeviceProfile) -> list[tuple[str, int]]:
+    """(table, record bytes) of each side whose co-design record is wider
+    than the device's cache line, the alignment block (its multiplier is
+    fixed at 1). A join offers the co-design variant only when none is."""
+    return [(table, record_bytes(schema)) for table, schema in zip(bp.tables, bp.schemas)
+            if record_bytes(schema) > dev.cache_line_bytes]
 
 
 def enumerate_pipelines(
@@ -349,7 +348,7 @@ def enumerate_pipelines(
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
     layouts = ["row", "column"] if _column_layout_eligible(bp) else ["row"]
     variants = [(layout, algo) for layout in layouts for algo in algos]
-    if _codesign_feasible(bp, dev):
+    if bp.has_join and not codesign_misfits(bp, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
     plan_steps = _plan_steps(bp)

@@ -72,6 +72,37 @@ def test_run_forced_join_without_join_is_no_candidates(tmp_path, capsys):
     assert "no candidates" in capsys.readouterr().err
 
 
+def test_run_self_join_is_a_bind_error(tmp_path, capsys):
+    tables = _write_tables(tmp_path)
+    rc = main([
+        "run", "--query", _query(tmp_path, "SELECT a FROM t JOIN t ON t.a = t.a"),
+        "--tables", str(tables), "--library", LIB, "--device", DEV,
+        "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err == "error: FROM: self-joins are not supported\n"
+
+
+@pytest.mark.parametrize("query, reason", [
+    ("q09.sql", " (co-design records wider than the 32 B cache line: orders 45 B, "
+                "customers 34 B)"),
+    ("q01.sql", ""),  # no join: no record is to blame
+])
+def test_forced_codesign_names_records_wider_than_the_cache_line(
+        suite_dir, tmp_path, capsys, query, reason):
+    device = json.loads((REPO / "device.default.json").read_text())
+    device["cache_line_bytes"] = 32
+    (tmp_path / "device.json").write_text(json.dumps(device))
+    rc = main(["explain", "--query", str(suite_dir / query),
+               "--tables", str(suite_dir / "tables"), "--library", LIB,
+               "--device", str(tmp_path / "device.json"), "--join", "codesign"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: no candidates left after --layout=auto --join=codesign" + reason + "\n")
+
+
 def test_run_exit_2_on_oracle_mismatch(tmp_path, monkeypatch, capsys):
     # force a wrong result to exercise the mismatch path
     import sqf.cli as cli_mod

@@ -15,16 +15,20 @@ from sqf.errors import (
 from sqf.frontend import (
     AggItem,
     Arith,
+    BCmp,
+    BoolOp,
     Cmp,
     ColumnRef,
     IntLiteral,
     NamedItem,
+    StrLiteral,
+    ValueRef,
     bind,
     parse_query,
     pretty_print,
     tokenize,
 )
-from sqf.frontend.binder import FromValue
+from sqf.frontend.binder import FromValue, walk_bound
 from sqf.frontend.parser import _SYMBOLS, KEYWORDS
 from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, select_best
@@ -308,6 +312,16 @@ def test_bind_is_idempotent():
     assert bind(bp.plan, CATALOG) == bp
 
 
+def test_bound_expressions_reuse_the_parser_nodes():
+    bp = bind(parse_query("SELECT a * 2 AS x FROM t "
+                          "WHERE NOT (a + 1 > d) AND (b = 'x' OR d < -3)"), CATALOG)
+    nodes = [*walk_bound(bp.restriction), *walk_bound(bp.computed[0].expr)]
+    kinds = {type(node) for node in nodes}
+    assert kinds == {BoolOp, Arith, IntLiteral, StrLiteral, ValueRef, BCmp}
+    assert {k for k in kinds if k.__module__ == "sqf.frontend.binder"} == {ValueRef, BCmp}
+    assert bind(bp.plan, CATALOG) == bp
+
+
 def test_bind_grouping_projection_rule():
     with pytest.raises(QueryTypeError):
         bind(parse_query("SELECT a, COUNT(*) FROM t GROUP BY d"), CATALOG)
@@ -323,6 +337,43 @@ def test_bind_order_by_must_name_output():
 def test_bind_sum_needs_int():
     with pytest.raises(QueryTypeError):
         bind(parse_query("SELECT SUM(b) FROM t"), CATALOG)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("SELECT a FROM t JOIN T ON t.a = T.a", QueryTypeError,
+     "FROM: self-joins are not supported"),
+    ("SELECT a FROM t JOIN u ON t.a = t.d", QueryTypeError,
+     "t.a = t.d: join keys must come from different tables"),
+    ("SELECT a FROM t JOIN u ON t.b = u.c", QueryTypeError,
+     "t.b = u.c: join key types differ"),
+    ("SELECT x.a FROM t", UnknownTable, "unknown table `x`"),
+    ("SELECT a > 1 AS x FROM t", QueryTypeError,
+     "(a > 1): expected a value, got a condition"),
+    ("SELECT a FROM t WHERE (a > 1) + 1 > 0", QueryTypeError,
+     "((a > 1) + 1): condition used as a value"),
+    ("SELECT a FROM t WHERE a + 1", QueryTypeError,
+     "(a + 1): expected a condition, got a value"),
+    ("SELECT a FROM t WHERE b = '" + "x" * 65 + "'", QueryTypeError,
+     "'" + "x" * 65 + "': string literal longer than 64 bytes"),
+    ("SELECT a FROM t WHERE a = b", QueryTypeError,
+     "(a = b): cannot compare INT with CHAR"),
+    ("SELECT a + 1 AS D FROM t", QueryTypeError,
+     "D: computed name collides with a column"),
+    ("SELECT a + 1 AS x, a + 2 AS X FROM t", QueryTypeError,
+     "X: computed name defined twice"),
+    ("SELECT SUM(*) FROM t", QueryTypeError,
+     "SUM(*) AS sum_star: SUM(*) is not allowed"),
+    ("SELECT * FROM t GROUP BY a", QueryTypeError,
+     "*: star projection cannot be mixed with grouping"),
+], ids=["self-join", "keys-one-table", "key-types-differ", "unknown-qualifier",
+        "condition-as-value", "condition-as-operand", "value-as-condition",
+        "long-string", "int-vs-char", "computed-collides", "computed-twice",
+        "sum-star", "star-with-group-by"])
+def test_bind_error_names_its_rule(text, error, message):
+    with pytest.raises(error) as err:
+        bind(parse_query(text), CATALOG)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_bind_projection_sources():
