@@ -29,7 +29,13 @@ from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
 from .oracle import first_multiset_diff, multisets_equal, reference_execute
-from .planner import codesign_misfits, enumerate_pipelines, rank, software_baseline
+from .planner import (
+    codesign_misfits,
+    column_layout_eligible,
+    enumerate_pipelines,
+    rank,
+    software_baseline,
+)
 from .relcore import load_csv, table_stats
 
 log = logging.getLogger("sqf")
@@ -94,17 +100,25 @@ class _Planned:
 
     def choose(self, layout: str, join: str) -> tuple:
         """The best-ranked (candidate, estimate) that --layout/--join leave.
-        A forced co-design join names the records too wide for a cache line."""
+        If none is left, the error names each planner rule that ruled the
+        forced layout or co-design join out."""
         for cand, est in self.ranked:
             if (layout == "auto" or cand.layout == layout) and (
                     join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
                 return cand, est
+        rules = []
+        if layout == "column" and not column_layout_eligible(self.bound):
+            rules.append("column layout needs a query that touches at most half"
+                         " of its tables' columns")
+        if join == "codesign" and self.bound.has_join:
+            misfits = codesign_misfits(self.bound, self.device)
+            if misfits:
+                rules.append(f"co-design records wider than the {self.device.cache_line_bytes}"
+                             " B cache line: " + ", ".join(f"{t} {n} B" for t, n in misfits))
+            elif layout == "column":
+                rules.append("co-design is offered in row layout only")
         reason = f"no candidates left after --layout={layout} --join={join}"
-        misfits = codesign_misfits(self.bound, self.device)
-        if join == "codesign" and self.bound.has_join and misfits:
-            reason += (f" (co-design records wider than the {self.device.cache_line_bytes} B"
-                       " cache line: " + ", ".join(f"{t} {n} B" for t, n in misfits) + ")")
-        raise NoCandidates(reason)
+        raise NoCandidates(reason + (f" ({'; '.join(rules)})" if rules else ""))
 
     def estimates(self) -> list:
         """Every enumerated candidate with its estimate, in enumeration order

@@ -12,8 +12,9 @@ stages exist, their order, and where each predicate applies are decided
 there, so the stages the calculus prices are the stages that run.
 
 The engine is columnar: every stage runs as vector kernels over numpy
-columns (`Table.columns`). A stream is held as row positions into the
-tables it reads, and cells are gathered only where a stage reads them.
+columns (`Table.columns`). Rows are held as positions by join slot into the
+tables they read, independent per slot until the join pairs them and aligned
+after it, and cells are gathered only where a stage reads them.
 Arithmetic yields a fault code per row; a stage raises the fault of its
 first faulting row, which is the row the reference evaluator faults on.
 """
@@ -72,28 +73,8 @@ class ExecReport:
 
 
 # --------------------------------------------------------------------------
-# streams and expression evaluation
+# expression evaluation
 # --------------------------------------------------------------------------
-
-class _Stream:
-    """Rows as positions into each join side's table, plus the computed
-    columns, which are aligned with the stream."""
-
-    def __init__(self, tables, positions: dict, computed=()):
-        self.tables = tables  # by join slot
-        self.positions = positions  # join slot -> row positions
-        self.computed = list(computed)
-        self.n = len(next(iter(positions.values())))
-
-    def column(self, ref: ValueRef) -> Column:
-        if ref.kind == "computed":
-            return self.computed[ref.index]
-        return self.tables[ref.slot].columns[ref.index].take(self.positions[ref.slot])
-
-    def keep(self, index) -> "_Stream":
-        return _Stream(self.tables, {s: p[index] for s, p in self.positions.items()},
-                       [c.take(index) for c in self.computed])
-
 
 _CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -109,32 +90,32 @@ def _first_fault(*faults):
     return out
 
 
-def _evaluate(expr, stream: _Stream):
-    """(values, fault codes or None) of a bound expression over a stream.
+def _evaluate(expr, run: _Run):
+    """(values, fault codes or None) of a bound expression at a run's rows.
 
     INT values are int64, CHAR values padded bytes, conditions booleans;
     literals broadcast. A row's fault is its first in evaluation order:
     left operand, right operand, then the operation itself.
     """
     if isinstance(expr, ValueRef):
-        return stream.column(expr).values, None
+        return run.column(expr).values, None
     if isinstance(expr, IntLiteral):
         return np.int64(expr.value), None
     if isinstance(expr, StrLiteral):  # padded to its bound width, at least 1
         return np.array([expr.value.ljust(1).encode("ascii")]), None
     if isinstance(expr, Arith):
-        a, fa = _evaluate(expr.lhs, stream)
-        b, fb = _evaluate(expr.rhs, stream)
+        a, fa = _evaluate(expr.lhs, run)
+        b, fb = _evaluate(expr.rhs, run)
         values, fault = checked_arith(expr.op, a, b)
         return values, _first_fault(fa, fb, fault)
     if isinstance(expr, BCmp):
-        a, fa = _evaluate(expr.lhs, stream)
-        b, fb = _evaluate(expr.rhs, stream)
+        a, fa = _evaluate(expr.lhs, run)
+        b, fb = _evaluate(expr.rhs, run)
         if expr.kind is TypeKind.CHAR:
             a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
         return _CMP[expr.op](a, b), _first_fault(fa, fb)
     if isinstance(expr, BoolOp):
-        parts = [_evaluate(child, stream) for child in expr.children]
+        parts = [_evaluate(child, run) for child in expr.children]
         if expr.op == "NOT":
             values = np.logical_not(parts[0][0])
         else:
@@ -161,11 +142,11 @@ def _raise_first(checks, n: int) -> None:
         raise DivisionByZero(row)
 
 
-def _mask(pred, stream: _Stream) -> np.ndarray:
-    """Rows passing a predicate; an arithmetic fault raises for its row."""
-    values, fault = _evaluate(pred, stream)
-    _raise_first([(fault, "WHERE")], stream.n)
-    return np.broadcast_to(values, (stream.n,))
+def _mask(pred, run: _Run, n: int) -> np.ndarray:
+    """Which of `n` rows pass a predicate; an arithmetic fault raises for its row."""
+    values, fault = _evaluate(pred, run)
+    _raise_first([(fault, "WHERE")], n)
+    return np.broadcast_to(values, (n,))
 
 
 def key_images(keys: np.ndarray, key_type: ColumnType) -> np.ndarray:
@@ -235,21 +216,30 @@ class _Run:
     """One execution. Each stage role is a method that advances the run and
     returns the stage's (input, output) row counts.
 
-    Until a join, each join side is a vector of row positions; the join
-    pairs them into one stream. A plan without a join streams from the start.
+    Its rows are positions by join slot, plus the computed columns. Until
+    the join, each slot's positions are filtered on their own; the join
+    pairs them, and from then on (from the start without a join) the slots
+    and the computed columns are aligned, one entry per row.
     """
 
     def __init__(self, bp: BoundPlan, tables: dict, dev: DeviceProfile, seed: int):
         self.bp, self.dev, self.seed = bp, dev, seed
         self.sides = tuple(tables[name] for name in bp.table_names())
         self.positions = [np.arange(t.row_count) for t in self.sides]
-        self.stream = None if bp.has_join else _Stream(self.sides, {0: self.positions[0]})
+        self.joined = not bp.has_join
+        self.computed: list[Column] = []
         self.columns = None  # output columns, once projected or aggregated
         self.bloom_fp = None
 
     @property
     def n(self) -> int:
-        return sum(map(len, self.positions)) if self.stream is None else self.stream.n
+        return len(self.positions[0]) if self.joined else sum(map(len, self.positions))
+
+    def column(self, ref: ValueRef) -> Column:
+        """A table column or a computed attribute at the current rows."""
+        if ref.kind == "computed":
+            return self.computed[ref.index]
+        return self.sides[ref.slot].columns[ref.index].take(self.positions[ref.slot])
 
     def keys(self) -> list[np.ndarray]:
         """Canonical join keys of each side's current rows: INT values, or
@@ -263,27 +253,28 @@ class _Run:
 
     def output(self) -> list[Column]:
         if self.columns is None:
-            self.columns = [self.stream.column(col.source.ref) for col in self.bp.output]
+            self.columns = [self.column(col.source.ref) for col in self.bp.output]
         return self.columns
 
     def _filter(self, predicates) -> None:
-        """Apply (slot, predicate) filters: slot 0/1 filters that join side,
-        None the stream."""
+        """Apply (slot, predicate) filters: slot 0/1 filters that slot's
+        positions, None every slot and every computed column."""
         for slot, pred in predicates:
+            slots = range(len(self.positions)) if slot is None else (slot,)
+            keep = _mask(pred, self, len(self.positions[slots[0]]))
+            for s in slots:
+                self.positions[s] = self.positions[s][keep]
             if slot is None:
-                self.stream = self.stream.keep(_mask(pred, self.stream))
-            else:
-                side = _Stream(self.sides, {slot: self.positions[slot]})
-                self.positions[slot] = self.positions[slot][_mask(pred, side)]
+                self.computed = [c.take(keep) for c in self.computed]
 
     def _join(self, stage, n_in):
         """Pair the sides' rows with equal keys in (left, right) order, then
         apply the stage's filters."""
         left, right = match_pairs(*self.keys())
-        self.stream = _Stream(self.sides, {0: self.positions[0][left],
-                                           1: self.positions[1][right]})
+        self.positions = [self.positions[0][left], self.positions[1][right]]
+        self.joined = True
         self._filter(stage.predicates)
-        return n_in, self.stream.n
+        return n_in, self.n
 
     def source(self, stage):
         return self.n, self.n
@@ -316,7 +307,7 @@ class _Run:
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
         probe = 1 - build
         m_bits, k = bloom_dims(len(keys[build]))
-        config = BloomCascadeConfig(stage.module.param("stages", 2), m_bits, k, self.seed)
+        config = BloomCascadeConfig(stage.module.param("stages"), m_bits, k, self.seed)
         cascade = bloom_build(config, key_images(keys[build], key_type))
         passed = bloom_probe_many(cascade, key_images(keys[probe], key_type))[0]
         self.positions[probe] = self.positions[probe][passed]
@@ -331,16 +322,16 @@ class _Run:
         return self.n, self.n
 
     def alu(self, stage):
-        _alu(self.bp, self.stream)
+        _alu(self.bp, self)
         return self.n, self.n
 
     def aggregate(self, stage):
         bp = self.bp
-        canonical = _aggregate(bp, self.stream)
+        canonical = _aggregate(bp, self)
         n_keys = len(bp.group_by)
         self.columns = [canonical[col.source.index if isinstance(col.source, FromGroupKey)
                                   else n_keys + col.source.index] for col in bp.output]
-        return self.stream.n, len(canonical[0].values)
+        return self.n, len(canonical[0].values)
 
     def reorder(self, stage):
         n = len(self.output()[0].values)
@@ -353,44 +344,44 @@ class _Run:
         return len(order), len(order)
 
 
-def _alu(bp: BoundPlan, stream: _Stream) -> None:
+def _alu(bp: BoundPlan, run: _Run) -> None:
     """Append the computed columns; raise at the first row that faults."""
     checks = []
     for comp in bp.computed:
         if comp.ctype.kind is TypeKind.CHAR:  # a column or a string literal
             if isinstance(comp.expr, ValueRef):
-                column = stream.column(comp.expr)
+                column = run.column(comp.expr)
             else:
-                column = Column.from_values(comp.ctype, [comp.expr.value] * stream.n)
+                column = Column.from_values(comp.ctype, [comp.expr.value] * run.n)
             fault = None
         else:
-            values, fault = _evaluate(comp.expr, stream)
-            column = Column(comp.ctype, np.broadcast_to(values, (stream.n,)))
+            values, fault = _evaluate(comp.expr, run)
+            column = Column(comp.ctype, np.broadcast_to(values, (run.n,)))
         checks.append((fault, comp.name))
-        stream.computed.append(column)
-    _raise_first(checks, stream.n)
+        run.computed.append(column)
+    _raise_first(checks, run.n)
 
 
 # --------------------------------------------------------------------------
 # aggregation
 # --------------------------------------------------------------------------
 
-def _aggregate(bp: BoundPlan, stream: _Stream) -> list[Column]:
-    """Fold the stream into canonical (group keys..., aggregates...) columns,
-    groups in first-appearance order. SUM and AVG accumulate in stream
+def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
+    """Fold the run's rows into canonical (group keys..., aggregates...)
+    columns, groups in first-appearance order. SUM and AVG accumulate in row
     order and raise at the first row whose running sum overflows."""
-    if stream.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
-        # a global COUNT over an empty stream is 0; with no NULL in the
+    if run.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
+        # a global COUNT over no rows is 0; with no NULL in the
         # model, any other aggregate over it yields no row
         return [Column(a.ctype, np.zeros(1, dtype=np.int64)) for a in bp.aggregates]
-    keys = [stream.column(ref) for ref in bp.group_by]
-    gid, first = group_ids([col.values for col in keys], stream.n)
+    keys = [run.column(ref) for ref in bp.group_by]
+    gid, first = group_ids([col.values for col in keys], run.n)
     groups = len(first)
     counts = np.bincount(gid, minlength=groups)
     out = [col.take(first) for col in keys]
     checks = []
     for agg in bp.aggregates:
-        arg = stream.column(agg.arg) if agg.arg is not None else None
+        arg = run.column(agg.arg) if agg.arg is not None else None
         if agg.fn == "COUNT":
             out.append(Column(agg.ctype, counts))
         elif agg.fn in ("SUM", "AVG"):
@@ -401,5 +392,5 @@ def _aggregate(bp: BoundPlan, stream: _Stream) -> list[Column]:
             out.append(Column(agg.ctype, sums))
         else:
             out.append(arg.take(group_extreme(arg.values, gid, groups, agg.fn)))
-    _raise_first(checks, stream.n)
+    _raise_first(checks, run.n)
     return out

@@ -1,13 +1,12 @@
-"""Reconfigurable fabric model: regions of slots, placement, and the
-serialized configuration port.
+"""Reconfigurable fabric model: regions of slots, placement, and loading
+bitstreams through the configuration port.
 
 Regions are linear slot chains. A pipeline is placed contiguously, in stream
 order, inside a single region (first-fit over regions, then start offsets).
 The live placements are the only record of occupancy: a region's free slots
 are the gaps between their entries.
-Loading bitstreams goes through one configuration port, so concurrent
-requests queue; a load is free when the identical module content is already
-resident at the exact slot range.
+A load takes its bytes over the port's rate, and is free when the
+identical module content is already resident at the exact slot range.
 
 FabricState mutations are not thread safe; callers serialize allocate,
 release, and reconfigure. Pipelines placed in different regions may execute
@@ -85,7 +84,6 @@ class ReconfigReport:
 
     seconds: float
     bytes: int
-    wait_seconds: float
     skipped_entries: int  # already resident at their exact ranges
 
 
@@ -97,7 +95,6 @@ class FabricState:
         # residency: (region, start, stop) -> module identity, kept across release
         self.resident: dict[tuple[int, int, int], tuple] = {}
         self.placements: dict[int, Placement] = {}
-        self.icap_busy_until = 0.0
 
     # -- queries -----------------------------------------------------------
 
@@ -169,15 +166,9 @@ def release(fabric: FabricState, placement: Placement) -> None:
     del fabric.placements[id(placement)]
 
 
-def reconfigure(
-    fabric: FabricState, placement: Placement, request_time: float | None = None
-) -> ReconfigReport:
-    """Load every non-resident entry through the configuration port.
-
-    `seconds` is pure transfer time (bytes / port rate); time spent queueing
-    behind earlier loads is reported separately as `wait_seconds`. When
-    `request_time` is None the request is issued once the port is free.
-    """
+def reconfigure(fabric: FabricState, placement: Placement) -> ReconfigReport:
+    """Load every non-resident entry through the configuration port;
+    `seconds` is the transfer time, bytes over the port's rate."""
     if id(placement) not in fabric.placements:
         raise NotAllocated()
     loaded_bytes = 0
@@ -190,12 +181,7 @@ def reconfigure(
         _evict_overlaps(fabric, e)
         fabric.resident[(e.region, e.start, e.stop)] = e.instance.identity()
     seconds = loaded_bytes / fabric.profile.icap_bytes_per_s
-    if request_time is None:
-        request_time = fabric.icap_busy_until
-    wait = max(0.0, fabric.icap_busy_until - request_time)
-    fabric.icap_busy_until = request_time + wait + seconds
-    return ReconfigReport(seconds=seconds, bytes=loaded_bytes, wait_seconds=wait,
-                          skipped_entries=skipped)
+    return ReconfigReport(seconds=seconds, bytes=loaded_bytes, skipped_entries=skipped)
 
 
 def _evict_overlaps(fabric: FabricState, entry: PlacementEntry):

@@ -386,38 +386,27 @@ class _Binder:
             taken.add(final.lower())
             output.append(OutputCol(final, source, ctype))
 
-        if self.plan.aggregates or self.plan.group_by:
-            for item in plan.projection:
-                if isinstance(item, Star):
-                    raise QueryTypeError(
-                        "*", "star projection cannot be mixed with grouping"
-                    )
-                if isinstance(item, AggItem):
-                    agg = aggregates[item.index]
-                    add(agg.name, FromAggregate(item.index), agg.ctype, None)
-                    continue
-                ref = self.resolve_value(item.ref)
-                try:
-                    pos = group_by.index(ref)
-                except ValueError:
-                    raise QueryTypeError(
-                        item.ref.render(),
-                        "projection must use group columns or aggregates",
-                    ) from None
-                add(item.ref.name, FromGroupKey(pos), ref.ctype, item.ref.qualifier)
-            return tuple(output)
-
+        grouped = bool(plan.aggregates or plan.group_by)
         for item in plan.projection:
             if isinstance(item, Star):
+                if grouped:
+                    raise QueryTypeError("*", "star projection cannot be mixed with grouping")
                 for slot, (table, schema) in enumerate(zip(self.tables, self.schemas)):
                     for idx, (name, ctype) in enumerate(schema.columns):
                         add(name, FromValue(ValueRef("column", slot, idx, ctype)),
                             ctype, table)
-            elif isinstance(item, AggItem):  # pragma: no cover - shaped away above
-                raise AssertionError("aggregate outside grouping")
+            elif isinstance(item, AggItem):  # only a grouped plan has aggregates
+                agg = aggregates[item.index]
+                add(agg.name, FromAggregate(item.index), agg.ctype, None)
             else:
                 ref = self.resolve_value(item.ref)
-                add(item.ref.name, FromValue(ref), ref.ctype, item.ref.qualifier)
+                source = FromValue(ref)
+                if grouped:
+                    if ref not in group_by:
+                        raise QueryTypeError(item.ref.render(),
+                                             "projection must use group columns or aggregates")
+                    source = FromGroupKey(group_by.index(ref))
+                add(item.ref.name, source, ref.ctype, item.ref.qualifier)
         return tuple(output)
 
     def _bind_order(self, plan, output):

@@ -11,7 +11,10 @@ Instances scale in slots with a kind-specific unit quantity:
     (all other kinds have zero units)
 
 so `slots = base_slots + slots_per_unit * units` and
-`bitstream_bytes = slots * bitstream_bytes_per_slot`.
+`bitstream_bytes = slots * bitstream_bytes_per_slot`. `instantiate` records
+every sizing parameter it used in the instance's `params`, its default
+included, so the calculus and the engine read the value the slots were
+sized with.
 
 `read_json` and `record` read every JSON configuration file: this catalog,
 the device profiles and the suite manifest. Each is UTF-8 JSON whose
@@ -90,11 +93,8 @@ class ModuleInstance:
     def kind(self) -> ModuleKind:
         return self.spec.kind
 
-    def param(self, name: str, default=None):
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+    def param(self, name: str):
+        return dict(self.params)[name]
 
     def identity(self) -> tuple:
         """Residency key: what content a loaded bitstream represents."""
@@ -200,30 +200,16 @@ def load_library(path) -> ModuleLibrary:
     return ModuleLibrary(specs)
 
 
-def _units(kind: ModuleKind, params: dict) -> int:
-    if kind is ModuleKind.RESTRICTION:
-        terms = params.get("terms", 1)
-        if not 1 <= terms <= MAX_RESTRICTION_TERMS:
-            raise ParamOutOfRange(kind.value, f"terms must be in [1, {MAX_RESTRICTION_TERMS}]")
-        return math.ceil(terms / 4)
-    if kind is ModuleKind.ALU:
-        nodes = params.get("nodes", 1)
-        if not 1 <= nodes <= MAX_ALU_NODES:
-            raise ParamOutOfRange(kind.value, f"nodes must be in [1, {MAX_ALU_NODES}]")
-        return math.ceil(nodes / 4)
-    if kind is ModuleKind.SORT:
-        capacity = params.get("run_capacity", 1024)
-        if not 1 <= capacity <= MAX_SORT_RUN_CAPACITY:
-            raise ParamOutOfRange(kind.value, "run_capacity out of range")
-        return math.ceil(capacity / 1024)
-    if kind is ModuleKind.BLOOM_CASCADE:
-        stages = params.get("stages", 1)
-        if not 1 <= stages <= MAX_BLOOM_STAGES:
-            raise ParamOutOfRange(kind.value, f"stages must be in [1, {MAX_BLOOM_STAGES}]")
-        return stages
-    if kind is ModuleKind.AGGREGATE:
-        return 1 if params.get("grouped", False) else 0
-    return 0
+# kind -> (sizing parameter, default, smallest, largest, values per slot
+# unit); an instance takes ceil(value / values per unit) units, and a kind
+# not listed takes none
+_UNITS = {
+    ModuleKind.RESTRICTION: ("terms", 1, 1, MAX_RESTRICTION_TERMS, 4),
+    ModuleKind.ALU: ("nodes", 1, 1, MAX_ALU_NODES, 4),
+    ModuleKind.SORT: ("run_capacity", 1024, 1, MAX_SORT_RUN_CAPACITY, 1024),
+    ModuleKind.BLOOM_CASCADE: ("stages", 2, 1, MAX_BLOOM_STAGES, 1),
+    ModuleKind.AGGREGATE: ("grouped", False, 0, 1, 1),
+}
 
 
 def instantiate(
@@ -234,7 +220,13 @@ def instantiate(
     """Create a parameterized instance; slots and bitstream size follow the spec."""
     spec = lib.spec(kind)
     params = dict(params or {})
-    units = _units(kind, params)
+    units = 0
+    if kind in _UNITS:
+        name, default, lo, hi, per_unit = _UNITS[kind]
+        value = params.setdefault(name, default)
+        if not lo <= value <= hi:
+            raise ParamOutOfRange(kind.value, f"{name} must be in [{lo}, {hi}]")
+        units = math.ceil(value / per_unit)
     slots = spec.base_slots + spec.slots_per_unit * units
     canonical = tuple(sorted(params.items()))
     return ModuleInstance(

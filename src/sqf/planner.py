@@ -37,7 +37,6 @@ from .relcore import TypeKind
 
 DEFAULT_CMP_SELECTIVITY = 1.0 / 3.0
 SORT_RUN_CAPACITY = 1024  # pinned; keeps worst-case chains within one region
-BLOOM_STAGES = 2
 _SORT = (ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY})
 
 JOIN_ALGO_NONE = "none"
@@ -160,7 +159,9 @@ def _effective_tuple_bytes(bp: BoundPlan, layout: str) -> list[int]:
             for schema, touched in zip(bp.schemas, touched_columns(bp))]
 
 
-def _column_layout_eligible(bp: BoundPlan) -> bool:
+def column_layout_eligible(bp: BoundPlan) -> bool:
+    """Column layout is offered when the plan touches at most half of its
+    tables' columns."""
     used = sum(map(len, touched_columns(bp)))
     return 2 * used <= sum(schema.arity for schema in bp.schemas)
 
@@ -316,7 +317,7 @@ def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
         JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
                           ("merge_join", (ModuleKind.MERGE_JOIN, {}), residual)],
         JOIN_ALGO_CODESIGN: [
-            ("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {"stages": BLOOM_STAGES}), ()),
+            ("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {}), ()),
             ("align", (ModuleKind.ALIGN, {}), ()),
             ("host_join", None, residual)],
     }.get(join_algo, [])
@@ -346,7 +347,7 @@ def enumerate_pipelines(
     plan touches at most half of the source columns, then the co-design
     variant when a join exists and the library carries the filter modules."""
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
-    layouts = ["row", "column"] if _column_layout_eligible(bp) else ["row"]
+    layouts = ["row", "column"] if column_layout_eligible(bp) else ["row"]
     variants = [(layout, algo) for layout in layouts for algo in algos]
     if bp.has_join and not codesign_misfits(bp, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
@@ -383,7 +384,7 @@ def _sort_blocking(module, n: float, rate: float) -> float:
     """Merge passes of a fabric sort; a host sort has no blocking phase."""
     if module is None:
         return 0.0
-    cap = module.param("run_capacity", SORT_RUN_CAPACITY)
+    cap = module.param("run_capacity")
     return _merge_levels(n, cap) * (n / rate if rate > 0 else 0.0)
 
 
@@ -446,7 +447,7 @@ def estimate_time(
             join_key_out = sides[0] * sides[1] / key_d
             true_match = min(1.0, join_key_out / n_in) if n_in > 0 else 0.0
             m, k = bloom_dims(n_build)
-            fp = analytic_fp_rate(m, k, n_build, module.param("stages", BLOOM_STAGES))
+            fp = analytic_fp_rate(m, k, n_build, module.param("stages"))
             n_out = n_in * _clamp(true_match + fp)
         elif role == "align":  # probe survivors plus the build side
             n_in = n_out = flow + min(sides)

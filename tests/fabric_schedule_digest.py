@@ -47,8 +47,7 @@ def schedule(seed: int) -> list:
                 live.append(p)
                 log.append(("alloc", [(e.region, e.start, e.stop) for e in p.entries]))
         elif action < 0.75 and live:
-            request = rng.choice([None, rng.uniform(0.0, 0.01)])
-            log.append(("reconfig", astuple(reconfigure(fabric, rng.choice(live), request))))
+            log.append(("reconfig", astuple(reconfigure(fabric, rng.choice(live)))))
         elif live:
             release(fabric, live.pop(rng.randrange(len(live))))
             log.append(("release", len(live)))

@@ -103,6 +103,28 @@ def test_forced_codesign_names_records_wider_than_the_cache_line(
         "error: no candidates left after --layout=auto --join=codesign" + reason + "\n")
 
 
+@pytest.mark.parametrize("query, flags, reason", [
+    # q07 has a row-layout co-design candidate, and co-design is row-only
+    ("q07.sql", ["--layout", "column", "--join", "codesign"],
+     " (co-design is offered in row layout only)"),
+    # q09 touches more than half of its tables' columns
+    ("q09.sql", ["--layout", "column"],
+     " (column layout needs a query that touches at most half of its tables' columns)"),
+    ("q09.sql", ["--layout", "column", "--join", "codesign"],
+     " (column layout needs a query that touches at most half of its tables' columns;"
+     " co-design is offered in row layout only)"),
+])
+def test_forced_layout_names_the_rule_that_leaves_no_candidate(
+        suite_dir, tmp_path, capsys, query, flags, reason):
+    rc = main(["explain", "--query", str(suite_dir / query),
+               "--tables", str(suite_dir / "tables"), "--library", LIB, "--device", DEV,
+               *flags])
+    assert rc == 1
+    layout, join = flags[1], flags[3] if len(flags) > 2 else "auto"
+    assert capsys.readouterr().err == (
+        f"error: no candidates left after --layout={layout} --join={join}" + reason + "\n")
+
+
 def test_run_exit_2_on_oracle_mismatch(tmp_path, monkeypatch, capsys):
     # force a wrong result to exercise the mismatch path
     import sqf.cli as cli_mod

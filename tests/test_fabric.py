@@ -100,18 +100,6 @@ def test_reconfigure_resident_is_free():
     assert second.skipped_entries == 1
 
 
-def test_reconfigure_port_serializes():
-    dev = DeviceProfile()
-    fabric = FabricState(dev)
-    nbytes = int(0.0005 * dev.icap_bytes_per_s)
-    p1 = allocate(fabric, [block(1, nbytes)])
-    p2 = allocate(fabric, [block(1, nbytes)])
-    r1 = reconfigure(fabric, p1, request_time=0.0)
-    r2 = reconfigure(fabric, p2, request_time=0.0)
-    assert r1.wait_seconds == 0.0
-    assert r2.wait_seconds == pytest.approx(0.0005)
-
-
 def test_release_then_reallocate_identical():
     fabric = FabricState(DeviceProfile())
     modules = [block(3), block(2)]

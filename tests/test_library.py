@@ -110,10 +110,29 @@ def test_unknown_module_kind(tmp_path):
 
 
 def test_param_out_of_range(default_library):
-    with pytest.raises(ParamOutOfRange):
-        instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 9})
-    with pytest.raises(ParamOutOfRange):
-        instantiate(default_library, ModuleKind.BLOOM_CASCADE, {"stages": 0})
+    for kind, params, message in [
+        (ModuleKind.RESTRICTION, {"terms": 9}, "RESTRICTION: terms must be in [1, 8]"),
+        (ModuleKind.ALU, {"nodes": 0}, "ALU: nodes must be in [1, 16]"),
+        (ModuleKind.SORT, {"run_capacity": 0}, "SORT: run_capacity must be in [1, 1048576]"),
+        (ModuleKind.BLOOM_CASCADE, {"stages": 0}, "BLOOM_CASCADE: stages must be in [1, 8]"),
+    ]:
+        with pytest.raises(ParamOutOfRange) as err:
+            instantiate(default_library, kind, params)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, name", [
+    (ModuleKind.RESTRICTION, "terms"),
+    (ModuleKind.ALU, "nodes"),
+    (ModuleKind.SORT, "run_capacity"),
+    (ModuleKind.BLOOM_CASCADE, "stages"),
+    (ModuleKind.AGGREGATE, "grouped"),
+])
+def test_default_instance_records_its_sizing_value(default_library, kind, name):
+    """An instance built without parameters reports, through `param`, the
+    value its slots were sized with: passing that value builds it again."""
+    default = instantiate(default_library, kind)
+    assert instantiate(default_library, kind, {name: default.param(name)}) == default
 
 
 def test_bitstream_monotone_in_slots(default_library):
