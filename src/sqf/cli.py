@@ -101,7 +101,7 @@ class _Planned:
     def choose(self, layout: str, join: str) -> tuple:
         """The best-ranked (candidate, estimate) that --layout/--join leave.
         If none is left, the error names each planner rule that ruled the
-        forced layout or co-design join out."""
+        forced layout or join out."""
         for cand, est in self.ranked:
             if (layout == "auto" or cand.layout == layout) and (
                     join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
@@ -110,7 +110,9 @@ class _Planned:
         if layout == "column" and not column_layout_eligible(self.bound):
             rules.append("column layout needs a query that touches at most half"
                          " of its tables' columns")
-        if join == "codesign" and self.bound.has_join:
+        if join != "auto" and not self.bound.has_join:
+            rules.append("the query has no join")
+        elif join == "codesign":
             misfits = codesign_misfits(self.bound, self.device)
             if misfits:
                 rules.append(f"co-design records wider than the {self.device.cache_line_bytes}"

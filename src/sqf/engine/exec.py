@@ -256,24 +256,11 @@ class _Run:
             self.columns = [self.column(col.source.ref) for col in self.bp.output]
         return self.columns
 
-    def _filter(self, predicates) -> None:
-        """Apply (slot, predicate) filters: slot 0/1 filters that slot's
-        positions, None every slot and every computed column."""
-        for slot, pred in predicates:
-            slots = range(len(self.positions)) if slot is None else (slot,)
-            keep = _mask(pred, self, len(self.positions[slots[0]]))
-            for s in slots:
-                self.positions[s] = self.positions[s][keep]
-            if slot is None:
-                self.computed = [c.take(keep) for c in self.computed]
-
-    def _join(self, stage, n_in):
-        """Pair the sides' rows with equal keys in (left, right) order, then
-        apply the stage's filters."""
+    def _join(self, n_in):
+        """Pair the sides' rows with equal keys in (left, right) order."""
         left, right = match_pairs(*self.keys())
         self.positions = [self.positions[0][left], self.positions[1][right]]
         self.joined = True
-        self._filter(stage.predicates)
         return n_in, self.n
 
     def source(self, stage):
@@ -282,8 +269,16 @@ class _Run:
     passthrough = source
 
     def restriction(self, stage):
+        """Apply (slot, predicate) filters: slot 0/1 filters that slot's
+        positions, None every slot and every computed column."""
         n_in = self.n
-        self._filter(stage.predicates)
+        for slot, pred in stage.predicates:
+            slots = range(len(self.positions)) if slot is None else (slot,)
+            keep = _mask(pred, self, len(self.positions[slots[0]]))
+            for s in slots:
+                self.positions[s] = self.positions[s][keep]
+            if slot is None:
+                self.computed = [c.take(keep) for c in self.computed]
         return n_in, self.n
 
     def sort_left(self, stage):
@@ -293,10 +288,10 @@ class _Run:
         return len(self.positions[1]), len(self.positions[1])
 
     def hash_join(self, stage):
-        return self._join(stage, max(map(len, self.positions)))
+        return self._join(max(map(len, self.positions)))
 
     def merge_join(self, stage):
-        return self._join(stage, self.n)
+        return self._join(self.n)
 
     host_join = merge_join
 

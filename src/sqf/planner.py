@@ -52,10 +52,9 @@ class Stage:
     """One stage of a candidate pipeline. `module` is None for the source
     and for host stages: the host join and every stage after it.
 
-    `predicates` holds (slot, predicate) filters. Before the join, slot 0 or
-    1 filters that join side. Slot None filters the stage's output: a
-    restriction on one table or after the join, or the conjuncts spanning
-    both sides that a join applies to its output."""
+    `predicates` holds a restriction's (slot, predicate) filters; no other
+    stage filters. Before the join, slot 0 or 1 filters that join side.
+    Slot None filters every row: of one table, or after the join."""
 
     role: str
     module: ModuleInstance | None = None
@@ -271,30 +270,33 @@ def _join_side(conj):
     return 0 if slots <= {0} else 1 if slots == {1} else None
 
 
+def _restriction(filters):
+    """A restriction step holding (slot, predicate) filters, sized for the
+    comparisons they evaluate; no step when there is no filter."""
+    terms = sum(count_comparisons(pred) for _, pred in filters)
+    step = ("restriction", (ModuleKind.RESTRICTION, {"terms": terms}), tuple(filters))
+    return [step] if filters else []
+
+
 def _plan_steps(bp: BoundPlan):
     """The stages a plan needs around its join, decided once per plan:
-    (steps before the join, the filters a join applies to its output, steps
-    after the join). A step is (role, (kind, params), predicates).
+    (steps before the join, steps after the join). A step is
+    (role, (kind, params), predicates).
 
-    A join plan's restriction is pushed below the join unless it holds
-    arithmetic. Then the whole predicate runs after the join, so a faulting
-    row is found in (left, right) join order, as the reference evaluator
-    finds it. Pushed down, a conjunct reading one side filters that side
-    and a conjunct spanning both is applied to the join output.
+    In a join plan, a conjunct reading one side is pushed below the join to
+    filter that side, and a conjunct spanning both sides runs in a
+    restriction after the join. A predicate holding arithmetic runs whole
+    after the join, so a faulting row is found in (left, right) join order,
+    as the reference evaluator finds it.
     """
-    pred = bp.restriction
-    before, residual, after = [], (), []
-    if pred is not None:
-        restriction = (ModuleKind.RESTRICTION, {"terms": count_comparisons(pred)})
-        if not bp.has_join:
-            before.append(("restriction", restriction, ((None, pred),)))
-        elif expr_has_arith(pred):
-            after.append(("restriction", restriction, ((None, pred),)))
-        else:
-            filters = [(_join_side(conj), conj) for conj in split_conjuncts(pred)]
-            before.append(("restriction", restriction,
-                           tuple(f for f in filters if f[0] is not None)))
-            residual = tuple(f for f in filters if f[0] is None)
+    pred, below, above = bp.restriction, [], []
+    if pred is not None and bp.has_join and not expr_has_arith(pred):
+        for conj in split_conjuncts(pred):
+            side = _join_side(conj)
+            (above if side is None else below).append((side, conj))
+    elif pred is not None:
+        (above if bp.has_join else below).append((None, pred))
+    after = _restriction(above)
     nodes = count_arith_nodes(bp)
     if nodes:
         after.append(("alu", (ModuleKind.ALU, {"nodes": nodes}), ()))
@@ -304,22 +306,22 @@ def _plan_steps(bp: BoundPlan):
         after.append(("reorder", (ModuleKind.REORDER, {}), ()))
     if bp.order_by:
         after.append(("sort", _SORT, ()))
-    return before, residual, after
+    return _restriction(below), after
 
 
 def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
     """A candidate's stages in the order the engine runs them, or None if
     the library lacks a module kind that a fabric stage needs. The host
     join and every stage after it are host stages, with no module."""
-    before, residual, after = plan_steps
+    before, after = plan_steps
     join = {
-        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), residual)],
+        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), ())],
         JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
-                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), residual)],
+                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), ())],
         JOIN_ALGO_CODESIGN: [
             ("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {}), ()),
             ("align", (ModuleKind.ALIGN, {}), ()),
-            ("host_join", None, residual)],
+            ("host_join", None, ())],
     }.get(join_algo, [])
     steps = before + join + after or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
     host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
@@ -432,7 +434,7 @@ def estimate_time(
             n_out = sides[0] + sides[1]
         elif role in ("hash_join", "merge_join", "host_join"):
             joined = True
-            n_out = sides[0] * sides[1] / key_d * _selectivity(stage.predicates, bp, stats)
+            n_out = sides[0] * sides[1] / key_d
             if role == "hash_join":
                 n_in = max(sides)
                 blocking = min(sides) / rate if rate > 0 else 0.0

@@ -88,7 +88,8 @@ def test_run_self_join_is_a_bind_error(tmp_path, capsys):
 @pytest.mark.parametrize("query, reason", [
     ("q09.sql", " (co-design records wider than the 32 B cache line: orders 45 B, "
                 "customers 34 B)"),
-    ("q01.sql", ""),  # no join: no record is to blame
+    # no join: the query, not a record, is to blame
+    pytest.param("q01.sql", " (the query has no join)", id="q01.sql-"),
 ])
 def test_forced_codesign_names_records_wider_than_the_cache_line(
         suite_dir, tmp_path, capsys, query, reason):
@@ -113,6 +114,8 @@ def test_forced_codesign_names_records_wider_than_the_cache_line(
     ("q09.sql", ["--layout", "column", "--join", "codesign"],
      " (column layout needs a query that touches at most half of its tables' columns;"
      " co-design is offered in row layout only)"),
+    # q01 has no join to force
+    ("q01.sql", ["--layout", "auto", "--join", "hash"], " (the query has no join)"),
 ])
 def test_forced_layout_names_the_rule_that_leaves_no_candidate(
         suite_dir, tmp_path, capsys, query, flags, reason):

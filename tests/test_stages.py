@@ -9,12 +9,21 @@ import random
 import pytest
 
 from _qgen import random_case
-from conftest import bind_sql, make_table, run_all_candidates, run_candidate
+from conftest import REPO, bind_sql, make_table, run_all_candidates, run_candidate
+from sqf.cli import main
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.library import ModuleKind
 from sqf.oracle import multisets_equal, reference_execute
-from sqf.planner import enumerate_pipelines, full_estimate, software_baseline
+from sqf.planner import count_comparisons, enumerate_pipelines, full_estimate, software_baseline
 from sqf.relcore import load_csv, table_stats
+
+
+def _terms(stage):
+    """The comparisons a restriction evaluates: its module's `terms` on the
+    fabric, its filters' comparisons on the host."""
+    if stage.module is not None:
+        return stage.module.param("terms")
+    return sum(count_comparisons(pred) for _, pred in stage.predicates)
 
 
 def _stage_names(cand, tables, stats, dev):
@@ -48,7 +57,9 @@ def test_suite_estimates_list_the_executed_stages(suite, default_library, defaul
 
 
 def test_random_estimates_list_the_executed_stages(default_library, default_device):
-    """Criterion 1's random queries; a candidate that faults reports no stages."""
+    """Criterion 1's random queries; a candidate that faults reports no stages.
+    Only restrictions filter, each holds a filter, and a fabric restriction
+    is sized for the comparisons of its filters."""
     rng = random.Random(0xC0FFEE)
     checked = 0
     for case in range(1000):
@@ -56,6 +67,13 @@ def test_random_estimates_list_the_executed_stages(default_library, default_devi
         stats = {name: table_stats(t) for name, t in tables.items()}
         for cand in enumerate_pipelines(bind_sql(sql, tables), default_library,
                                         default_device):
+            restrictions = [s for s in cand.stages if s.role == "restriction"]
+            assert all(s.predicates for s in restrictions), (case, cand.tag, sql)
+            assert all(s.module.param("terms") == sum(
+                count_comparisons(pred) for _, pred in s.predicates)
+                for s in restrictions if s.module), (case, cand.tag, sql)
+            assert not any(s.predicates for s in cand.stages
+                           if s.role != "restriction"), (case, cand.tag, sql)
             try:
                 estimated, executed = _stage_names(cand, tables, stats, default_device)
             except (ArithmeticOverflow, DivisionByZero):
@@ -63,6 +81,51 @@ def test_random_estimates_list_the_executed_stages(default_library, default_devi
             assert estimated == executed, (case, cand.tag, sql)
             checked += 1
     assert checked > 2000
+
+
+_ORDERS_JOIN = ("SELECT orders.orderkey FROM orders JOIN customers"
+                " ON orders.custkey = customers.custkey WHERE ")
+# five comparisons read one side, four span both
+_NINE_COMPARISONS = (
+    "orders.qty > 5 AND orders.price < 90000 AND orders.status <> 'C'"
+    " AND customers.nation < 20 AND customers.grade <> 'DD'"
+    " AND (orders.price < customers.acct OR orders.qty > customers.nation)"
+    " AND orders.orderkey <> customers.custkey AND orders.qty <= customers.acct")
+
+
+@pytest.mark.parametrize("where, terms", [
+    # one conjunct, spanning both sides: nothing to filter before the join
+    ("orders.price > customers.acct", ([], [1])),
+    ("orders.qty > 5 AND orders.price > customers.acct", ([1], [1])),
+    (_NINE_COMPARISONS, ([5], [4])),
+], ids=["spanning", "mixed", "nine"])
+def test_spanning_conjuncts_run_in_a_restriction_after_the_join(
+        suite, default_library, default_device, where, terms):
+    """(before the join, after it): the terms of each restriction, on every
+    candidate."""
+    tables, _, _ = suite
+    for cand in enumerate_pipelines(bind_sql(_ORDERS_JOIN + where, tables),
+                                    default_library, default_device):
+        join = next(i for i, s in enumerate(cand.stages) if s.role.endswith("join"))
+        assert tuple([_terms(s) for s in part if s.role == "restriction"]
+                     for part in (cand.stages[:join], cand.stages[join:])) == terms, cand.tag
+
+
+@pytest.mark.parametrize("join", ["auto", "hash", "merge", "codesign"])
+def test_nine_comparisons_split_across_the_join_run(suite_dir, tmp_path, join):
+    """Neither restriction holds more than a RESTRICTION module's eight
+    terms, so the query runs and matches the reference."""
+    query = tmp_path / "q.sql"
+    query.write_text(_ORDERS_JOIN + _NINE_COMPARISONS + "\n")
+    out = tmp_path / "report.json"
+    rc = main(["run", "--query", str(query), "--tables", str(suite_dir / "tables"),
+               "--library", str(REPO / "library.default.json"),
+               "--device", str(REPO / "device.default.json"),
+               "--out", str(out), "--seed", "7", "--oracle", "--join", join])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["oracle_match"] is True
+    assert report["execution"]["result_rows"] > 0
 
 
 def test_q09_restriction_and_alu_run_after_the_join(suite, default_library,
