@@ -206,6 +206,7 @@ def load_library(path) -> ModuleLibrary:
 _UNITS = {
     ModuleKind.RESTRICTION: ("terms", 1, 1, MAX_RESTRICTION_TERMS, 4),
     ModuleKind.ALU: ("nodes", 1, 1, MAX_ALU_NODES, 4),
+    # pinned; keeps worst-case chains within one region
     ModuleKind.SORT: ("run_capacity", 1024, 1, MAX_SORT_RUN_CAPACITY, 1024),
     ModuleKind.BLOOM_CASCADE: ("stages", 2, 1, MAX_BLOOM_STAGES, 1),
     ModuleKind.AGGREGATE: ("grouped", False, 0, 1, 1),

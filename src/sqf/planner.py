@@ -32,12 +32,11 @@ from .frontend.binder import (
     split_conjuncts,
     walk_bound,
 )
-from .library import ModuleInstance, ModuleKind, ModuleLibrary, instantiate
+from .library import MAX_RESTRICTION_TERMS, ModuleInstance, ModuleKind, ModuleLibrary, instantiate
 from .relcore import TypeKind
 
 DEFAULT_CMP_SELECTIVITY = 1.0 / 3.0
-SORT_RUN_CAPACITY = 1024  # pinned; keeps worst-case chains within one region
-_SORT = (ModuleKind.SORT, {"run_capacity": SORT_RUN_CAPACITY})
+_SORT = (ModuleKind.SORT, {})
 
 JOIN_ALGO_NONE = "none"
 JOIN_ALGO_HASH = "hash_fpga"
@@ -271,11 +270,17 @@ def _join_side(conj):
 
 
 def _restriction(filters):
-    """A restriction step holding (slot, predicate) filters, sized for the
-    comparisons they evaluate; no step when there is no filter."""
-    terms = sum(count_comparisons(pred) for _, pred in filters)
-    step = ("restriction", (ModuleKind.RESTRICTION, {"terms": terms}), tuple(filters))
-    return [step] if filters else []
+    """A chain of restriction steps holding (slot, predicate) filters in order,
+    each sized for the comparisons it evaluates: at most MAX_RESTRICTION_TERMS,
+    unless one filter has more. No step when there is no filter."""
+    links = []  # (terms, filters) per step
+    for filt in filters:
+        terms = count_comparisons(filt[1])
+        if links and links[-1][0] + terms <= MAX_RESTRICTION_TERMS:
+            links[-1] = (links[-1][0] + terms, links[-1][1] + (filt,))
+        else:
+            links.append((terms, (filt,)))
+    return [("restriction", (ModuleKind.RESTRICTION, {"terms": t}), link) for t, link in links]
 
 
 def _plan_steps(bp: BoundPlan):

@@ -2,9 +2,11 @@
 
 The data model is deliberately small: 64-bit signed integers and fixed-width
 ASCII CHAR(n) cells. A table is stored as its columns, one numpy-backed
-`Column` per schema column; row tuples are a view read off them. Tables are
-immutable after load and safe to share across concurrently executing
-pipelines.
+`Column` per schema column; row tuples are a view read off them. A CHAR
+cell has one representation, its bytes space-padded to the column width,
+so rows, results and dumps carry it padded, as SQL CHAR(n) values are.
+Tables are immutable after load and safe to share across concurrently
+executing pipelines.
 
 CSV dialect: comma separator, no quoting, no escapes, `\\n` line terminators,
 printable ASCII only. The first line is a typed header such as
@@ -150,14 +152,13 @@ def pad_bytes(values: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Column:
-    """One column as arrays. INT cells are an int64 array. CHAR cells are an
-    `S<width>` array of their space-padded bytes, which compares and hashes
-    like the padded content, plus an object array of the raw strings, which
-    is what results carry."""
+    """One column as an array. INT cells are an int64 array. CHAR cells are
+    an `S<width>` array of their space-padded bytes, the one form a CHAR
+    cell takes: it compares and hashes as the padded content, and reads back
+    as the padded text."""
 
     ctype: ColumnType
     values: np.ndarray
-    raw: np.ndarray | None = None  # CHAR only
 
     @staticmethod
     def from_values(ctype: ColumnType, values) -> "Column":
@@ -166,20 +167,16 @@ class Column:
         width = ctype.width_bytes
         if any(len(v) > width for v in values):
             raise ValueError(f"CHAR({width}) column holds a longer value")
-        raw = np.empty(len(values), dtype=object)
-        raw[:] = values
-        padded = np.array(values, dtype=f"S{width}")  # NUL-padded
-        cells = padded.view(np.uint8)
-        cells[cells == 0] = 0x20  # printable ASCII holds no NUL byte
-        return Column(ctype, padded, raw)
+        return Column(ctype, np.array([pad_char(v, width) for v in values], dtype=f"S{width}"))
 
     def take(self, index) -> "Column":
         """Rows at `index` (positions or a boolean mask), in that order."""
-        raw = None if self.raw is None else self.raw[index]
-        return Column(self.ctype, self.values[index], raw)
+        return Column(self.ctype, self.values[index])
 
     def tolist(self) -> list:
-        return (self.values if self.raw is None else self.raw).tolist()
+        """The cells as Python values: ints, or the padded CHAR text."""
+        char = self.ctype.kind is TypeKind.CHAR
+        return (self.values.astype(str) if char else self.values).tolist()
 
 
 def encode_columns(columns) -> np.ndarray:
@@ -215,13 +212,14 @@ class Table:
 
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
-        """Row tuples read off the columns (CHAR cells as their raw strings),
-        built on first use and kept."""
+        """Row tuples read off the columns (CHAR cells as their padded
+        text), built on first use and kept."""
         return tuple(zip(*(col.tolist() for col in self.columns)))
 
     @classmethod
     def from_rows(cls, schema: Schema, rows) -> "Table":
-        """Table of the given row tuples (CHAR cells as raw strings)."""
+        """Table of the given row tuples; a CHAR cell is text of at most its
+        column width, and is stored padded."""
         arity = schema.arity
         rows = tuple(rows)
         if set(map(len, rows)) - {arity}:
@@ -390,17 +388,13 @@ def _bulk_char(body, start, end, ctype: ColumnType) -> Column | None:
     cells = np.zeros((len(start), width), dtype=np.uint8)
     for k in range(int(length.max()) if length.size else 0):
         cells[:, k] = body[np.minimum(start + k, end)]
-    pad = np.arange(width) >= length[:, None]
-    cells[pad] = 0
-    # widened to UCS-4 code points, NUL-padded cells read as `U<width>`
-    # strings without their padding
-    raw = cells.astype(np.uint32).view(f"U{width}").reshape(-1).astype(object)
-    cells[pad] = 0x20
-    return Column(ctype, cells.view(f"S{width}").reshape(-1), raw)
+    cells[np.arange(width) >= length[:, None]] = 0x20
+    return Column(ctype, cells.view(f"S{width}").reshape(-1))
 
 
 def dump_csv(table: Table) -> str:
-    """Serialize with a normalized header; inverse of load_csv on the data section."""
+    """Serialize with a normalized header; the inverse of load_csv up to CHAR
+    padding, as each CHAR cell is written padded to its column width."""
     out = [table.schema.header_text()]
     for row in table.rows:
         cells = []
@@ -441,8 +435,6 @@ def table_stats(table: Table) -> ColumnStats:
         if not len(distinct):
             stats.append(ColumnStat(name, 0, None, None))
             continue
-        lo, hi = distinct[0].item(), distinct[-1].item()
-        if ctype.kind is TypeKind.CHAR:
-            lo, hi = lo.decode("ascii"), hi.decode("ascii")
+        lo, hi = Column(ctype, distinct[[0, -1]]).tolist()
         stats.append(ColumnStat(name, len(distinct), lo, hi))
     return ColumnStats(table.row_count, tuple(stats))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from conftest import bind_sql, make_table, run_all_candidates
 from sqf.errors import QuerySyntaxError, UnknownColumn
 from sqf.frontend import parse_query
 from sqf.oracle import multisets_equal, reference_execute
+from sqf.relcore import _load_bulk, _load_rows, load_csv
 
 
 def _check_all(sql, tables, default_library, default_device):
@@ -39,6 +41,30 @@ def test_char_equality_ignores_trailing_pad(default_library, default_device):
     expected, _ = _check_all("SELECT a FROM t WHERE s = 'ab'", {"t": t},
                              default_library, default_device)
     assert sorted(r[0] for r in expected.rows) == [1, 2]
+
+
+def test_a_short_char_cell_reads_back_padded_from_every_route(
+        tmp_path, default_library, default_device):
+    """`'ab'` in a CHAR(4) column reads back as `'ab  '` from both loads,
+    `Table.from_rows`, every candidate and the oracle, whose rows are then
+    equal with no canonicalisation."""
+    text = b"k:INT,s:CHAR(4)\n1,ab\n2,abcd\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    want = ((1, "ab  "), (2, "abcd"))
+    for table in (load_csv(path), _load_bulk(text), _load_rows(text)):
+        assert table.rows == want
+    t = make_table([("k", "INT"), ("s", 4)], [(1, "ab"), (2, "abcd")])
+    u = make_table([("k", "INT"), ("c", 2)], [(1, "x"), (2, "yz")])
+    assert t.rows == want
+    for sql, rows in [
+        ("SELECT s, k FROM t", [("ab  ", 1), ("abcd", 2)]),
+        ("SELECT t.s, u.c FROM t JOIN u ON t.k = u.k", [("ab  ", "x "), ("abcd", "yz")]),
+    ]:
+        expected, results = _check_all(sql, {"t": t, "u": u}, default_library, default_device)
+        assert Counter(expected.rows) == Counter(rows), sql
+        for cand, table, _ in results:
+            assert Counter(table.rows) == Counter(expected.rows), (sql, cand.tag)
 
 
 def test_join_on_char_keys_of_different_widths(default_library, default_device):
@@ -109,7 +135,7 @@ def test_min_max_on_char(default_library, default_device):
     t = make_table([("s", 3)], [("b",), ("ab",), ("ba",)])
     expected, _ = _check_all("SELECT MIN(s) AS lo, MAX(s) AS hi FROM t",
                              {"t": t}, default_library, default_device)
-    assert expected.rows == (("ab", "ba"),)
+    assert expected.rows == (("ab ", "ba "),)
 
 
 def test_star_over_join_with_name_collision(default_library, default_device):

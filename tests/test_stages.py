@@ -11,7 +11,7 @@ import pytest
 from _qgen import random_case
 from conftest import REPO, bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.cli import main
-from sqf.errors import ArithmeticOverflow, DivisionByZero
+from sqf.errors import ArithmeticOverflow, DivisionByZero, ParamOutOfRange
 from sqf.library import ModuleKind
 from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import count_comparisons, enumerate_pipelines, full_estimate, software_baseline
@@ -91,6 +91,8 @@ _NINE_COMPARISONS = (
     " AND customers.nation < 20 AND customers.grade <> 'DD'"
     " AND (orders.price < customers.acct OR orders.qty > customers.nation)"
     " AND orders.orderkey <> customers.custkey AND orders.qty <= customers.acct")
+# nine comparisons reading one side: more than one RESTRICTION module holds
+_NINE_ONE_SIDE = " AND ".join(f"orders.qty > {k}" for k in range(1, 10))
 
 
 @pytest.mark.parametrize("where, terms", [
@@ -98,7 +100,9 @@ _NINE_COMPARISONS = (
     ("orders.price > customers.acct", ([], [1])),
     ("orders.qty > 5 AND orders.price > customers.acct", ([1], [1])),
     (_NINE_COMPARISONS, ([5], [4])),
-], ids=["spanning", "mixed", "nine"])
+    # packed in order into a chain of links of at most eight terms
+    (_NINE_ONE_SIDE, ([8, 1], [])),
+], ids=["spanning", "mixed", "nine", "nine-one-side"])
 def test_spanning_conjuncts_run_in_a_restriction_after_the_join(
         suite, default_library, default_device, where, terms):
     """(before the join, after it): the terms of each restriction, on every
@@ -113,19 +117,36 @@ def test_spanning_conjuncts_run_in_a_restriction_after_the_join(
 
 @pytest.mark.parametrize("join", ["auto", "hash", "merge", "codesign"])
 def test_nine_comparisons_split_across_the_join_run(suite_dir, tmp_path, join):
-    """Neither restriction holds more than a RESTRICTION module's eight
-    terms, so the query runs and matches the reference."""
-    query = tmp_path / "q.sql"
-    query.write_text(_ORDERS_JOIN + _NINE_COMPARISONS + "\n")
-    out = tmp_path / "report.json"
-    rc = main(["run", "--query", str(query), "--tables", str(suite_dir / "tables"),
-               "--library", str(REPO / "library.default.json"),
-               "--device", str(REPO / "device.default.json"),
-               "--out", str(out), "--seed", "7", "--oracle", "--join", join])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["oracle_match"] is True
-    assert report["execution"]["result_rows"] > 0
+    """No restriction holds more than a RESTRICTION module's eight terms:
+    they split across the join, or chain, so the query runs and matches the
+    reference."""
+    for where in (_NINE_COMPARISONS, _NINE_ONE_SIDE):
+        query = tmp_path / "q.sql"
+        query.write_text(_ORDERS_JOIN + where + "\n")
+        out = tmp_path / "report.json"
+        rc = main(["run", "--query", str(query), "--tables", str(suite_dir / "tables"),
+                   "--library", str(REPO / "library.default.json"),
+                   "--device", str(REPO / "device.default.json"),
+                   "--out", str(out), "--seed", "7", "--oracle", "--join", join])
+        assert rc == 0, where
+        report = json.loads(out.read_text())
+        assert report["oracle_match"] is True, where
+        assert report["execution"]["result_rows"] > 0, where
+
+
+@pytest.mark.parametrize("where", [
+    "(" + _NINE_ONE_SIDE.replace(" AND ", " OR ") + ")",
+    _NINE_ONE_SIDE.replace("orders.qty > 1", "orders.qty * 2 > 1"),
+], ids=["one-conjunct", "arithmetic"])
+def test_nine_comparisons_that_do_not_split_stay_an_error(suite, default_library,
+                                                          default_device, where):
+    """Only separate conjuncts without arithmetic chain: one conjunct, or a
+    predicate holding arithmetic, of nine comparisons needs a RESTRICTION
+    of nine terms."""
+    tables, _, _ = suite
+    with pytest.raises(ParamOutOfRange, match=r"terms must be in \[1, 8\]"):
+        enumerate_pipelines(bind_sql(_ORDERS_JOIN + where, tables),
+                            default_library, default_device)
 
 
 def test_q09_restriction_and_alu_run_after_the_join(suite, default_library,
