@@ -270,15 +270,14 @@ class _Run:
 
     def restriction(self, stage):
         """Apply (slot, predicate) filters: slot 0/1 filters that slot's
-        positions, None every slot and every computed column."""
+        positions, None every slot. A restriction runs before the ALU, so
+        there are no computed columns to filter."""
         n_in = self.n
         for slot, pred in stage.predicates:
             slots = range(len(self.positions)) if slot is None else (slot,)
             keep = _mask(pred, self, len(self.positions[slots[0]]))
             for s in slots:
                 self.positions[s] = self.positions[s][keep]
-            if slot is None:
-                self.computed = [c.take(keep) for c in self.computed]
         return n_in, self.n
 
     def sort_left(self, stage):

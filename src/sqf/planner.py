@@ -52,8 +52,8 @@ class Stage:
     and for host stages: the host join and every stage after it.
 
     `predicates` holds a restriction's (slot, predicate) filters; no other
-    stage filters. Before the join, slot 0 or 1 filters that join side.
-    Slot None filters every row: of one table, or after the join."""
+    stage filters. Slot 0 or 1 filters that table before the join (a plan
+    without a join has slot 0 only); slot None every row after the join."""
 
     role: str
     module: ModuleInstance | None = None
@@ -269,14 +269,14 @@ def _join_side(conj):
     return 0 if slots <= {0} else 1 if slots == {1} else None
 
 
-def _restriction(filters):
+def _restriction(filters, limit=MAX_RESTRICTION_TERMS):
     """A chain of restriction steps holding (slot, predicate) filters in order,
-    each sized for the comparisons it evaluates: at most MAX_RESTRICTION_TERMS,
-    unless one filter has more. No step when there is no filter."""
+    each sized for the comparisons it evaluates: at most `limit`, unless one
+    filter has more. No step when there is no filter."""
     links = []  # (terms, filters) per step
     for filt in filters:
         terms = count_comparisons(filt[1])
-        if links and links[-1][0] + terms <= MAX_RESTRICTION_TERMS:
+        if links and links[-1][0] + terms <= limit:
             links[-1] = (links[-1][0] + terms, links[-1][1] + (filt,))
         else:
             links.append((terms, (filt,)))
@@ -284,24 +284,24 @@ def _restriction(filters):
 
 
 def _plan_steps(bp: BoundPlan):
-    """The stages a plan needs around its join, decided once per plan:
-    (steps before the join, steps after the join). A step is
-    (role, (kind, params), predicates).
+    """Where a plan's stages run around its join, decided once per plan:
+    (steps before the join, filters after the join, steps after those). A
+    step is (role, (kind, params), predicates), a filter (slot, predicate).
 
-    In a join plan, a conjunct reading one side is pushed below the join to
-    filter that side, and a conjunct spanning both sides runs in a
-    restriction after the join. A predicate holding arithmetic runs whole
-    after the join, so a faulting row is found in (left, right) join order,
-    as the reference evaluator finds it.
+    One rule places every WHERE, with or without a join: a conjunct reading
+    one table filters that table's slot before the join, and a conjunct
+    spanning both sides runs after the join. A predicate holding arithmetic
+    runs whole after the join, so a faulting row is found in (left, right)
+    join order, as the reference evaluator finds it.
     """
     pred, below, above = bp.restriction, [], []
-    if pred is not None and bp.has_join and not expr_has_arith(pred):
+    if pred is not None and not expr_has_arith(pred):
         for conj in split_conjuncts(pred):
             side = _join_side(conj)
             (above if side is None else below).append((side, conj))
     elif pred is not None:
-        (above if bp.has_join else below).append((None, pred))
-    after = _restriction(above)
+        above.append((None, pred))
+    after = []
     nodes = count_arith_nodes(bp)
     if nodes:
         after.append(("alu", (ModuleKind.ALU, {"nodes": nodes}), ()))
@@ -311,14 +311,15 @@ def _plan_steps(bp: BoundPlan):
         after.append(("reorder", (ModuleKind.REORDER, {}), ()))
     if bp.order_by:
         after.append(("sort", _SORT, ()))
-    return _restriction(below), after
+    return _restriction(below), above, after
 
 
 def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
     """A candidate's stages in the order the engine runs them, or None if
     the library lacks a module kind that a fabric stage needs. The host
-    join and every stage after it are host stages, with no module."""
-    before, after = plan_steps
+    join and every stage after it are host stages, with no module, so the
+    filters after the host join are one stage, not a chain."""
+    before, above, after = plan_steps
     join = {
         JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), ())],
         JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
@@ -328,7 +329,9 @@ def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
             ("align", (ModuleKind.ALIGN, {}), ()),
             ("host_join", None, ())],
     }.get(join_algo, [])
-    steps = before + join + after or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
+    limit = math.inf if join_algo == JOIN_ALGO_CODESIGN else MAX_RESTRICTION_TERMS
+    steps = (before + join + _restriction(above, limit) + after
+             or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())])
     host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
     if any(module[0] not in lib for _, module, _ in steps[:host]):
         return None
@@ -402,7 +405,7 @@ def estimate_time(
     energy is filled by estimate_energy."""
     bp = c.plan
     _require_stats(bp, stats)
-    # each join side's tuples on their way to the join
+    # the streams: one per table until the join, then the join's output
     sides = [float(stats[table].row_count) for table in bp.tables]
     key_d = _join_key_distinct(bp, stats) if bp.has_join else 1
 
@@ -419,7 +422,6 @@ def estimate_time(
     blocking_total = host_seconds = 0.0
     upstream_rate = r0
     flow = source_tuples
-    joined = not bp.has_join
 
     for stage in c.stages[1:]:
         role, module = stage.role, stage.module
@@ -431,20 +433,18 @@ def estimate_time(
         n_in = n_out = flow  # default: read the previous stage's output, keep it all
         blocking = 0.0
 
-        if role == "restriction" and joined:
-            n_out = flow * _selectivity(stage.predicates, bp, stats)
-        elif role == "restriction":
-            sides = [n * _selectivity([p for p in stage.predicates if p[0] == slot], bp, stats)
-                     for slot, n in enumerate(sides)]
-            n_out = sides[0] + sides[1]
+        if role == "restriction":
+            sides = [n * _selectivity([p for p in stage.predicates if p[0] in (i, None)], bp, stats)
+                     for i, n in enumerate(sides)]
+            n_out = sum(sides)
         elif role in ("hash_join", "merge_join", "host_join"):
-            joined = True
             n_out = sides[0] * sides[1] / key_d
             if role == "hash_join":
                 n_in = max(sides)
                 blocking = min(sides) / rate if rate > 0 else 0.0
             elif role == "merge_join":
                 n_in = sides[0] + sides[1]
+            sides = [n_out]
         elif role in ("sort_left", "sort_right"):
             n_in = n_out = sides[role == "sort_right"]
             blocking = _sort_blocking(module, n_in, rate)

@@ -33,6 +33,19 @@ def _stage_names(cand, tables, stats, dev):
     return [s.name for s in est.stages], [s.name for s in report.stages]
 
 
+def _run_report(suite_dir, tmp_path, sql, *flags):
+    """`sqf run --oracle` of one query on the suite tables: its report."""
+    query = tmp_path / "q.sql"
+    query.write_text(sql + "\n")
+    out = tmp_path / "report.json"
+    rc = main(["run", "--query", str(query), "--tables", str(suite_dir / "tables"),
+               "--library", str(REPO / "library.default.json"),
+               "--device", str(REPO / "device.default.json"),
+               "--out", str(out), "--seed", "7", "--oracle", *flags])
+    assert rc == 0, sql
+    return json.loads(out.read_text())
+
+
 @pytest.fixture(scope="module")
 def suite(suite_dir):
     tables = {name: load_csv(suite_dir / "tables" / f"{name}.csv")
@@ -58,8 +71,9 @@ def test_suite_estimates_list_the_executed_stages(suite, default_library, defaul
 
 def test_random_estimates_list_the_executed_stages(default_library, default_device):
     """Criterion 1's random queries; a candidate that faults reports no stages.
-    Only restrictions filter, each holds a filter, and a fabric restriction
-    is sized for the comparisons of its filters."""
+    Only restrictions filter, each holds a filter, a fabric restriction is
+    sized for the comparisons of its filters, and no restriction follows the
+    ALU or the aggregate."""
     rng = random.Random(0xC0FFEE)
     checked = 0
     for case in range(1000):
@@ -74,6 +88,10 @@ def test_random_estimates_list_the_executed_stages(default_library, default_devi
                 for s in restrictions if s.module), (case, cand.tag, sql)
             assert not any(s.predicates for s in cand.stages
                            if s.role != "restriction"), (case, cand.tag, sql)
+            roles = [s.role for s in cand.stages]
+            assert "restriction" not in roles[min(
+                (roles.index(r) for r in ("alu", "aggregate") if r in roles),
+                default=len(roles)):], (case, cand.tag, sql)
             try:
                 estimated, executed = _stage_names(cand, tables, stats, default_device)
             except (ArithmeticOverflow, DivisionByZero):
@@ -93,6 +111,14 @@ _NINE_COMPARISONS = (
     " AND orders.orderkey <> customers.custkey AND orders.qty <= customers.acct")
 # nine comparisons reading one side: more than one RESTRICTION module holds
 _NINE_ONE_SIDE = " AND ".join(f"orders.qty > {k}" for k in range(1, 10))
+_ORDERS = "SELECT orderkey FROM orders WHERE "
+# nine conjuncts, each spanning both sides
+_NINE_SPANNING = (
+    "orders.qty > customers.nation AND orders.price < customers.acct"
+    " AND orders.orderkey <> customers.custkey AND orders.qty <= customers.acct"
+    " AND orders.custkey = customers.custkey AND orders.price > customers.nation"
+    " AND orders.orderkey > customers.nation AND orders.custkey >= customers.custkey"
+    " AND orders.qty < customers.acct")
 
 
 @pytest.mark.parametrize("where, terms", [
@@ -121,32 +147,62 @@ def test_nine_comparisons_split_across_the_join_run(suite_dir, tmp_path, join):
     they split across the join, or chain, so the query runs and matches the
     reference."""
     for where in (_NINE_COMPARISONS, _NINE_ONE_SIDE):
-        query = tmp_path / "q.sql"
-        query.write_text(_ORDERS_JOIN + where + "\n")
-        out = tmp_path / "report.json"
-        rc = main(["run", "--query", str(query), "--tables", str(suite_dir / "tables"),
-                   "--library", str(REPO / "library.default.json"),
-                   "--device", str(REPO / "device.default.json"),
-                   "--out", str(out), "--seed", "7", "--oracle", "--join", join])
-        assert rc == 0, where
-        report = json.loads(out.read_text())
+        report = _run_report(suite_dir, tmp_path, _ORDERS_JOIN + where, "--join", join)
         assert report["oracle_match"] is True, where
         assert report["execution"]["result_rows"] > 0, where
 
 
-@pytest.mark.parametrize("where", [
-    "(" + _NINE_ONE_SIDE.replace(" AND ", " OR ") + ")",
-    _NINE_ONE_SIDE.replace("orders.qty > 1", "orders.qty * 2 > 1"),
-], ids=["one-conjunct", "arithmetic"])
+@pytest.mark.parametrize("layout", ["auto", "row", "column"])
+def test_nine_conjuncts_without_a_join_chain(suite, suite_dir, tmp_path, default_library,
+                                             default_device, layout):
+    """A plan without a join splits its WHERE into conjuncts by the same
+    rule as a join plan, so nine of them chain and the query runs."""
+    tables, _, _ = suite
+    sql = _ORDERS + _NINE_ONE_SIDE.replace("orders.", "")
+    for cand in enumerate_pipelines(bind_sql(sql, tables), default_library, default_device):
+        assert [_terms(s) for s in cand.stages if s.role == "restriction"] == [8, 1], cand.tag
+    report = _run_report(suite_dir, tmp_path, sql, "--layout", layout)
+    assert report["oracle_match"] is True
+    assert report["execution"]["result_rows"] > 0
+
+
+def test_a_host_restriction_is_one_stage(suite, suite_dir, tmp_path, default_library,
+                                         default_device):
+    """Fabric restrictions chain in modules of at most eight terms; after
+    the host join no module holds them, so one host restriction holds every
+    filter."""
+    tables, _, _ = suite
+    sql = _ORDERS_JOIN + _NINE_SPANNING
+    for cand in enumerate_pipelines(bind_sql(sql, tables), default_library, default_device):
+        join = next(i for i, s in enumerate(cand.stages) if s.role.endswith("join"))
+        restrictions = [[s for s in part if s.role == "restriction"]
+                        for part in (cand.stages[:join], cand.stages[join:])]
+        if cand.host_stage is None:
+            assert [[_terms(s) for s in part] for part in restrictions] == [[], [8, 1]], cand.tag
+        else:
+            assert restrictions[0] == [] and len(restrictions[1]) == 1, cand.tag
+            assert restrictions[1][0].module is None
+            assert len(restrictions[1][0].predicates) == 9
+    report = _run_report(suite_dir, tmp_path, sql, "--join", "codesign")
+    assert report["chosen"] == "row/hash_codesign"
+    assert report["oracle_match"] is True
+    assert report["execution"]["result_rows"] > 0
+
+
+@pytest.mark.parametrize("sql", [
+    _ORDERS_JOIN + "(" + _NINE_ONE_SIDE.replace(" AND ", " OR ") + ")",
+    _ORDERS_JOIN + _NINE_ONE_SIDE.replace("orders.qty > 1", "orders.qty * 2 > 1"),
+    _ORDERS + "(" + _NINE_ONE_SIDE.replace(" AND ", " OR ") + ")",
+    _ORDERS + _NINE_ONE_SIDE.replace("orders.qty > 1", "orders.qty * 2 > 1"),
+], ids=["one-conjunct", "arithmetic", "one-conjunct-no-join", "arithmetic-no-join"])
 def test_nine_comparisons_that_do_not_split_stay_an_error(suite, default_library,
-                                                          default_device, where):
-    """Only separate conjuncts without arithmetic chain: one conjunct, or a
-    predicate holding arithmetic, of nine comparisons needs a RESTRICTION
-    of nine terms."""
+                                                          default_device, sql):
+    """Only separate conjuncts without arithmetic chain, with or without a
+    join: one conjunct, or a predicate holding arithmetic, of nine
+    comparisons needs a RESTRICTION of nine terms."""
     tables, _, _ = suite
     with pytest.raises(ParamOutOfRange, match=r"terms must be in \[1, 8\]"):
-        enumerate_pipelines(bind_sql(_ORDERS_JOIN + where, tables),
-                            default_library, default_device)
+        enumerate_pipelines(bind_sql(sql, tables), default_library, default_device)
 
 
 def test_q09_restriction_and_alu_run_after_the_join(suite, default_library,
