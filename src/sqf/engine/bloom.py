@@ -82,7 +82,8 @@ def _key_array(keys) -> np.ndarray:
 
 
 def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
-    """Insert every 64-bit key into every stage."""
+    """Insert every 64-bit key into every stage. `inserted_count` counts the
+    keys passed in; the engine passes each distinct key once."""
     cascade = BloomCascade(config)
     arr = _key_array(keys)
     cascade.inserted_count = len(arr)

@@ -43,6 +43,7 @@ from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many
 from .kernels import (
     OVERFLOW,
     checked_arith,
+    codes,
     group_extreme,
     group_ids,
     group_sums,
@@ -296,16 +297,33 @@ class _Run:
 
     def bloom_cascade(self, stage):
         """Build the cascade over the smaller side and keep the probe rows
-        that pass it, a side filter like a pushed-down restriction."""
+        that pass it, a side filter like a pushed-down restriction.
+
+        Each distinct key is hashed once: both sides are coded together, the
+        cascade is built over the build side's codes and probed with the
+        probe side's, and the pass mask is gathered back to rows by code.
+        Setting a bit twice changes nothing, so the bits and the mask are
+        those of hashing every row."""
         keys, key_type = self.keys(), self.bp.join_key_type
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
         probe = 1 - build
+        every = np.concatenate(keys)
+        code, n_codes = codes(every)
+        side_codes = (code[: len(keys[0])], code[len(keys[0]):])
+        held = np.zeros((2, n_codes), dtype=bool)  # the codes each side holds
+        for side in (0, 1):
+            held[side, side_codes[side]] = True
+        row_of = np.zeros(n_codes, dtype=np.intp)  # a row of each code held
+        row_of[code] = np.arange(len(code))
+        images = key_images(every[row_of], key_type)
         m_bits, k = bloom_dims(len(keys[build]))
         config = BloomCascadeConfig(stage.module.param("stages"), m_bits, k, self.seed)
-        cascade = bloom_build(config, key_images(keys[build], key_type))
-        passed = bloom_probe_many(cascade, key_images(keys[probe], key_type))[0]
+        cascade = bloom_build(config, images[held[build]])
+        passes = np.zeros(n_codes, dtype=bool)
+        passes[held[probe]] = bloom_probe_many(cascade, images[held[probe]])[0]
+        passed = passes[side_codes[probe]]
         self.positions[probe] = self.positions[probe][passed]
-        self.bloom_fp = int(np.count_nonzero(~np.isin(keys[probe][passed], keys[build])))
+        self.bloom_fp = int(np.count_nonzero(passed & ~held[build][side_codes[probe]]))
         return len(keys[probe]), len(self.positions[probe])
 
     def align(self, stage):

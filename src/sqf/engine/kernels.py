@@ -6,7 +6,8 @@ raising, so the executor can report the first faulting row in stream order.
 A faulted row's value is unspecified. The scalar primitives in `sqf.arith`
 are the reference these kernels are tested against.
 
-Joins and grouping address keys by a dense code. An INT64 key whose span
+Joins, grouping and the co-design join's bloom stage (which hashes one
+key per code) address keys by a dense code. An INT64 key whose span
 is smaller than its row count is coded by its offset from the minimum,
 with no sort; any other key (padded CHAR bytes, wide INT spans) is coded
 by sorting. Every join strategy pairs rows through `match_pairs` on

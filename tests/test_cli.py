@@ -506,6 +506,23 @@ def test_crlf_table_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "line 1, column 3" in err
 
 
+@pytest.mark.parametrize("table, query, named", [
+    (b"a:INT,b:INT\n1,2\n3,x\n", "SELECT a FROM t", "line 3, column 2"),
+    (b"a:INT\n1\n", "SELECT a FROM t WHERE a = ²", "position 26"),
+], ids=["bad-int-cell", "non-ascii-digit"])
+def test_run_on_bad_input_is_an_error(tmp_path, capsys, table, query, named):
+    """`sqf run` on an INT cell `x` on line 3, column 2, and on a query with
+    a superscript digit: exit 1, one `error:` line naming the fault."""
+    (tmp_path / "t.csv").write_bytes(table)
+    (tmp_path / "q.sql").write_bytes(query.encode("utf-8") + b"\n")
+    rc = main(["run", "--query", str(tmp_path / "q.sql"), "--tables", str(tmp_path),
+               "--library", LIB, "--device", DEV, "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and named in err
+
+
 def test_bench_unreadable_query_is_a_failed_row(tmp_path):
     suite = _mini_suite(tmp_path)
     (suite / "q1.sql").write_bytes(b"SELECT \xff FROM items\n")

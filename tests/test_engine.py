@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -10,8 +11,14 @@ import pytest
 
 from conftest import bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN
-from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
-from sqf.engine.exec import execute_pipeline, result_checksum
+from sqf.engine.bloom import (
+    BloomCascadeConfig,
+    bloom_build,
+    bloom_dims,
+    bloom_probe,
+    bloom_probe_many,
+)
+from sqf.engine.exec import execute_pipeline, key_images, result_checksum
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -23,7 +30,7 @@ from sqf.hashing import fnv1a64, fnv1a64_u64, fnv1a64_u64_many
 from sqf.library import ModuleKind, instantiate
 from sqf.oracle import canonical_multiset, multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, estimate_selectivity
-from sqf.relcore import ColumnType, Schema, Table, load_csv, table_stats
+from sqf.relcore import ColumnType, Schema, Table, TypeKind, load_csv, table_stats
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,68 @@ def test_codesign_join_matches_hash_fpga_on_suite_joins(suite_dir, default_libra
         results = _codesign_against_hash_fpga(form, tables, default_library, default_device)
         build_slots.append(_build_slot(results))
     assert build_slots == [1, 0]
+
+
+_POOL_RNG = random.Random(5)
+_WIDE_POOL = [INT64_MIN, INT64_MAX, -1, 0] + [
+    _POOL_RNG.randint(INT64_MIN, INT64_MAX) for _ in range(3000)]
+_CHAR_POOL = ["".join(p) for n in (1, 2, 3, 4) for p in itertools.product("abcdefgh", repeat=n)]
+
+# join key kind -> (slot 0 key type, slot 1 key type, draw one key)
+_BLOOM_KEYS = {
+    "dense-int": ("INT", "INT", lambda rng: rng.randint(0, 1200)),  # coded by offset
+    "wide-int": ("INT", "INT", lambda rng: rng.choice(_WIDE_POOL)),  # coded by np.unique
+    "char-4-7": (4, 7, lambda rng: rng.choice(_CHAR_POOL)),
+    "duplicates": ("INT", "INT", lambda rng: rng.randint(0, 3)),
+}
+
+
+@pytest.mark.parametrize("kind, small, emptied", [
+    *[(kind, small, None) for kind in _BLOOM_KEYS for small in (0, 1)],
+    ("dense-int", 0, 0), ("dense-int", 1, 1), ("char-4-7", 0, 1),
+])
+def test_bloom_stage_matches_a_per_row_cascade(default_library, kind, small, emptied):
+    """The bloom stage hashes each distinct key once; its survivors and
+    false positives are those of a cascade built over every build row and
+    probed with every probe row. `small` is the slot with fewer rows, and
+    `emptied` the slot (if any) whose rows a WHERE removes."""
+    rng = random.Random(f"{kind}-{small}-{emptied}")
+    left_type, right_type, draw = _BLOOM_KEYS[kind]
+    sizes = (100, 1500) if small == 0 else (1500, 100)
+    tables = {name: make_table([("k", ktype), ("v", "INT")],
+                               [(draw(rng), rng.randint(0, 99)) for _ in range(n)])
+              for name, ktype, n in zip("lr", (left_type, right_type), sizes)}
+    bounds = [9 if slot != emptied else 100 for slot in (0, 1)]
+    sql = (f"SELECT l.v, r.v FROM l JOIN r ON l.k = r.k "
+           f"WHERE l.v > {bounds[0]} AND r.v > {bounds[1]}")
+    results = _codesign_against_hash_fpga(sql, tables, default_library)
+
+    bp = bind_sql(sql, tables)
+    key_type = bp.join_key_type
+    keys = []  # canonical keys of the rows reaching the join, per slot
+    for name, bound in zip("lr", bounds):
+        cells = [k for k, v in tables[name].rows if v > bound]
+        if key_type.kind is TypeKind.CHAR:
+            width = key_type.width_bytes
+            keys.append(np.array([k.ljust(width).encode() for k in cells], dtype=f"S{width}"))
+        else:
+            keys.append(np.array(cells, dtype=np.int64))
+    build = 0 if len(keys[0]) <= len(keys[1]) else 1
+    assert build == _build_slot(results) == (small if emptied is None else emptied)
+    probe_keys = keys[1 - build]
+
+    cand = next(c for c in enumerate_pipelines(bp, default_library, _device())
+                if c.tag == "row/hash_codesign")
+    stages = next(s.module.param("stages") for s in cand.stages if s.role == "bloom_cascade")
+    config = BloomCascadeConfig(stages, *bloom_dims(len(keys[build])), seed=7)  # the run's seed
+    cascade = bloom_build(config, key_images(keys[build], key_type))
+    passed = bloom_probe_many(cascade, key_images(probe_keys, key_type))[0]
+
+    report = results["row/hash_codesign"][1]
+    stage = next(s for s in report.stages if s.name == "bloom_cascade")
+    assert (stage.input_count, stage.output_count) == (len(probe_keys), int(passed.sum()))
+    false_positives = np.count_nonzero(~np.isin(probe_keys[passed], keys[build]))
+    assert report.bloom_false_positives == false_positives
 
 
 def test_align_tuple_too_large(default_library, default_device, suite_dir):
