@@ -6,12 +6,15 @@ raising, so the executor can report the first faulting row in stream order.
 A faulted row's value is unspecified. The scalar primitives in `sqf.arith`
 are the reference these kernels are tested against.
 
-Joins, grouping and the co-design join's bloom stage (which hashes one
-key per code) address keys by a dense code. An INT64 key whose span
-is smaller than its row count is coded by its offset from the minimum,
-with no sort; any other key (padded CHAR bytes, wide INT spans) is coded
-by sorting. Every join strategy pairs rows through `match_pairs` on
-canonical keys. SUM skips its running-sum overflow
+Joins, grouping and the co-design join's bloom stage (which hashes one key
+per code) address keys by a code (`relcore.codes`), and ordering by an
+int64 rank. An INT key, and a padded CHAR key of width at most 8, has an
+order-preserving int64 image (`relcore.int_image`: the INT value, or the
+big-endian integer of the CHAR bytes), which is its rank. An image whose
+span is smaller than its row count is coded by its offset from the
+minimum, with no sort; a wider image is coded by sorting int64, and a
+wider CHAR key by sorting its bytes. Every join strategy pairs rows
+through `match_pairs` on canonical keys. SUM skips its running-sum overflow
 scan only when the row count times the largest magnitude proves that no
 running sum can leave int64.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..arith import INT64_MAX, INT64_MIN
+from ..relcore import codes, int_image
 
 OK, OVERFLOW, DIVZERO = 0, 1, 2  # per-row fault codes
 
@@ -62,19 +66,6 @@ def checked_arith(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     return r, fault.astype(np.uint8)
 
 
-def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(code per value, number of codes): equal values share a code, and
-    codes order like the values. A dense INT64 range is coded by offset,
-    anything else by sorting."""
-    if values.dtype == np.int64 and len(values):
-        lo = int(values.min())
-        span = int(values.max()) - lo
-        if span < len(values):
-            return values - lo, span + 1
-    distinct, code = np.unique(values, return_inverse=True)
-    return code.reshape(-1), len(distinct)
-
-
 def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (outer position, inner position) pairs with equal keys, ordered
     by outer position, then inner position."""
@@ -91,8 +82,10 @@ def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def rank(values: np.ndarray) -> np.ndarray:
-    """Int64 codes that order like `values` (INT as-is, padded CHAR by rank)."""
-    return values if values.dtype == np.int64 else codes(values)[0]
+    """Int64 values that order like `values`: their int64 image where they
+    have one (INT, or CHAR of width at most 8), else their code."""
+    image = int_image(values)
+    return codes(values)[0] if image is None else image
 
 
 def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:

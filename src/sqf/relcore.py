@@ -150,6 +150,43 @@ def pad_bytes(values: np.ndarray, width: int) -> np.ndarray:
     return out.view(f"S{width}").reshape(-1)
 
 
+def int_image(values: np.ndarray) -> np.ndarray | None:
+    """An int64 array that orders like `values`, or None: int64 values as
+    they are; an `S<w>` array with w <= 8 as the big-endian integer of each
+    cell's w bytes minus 2**(8w - 1), so that it orders as numpy compares
+    the bytes (unsigned, 0x80-0xFF included) and equal cells share an
+    image. Wider CHAR cells have none."""
+    if values.dtype == np.int64:
+        return values
+    width = values.dtype.itemsize
+    if values.dtype.kind != "S" or width > 8:
+        return None
+    cells = np.ascontiguousarray(values).view(np.uint8).reshape(-1, width)
+    image = cells[:, 0].astype(np.int64) - 0x80  # keeps 8 bytes inside int64
+    for k in range(1, width):
+        image <<= 8
+        image |= cells[:, k]
+    return image
+
+
+def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(code per value, number of codes): equal values share a code, codes
+    order like the values, and every code is in [0, number of codes). An
+    INT key or a CHAR key of width at most 8 is coded on its int64 image
+    (`int_image`): by its offset from the minimum when the image's span is
+    below the row count (codes may then skip values no row holds), else by
+    sorting the image. Anything else is coded by sorting."""
+    image = int_image(values)
+    if image is not None and len(image):
+        lo = int(image.min())
+        span = int(image.max()) - lo
+        if span < len(image):
+            return image - lo, span + 1
+        values = image
+    distinct, code = np.unique(values, return_inverse=True)
+    return code.reshape(-1), len(distinct)
+
+
 @dataclass(frozen=True, eq=False)
 class Column:
     """One column as an array. INT cells are an int64 array. CHAR cells are
@@ -428,13 +465,15 @@ class ColumnStats:
 
 
 def table_stats(table: Table) -> ColumnStats:
-    """Exact counts, no sampling. CHAR min/max compare on padded content."""
+    """Exact counts, no sampling. CHAR min/max compare on padded content.
+    Each column is counted on its `codes`, which order like its values."""
     stats = []
-    for (name, ctype), col in zip(table.schema.columns, table.columns):
-        distinct = np.unique(col.values)  # sorted; padded bytes sort as padded text
-        if not len(distinct):
+    for (name, _), col in zip(table.schema.columns, table.columns):
+        if not len(col.values):
             stats.append(ColumnStat(name, 0, None, None))
             continue
-        lo, hi = Column(ctype, distinct[[0, -1]]).tolist()
-        stats.append(ColumnStat(name, len(distinct), lo, hi))
+        code, n_codes = codes(col.values)
+        count = int(np.count_nonzero(np.bincount(code, minlength=n_codes)))
+        ends = [int(code.argmin()), int(code.argmax())]
+        stats.append(ColumnStat(name, count, *col.take(ends).tolist()))
     return ColumnStats(table.row_count, tuple(stats))

@@ -226,6 +226,7 @@ _BLOOM_KEYS = {
     "dense-int": ("INT", "INT", lambda rng: rng.randint(0, 1200)),  # coded by offset
     "wide-int": ("INT", "INT", lambda rng: rng.choice(_WIDE_POOL)),  # coded by np.unique
     "char-4-7": (4, 7, lambda rng: rng.choice(_CHAR_POOL)),
+    "narrow-char": (1, 2, lambda rng: rng.choice("abc")),  # coded by offset, span 512
     "duplicates": ("INT", "INT", lambda rng: rng.randint(0, 3)),
 }
 
@@ -423,6 +424,24 @@ def test_uncommon_shapes_match_the_oracle(default_library, sql, mirrored):
         other = bind_sql(f"SELECT a FROM t WHERE {mirrored}", tables)
         assert estimate_selectivity(bp.restriction, bp, stats) == pytest.approx(
             estimate_selectivity(other.restriction, other, stats))
+
+
+def test_group_by_a_char_key_denser_than_its_span(default_library):
+    """A CHAR(2) group key over 600 rows spans 257 image values, so it is
+    coded by offset; grouping, MIN/MAX of a CHAR(8) column and ORDER BY the
+    key DESC match the oracle row for row on every candidate."""
+    rng = random.Random(11)
+    rows = [(rng.choice(["AA", "AB", "BA", "BB", "B"]), rng.choice(["x~", "zz zz", "~~~~~~~~"]),
+             rng.randint(-5, 5)) for _ in range(600)]
+    tables = {"t": make_table([("g", 2), ("h", 8), ("v", "INT")], rows)}
+    sql = ("SELECT g, COUNT(*) AS n, MIN(h) AS lo, MAX(h) AS hi, SUM(v) AS s "
+           "FROM t GROUP BY g ORDER BY g DESC")
+    expected = reference_execute(bind_sql(sql, tables), tables)
+    assert [row[0] for row in expected.rows] == ["BB", "BA", "B ", "AB", "AA"]
+    results = run_all_candidates(sql, tables, default_library, _device())
+    assert results
+    for cand, table, _ in results:
+        assert table.rows == expected.rows, cand.tag
 
 
 def test_sort_is_stable_permutation(default_library):

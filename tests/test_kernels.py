@@ -4,6 +4,8 @@ and the grouping and pairing kernels against naive loops."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.exec import result_checksum
 from sqf.engine.kernels import (
-    DIVZERO, OK, OVERFLOW, checked_arith, group_ids, group_sums, match_pairs,
+    DIVZERO, OK, OVERFLOW, checked_arith, codes, group_ids, group_sums, match_pairs, sort_order,
 )
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
@@ -226,9 +228,16 @@ def _first_appearance(rows):
 
 @st.composite
 def key_kinds(draw, kinds=("narrow", "wide", "char")):
-    """(cell strategy, dtype) of one key column: narrow INT (coded by offset),
-    wide INT from EDGES (coded by sorting), uint64 (coded by sorting, as any
-    key that is not int64), or padded CHAR of width 1-8."""
+    """(cell strategy, dtype) of one key column. INT keys and padded CHAR
+    keys of width 1-8 are coded on their int64 image (the INT value, or the
+    big-endian integer of the CHAR bytes): by offset when its span is below
+    the row count, else by sorting int64. Wider CHAR keys and uint64 keys are
+    coded by sorting. Kinds: narrow INT (coded by offset), wide INT from
+    EDGES (sorted), uint64 (sorted), or CHAR of width 1-9 over any byte
+    0x00-0xFF, in one of three shapes: arbitrary cells (a span far above the
+    row count), a two-byte alphabet in the first two bytes, space padded (a
+    span of 1 at width 1 and 257 at width 2, so a few hundred rows outnumber
+    it), or cells that differ only in the last byte (a span of 3)."""
     kind = draw(st.sampled_from(kinds))
     if kind == "narrow":
         return st.integers(-3, 3), np.int64
@@ -236,8 +245,17 @@ def key_kinds(draw, kinds=("narrow", "wide", "char")):
         return st.sampled_from(EDGES), np.int64
     if kind == "hash":
         return st.sampled_from([0, 1, 2**63, MASK64 - 1, MASK64]), np.uint64
-    width = draw(st.integers(1, 8))
-    return st.text("ab ", max_size=width).map(lambda c: c.ljust(width).encode()), f"S{width}"
+    width = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["any", "two-letter", "last-byte"]))
+    if shape == "any":
+        return st.binary(min_size=width, max_size=width), f"S{width}"
+    if shape == "two-letter":
+        low = draw(st.integers(0, 254))
+        letters = itertools.product((low, low + 1), repeat=min(width, 2))
+        return st.sampled_from([bytes(p).ljust(width) for p in letters]), f"S{width}"
+    prefix = draw(st.binary(min_size=width - 1, max_size=width - 1))
+    low = draw(st.integers(0, 252))
+    return st.sampled_from([prefix + bytes([low + i]) for i in range(4)]), f"S{width}"
 
 
 def _draw_column(data, kind, min_size=0, max_size=15):
@@ -269,6 +287,13 @@ def test_group_ids_redensify_when_the_key_product_exceeds_the_rows():
     _check_group_ids([c, a, b, a], 4)
 
 
+def _forbid_sorting(monkeypatch):
+    def unsorted(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unsorted)
+
+
 def _pairs_by_nested_loop(outer, inner):
     return [(a, b) for a, x in enumerate(outer) for b, y in enumerate(inner) if x == y]
 
@@ -280,3 +305,48 @@ def test_match_pairs_is_the_ordered_nested_loop(data, kind):
     o, i = match_pairs(outer, inner)
     assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
                                                                       inner.tolist())
+
+
+# ---------------------------------------------------------------------------
+# coding and ordering keys
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), key_kinds(("narrow", "wide", "hash", "char")))
+def test_codes_are_ordered_and_in_range(data, kind):
+    cells = data.draw(st.lists(kind[0], max_size=300))
+    code, n_codes = codes(np.array(cells, dtype=kind[1]))
+    assert code.shape == (len(cells),)
+    assert all(0 <= c < n_codes for c in code.tolist())
+    assert n_codes <= max(len(cells), 1)
+    # equal cells share a code, and codes order like the cells
+    by_cell = sorted(set(zip(cells, code.tolist())))
+    assert [c for _, c in by_cell] == sorted({c for _, c in by_cell})
+    assert len({cell for cell, _ in by_cell}) == len(by_cell)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+@pytest.mark.parametrize("prefix", [0x00, 0xFF])
+def test_codes_of_a_char_key_denser_than_its_span_do_not_sort(monkeypatch, width, prefix):
+    # last bytes across 0x7F/0x80; a 0xFF prefix puts width 8 at the top of int64
+    cells = [bytes([prefix] * (width - 1) + [b]) for b in (0x81, 0x80, 0x7F, 0x81, 0x80)]
+    values = np.array(cells, dtype=f"S{width}")
+
+    _forbid_sorting(monkeypatch)
+    code, n_codes = codes(values)
+    assert (code.tolist(), n_codes) == ([2, 1, 0, 2, 1], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(st.booleans(), min_size=1, max_size=3))
+def test_sort_order_of_char_keys_is_pythons_stable_sort(data, ascending):
+    n = data.draw(st.integers(0, 40))
+    keys = []
+    for asc in ascending:
+        cell, dtype = data.draw(key_kinds(("char",)))
+        cells = data.draw(st.lists(cell, min_size=n, max_size=n))
+        keys.append((cells, np.array(cells, dtype=dtype), asc))
+    expected = list(range(n))
+    for cells, _, asc in reversed(keys):  # least significant key first
+        expected.sort(key=cells.__getitem__, reverse=not asc)
+    assert sort_order([(values, asc) for _, values, asc in keys]).tolist() == expected

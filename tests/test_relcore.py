@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqf.arith import INT64_MAX, INT64_MIN
 from sqf.errors import CharOverflow, CsvError, MalformedCell
 from sqf.relcore import (
+    Column,
+    ColumnStat,
+    ColumnStats,
     ColumnType,
     Schema,
     Table,
@@ -174,6 +178,57 @@ def test_stats_properties(table):
             assert type(stat.min_value) is type(stat.max_value) is type(canon[0])
         else:
             assert stat.min_value is None and stat.max_value is None
+
+
+def _stats_by_sorting(table):
+    """table_stats by its definition: each column's sorted distinct values."""
+    stats = []
+    for (name, ctype), col in zip(table.schema.columns, table.columns):
+        distinct = np.unique(col.values)
+        ends = Column(ctype, distinct[[0, -1]]).tolist() if len(distinct) else [None, None]
+        stats.append(ColumnStat(name, len(distinct), *ends))
+    return ColumnStats(table.row_count, tuple(stats))
+
+
+_PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+
+
+@st.composite
+def _stats_columns(draw, rows):
+    """(column type, cells) of one column with `rows` cells: INT of a narrow
+    span at either end of int64 or anywhere, INT over the whole range, one
+    repeated value, or CHAR of width 1-9 with cells that differ only in the
+    last byte (a span below the row count) or in any byte."""
+    kind = draw(st.sampled_from(["narrow-int", "any-int", "one-value", "narrow-char", "char"]))
+    if kind == "narrow-int":
+        low = draw(st.sampled_from([INT64_MIN, INT64_MAX - 3, -2]) | st.integers(-1000, 1000))
+        return ColumnType.int64(), draw(st.lists(st.integers(low, low + 3), min_size=rows,
+                                                 max_size=rows))
+    if kind == "any-int":
+        cell = st.sampled_from([INT64_MIN, INT64_MAX, 0]) | st.integers(INT64_MIN, INT64_MAX)
+        return ColumnType.int64(), draw(st.lists(cell, min_size=rows, max_size=rows))
+    width = draw(st.integers(1, 9))
+    if kind == "one-value":
+        value = draw(st.sampled_from([INT64_MIN, INT64_MAX]) | st.text(_PRINTABLE, max_size=width))
+        ctype = ColumnType.int64() if isinstance(value, int) else ColumnType.char(width)
+        return ctype, [value] * rows
+    if kind == "narrow-char":
+        prefix = draw(st.text(_PRINTABLE, min_size=width - 1, max_size=width - 1))
+        cell = st.sampled_from([prefix + c for c in "~}|"])
+    else:
+        cell = st.text(_PRINTABLE, max_size=width)
+    return ColumnType.char(width), draw(st.lists(cell, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 40), st.integers(1, 4))
+def test_table_stats_match_sorting_each_column(data, rows, arity):
+    columns = [data.draw(_stats_columns(rows)) for _ in range(arity)]
+    schema = Schema(tuple((f"c{i}", ctype) for i, (ctype, _) in enumerate(columns)))
+    table = Table.from_rows(schema, zip(*(cells for _, cells in columns)))
+    stats = table_stats(table)
+    assert stats == _stats_by_sorting(table)
+    assert all(type(stat.distinct_count) is int for stat in stats.columns)
 
 
 # ---------------------------------------------------------------------------
