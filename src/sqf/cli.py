@@ -31,7 +31,7 @@ from .library import load_library
 from .oracle import first_multiset_diff, multisets_equal, reference_execute
 from .planner import (
     codesign_misfits,
-    column_layout_eligible,
+    column_layout_bytes,
     enumerate_pipelines,
     rank,
     software_baseline,
@@ -107,7 +107,7 @@ class _Planned:
                     join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
                 return cand, est
         rules = []
-        if layout == "column" and not column_layout_eligible(self.bound):
+        if layout == "column" and column_layout_bytes(self.bound) is None:
             rules.append("column layout needs a query that touches at most half"
                          " of its tables' columns")
         if join != "auto" and not self.bound.has_join:

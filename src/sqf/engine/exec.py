@@ -360,17 +360,9 @@ def _alu(bp: BoundPlan, run: _Run) -> None:
     """Append the computed columns; raise at the first row that faults."""
     checks = []
     for comp in bp.computed:
-        if comp.ctype.kind is TypeKind.CHAR:  # a column or a string literal
-            if isinstance(comp.expr, ValueRef):
-                column = run.column(comp.expr)
-            else:
-                column = Column.from_values(comp.ctype, [comp.expr.value] * run.n)
-            fault = None
-        else:
-            values, fault = _evaluate(comp.expr, run)
-            column = Column(comp.ctype, np.broadcast_to(values, (run.n,)))
+        values, fault = _evaluate(comp.expr, run)
         checks.append((fault, comp.name))
-        run.computed.append(column)
+        run.computed.append(Column(comp.ctype, np.broadcast_to(values, (run.n,))))
     _raise_first(checks, run.n)
 
 

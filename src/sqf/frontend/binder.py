@@ -150,17 +150,6 @@ def split_conjuncts(expr) -> list:
     return [expr]
 
 
-def expr_slots(expr) -> set:
-    """Which join sides (0/1) a bound expression reads columns from."""
-    return {
-        n.slot for n in walk_bound(expr) if isinstance(n, ValueRef) and n.kind == "column"
-    }
-
-
-def expr_has_arith(expr) -> bool:
-    return any(isinstance(n, Arith) for n in walk_bound(expr))
-
-
 def needs_reorder(bp: "BoundPlan") -> bool:
     """True when the output layout differs from the natural stream layout,
     i.e. attributes are reordered, inserted, or removed."""

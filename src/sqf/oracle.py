@@ -20,7 +20,7 @@ from .arith import add64, div64, mul64, sub64
 from .errors import ArithmeticOverflow, DivisionByZero
 from .frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
 from .frontend.binder import BCmp, BoundPlan, FromAggregate, FromGroupKey, ValueRef
-from .relcore import Table, TypeKind, canon_cell, canon_row, encode_row, pad_char
+from .relcore import Table, TypeKind, canon_cell, encode_row, pad_char
 
 
 def _eval(expr, row, bp: BoundPlan):
@@ -196,7 +196,7 @@ def _shape_output(bp: BoundPlan, raw_keys, agg_values):
 # --------------------------------------------------------------------------
 
 def canonical_multiset(table: Table) -> Counter:
-    return Counter(canon_row(row, table.schema) for row in table.rows)
+    return Counter(table.rows)
 
 
 def multisets_equal(a: Table, b: Table) -> bool:

@@ -5,9 +5,11 @@ streaming stages run concurrently at chained rates and contribute
 `max(input/rate)`; sorts and hash-join builds add serial blocking phases;
 reconfiguration and the co-design host stages (the host join and every
 stage after it) add their own terms. Each candidate carries one ordered
-stage list, which the calculus prices and the engine runs. All
-cardinalities come from exact table statistics through textbook
-independence heuristics, so estimates are deterministic.
+stage list, which the calculus prices and the engine runs, and the source
+bytes per tuple of each side, which its layout streams. Enumeration decides
+these facts once per plan: it walks each WHERE conjunct once and counts the
+touched columns once. All cardinalities come from exact table statistics
+through textbook independence heuristics, so estimates are deterministic.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .frontend.binder import (
     BoundPlan,
     FromValue,
     ValueRef,
-    expr_has_arith,
-    expr_slots,
     needs_reorder,
     split_conjuncts,
     walk_bound,
@@ -67,6 +67,7 @@ class CandidatePipeline:
     layout: str  # "row" | "column"
     stages: tuple[Stage, ...]  # from the source, in the order the engine runs them
     plan: BoundPlan
+    tuple_bytes: tuple[int, ...]  # per side, what the source stage streams per tuple
 
     @property
     def modules(self) -> tuple[ModuleInstance, ...]:
@@ -109,10 +110,6 @@ class CostEstimate:
 # plan analysis helpers
 # --------------------------------------------------------------------------
 
-def count_comparisons(expr) -> int:
-    return sum(1 for node in walk_bound(expr) if isinstance(node, BCmp))
-
-
 def count_arith_nodes(bp: BoundPlan) -> int:
     """ALU nodes: each computed select item's arithmetic nodes, and one for
     an item without arithmetic (a copied column or a literal). A predicate's
@@ -148,20 +145,15 @@ def touched_columns(bp: BoundPlan) -> list[set]:
     return touched
 
 
-def _effective_tuple_bytes(bp: BoundPlan, layout: str) -> list[int]:
-    """Source-stage bytes per tuple of each side; column layout streams only
-    the touched columns."""
-    if layout != "column":
-        return [schema.tuple_bytes for schema in bp.schemas]
-    return [max(1, sum(schema.columns[i][1].width_bytes for i in touched))
-            for schema, touched in zip(bp.schemas, touched_columns(bp))]
-
-
-def column_layout_eligible(bp: BoundPlan) -> bool:
-    """Column layout is offered when the plan touches at most half of its
-    tables' columns."""
-    used = sum(map(len, touched_columns(bp)))
-    return 2 * used <= sum(schema.arity for schema in bp.schemas)
+def column_layout_bytes(bp: BoundPlan) -> tuple[int, ...] | None:
+    """Source bytes per tuple of each side in column layout, which streams
+    only the touched columns; None when the plan touches more than half of
+    its tables' columns, as column layout is offered only otherwise."""
+    touched = touched_columns(bp)
+    if 2 * sum(map(len, touched)) > sum(schema.arity for schema in bp.schemas):
+        return None
+    return tuple(max(1, sum(schema.columns[i][1].width_bytes for i in cols))
+                 for schema, cols in zip(bp.schemas, touched))
 
 
 # --------------------------------------------------------------------------
@@ -263,44 +255,66 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 # pipeline enumeration
 # --------------------------------------------------------------------------
 
-def _join_side(conj):
-    """The join side (0 or 1) a conjunct reads alone, or None if it reads both."""
-    slots = expr_slots(conj)
-    return 0 if slots <= {0} else 1 if slots == {1} else None
+def _filters(pred) -> list[tuple]:
+    """A WHERE's filters as (slot, predicate, comparisons), each conjunct
+    walked once. A conjunct reading one table has that table's slot (slot 0
+    when it reads no column); one spanning both sides has slot None. A
+    predicate holding arithmetic is one filter with slot None."""
+    if pred is None:
+        return []
+    filters, arith = [], False
+    for conj in split_conjuncts(pred):
+        slots, terms = set(), 0
+        for node in walk_bound(conj):
+            if isinstance(node, ValueRef) and node.kind == "column":
+                slots.add(node.slot)
+            elif isinstance(node, BCmp):
+                terms += 1
+            elif isinstance(node, Arith):
+                arith = True
+        filters.append((0 if slots <= {0} else 1 if slots == {1} else None, conj, terms))
+    return [(None, pred, sum(f[2] for f in filters))] if arith else filters
 
 
-def _restriction(filters, limit=MAX_RESTRICTION_TERMS):
+def _restriction(filters):
     """A chain of restriction steps holding (slot, predicate) filters in order,
-    each sized for the comparisons it evaluates: at most `limit`, unless one
-    filter has more. No step when there is no filter."""
+    each sized for the comparisons it evaluates: at most a RESTRICTION
+    module's terms, unless one filter has more. No step when there is no
+    filter."""
     links = []  # (terms, filters) per step
-    for filt in filters:
-        terms = count_comparisons(filt[1])
-        if links and links[-1][0] + terms <= limit:
-            links[-1] = (links[-1][0] + terms, links[-1][1] + (filt,))
+    for slot, pred, terms in filters:
+        if links and links[-1][0] + terms <= MAX_RESTRICTION_TERMS:
+            links[-1] = (links[-1][0] + terms, links[-1][1] + ((slot, pred),))
         else:
-            links.append((terms, (filt,)))
+            links.append((terms, ((slot, pred),)))
     return [("restriction", (ModuleKind.RESTRICTION, {"terms": t}), link) for t, link in links]
 
 
-def _plan_steps(bp: BoundPlan):
-    """Where a plan's stages run around its join, decided once per plan:
-    (steps before the join, filters after the join, steps after those). A
-    step is (role, (kind, params), predicates), a filter (slot, predicate).
+def _plan_steps(bp: BoundPlan, algos) -> dict:
+    """Each join algorithm's steps, in the order the engine runs them, from
+    one analysis of the plan. A step is (role, (kind, params) or None for a
+    host stage, predicates), a filter (slot, predicate).
 
     One rule places every WHERE, with or without a join: a conjunct reading
     one table filters that table's slot before the join, and a conjunct
     spanning both sides runs after the join. A predicate holding arithmetic
     runs whole after the join, so a faulting row is found in (left, right)
-    join order, as the reference evaluator finds it.
+    join order, as the reference evaluator finds it. After the host join no
+    module holds the filters, so one host restriction holds them all.
     """
-    pred, below, above = bp.restriction, [], []
-    if pred is not None and not expr_has_arith(pred):
-        for conj in split_conjuncts(pred):
-            side = _join_side(conj)
-            (above if side is None else below).append((side, conj))
-    elif pred is not None:
-        above.append((None, pred))
+    filters = _filters(bp.restriction)
+    before = _restriction(f for f in filters if f[0] is not None)
+    above = [f for f in filters if f[0] is None]
+    after_join = _restriction(above)
+    host_filters = [("restriction", None, tuple(f[:2] for f in above))] if above else []
+    joins = {
+        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), ())] + after_join,
+        JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
+                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), ())] + after_join,
+        JOIN_ALGO_CODESIGN: [("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {}), ()),
+                             ("align", (ModuleKind.ALIGN, {}), ()),
+                             ("host_join", None, ())] + host_filters,
+    }
     after = []
     nodes = count_arith_nodes(bp)
     if nodes:
@@ -311,27 +325,14 @@ def _plan_steps(bp: BoundPlan):
         after.append(("reorder", (ModuleKind.REORDER, {}), ()))
     if bp.order_by:
         after.append(("sort", _SORT, ()))
-    return _restriction(below), above, after
+    return {algo: before + joins.get(algo, after_join) + after for algo in algos}
 
 
-def _stages_for(plan_steps, lib: ModuleLibrary, join_algo: str):
-    """A candidate's stages in the order the engine runs them, or None if
-    the library lacks a module kind that a fabric stage needs. The host
-    join and every stage after it are host stages, with no module, so the
-    filters after the host join are one stage, not a chain."""
-    before, above, after = plan_steps
-    join = {
-        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), ())],
-        JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
-                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), ())],
-        JOIN_ALGO_CODESIGN: [
-            ("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {}), ()),
-            ("align", (ModuleKind.ALIGN, {}), ()),
-            ("host_join", None, ())],
-    }.get(join_algo, [])
-    limit = math.inf if join_algo == JOIN_ALGO_CODESIGN else MAX_RESTRICTION_TERMS
-    steps = (before + join + _restriction(above, limit) + after
-             or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())])
+def _stages_for(steps, lib: ModuleLibrary):
+    """A candidate's stages, or None if the library lacks a module kind
+    that a fabric stage needs. The host join and every stage after it are
+    host stages, with no module."""
+    steps = steps or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
     host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
     if any(module[0] not in lib for _, module, _ in steps[:host]):
         return None
@@ -355,17 +356,21 @@ def enumerate_pipelines(
     """All executable pipelines for a plan, in deterministic order:
     row-layout FPGA-only per join algorithm, column-layout variants when the
     plan touches at most half of the source columns, then the co-design
-    variant when a join exists and the library carries the filter modules."""
+    variant when a join exists and the library carries the filter modules.
+    The plan is analysed once; each candidate carries its stages and the
+    source bytes per tuple its layout streams."""
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
-    layouts = ["row", "column"] if column_layout_eligible(bp) else ["row"]
-    variants = [(layout, algo) for layout in layouts for algo in algos]
+    layouts = {"row": tuple(schema.tuple_bytes for schema in bp.schemas),
+               "column": column_layout_bytes(bp)}
+    variants = [(layout, algo) for layout, tb in layouts.items() if tb is not None
+                for algo in algos]
     if bp.has_join and not codesign_misfits(bp, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
-    plan_steps = _plan_steps(bp)
-    stages = {algo: _stages_for(plan_steps, lib, algo)
-              for algo in dict.fromkeys(algo for _, algo in variants)}
-    candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp)
+    steps = _plan_steps(bp, dict.fromkeys(algo for _, algo in variants))
+    stages = {algo: _stages_for(algo_steps, lib) for algo, algo_steps in steps.items()}
+    candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
+                                    layouts[layout])
                   for layout, algo in variants if stages[algo] is not None]
     if not candidates:
         missing = [algo for algo, found in stages.items() if found is None]
@@ -409,11 +414,10 @@ def estimate_time(
     sides = [float(stats[table].row_count) for table in bp.tables]
     key_d = _join_key_distinct(bp, stats) if bp.has_join else 1
 
-    tuple_bytes = _effective_tuple_bytes(bp, c.layout)
-    source_bytes = sum(map(mul, sides, tuple_bytes))
+    source_bytes = sum(map(mul, sides, c.tuple_bytes))
     source_seconds = source_bytes / dev.mem_bytes_per_s
     source_tuples = sum(sides)
-    r0 = dev.mem_bytes_per_s / max(*tuple_bytes, 1)
+    r0 = dev.mem_bytes_per_s / max(*c.tuple_bytes, 1)
 
     stages = [StageEstimate("source", source_tuples,
                             source_tuples / source_seconds if source_seconds > 0 else r0,

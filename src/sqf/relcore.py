@@ -125,10 +125,6 @@ def canon_cell(value, ctype: ColumnType):
     return value
 
 
-def canon_row(row: tuple, schema: Schema) -> tuple:
-    return tuple(canon_cell(v, t) for v, (_, t) in zip(row, schema.columns))
-
-
 def encode_cell(value, ctype: ColumnType) -> bytes:
     if ctype.kind is TypeKind.INT:
         return (value & ((1 << 64) - 1)).to_bytes(8, "little")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _qgen import random_case
-from conftest import REPO, bind_sql, run_all_candidates
+from conftest import REPO, bind_sql, run_all_candidates, run_candidate
 from sqf.cli import main
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
 from sqf.errors import ArithmeticOverflow, DivisionByZero, InsufficientSlots
@@ -29,25 +29,21 @@ LIB = str(REPO / "library.default.json")
 DEV = str(REPO / "device.default.json")
 
 
-def _outcome_oracle(bp, tables):
+def _outcome(bp, run):
+    """("ok", row multiset, ORDER BY key tuples in row order, or None without
+    ORDER BY) of `run()`'s table, or ("fault", (fault, row))."""
     try:
-        return ("ok", canonical_multiset(reference_execute(bp, tables)))
+        table = run()
     except (ArithmeticOverflow, DivisionByZero) as exc:
         return ("fault", (type(exc).__name__, exc.row))
-
-
-def _outcome_engine(cand, tables, fabric_dev, stats):
-    from conftest import run_candidate
-
-    try:
-        table, _ = run_candidate(cand, tables, fabric_dev, stats=stats)
-        return ("ok", canonical_multiset(table))
-    except (ArithmeticOverflow, DivisionByZero) as exc:
-        return ("fault", (type(exc).__name__, exc.row))
+    keys = [idx for idx, _ in bp.order_by]
+    order = [tuple(row[i] for i in keys) for row in table.rows] if keys else None
+    return ("ok", canonical_multiset(table), order)
 
 
 def test_criterion_1_oracle_equivalence_randomized(default_library, default_device):
-    """>=1000 random queries x every candidate pipeline == oracle multiset."""
+    """>=1000 random queries x every candidate pipeline == oracle multiset,
+    and, with ORDER BY, the oracle's sequence of ORDER BY keys."""
     rng = random.Random(0xC0FFEE)
     cases = 0
     pipelines = 0
@@ -56,15 +52,18 @@ def test_criterion_1_oracle_equivalence_randomized(default_library, default_devi
         sql, tables = random_case(rng)
         bp = bind_sql(sql, tables)
         stats = {name: table_stats(t) for name, t in tables.items()}
-        expected = _outcome_oracle(bp, tables)
+        expected = _outcome(bp, lambda: reference_execute(bp, tables))
         if expected[0] == "fault":
             faults += 1
         cands = enumerate_pipelines(bp, default_library, default_device)
         for cand in cands:
-            got = _outcome_engine(cand, tables, default_device, stats)
+            got = _outcome(bp, lambda: run_candidate(cand, tables, default_device,
+                                                     stats=stats)[0])
             assert got == expected, (
                 f"case {cases}: candidate {cand.tag} diverged from the oracle\n"
                 f"query: {sql}\noracle: {expected[0]}, engine: {got[0]}"
+                + (", same multiset, ORDER BY keys out of order"
+                   if got[:2] == expected[:2] else "")
             )
             pipelines += 1
         cases += 1

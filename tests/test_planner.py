@@ -18,7 +18,7 @@ from sqf.planner import (
     full_estimate,
     select_best,
 )
-from sqf.relcore import ColumnStat, ColumnStats
+from sqf.relcore import ColumnStat, ColumnStats, table_stats
 
 
 def two_int_table(rows):
@@ -85,6 +85,34 @@ def test_enumerate_restriction_only_row_and_column(lib, dev):
     cands = enumerate_pipelines(bp, lib, dev)
     assert [c.layout for c in cands] == ["row", "column"]
     assert all(c.host_stage is None for c in cands)
+
+
+@pytest.mark.parametrize("sql, layouts", [
+    ("SELECT a, b FROM t", ["row", "column"]),  # two of four columns
+    ("SELECT a, b FROM t WHERE c > 0", ["row"]),
+    ("SELECT t.a FROM t JOIN u ON t.a = u.c", ["row", "column"]),  # a and c
+    ("SELECT t.a FROM t JOIN u ON t.a = u.c WHERE t.b > 0", ["row"]),
+], ids=["half", "one-more", "join-half", "join-one-more"])
+def test_column_layout_needs_at_most_half_of_the_columns(lib, dev, sql, layouts):
+    """Column layout is offered when exactly half of the plan's columns are
+    touched (join keys included), and not when one more is."""
+    t = make_table([("a", "INT"), ("b", "INT"), ("c", "INT"), ("d", "INT")], [(1, 2, 3, 4)])
+    tables = _join_tables() if " JOIN " in sql else {"t": t}
+    cands = enumerate_pipelines(bind_sql(sql, tables), lib, dev)
+    assert list(dict.fromkeys(c.layout for c in cands)) == layouts
+
+
+def test_column_source_is_priced_on_the_touched_widths(lib, dev):
+    """A column candidate's source stage streams the touched columns only:
+    8 + 5 bytes of INT a and CHAR(5) s, against the row's 8 + 5 + 8 + 3."""
+    t = make_table([("a", "INT"), ("s", 5), ("x", "INT"), ("y", 3)],
+                   [(1, "ab", 2, "c"), (2, "de", 3, "f")])
+    bp = bind_sql("SELECT a, s FROM t", {"t": t})
+    stats = {"t": table_stats(t)}
+    seconds = {c.layout: estimate_time(c, stats, dev).stages[0].seconds
+               for c in enumerate_pipelines(bp, lib, dev)}
+    assert seconds["row"] == pytest.approx(2 * 24 / dev.mem_bytes_per_s)
+    assert seconds["column"] == pytest.approx(2 * 13 / dev.mem_bytes_per_s)
 
 
 def test_enumerate_missing_kind_raises(lib, dev):

@@ -12,18 +12,23 @@ from _qgen import random_case
 from conftest import REPO, bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.cli import main
 from sqf.errors import ArithmeticOverflow, DivisionByZero, ParamOutOfRange
+from sqf.frontend.binder import BCmp, walk_bound
 from sqf.library import ModuleKind
 from sqf.oracle import multisets_equal, reference_execute
-from sqf.planner import count_comparisons, enumerate_pipelines, full_estimate, software_baseline
+from sqf.planner import enumerate_pipelines, full_estimate, software_baseline
 from sqf.relcore import load_csv, table_stats
+
+
+def _comparisons(stage):
+    """The comparisons of a stage's filters."""
+    return sum(isinstance(node, BCmp) for _, pred in stage.predicates
+               for node in walk_bound(pred))
 
 
 def _terms(stage):
     """The comparisons a restriction evaluates: its module's `terms` on the
     fabric, its filters' comparisons on the host."""
-    if stage.module is not None:
-        return stage.module.param("terms")
-    return sum(count_comparisons(pred) for _, pred in stage.predicates)
+    return stage.module.param("terms") if stage.module is not None else _comparisons(stage)
 
 
 def _stage_names(cand, tables, stats, dev):
@@ -83,9 +88,8 @@ def test_random_estimates_list_the_executed_stages(default_library, default_devi
                                         default_device):
             restrictions = [s for s in cand.stages if s.role == "restriction"]
             assert all(s.predicates for s in restrictions), (case, cand.tag, sql)
-            assert all(s.module.param("terms") == sum(
-                count_comparisons(pred) for _, pred in s.predicates)
-                for s in restrictions if s.module), (case, cand.tag, sql)
+            assert all(s.module.param("terms") == _comparisons(s)
+                       for s in restrictions if s.module), (case, cand.tag, sql)
             assert not any(s.predicates for s in cand.stages
                            if s.role != "restriction"), (case, cand.tag, sql)
             roles = [s.role for s in cand.stages]
@@ -139,6 +143,21 @@ def test_spanning_conjuncts_run_in_a_restriction_after_the_join(
         join = next(i for i, s in enumerate(cand.stages) if s.role.endswith("join"))
         assert tuple([_terms(s) for s in part if s.role == "restriction"]
                      for part in (cand.stages[:join], cand.stages[join:])) == terms, cand.tag
+
+
+def test_a_conjunct_reading_no_column_filters_slot_0_before_the_join(
+        default_library, default_device):
+    """`1 = 1` reads neither side, so it filters the FROM table (slot 0)
+    before the join, beside the JOIN table's own conjunct (slot 1)."""
+    tables = {"t": make_table([("a", "INT"), ("b", "INT")], [(1, 2), (2, 3)]),
+              "u": make_table([("c", "INT"), ("d", "INT")], [(1, 3), (2, 1)])}
+    bp = bind_sql("SELECT t.a FROM t JOIN u ON t.a = u.c WHERE 1 = 1 AND u.d > 2", tables)
+    for cand in enumerate_pipelines(bp, default_library, default_device):
+        join = next(i for i, s in enumerate(cand.stages) if s.role.endswith("join"))
+        before = [f for s in cand.stages[:join] for f in s.predicates]
+        assert [slot for slot, _ in before] == [0, 1], cand.tag
+        assert before[0][1] == bp.restriction.children[0], cand.tag
+        assert not any(s.predicates for s in cand.stages[join:]), cand.tag
 
 
 @pytest.mark.parametrize("join", ["auto", "hash", "merge", "codesign"])
