@@ -28,10 +28,9 @@ from .errors import NoCandidates, SqfError
 from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
-from .oracle import first_multiset_diff, multisets_equal, reference_execute
+from .oracle import first_multiset_diff, first_order_diff, multisets_equal, reference_execute
 from .planner import (
     codesign_misfits,
-    column_layout_bytes,
     enumerate_pipelines,
     rank,
     software_baseline,
@@ -107,7 +106,7 @@ class _Planned:
                     join == "auto" or cand.join_algo == _JOIN_FILTER[join]):
                 return cand, est
         rules = []
-        if layout == "column" and column_layout_bytes(self.bound) is None:
+        if layout == "column" and all(c.layout != "column" for c in self.candidates):
             rules.append("column layout needs a query that touches at most half"
                          " of its tables' columns")
         if join != "auto" and not self.bound.has_join:
@@ -220,20 +219,31 @@ def cmd_run(args) -> int:
     chosen, _, placement, reconfig, result, exec_report = session.run_chosen(
         planned, args.layout, args.join, args.seed)
 
-    # oracle_checked is true only when the check ran AND the multisets match;
-    # a failed check still records oracle_match/first_diff and exits 2.
+    # oracle_checked is true only when the check ran AND the results match:
+    # the same multiset and, with ORDER BY, the same sequence of ORDER BY
+    # keys (tied rows may come in any order). A failed check still records
+    # oracle_match/first_diff and exits 2.
     oracle_match = None
     first_diff = None
     if args.oracle:
         expected = reference_execute(planned.bound, planned.tables)
-        oracle_match = multisets_equal(result, expected)
-        if not oracle_match:
-            diff = first_multiset_diff(result, expected)
+        if not multisets_equal(result, expected):
+            row, engine_count, oracle_count = first_multiset_diff(result, expected)
             first_diff = {
-                "row": list(diff[0]),
-                "engine_count": diff[1],
-                "oracle_count": diff[2],
+                "row": list(row),
+                "engine_count": engine_count,
+                "oracle_count": oracle_count,
             }
+        else:
+            keys = [i for i, _ in planned.bound.order_by]
+            diff = first_order_diff(result, expected, keys)
+            if diff is not None:
+                first_diff = {
+                    "position": diff[0],
+                    "engine_key": list(diff[1]),
+                    "oracle_key": list(diff[2]),
+                }
+        oracle_match = first_diff is None
 
     report = {
         "meta": {

@@ -69,7 +69,6 @@ class BloomCascade:
         self.config = config
         self.stage_bits = [np.zeros(config.bits_per_stage, dtype=bool)
                            for _ in range(config.stages)]
-        self.inserted_count = 0
 
     def hash_seed(self, stage: int, j: int) -> int:
         return (self.config.seed + SEED_STRIDE * (stage + 1) + _HASH_STRIDE * j) & MASK64
@@ -82,11 +81,9 @@ def _key_array(keys) -> np.ndarray:
 
 
 def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
-    """Insert every 64-bit key into every stage. `inserted_count` counts the
-    keys passed in; the engine passes each distinct key once."""
+    """Insert every 64-bit key into every stage."""
     cascade = BloomCascade(config)
     arr = _key_array(keys)
-    cascade.inserted_count = len(arr)
     if not len(arr):
         return cascade
     m = np.uint64(config.bits_per_stage)

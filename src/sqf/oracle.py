@@ -192,7 +192,7 @@ def _shape_output(bp: BoundPlan, raw_keys, agg_values):
 
 
 # --------------------------------------------------------------------------
-# multiset comparison helpers (used by the CLI's --oracle check and tests)
+# result comparison helpers (used by the CLI's --oracle check and tests)
 # --------------------------------------------------------------------------
 
 def canonical_multiset(table: Table) -> Counter:
@@ -219,3 +219,19 @@ def first_multiset_diff(a: Table, b: Table):
     diffs.sort(key=lambda d: d[0])
     _, row, na, nb = diffs[0]
     return row, na, nb
+
+
+def order_keys(table: Table, keys) -> list:
+    """The ORDER BY key tuples of a result in row order; `keys` are the
+    output column indices of the ORDER BY items."""
+    return [tuple(row[i] for i in keys) for row in table.rows]
+
+
+def first_order_diff(a: Table, b: Table, keys):
+    """(position, key in a, key in b) at the first row where two results'
+    ORDER BY key tuples differ, or None. Rows with equal keys may come in
+    any order, so two orderings of tied rows do not differ."""
+    for position, (ka, kb) in enumerate(zip(order_keys(a, keys), order_keys(b, keys))):
+        if ka != kb:
+            return position, ka, kb
+    return None

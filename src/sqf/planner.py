@@ -7,9 +7,10 @@ reconfiguration and the co-design host stages (the host join and every
 stage after it) add their own terms. Each candidate carries one ordered
 stage list, which the calculus prices and the engine runs, and the source
 bytes per tuple of each side, which its layout streams. Enumeration decides
-these facts once per plan: it walks each WHERE conjunct once and counts the
-touched columns once. All cardinalities come from exact table statistics
-through textbook independence heuristics, so estimates are deterministic.
+these facts once per plan, from one walk of each top-level WHERE conjunct
+and each computed select item. All cardinalities come from exact table
+statistics through textbook independence heuristics, so estimates are
+deterministic.
 """
 
 from __future__ import annotations
@@ -107,53 +108,61 @@ class CostEstimate:
 
 
 # --------------------------------------------------------------------------
-# plan analysis helpers
+# plan analysis
 # --------------------------------------------------------------------------
 
-def count_arith_nodes(bp: BoundPlan) -> int:
-    """ALU nodes: each computed select item's arithmetic nodes, and one for
-    an item without arithmetic (a copied column or a literal). A predicate's
-    arithmetic is evaluated by its restriction, not the ALU."""
-    return sum(max(1, sum(1 for n in walk_bound(comp.expr) if isinstance(n, Arith)))
-               for comp in bp.computed)
+def _analyse(bp: BoundPlan):
+    """(filters, ALU nodes, column-layout source bytes) of a plan, from one
+    walk of each top-level WHERE conjunct and each computed select item.
 
-
-def touched_columns(bp: BoundPlan) -> list[set]:
-    """Per-slot set of referenced column indices (join keys included)."""
+    - filters: (slot, predicate, comparisons) per conjunct. A conjunct
+      reading one table has that table's slot (slot 0 when it reads no
+      column); one spanning both sides has slot None. A predicate holding
+      arithmetic is one filter with slot None.
+    - ALU nodes: each computed item's arithmetic nodes, and one for an item
+      without arithmetic (a copied column or a literal). A predicate's
+      arithmetic is evaluated by its restriction, not the ALU.
+    - column-layout bytes: per side, the widths of the touched columns
+      (join keys included), which column layout streams; None when the plan
+      touches more than half of its tables' columns, as column layout is
+      offered only otherwise.
+    """
     touched = [set() for _ in bp.tables]
 
-    def take(expr):
+    def walk(expr):
+        """(slots read, comparisons, arithmetic nodes) of `expr`, whose
+        columns count as touched."""
+        slots, terms, ariths = set(), 0, 0
         for node in walk_bound(expr):
             if isinstance(node, ValueRef) and node.kind == "column":
+                slots.add(node.slot)
                 touched[node.slot].add(node.index)
+            elif isinstance(node, BCmp):
+                terms += 1
+            elif isinstance(node, Arith):
+                ariths += 1
+        return slots, terms, ariths
 
-    if bp.restriction is not None:
-        take(bp.restriction)
-    for comp in bp.computed:
-        take(comp.expr)
-    for ref in bp.group_by:
+    conjuncts = split_conjuncts(bp.restriction) if bp.restriction is not None else []
+    walked = [(conj, *walk(conj)) for conj in conjuncts]
+    if any(ariths for *_, ariths in walked):
+        filters = [(None, bp.restriction, sum(terms for _, _, terms, _ in walked))]
+    else:
+        filters = [(0 if slots <= {0} else 1 if slots == {1} else None, conj, terms)
+                   for conj, slots, terms, _ in walked]
+    nodes = sum(max(1, walk(comp.expr)[2]) for comp in bp.computed)
+
+    refs = [*bp.group_by, *(agg.arg for agg in bp.aggregates if agg.arg is not None),
+            *(col.source.ref for col in bp.output if isinstance(col.source, FromValue))]
+    for ref in refs:
         if ref.kind == "column":
             touched[ref.slot].add(ref.index)
-    for agg in bp.aggregates:
-        if agg.arg is not None and agg.arg.kind == "column":
-            touched[agg.arg.slot].add(agg.arg.index)
-    for col in bp.output:
-        if isinstance(col.source, FromValue) and col.source.ref.kind == "column":
-            touched[col.source.ref.slot].add(col.source.ref.index)
     for slot, index in enumerate(bp.join_keys):
         touched[slot].add(index)
-    return touched
-
-
-def column_layout_bytes(bp: BoundPlan) -> tuple[int, ...] | None:
-    """Source bytes per tuple of each side in column layout, which streams
-    only the touched columns; None when the plan touches more than half of
-    its tables' columns, as column layout is offered only otherwise."""
-    touched = touched_columns(bp)
     if 2 * sum(map(len, touched)) > sum(schema.arity for schema in bp.schemas):
-        return None
-    return tuple(max(1, sum(schema.columns[i][1].width_bytes for i in cols))
-                 for schema, cols in zip(bp.schemas, touched))
+        return filters, nodes, None
+    return filters, nodes, tuple(max(1, sum(schema.columns[i][1].width_bytes for i in cols))
+                                 for schema, cols in zip(bp.schemas, touched))
 
 
 # --------------------------------------------------------------------------
@@ -255,27 +264,6 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 # pipeline enumeration
 # --------------------------------------------------------------------------
 
-def _filters(pred) -> list[tuple]:
-    """A WHERE's filters as (slot, predicate, comparisons), each conjunct
-    walked once. A conjunct reading one table has that table's slot (slot 0
-    when it reads no column); one spanning both sides has slot None. A
-    predicate holding arithmetic is one filter with slot None."""
-    if pred is None:
-        return []
-    filters, arith = [], False
-    for conj in split_conjuncts(pred):
-        slots, terms = set(), 0
-        for node in walk_bound(conj):
-            if isinstance(node, ValueRef) and node.kind == "column":
-                slots.add(node.slot)
-            elif isinstance(node, BCmp):
-                terms += 1
-            elif isinstance(node, Arith):
-                arith = True
-        filters.append((0 if slots <= {0} else 1 if slots == {1} else None, conj, terms))
-    return [(None, pred, sum(f[2] for f in filters))] if arith else filters
-
-
 def _restriction(filters):
     """A chain of restriction steps holding (slot, predicate) filters in order,
     each sized for the comparisons it evaluates: at most a RESTRICTION
@@ -290,10 +278,10 @@ def _restriction(filters):
     return [("restriction", (ModuleKind.RESTRICTION, {"terms": t}), link) for t, link in links]
 
 
-def _plan_steps(bp: BoundPlan, algos) -> dict:
+def _plan_steps(bp: BoundPlan, filters, nodes: int, algos) -> dict:
     """Each join algorithm's steps, in the order the engine runs them, from
-    one analysis of the plan. A step is (role, (kind, params) or None for a
-    host stage, predicates), a filter (slot, predicate).
+    the plan's filters and ALU nodes (`_analyse`). A step is (role, (kind,
+    params) or None for a host stage, predicates), a filter (slot, predicate).
 
     One rule places every WHERE, with or without a join: a conjunct reading
     one table filters that table's slot before the join, and a conjunct
@@ -302,7 +290,6 @@ def _plan_steps(bp: BoundPlan, algos) -> dict:
     join order, as the reference evaluator finds it. After the host join no
     module holds the filters, so one host restriction holds them all.
     """
-    filters = _filters(bp.restriction)
     before = _restriction(f for f in filters if f[0] is not None)
     above = [f for f in filters if f[0] is None]
     after_join = _restriction(above)
@@ -316,7 +303,6 @@ def _plan_steps(bp: BoundPlan, algos) -> dict:
                              ("host_join", None, ())] + host_filters,
     }
     after = []
-    nodes = count_arith_nodes(bp)
     if nodes:
         after.append(("alu", (ModuleKind.ALU, {"nodes": nodes}), ()))
     if bp.grouped:
@@ -359,15 +345,16 @@ def enumerate_pipelines(
     variant when a join exists and the library carries the filter modules.
     The plan is analysed once; each candidate carries its stages and the
     source bytes per tuple its layout streams."""
+    filters, nodes, column_bytes = _analyse(bp)
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
     layouts = {"row": tuple(schema.tuple_bytes for schema in bp.schemas),
-               "column": column_layout_bytes(bp)}
+               "column": column_bytes}
     variants = [(layout, algo) for layout, tb in layouts.items() if tb is not None
                 for algo in algos]
     if bp.has_join and not codesign_misfits(bp, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
-    steps = _plan_steps(bp, dict.fromkeys(algo for _, algo in variants))
+    steps = _plan_steps(bp, filters, nodes, dict.fromkeys(algo for _, algo in variants))
     stages = {algo: _stages_for(algo_steps, lib) for algo, algo_steps in steps.items()}
     candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
                                     layouts[layout])

@@ -21,7 +21,7 @@ from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom
 from sqf.errors import ArithmeticOverflow, DivisionByZero, InsufficientSlots
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure, release
 from sqf.library import ModuleInstance, ModuleKind, ModuleSpec
-from sqf.oracle import canonical_multiset, reference_execute
+from sqf.oracle import canonical_multiset, order_keys, reference_execute
 from sqf.planner import enumerate_pipelines, estimate_time, select_best
 from sqf.relcore import ColumnStat, ColumnStats, table_stats
 
@@ -37,7 +37,7 @@ def _outcome(bp, run):
     except (ArithmeticOverflow, DivisionByZero) as exc:
         return ("fault", (type(exc).__name__, exc.row))
     keys = [idx for idx, _ in bp.order_by]
-    order = [tuple(row[i] for i in keys) for row in table.rows] if keys else None
+    order = order_keys(table, keys) if keys else None
     return ("ok", canonical_multiset(table), order)
 
 

@@ -128,35 +128,67 @@ def test_forced_layout_names_the_rule_that_leaves_no_candidate(
         f"error: no candidates left after --layout={layout} --join={join}" + reason + "\n")
 
 
-def test_run_exit_2_on_oracle_mismatch(tmp_path, monkeypatch, capsys):
-    # force a wrong result to exercise the mismatch path
+def _run_oracle_on(tmp_path, monkeypatch, sql, reshape):
+    """(exit code, report) of `sqf run --oracle` on `sql` when the engine's
+    result rows are replaced by `reshape(rows)`."""
+    from dataclasses import replace
+
     import sqf.cli as cli_mod
+    from sqf.relcore import Table
 
     tables = _write_tables(tmp_path)
     real = cli_mod.execute_pipeline
 
-    def broken(c, tables_, fabric, placement, dev, seed=0, estimate=None):
+    def reshaped(c, tables_, fabric, placement, dev, seed=0, estimate=None):
         table, report = real(c, tables_, fabric, placement, dev, seed=seed,
                              estimate=estimate)
-        from dataclasses import replace
-
-        from sqf.relcore import Table
-
-        wrong = Table.from_rows(table.schema, table.rows[:-1]) if table.rows else table
+        wrong = Table.from_rows(table.schema, reshape(list(table.rows)))
         return wrong, replace(report, result_rows=wrong.row_count)
 
-    monkeypatch.setattr(cli_mod, "execute_pipeline", broken)
+    monkeypatch.setattr(cli_mod, "execute_pipeline", reshaped)
     out = tmp_path / "r.json"
     rc = main([
-        "run", "--query", _query(tmp_path, "SELECT a FROM t WHERE a > 40"),
+        "run", "--query", _query(tmp_path, sql),
         "--tables", str(tables), "--library", LIB, "--device", DEV,
         "--out", str(out), "--oracle",
     ])
+    return rc, json.loads(out.read_text())
+
+
+def test_run_exit_2_on_oracle_mismatch(tmp_path, monkeypatch, capsys):
+    # force a wrong result to exercise the mismatch path
+    rc, report = _run_oracle_on(tmp_path, monkeypatch, "SELECT a FROM t WHERE a > 40",
+                                lambda rows: rows[:-1])
     assert rc == 2
-    report = json.loads(out.read_text())
     assert report["oracle_checked"] is False  # did not check out
     assert report["oracle_match"] is False
     assert report["first_diff"] is not None
+
+
+def test_run_exit_2_on_rows_out_of_order(tmp_path, monkeypatch, capsys):
+    """The right rows in the wrong ORDER BY order are a mismatch, and
+    first_diff names the first position whose keys differ."""
+    rc, report = _run_oracle_on(tmp_path, monkeypatch,
+                                "SELECT a, b FROM t WHERE a > 40 ORDER BY a",
+                                lambda rows: rows[::-1])
+    assert rc == 2
+    assert report["oracle_checked"] is False
+    assert report["oracle_match"] is False
+    assert report["first_diff"] == {"position": 0, "engine_key": [49], "oracle_key": [41]}
+    assert "oracle mismatch" in capsys.readouterr().err
+
+
+def test_run_accepts_tied_rows_in_any_order(tmp_path, monkeypatch):
+    """Rows with equal ORDER BY keys may come in any order."""
+    def swap_first_two(rows):
+        assert rows[0][1] == rows[1][1] and rows[0] != rows[1]
+        return [rows[1], rows[0]] + rows[2:]
+
+    rc, report = _run_oracle_on(tmp_path, monkeypatch, "SELECT a, s FROM t ORDER BY s",
+                                swap_first_two)
+    assert rc == 0
+    assert report["oracle_checked"] is True
+    assert report["first_diff"] is None
 
 
 def test_explain_marks_exactly_one_winner(tmp_path, capsys):

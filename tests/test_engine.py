@@ -58,7 +58,6 @@ def test_bloom_no_false_negatives():
     cfg = BloomCascadeConfig(stages=2, bits_per_stage=256, hashes_per_stage=2, seed=42)
     keys = list(range(100))
     cascade = bloom_build(cfg, keys)
-    assert cascade.inserted_count == 100
     for key in keys:
         passed, _ = bloom_probe(cascade, key)
         assert passed

@@ -92,10 +92,16 @@ def test_enumerate_restriction_only_row_and_column(lib, dev):
     ("SELECT a, b FROM t WHERE c > 0", ["row"]),
     ("SELECT t.a FROM t JOIN u ON t.a = u.c", ["row", "column"]),  # a and c
     ("SELECT t.a FROM t JOIN u ON t.a = u.c WHERE t.b > 0", ["row"]),
-], ids=["half", "one-more", "join-half", "join-one-more"])
+    ("SELECT a + b AS s FROM t", ["row", "column"]),  # only a computed item reads
+    ("SELECT a + b + c AS s FROM t", ["row"]),
+    ("SELECT COUNT(*) FROM t WHERE a + b > 0", ["row", "column"]),  # only a WHERE
+    ("SELECT COUNT(*) FROM t WHERE a + b > c", ["row"]),  # with arithmetic reads
+], ids=["half", "one-more", "join-half", "join-one-more", "computed-half",
+        "computed-one-more", "arith-where-half", "arith-where-one-more"])
 def test_column_layout_needs_at_most_half_of_the_columns(lib, dev, sql, layouts):
     """Column layout is offered when exactly half of the plan's columns are
-    touched (join keys included), and not when one more is."""
+    touched (join keys, computed items and WHERE conjuncts included), and not
+    when one more is."""
     t = make_table([("a", "INT"), ("b", "INT"), ("c", "INT"), ("d", "INT")], [(1, 2, 3, 4)])
     tables = _join_tables() if " JOIN " in sql else {"t": t}
     cands = enumerate_pipelines(bind_sql(sql, tables), lib, dev)
@@ -125,6 +131,26 @@ def test_enumerate_missing_kind_raises(lib, dev):
                   {"t": two_int_table([(1, 2)])})
     with pytest.raises(NoCandidates):
         enumerate_pipelines(bp, small, dev)
+
+
+@pytest.mark.parametrize("missing, tags", [
+    # every fabric sort goes; the co-design sort runs after the host join
+    (ModuleKind.SORT, ["row/hash_codesign"]),
+    (ModuleKind.MERGE_JOIN, ["row/hash_fpga", "column/hash_fpga", "row/hash_codesign"]),
+    (ModuleKind.BLOOM_CASCADE, ["row/hash_fpga", "row/merge_fpga",
+                                "column/hash_fpga", "column/merge_fpga"]),
+], ids=["sort", "merge_join", "bloom_cascade"])
+def test_enumerate_prunes_the_algorithms_a_missing_kind_rules_out(lib, dev, missing, tags):
+    """A library without one module kind drops exactly the join algorithms
+    that need it on the fabric; the others stay in both layouts."""
+    from sqf.library import ModuleLibrary
+
+    small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
+    bp = bind_sql("SELECT t.a FROM t JOIN u ON t.a = u.c ORDER BY a", _join_tables())
+    cands = enumerate_pipelines(bp, small, dev)
+    assert [c.tag for c in cands] == tags
+    assert cands[-1].stages[-1].role == "sort"
+    assert all(m.kind is not missing for c in cands for m in c.modules)
 
 
 def test_enumerate_order_is_deterministic(lib, dev):
