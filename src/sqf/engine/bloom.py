@@ -80,17 +80,26 @@ def _key_array(keys) -> np.ndarray:
     return np.array([int(k) & MASK64 for k in keys], dtype=np.uint64)
 
 
+def _hash_all(cascade: BloomCascade, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hashes, bit indices) of every key under every (stage, j) seed, from
+    one kernel pass: hashes is (stages * hashes_per_stage, keys) with the
+    stage-0 hash first, the indices (stages, hashes_per_stage, keys)."""
+    cfg = cascade.config
+    seeds = [cascade.hash_seed(stage, j)
+             for stage in range(cfg.stages) for j in range(cfg.hashes_per_stage)]
+    hashes = fnv1a64_u64_many(keys, seeds)
+    idx = hashes % np.uint64(cfg.bits_per_stage)
+    return hashes, idx.reshape(cfg.stages, cfg.hashes_per_stage, -1)
+
+
 def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
     """Insert every 64-bit key into every stage."""
     cascade = BloomCascade(config)
     arr = _key_array(keys)
     if not len(arr):
         return cascade
-    m = np.uint64(config.bits_per_stage)
-    for stage in range(config.stages):
-        bits = cascade.stage_bits[stage]
-        for j in range(config.hashes_per_stage):
-            bits[fnv1a64_u64_many(arr, cascade.hash_seed(stage, j)) % m] = True
+    for bits, idx in zip(cascade.stage_bits, _hash_all(cascade, arr)[1]):
+        bits[idx] = True
     return cascade
 
 
@@ -110,18 +119,10 @@ def bloom_probe(cascade: BloomCascade, key: int) -> tuple[bool, int]:
 
 
 def bloom_probe_many(cascade: BloomCascade, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized probe: (boolean pass mask, stage-0 hashes); agrees with
-    bloom_probe bit for bit."""
-    arr = np.ascontiguousarray(keys, dtype=np.uint64)
-    cfg = cascade.config
-    m = np.uint64(cfg.bits_per_stage)
-    passed = np.ones(arr.shape, dtype=bool)
-    hashes = None
-    for stage in range(cfg.stages):
-        bits = cascade.stage_bits[stage]
-        for j in range(cfg.hashes_per_stage):
-            h = fnv1a64_u64_many(arr, cascade.hash_seed(stage, j))
-            if stage == 0 and j == 0:
-                hashes = h.copy()
-            passed &= bits[h % m]
-    return passed, hashes
+    """Vectorized probe of a 1-D key array: (boolean pass mask, stage-0
+    hashes); agrees with bloom_probe bit for bit."""
+    hashes, indices = _hash_all(cascade, np.asarray(keys, dtype=np.uint64))
+    passed = np.ones(hashes.shape[1], dtype=bool)
+    for bits, idx in zip(cascade.stage_bits, indices):
+        passed &= bits[idx].all(axis=0)
+    return passed, hashes[0]

@@ -155,14 +155,14 @@ def key_images(keys: np.ndarray, key_type: ColumnType) -> np.ndarray:
     complement bits, padded CHAR keys hashed under KEY_IMAGE_SEED."""
     if key_type.kind is TypeKind.INT:
         return keys.view(np.uint64)
-    return fnv1a64_rows(keys.view(np.uint8).reshape(len(keys), key_type.width_bytes),
-                        KEY_IMAGE_SEED)
+    return fnv1a64_rows([keys.view(np.uint8).reshape(len(keys), key_type.width_bytes)],
+                        [KEY_IMAGE_SEED])[0]
 
 
 def result_checksum(table: Table) -> int:
     """Order-insensitive 64-bit digest of a result table: the row hashes of
     its columns, summed modulo 2^64."""
-    hashes = fnv1a64_rows(encode_columns(table.columns), CHECKSUM_SEED)
+    hashes = fnv1a64_rows(encode_columns(table.columns), [CHECKSUM_SEED])
     return int(hashes.sum(dtype=np.uint64))
 
 

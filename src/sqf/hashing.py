@@ -4,9 +4,12 @@ The function is an FNV-1a variant: the 8 little-endian bytes of a seed word
 are absorbed before the payload, and the raw FNV state is passed through a
 final avalanche mix (raw FNV-1a has weak low bits, which matters when bit
 indices are taken modulo a power of two). The exact byte-level definition
-lives in docs/hashing.md. The row-matrix kernel `fnv1a64_rows` serves every
-vectorized caller; the scalar `fnv1a64` is its test reference, and the two
-must agree bit for bit.
+lives in docs/hashing.md. The one vectorized kernel, `fnv1a64_rows`, hashes
+rows given as per-column byte views under several seeds in one pass. An
+FNV-1a step on a zero byte is a bare multiply by the prime, so a byte
+column that is zero in every row is folded into the multiply of the step
+before it, and only the columns that vary are absorbed. The scalar
+`fnv1a64` is its test reference, and the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -59,18 +62,37 @@ def fnv1a64_u64(key: int, seed: int = 0) -> int:
     return fnv1a64((key & MASK64).to_bytes(8, "little"), seed)
 
 
-def fnv1a64_rows(matrix: np.ndarray, seed: int = 0) -> np.ndarray:
-    """fnv1a64 of every row of a (rows, bytes) uint8 matrix, as uint64.
+def fnv1a64_rows(parts, seeds) -> np.ndarray:
+    """fnv1a64 of every row under every seed, as a (seeds, rows) uint64 array.
 
-    Row i hashes to fnv1a64(bytes(matrix[i]), seed). The kernel absorbs one
-    byte column across all rows per step.
+    A row is the concatenation of its bytes in `parts`, a sequence of
+    (rows, w) uint8 byte views: element [s, i] is fnv1a64 of row i under
+    seeds[s]. The kernel absorbs one byte column across all rows per step,
+    except a run of byte columns that is zero in every row: absorbing a zero
+    byte is a multiply by the prime, so the run becomes one multiply by the
+    prime's power, merged into the step before it (or, at the start of the
+    row, into the seeded start state). An 8-byte part finds its zero columns
+    by OR-ing its rows as little-endian words; other parts (CHAR cells,
+    0x20-padded) are absorbed byte by byte.
     """
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    h = np.full(matrix.shape[0], _seeded_state(seed), dtype=np.uint64)
-    prime = np.uint64(FNV_PRIME)
-    for byte in np.ascontiguousarray(matrix.T):
+    rows = len(parts[0])
+    live, width = [], 0  # (offset in the row, byte column) of each absorbed column
+    for part in parts:
+        size = part.shape[1]
+        if size == 8:
+            word = int(np.bitwise_or.reduce(part.view("<u8").reshape(-1)))
+            ks = [k for k in range(8) if (word >> (8 * k)) & 0xFF]
+        else:
+            ks = range(size)
+        live += [(width + k, part[:, k]) for k in ks]
+        width += size
+    ends = [offset for offset, _ in live[1:]] + [width]
+    lead = pow(FNV_PRIME, live[0][0] if live else width, 1 << 64)
+    start = [(_seeded_state(seed) * lead) & MASK64 for seed in seeds]
+    h = np.repeat(np.array(start, dtype=np.uint64)[:, None], rows, axis=1)
+    for (offset, byte), end in zip(live, ends):
         h ^= byte
-        h *= prime
+        h *= np.uint64(pow(FNV_PRIME, end - offset, 1 << 64))
     shift = np.uint64(33)
     h ^= h >> shift
     h *= np.uint64(_MIX_C1)
@@ -80,7 +102,8 @@ def fnv1a64_rows(matrix: np.ndarray, seed: int = 0) -> np.ndarray:
     return h
 
 
-def fnv1a64_u64_many(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized fnv1a64_u64 over a uint64 array."""
-    keys = np.ascontiguousarray(keys, dtype="<u8")
-    return fnv1a64_rows(keys.view(np.uint8).reshape(-1, 8), seed).reshape(keys.shape)
+def fnv1a64_u64_many(keys: np.ndarray, seeds) -> np.ndarray:
+    """fnv1a64_u64 of every key of a 1-D uint64 array under every seed, as
+    a (seeds, keys) uint64 array."""
+    keys = np.ascontiguousarray(keys, dtype="<u8").reshape(-1)
+    return fnv1a64_rows([keys.view(np.uint8).reshape(-1, 8)], seeds)

@@ -212,16 +212,18 @@ class Column:
         return (self.values.astype(str) if char else self.values).tolist()
 
 
-def encode_columns(columns) -> np.ndarray:
-    """(rows, row bytes) uint8 matrix whose row i is encode_row of row i."""
+def encode_columns(columns) -> list[np.ndarray]:
+    """One (rows, cell bytes) uint8 view per column; row i of the views,
+    concatenated, is encode_row of row i. No bytes are copied for a
+    contiguous little-endian column."""
     n = len(columns[0].values)
-    parts = []
+    views = []
     for col in columns:
         values = np.ascontiguousarray(col.values)
         if col.ctype.kind is TypeKind.INT:
             values = values.astype("<i8", copy=False)
-        parts.append(values.view(np.uint8).reshape(n, values.dtype.itemsize))
-    return np.concatenate(parts, axis=1)
+        views.append(values.view(np.uint8).reshape(n, values.dtype.itemsize))
+    return views
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,10 +39,12 @@ from sqf.relcore import ColumnType, Schema, Table, TypeKind, load_csv, table_sta
 
 def test_scalar_and_vector_hash_agree():
     keys = np.array([0, 1, 2**63, 2**64 - 1, 123456789], dtype=np.uint64)
-    for seed in (0, 7, 2**60):
-        vec = fnv1a64_u64_many(keys, seed)
+    seeds = (0, 7, 2**60)
+    vec = fnv1a64_u64_many(keys, seeds)
+    assert vec.shape == (len(seeds), len(keys))
+    for s, seed in enumerate(seeds):
         for i, key in enumerate(keys):
-            assert int(vec[i]) == fnv1a64_u64(int(key), seed)
+            assert int(vec[s, i]) == fnv1a64_u64(int(key), seed)
 
 
 def test_hash_seed_changes_value():

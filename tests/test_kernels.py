@@ -1,5 +1,5 @@
-"""Vector kernels against their scalar references: the row-matrix hash
-against `fnv1a64(encode_row(...))`, checked arithmetic against `sqf.arith`,
+"""Vector kernels against their scalar references: the row hash against
+`fnv1a64(encode_row(...))` and the bloom hashes against `bloom_probe`, checked arithmetic against `sqf.arith`,
 and the grouping and pairing kernels against naive loops."""
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
+from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
 from sqf.engine.exec import result_checksum
 from sqf.engine.kernels import (
     DIVZERO, OK, OVERFLOW, checked_arith, codes, group_ids, group_sums, match_pairs, sort_order,
@@ -30,7 +31,7 @@ int64s = st.one_of(st.sampled_from(EDGES), st.integers(INT64_MIN, INT64_MAX))
 
 
 # ---------------------------------------------------------------------------
-# row-matrix hash
+# row hash
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -48,13 +49,60 @@ def tables(draw):
     return Table.from_rows(schema, tuple(rows))
 
 
+def _assert_rows_hash_like_scalar(table, seeds):
+    hashes = fnv1a64_rows(encode_columns(table.columns), seeds)
+    assert hashes.shape == (len(seeds), table.row_count)
+    for per_seed, seed in zip(hashes.tolist(), seeds):
+        for h, row in zip(per_seed, table.rows):
+            assert h == fnv1a64(encode_row(row, table.schema), seed)
+
+
 @settings(max_examples=150, deadline=None)
-@given(tables(), st.integers(0, MASK64))
-def test_row_matrix_hash_matches_scalar(table, seed):
-    hashes = fnv1a64_rows(encode_columns(table.columns), seed)
-    assert hashes.shape == (table.row_count,)
-    for h, row in zip(hashes.tolist(), table.rows):
-        assert h == fnv1a64(encode_row(row, table.schema), seed)
+@given(tables(), st.lists(st.integers(0, MASK64), min_size=1, max_size=3))
+def test_row_matrix_hash_matches_scalar(table, seeds):
+    _assert_rows_hash_like_scalar(table, seeds)
+
+
+FOLD_SEEDS = [0, 1, 0x5143_4845_434B_0001, MASK64]
+
+# Tables whose byte columns are zero in every row, in runs the kernel folds
+# into one multiply: each must still hash every row like the scalar reference.
+FOLD_CASES = {
+    "small non-negative INTs": ([("a", "INT")], [(0,), (1,), (255,), (256,), (70_000,)]),
+    "small negative INTs": ([("a", "INT")], [(-1,), (-2,), (-300,), (-70_000,)]),
+    "an all-zero column": ([("z", "INT"), ("s", 2)], [(0, "ab"), (0, "cd"), (0, "e")]),
+    "a high byte in the last row only": (
+        [("a", "INT"), ("b", "INT")],
+        [(1, 2), (3, 4), (5, 6), (1 << 56, 0x0100_0000_0000)]),
+    "zero runs at both ends of a row": (
+        [("lead", "INT"), ("mid", "INT"), ("tail", "INT")],
+        [(0, 7, 0), (0, 300, 0), (0, 0, 0)]),
+    "zero bytes inside CHAR cells": (
+        [("c3", 3), ("c8", 8), ("a", "INT")],
+        [("\x00\x00a", "\x00" * 7 + "z", 0), ("\x00b", "\x00" * 6 + "yz", 1),
+         ("c", "\x00" * 7 + "x", 2)]),
+    "no rows": ([("a", "INT"), ("s", 3)], []),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_row_hash_folds_zero_byte_columns_exactly(case):
+    cols, rows = FOLD_CASES[case]
+    _assert_rows_hash_like_scalar(make_table(cols, rows), FOLD_SEEDS)
+
+
+def test_bloom_hashes_keys_of_all_eight_bytes_like_scalar():
+    rng = np.random.default_rng(23)
+    keys = np.concatenate([
+        np.array([5, 0, 1 << 56, 0xFF << 48, MASK64, 1 << 63], dtype=np.uint64),
+        rng.integers(0, 1 << 63, 40, dtype=np.uint64) * np.uint64(2),
+    ])
+    cascade = bloom_build(BloomCascadeConfig(3, 256, 2, seed=9), keys[::3])
+    mask, hashes = bloom_probe_many(cascade, keys)
+    assert hashes.shape == keys.shape
+    for i, key in enumerate(keys.tolist()):
+        assert bloom_probe(cascade, key) == (bool(mask[i]), int(hashes[i]))
+    assert mask[::3].all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -70,7 +118,7 @@ def test_checksum_is_sum_of_scalar_row_hashes(table):
 def test_row_matrix_hash_of_empty_table():
     schema = Schema((("a", ColumnType.int64()), ("s", ColumnType.char(3))))
     table = Table.from_rows(schema, ())
-    assert fnv1a64_rows(encode_columns(table.columns)).shape == (0,)
+    assert fnv1a64_rows(encode_columns(table.columns), [0, 1]).shape == (2, 0)
     assert result_checksum(table) == 0
 
 
