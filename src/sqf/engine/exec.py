@@ -14,7 +14,10 @@ there, so the stages the calculus prices are the stages that run.
 The engine is columnar: every stage runs as vector kernels over numpy
 columns (`Table.columns`). Rows are held as positions by join slot into the
 tables they read, independent per slot until the join pairs them and aligned
-after it, and cells are gathered only where a stage reads them.
+after it, and cells are gathered only where a stage reads them. A slot that
+still holds every row of its table has no positions: its columns are read
+in place. A filter turns its mask into an index list once and narrows the
+slot's positions with it; a join's pair indices become the positions.
 Arithmetic yields a fault code per row; a stage raises the fault of its
 first faulting row, which is the row the reference evaluator faults on.
 """
@@ -37,7 +40,15 @@ from ..fabric import DeviceProfile, FabricState, Placement
 from ..frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
 from ..frontend.binder import BCmp, BoundPlan, FromGroupKey, ValueRef
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
-from ..relcore import Column, ColumnType, Table, TypeKind, encode_columns, pad_bytes
+from ..relcore import (
+    Column,
+    ColumnType,
+    Table,
+    TypeKind,
+    encode_columns,
+    int_image,
+    pad_bytes,
+)
 from .align import check_record_fits
 from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many
 from .kernels import (
@@ -95,8 +106,10 @@ def _evaluate(expr, run: _Run):
     """(values, fault codes or None) of a bound expression at a run's rows.
 
     INT values are int64, CHAR values padded bytes, conditions booleans;
-    literals broadcast. A row's fault is its first in evaluation order:
-    left operand, right operand, then the operation itself.
+    literals broadcast. A CHAR comparison of width at most 8 compares the
+    padded cells' int64 images (`int_image`), which order like their bytes.
+    A row's fault is its first in evaluation order: left operand, right
+    operand, then the operation itself.
     """
     if isinstance(expr, ValueRef):
         return run.column(expr).values, None
@@ -114,6 +127,8 @@ def _evaluate(expr, run: _Run):
         b, fb = _evaluate(expr.rhs, run)
         if expr.kind is TypeKind.CHAR:
             a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
+            if expr.width <= 8:  # compare order-preserving int64 images
+                a, b = int_image(a), int_image(b)
         return _CMP[expr.op](a, b), _first_fault(fa, fb)
     if isinstance(expr, BoolOp):
         parts = [_evaluate(child, run) for child in expr.children]
@@ -217,24 +232,36 @@ class _Run:
     """One execution. Each stage role is a method that advances the run and
     returns the stage's (input, output) row counts.
 
-    Its rows are positions by join slot, plus the computed columns. Until
-    the join, each slot's positions are filtered on their own; the join
-    pairs them, and from then on (from the start without a join) the slots
-    and the computed columns are aligned, one entry per row.
+    Its rows are positions by join slot, plus the computed columns. A
+    slot's positions are None while it holds every row of its table, so its
+    columns and join keys are read in place. Until the join, each slot's
+    positions are filtered on their own; the join pairs them, and from then
+    on (from the start without a join) the slots and the computed columns
+    are aligned, one entry per row.
     """
 
     def __init__(self, bp: BoundPlan, tables: dict, dev: DeviceProfile, seed: int):
         self.bp, self.dev, self.seed = bp, dev, seed
         self.sides = tuple(tables[name] for name in bp.table_names())
-        self.positions = [np.arange(t.row_count) for t in self.sides]
+        self.positions = [None] * len(self.sides)  # None: every row
         self.joined = not bp.has_join
         self.computed: list[Column] = []
         self.columns = None  # output columns, once projected or aggregated
         self.bloom_fp = None
 
+    def rows(self, slot: int) -> int:
+        """The number of rows a slot holds."""
+        pos = self.positions[slot]
+        return self.sides[slot].row_count if pos is None else len(pos)
+
     @property
     def n(self) -> int:
-        return len(self.positions[0]) if self.joined else sum(map(len, self.positions))
+        return self.rows(0) if self.joined else self.rows(0) + self.rows(1)
+
+    def narrow(self, slot: int, index: np.ndarray) -> None:
+        """Keep a slot's rows at `index`, positions into its current rows."""
+        pos = self.positions[slot]
+        self.positions[slot] = index if pos is None else pos[index]
 
     def column(self, ref: ValueRef) -> Column:
         """A table column or a computed attribute at the current rows."""
@@ -246,7 +273,7 @@ class _Run:
         """Canonical join keys of each side's current rows: INT values, or
         CHAR bytes padded to the key width."""
         bp = self.bp
-        keys = [side.columns[k].values[pos] for side, k, pos in
+        keys = [side.columns[k].take(pos).values for side, k, pos in
                 zip(self.sides, bp.join_keys, self.positions)]
         if bp.join_key_type.kind is TypeKind.CHAR:
             keys = [pad_bytes(k, bp.join_key_type.width_bytes) for k in keys]
@@ -259,8 +286,8 @@ class _Run:
 
     def _join(self, n_in):
         """Pair the sides' rows with equal keys in (left, right) order."""
-        left, right = match_pairs(*self.keys())
-        self.positions = [self.positions[0][left], self.positions[1][right]]
+        for slot, pairs in enumerate(match_pairs(*self.keys())):
+            self.narrow(slot, pairs)
         self.joined = True
         return n_in, self.n
 
@@ -271,24 +298,25 @@ class _Run:
 
     def restriction(self, stage):
         """Apply (slot, predicate) filters: slot 0/1 filters that slot's
-        positions, None every slot. A restriction runs before the ALU, so
-        there are no computed columns to filter."""
+        positions, None every slot. Each mask becomes one index list. A
+        restriction runs before the ALU, so there are no computed columns
+        to filter."""
         n_in = self.n
         for slot, pred in stage.predicates:
-            slots = range(len(self.positions)) if slot is None else (slot,)
-            keep = _mask(pred, self, len(self.positions[slots[0]]))
+            slots = range(len(self.sides)) if slot is None else (slot,)
+            keep = np.flatnonzero(_mask(pred, self, self.rows(slots[0])))
             for s in slots:
-                self.positions[s] = self.positions[s][keep]
+                self.narrow(s, keep)
         return n_in, self.n
 
     def sort_left(self, stage):
-        return len(self.positions[0]), len(self.positions[0])
+        return self.rows(0), self.rows(0)
 
     def sort_right(self, stage):
-        return len(self.positions[1]), len(self.positions[1])
+        return self.rows(1), self.rows(1)
 
     def hash_join(self, stage):
-        return self._join(max(map(len, self.positions)))
+        return self._join(max(self.rows(0), self.rows(1)))
 
     def merge_join(self, stage):
         return self._join(self.n)
@@ -322,9 +350,9 @@ class _Run:
         passes = np.zeros(n_codes, dtype=bool)
         passes[held[probe]] = bloom_probe_many(cascade, images[held[probe]])[0]
         passed = passes[side_codes[probe]]
-        self.positions[probe] = self.positions[probe][passed]
+        self.narrow(probe, np.flatnonzero(passed))
         self.bloom_fp = int(np.count_nonzero(passed & ~held[build][side_codes[probe]]))
-        return len(keys[probe]), len(self.positions[probe])
+        return len(keys[probe]), self.rows(probe)
 
     def align(self, stage):
         """Alignment packs each side's co-design records into cache-line

@@ -14,9 +14,11 @@ big-endian integer of the CHAR bytes), which is its rank. An image whose
 span is smaller than its row count is coded by its offset from the
 minimum, with no sort; a wider image is coded by sorting int64, and a
 wider CHAR key by sorting its bytes. Every join strategy pairs rows
-through `match_pairs` on canonical keys. SUM skips its running-sum overflow
-scan only when the row count times the largest magnitude proves that no
-running sum can leave int64.
+through `match_pairs` on canonical keys, which returns pair indices, not
+rows; when the inner keys are unique it maps each outer row to its one
+inner row with a single gather. SUM skips its running-sum overflow scan
+only when the row count times the largest magnitude proves that no running
+sum can leave int64.
 """
 
 from __future__ import annotations
@@ -68,11 +70,21 @@ def checked_arith(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (outer position, inner position) pairs with equal keys, ordered
-    by outer position, then inner position."""
+    by outer position, then inner position.
+
+    When no inner key repeats, each outer row has at most one partner, so
+    one gather of an inner row per code pairs them. Otherwise the inner rows
+    are grouped by key and each outer row is repeated once per partner."""
     code, n_codes = codes(np.concatenate((outer, inner)))
     outer_code, inner_code = code[: len(outer)], code[len(outer):]
-    order = np.argsort(inner_code, kind="stable")  # inner rows grouped by key
     per_key = np.bincount(inner_code, minlength=n_codes)
+    if per_key.max(initial=0) <= 1:
+        row_of = np.full(n_codes, -1, dtype=np.intp)  # the inner row of each code
+        row_of[inner_code] = np.arange(len(inner))
+        partner = row_of[outer_code]
+        outer_pos = np.flatnonzero(partner >= 0)
+        return outer_pos, partner[outer_pos]
+    order = np.argsort(inner_code, kind="stable")  # inner rows grouped by key
     counts = per_key[outer_code]
     lo = (np.cumsum(per_key) - per_key)[outer_code]
     outer_pos = np.repeat(np.arange(len(outer)), counts)
@@ -93,8 +105,8 @@ def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     of first appearance. No keys means one group holding every row."""
     if not keys:
         return np.zeros(n, dtype=np.int64), np.zeros(min(n, 1), dtype=np.int64)
-    gid, n_ids = np.zeros(n, dtype=np.int64), 1
-    for key in keys:
+    gid, n_ids = codes(keys[0])
+    for key in keys[1:]:
         code, n_codes = codes(key)
         gid, n_ids = gid * n_codes + code, n_ids * n_codes
         if n_ids > n:  # keep ids below n, so the next product stays in int64

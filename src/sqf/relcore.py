@@ -203,8 +203,9 @@ class Column:
         return Column(ctype, np.array([pad_char(v, width) for v in values], dtype=f"S{width}"))
 
     def take(self, index) -> "Column":
-        """Rows at `index` (positions or a boolean mask), in that order."""
-        return Column(self.ctype, self.values[index])
+        """Rows at the positions `index`, in that order; None is every row,
+        read in place (the column itself)."""
+        return self if index is None else Column(self.ctype, self.values[index])
 
     def tolist(self) -> list:
         """The cells as Python values: ints, or the padded CHAR text."""
@@ -229,8 +230,9 @@ def encode_columns(columns) -> list[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class Table:
     """An immutable table: one Column per schema column, all of one length.
-    Tables compare by identity; compare results with `rows` or the
-    oracle's multisets."""
+    Its column arrays are made read-only, so a column handed out to be read
+    in place cannot be written through. Tables compare by identity; compare
+    results with `rows` or the oracle's multisets."""
 
     schema: Schema
     columns: tuple[Column, ...]
@@ -240,6 +242,8 @@ class Table:
             raise ValueError(f"{len(self.columns)} columns, schema has {self.schema.arity}")
         if len({len(col.values) for col in self.columns}) != 1:
             raise ValueError("columns differ in length")
+        for col in self.columns:
+            col.values.flags.writeable = False
 
     @property
     def row_count(self) -> int:

@@ -354,6 +354,35 @@ def test_cross_algorithm_join_equivalence(default_library):
         assert multisets_equal(table, expected)
 
 
+@pytest.mark.parametrize("inner_keys", ["unique", "repeated"])
+def test_chained_restrictions_on_one_slot_before_a_join(default_library, inner_keys):
+    """Nine one-side comparisons on t chain into two restrictions on its
+    slot before the join; every candidate returns the oracle's rows in the
+    oracle's order, with u's join keys unique or repeated."""
+    rng = random.Random(5)
+    t = make_table([("a", "INT"), ("x", "INT"), ("s", 2)],
+                   [(rng.randint(0, 15), rng.randint(-9, 9), rng.choice(["ab", "b", "zz"]))
+                    for _ in range(300)])
+    keys = range(12) if inner_keys == "unique" else [rng.randint(0, 12) for _ in range(12)]
+    u = make_table([("b", "INT"), ("y", 3)], [(k, rng.choice(["p", "qq", "rrr"])) for k in keys])
+    tables = {"t": t, "u": u}
+    sql = ("SELECT t.a, t.x, t.s, u.y FROM t JOIN u ON t.a = u.b WHERE "
+           "t.x > -8 AND t.x < 8 AND t.x <> 0 AND t.x <> 3 AND t.a > 0 AND t.a < 14 "
+           "AND t.a <> 5 AND t.s <> 'zz' AND t.s = 'ab' AND u.y <> 'qq'")
+    expected = reference_execute(bind_sql(sql, tables), tables)
+    assert expected.row_count
+    results = run_all_candidates(sql, tables, default_library, _device())
+    assert results
+    for cand, table, _ in results:
+        roles = [s.role for s in cand.stages]
+        join_at = min(roles.index(r) for r in ("hash_join", "sort_left", "bloom_cascade")
+                      if r in roles)
+        before = [s for s in cand.stages[:join_at] if s.role == "restriction"
+                  and any(slot == 0 for slot, _ in s.predicates)]
+        assert len(before) == 2, cand.tag
+        assert table.rows == expected.rows, cand.tag
+
+
 def test_not_reconfigured(default_library):
     t = make_table([("a", "INT")], [(1,)])
     bp = bind_sql("SELECT a FROM t WHERE a > 0", {"t": t})

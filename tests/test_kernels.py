@@ -14,16 +14,20 @@ from hypothesis import strategies as st
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
-from sqf.engine.exec import result_checksum
+from sqf.engine.exec import _evaluate, result_checksum
 from sqf.engine.kernels import (
     DIVZERO, OK, OVERFLOW, checked_arith, codes, group_ids, group_sums, match_pairs, sort_order,
 )
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
+from sqf.frontend.ast import StrLiteral
+from sqf.frontend.binder import BCmp, ValueRef
 from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
 from sqf.oracle import reference_execute
 from sqf.planner import enumerate_pipelines
-from sqf.relcore import ColumnType, Schema, Table, encode_columns, encode_row, table_stats
+from sqf.relcore import (
+    Column, ColumnType, Schema, Table, TypeKind, encode_columns, encode_row, table_stats,
+)
 
 EDGES = [INT64_MIN, INT64_MIN + 1, -(2**62), -(2**32), -7, -3, -2, -1, 0, 1, 2, 3, 7,
          2**31, 2**32, 2**62, INT64_MAX - 1, INT64_MAX]
@@ -353,6 +357,57 @@ def test_match_pairs_is_the_ordered_nested_loop(data, kind):
     o, i = match_pairs(outer, inner)
     assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
                                                                       inner.tolist())
+
+
+@pytest.mark.parametrize("outer, inner, pairs", [
+    ([3, 1, 3, 2], [2, 3, 5], [(0, 1), (2, 1), (3, 0)]),  # unique inner keys
+    ([3, 1, 3, 2], [3, 2, 3], [(0, 0), (0, 2), (2, 0), (2, 2), (3, 1)]),  # a repeated key
+    ([1, 2], [3, 4], []),  # no key matches
+    ([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0), (1, 1)]),  # one key on both sides
+    ([], [1, 2], []),
+    ([1, 2], [], []),
+    ([], [], []),
+])
+def test_match_pairs_with_and_without_unique_inner_keys(outer, inner, pairs):
+    o, i = match_pairs(np.array(outer, dtype=np.int64), np.array(inner, dtype=np.int64))
+    assert list(zip(o.tolist(), i.tolist())) == pairs
+
+
+class _Cells:
+    """A run's `column` lookup over given columns, by a reference's index."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def column(self, ref):
+        return self.columns[ref.index]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["=", "<>"]), st.integers(1, 9), st.integers(0, 9),
+       st.booleans())
+def test_char_comparison_is_the_padded_byte_comparison(data, op, width, other, literal):
+    """A CHAR comparison of width at most 8 runs on int64 images, a wider
+    one on the bytes; either way it compares both sides' bytes space-padded
+    to the wider width, for any byte and with either side the wider."""
+    cells = data.draw(st.lists(st.binary(min_size=width, max_size=width), max_size=12))
+    columns = [Column(ColumnType.char(width), np.array(cells, dtype=f"S{width}"))]
+    if literal:  # printable ASCII, padded to at least one byte
+        text = data.draw(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                                 min_size=other, max_size=other))
+        rhs, right = StrLiteral(text), [text.ljust(1).encode("ascii")] * len(cells)
+    else:
+        other = max(other, 1)
+        right = data.draw(st.lists(st.binary(min_size=other, max_size=other),
+                                   min_size=len(cells), max_size=len(cells)))
+        columns.append(Column(ColumnType.char(other), np.array(right, dtype=f"S{other}")))
+        rhs = ValueRef("column", 0, 1, columns[1].ctype)
+    wide = max(width, other, 1)
+    cmp = BCmp(op, ValueRef("column", 0, 0, columns[0].ctype), rhs, TypeKind.CHAR, wide)
+    values, fault = _evaluate(cmp, _Cells(columns))
+    want = [(a.ljust(wide) == b.ljust(wide)) == (op == "=") for a, b in zip(cells, right)]
+    assert fault is None
+    assert np.broadcast_to(values, (len(cells),)).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ def test_load_csv_basic(tmp_path):
     assert table.rows[0] == (1, "ann     ")  # a CHAR cell reads back padded
 
 
+@pytest.mark.parametrize("index, cell", [(0, 9), (1, b"bob")])
+def test_a_loaded_tables_columns_are_read_only(tmp_path, index, cell):
+    # the engine reads unfiltered columns in place, so no kernel may write them
+    path = tmp_path / "t.csv"
+    path.write_text("id:INT,name:CHAR(8)\n1,ann\n")
+    values = load_csv(path).columns[index].values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = cell
+
+
 def test_load_csv_header_only(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("id:INT\n")
