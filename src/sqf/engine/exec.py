@@ -59,6 +59,7 @@ from .kernels import (
     group_ids,
     group_sums,
     match_pairs,
+    rank,
     sort_order,
 )
 
@@ -401,28 +402,33 @@ def _alu(bp: BoundPlan, run: _Run) -> None:
 def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
     """Fold the run's rows into canonical (group keys..., aggregates...)
     columns, groups in first-appearance order. SUM and AVG accumulate in row
-    order and raise at the first row whose running sum overflows."""
+    order and raise at the first row whose running sum overflows.
+
+    Aggregates fold in code space, one entry per group id (`group_ids`),
+    and are put in appearance order once, at the end. Each distinct
+    argument is gathered, and ranked for MIN and MAX, once."""
     if run.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
         # a global COUNT over no rows is 0; with no NULL in the
         # model, any other aggregate over it yields no row
         return [Column(a.ctype, np.zeros(1, dtype=np.int64)) for a in bp.aggregates]
-    keys = [run.column(ref) for ref in bp.group_by]
-    gid, first = group_ids([col.values for col in keys], run.n)
-    groups = len(first)
-    counts = np.bincount(gid, minlength=groups)
+    column = functools.cache(run.column)  # each column gathered once
+    keys = [column(ref) for ref in bp.group_by]
+    gid, order, first, counts = group_ids([col.values for col in keys], run.n)
     out = [col.take(first) for col in keys]
+    ranked = functools.cache(lambda ref: rank(column(ref).values))
     checks = []
     for agg in bp.aggregates:
-        arg = run.column(agg.arg) if agg.arg is not None else None
         if agg.fn == "COUNT":
-            out.append(Column(agg.ctype, counts))
+            out.append(Column(agg.ctype, counts[order]))
         elif agg.fn in ("SUM", "AVG"):
-            sums, fault = group_sums(arg.values, gid, groups)
+            sums, fault = group_sums(column(agg.arg).values, gid, len(counts))
             checks.append((fault, agg.name))
+            sums = sums[order]
             if agg.fn == "AVG":
-                sums = checked_arith("/", sums, counts)[0]
+                sums = checked_arith("/", sums, counts[order])[0]
             out.append(Column(agg.ctype, sums))
         else:
-            out.append(arg.take(group_extreme(arg.values, gid, groups, agg.fn)))
+            rows = group_extreme(ranked(agg.arg), gid, len(counts), agg.fn)
+            out.append(column(agg.arg).take(rows[order]))
     _raise_first(checks, run.n)
     return out

@@ -4,7 +4,10 @@ matching for joins, grouping, and ordering.
 Arithmetic returns a per-row fault code beside the values instead of
 raising, so the executor can report the first faulting row in stream order.
 A faulted row's value is unspecified. The scalar primitives in `sqf.arith`
-are the reference these kernels are tested against.
+are the reference these kernels are tested against. `+`, `-` and `*` first
+try a per-batch proof (interval arithmetic over the operands' min and max):
+when every corner of the result range lies inside int64, no row can
+overflow and the plain numpy result is returned without a per-row check.
 
 Joins, grouping and the co-design join's bloom stage (which hashes one key
 per code) address keys by a code (`relcore.codes`), and ordering by an
@@ -16,9 +19,13 @@ minimum, with no sort; a wider image is coded by sorting int64, and a
 wider CHAR key by sorting its bytes. Every join strategy pairs rows
 through `match_pairs` on canonical keys, which returns pair indices, not
 rows; when the inner keys are unique it maps each outer row to its one
-inner row with a single gather. SUM skips its running-sum overflow scan
-only when the row count times the largest magnitude proves that no running
-sum can leave int64.
+inner row with a single gather.
+
+Aggregation runs in code space: a row's group id is the code its keys
+give, never renumbered, and every aggregate folds into one entry per id.
+Only the per-group results are put in first-appearance order. SUM skips its
+running-sum overflow scan only when the row count times the largest
+magnitude proves that no running sum can leave int64.
 """
 
 from __future__ import annotations
@@ -31,17 +38,45 @@ from ..relcore import codes, int_image
 OK, OVERFLOW, DIVZERO = 0, 1, 2  # per-row fault codes
 
 _MIN = np.int64(INT64_MIN)
+_PLAIN = {"+": np.add, "-": np.subtract, "*": np.multiply}  # ops with a range proof
 
 
 def checked_arith(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     """(values, fault codes) of `a op b` over int64 operands, elementwise.
 
-    Overflow is detected exactly. Division truncates toward zero, as
-    `sqf.arith.div64` does; a zero divisor is DIVZERO and INT64_MIN / -1 is
-    OVERFLOW.
+    Overflow is detected exactly. For `+`, `-` and `*` the batch is first
+    proven safe from the operands' ranges: if every corner of the result
+    range (the two extreme sums or differences, or the four products of
+    the operands' min and max) lies inside int64, no row can overflow, and
+    the plain numpy result comes back with all-OK codes. Otherwise each row
+    is checked. Division truncates toward zero, as `sqf.arith.div64` does;
+    a zero divisor is DIVZERO and INT64_MIN / -1 is OVERFLOW.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if op in _PLAIN and _fits_int64(op, a, b):
+        r = _PLAIN[op](a, b)
+        return r, np.zeros(r.shape, dtype=np.uint8)
+    return _checked_rows(op, a, b)
+
+
+def _fits_int64(op: str, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a op b` stays inside int64 on every row, by interval
+    arithmetic over the operands' min and max as Python ints."""
+    if not a.size or not b.size:
+        return True
+    alo, ahi, blo, bhi = int(a.min()), int(a.max()), int(b.min()), int(b.max())
+    if op == "+":
+        corners = (alo + blo, ahi + bhi)
+    elif op == "-":
+        corners = (alo - bhi, ahi - blo)
+    else:
+        corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return INT64_MIN <= min(corners) and max(corners) <= INT64_MAX
+
+
+def _checked_rows(op: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`checked_arith` with an exact check of every row."""
     with np.errstate(all="ignore"):  # wrapped results are flagged, not used
         if op == "+":
             r = a + b
@@ -100,27 +135,41 @@ def rank(values: np.ndarray) -> np.ndarray:
     return codes(values)[0] if image is None else image
 
 
-def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(group id per row, first row of each group), groups numbered in order
-    of first appearance. No keys means one group holding every row."""
+def group_ids(keys: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(id per row, ids in order of first appearance, each group's first
+    row, row count per id). No keys means one group holding every row.
+
+    A row's id is the code its keys give, with no renumbering, so ids may
+    skip values no row holds; the counts (one `bincount`) are 0 there. The
+    first rows come from a prefix of the rows that starts at 4 x the number
+    of groups and grows 4x until every id that holds a row has one; at
+    worst it covers every row.
+    """
     if not keys:
-        return np.zeros(n, dtype=np.int64), np.zeros(min(n, 1), dtype=np.int64)
+        one = np.zeros(min(n, 1), dtype=np.int64)
+        return np.zeros(n, dtype=np.int64), one, one, np.array([n], dtype=np.int64)
     gid, n_ids = codes(keys[0])
     for key in keys[1:]:
         code, n_codes = codes(key)
         gid, n_ids = gid * n_codes + code, n_ids * n_codes
         if n_ids > n:  # keep ids below n, so the next product stays in int64
             gid, n_ids = codes(gid)
+    counts = np.bincount(gid, minlength=n_ids)
+    groups = int(np.count_nonzero(counts))
     first = np.full(n_ids, n, dtype=np.int64)
-    np.minimum.at(first, gid, np.arange(n))
-    first = np.sort(first[first < n])  # one row per group, by appearance
-    renumber = np.empty(n_ids, dtype=np.int64)
-    renumber[gid[first]] = np.arange(len(first))
-    return renumber[gid], first
+    found = end = 0
+    while found < groups:
+        start, end = end, min(n, 4 * max(end, groups))
+        np.minimum.at(first, gid[start:end], np.arange(start, end))
+        found = int(np.count_nonzero(first < n))
+    order = np.argsort(first)[:groups]  # absent ids hold n, so sort last
+    return gid, order, first[order], counts
 
 
 def group_sums(values: np.ndarray, gid: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """(per-group sums, fault codes per row), accumulated in stream order.
+    """(sums per group id, fault codes per row), accumulated in stream
+    order over ids in [0, groups); entries of ids that hold no row are
+    unspecified.
 
     A row faults when its group's running sum leaves the int64 range there.
     When n rows of magnitude at most m have n * m <= INT64_MAX, no running
@@ -149,17 +198,23 @@ def group_sums(values: np.ndarray, gid: np.ndarray, groups: int) -> tuple[np.nda
     return (hi[ends] << 32) + lo[ends], fault
 
 
-def group_extreme(values: np.ndarray, gid: np.ndarray, groups: int, fn: str) -> np.ndarray:
-    """Row of each group's first MIN or MAX value, in stream order."""
-    code = rank(values)
+def group_extreme(code: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> np.ndarray:
+    """Per id, the row of its group's first MIN or MAX, in stream order.
+
+    `code` is the argument's `rank` at each row, so one ranking serves both
+    MIN and MAX of one argument. Entries of ids that hold no row are
+    unspecified."""
     if fn == "MIN":
-        extreme = np.full(groups, INT64_MAX, dtype=np.int64)
+        extreme = np.full(n_ids, INT64_MAX, dtype=np.int64)
         np.minimum.at(extreme, gid, code)
     else:
-        extreme = np.full(groups, INT64_MIN, dtype=np.int64)
+        extreme = np.full(n_ids, INT64_MIN, dtype=np.int64)
         np.maximum.at(extreme, gid, code)
     rows = np.flatnonzero(code == extreme[gid])
-    return rows[np.unique(gid[rows], return_index=True)[1]]
+    row_of = np.zeros(n_ids, dtype=np.intp)
+    ids, at = np.unique(gid[rows], return_index=True)  # each id's first such row
+    row_of[ids] = rows[at]
+    return row_of
 
 
 def sort_order(keys) -> np.ndarray:

@@ -151,12 +151,25 @@ def int_image(values: np.ndarray) -> np.ndarray | None:
     they are; an `S<w>` array with w <= 8 as the big-endian integer of each
     cell's w bytes minus 2**(8w - 1), so that it orders as numpy compares
     the bytes (unsigned, 0x80-0xFF included) and equal cells share an
-    image. Wider CHAR cells have none."""
+    image. Wider CHAR cells have none.
+
+    At widths 1, 2, 4 and 8 each cell is read as one big-endian unsigned
+    word (`>u<w>`), strided input included; at width 8 the subtraction is
+    a flip of the top bit. Widths 3, 5, 6 and 7 shift in one byte at a
+    time."""
     if values.dtype == np.int64:
         return values
     width = values.dtype.itemsize
     if values.dtype.kind != "S" or width > 8:
         return None
+    if width == 8:
+        image = values.view(">i8").astype(np.int64)
+        image ^= np.int64(-(1 << 63))
+        return image
+    if width in (1, 2, 4):
+        image = values.view(f">u{width}").astype(np.int64)
+        image -= 1 << (8 * width - 1)
+        return image
     cells = np.ascontiguousarray(values).view(np.uint8).reshape(-1, width)
     image = cells[:, 0].astype(np.int64) - 0x80  # keeps 8 bytes inside int64
     for k in range(1, width):

@@ -383,6 +383,31 @@ def test_chained_restrictions_on_one_slot_before_a_join(default_library, inner_k
         assert table.rows == expected.rows, cand.tag
 
 
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("arg", ["x", "s"])
+def test_min_max_count_by_a_char_key_whose_last_group_appears_late(default_library,
+                                                                   joined, arg):
+    """Three CHAR groups, the third first seen in the last row, far past the
+    first 4 x groups rows; MIN and MAX share one INT or CHAR argument. Every
+    candidate returns the oracle's groups in the oracle's order."""
+    rng = random.Random(25)
+    rows = [(rng.randint(0, 9), rng.choice(["aa", "bb"]), rng.randint(-50, 50),
+             rng.choice(["p", "qq", "\x7fr"])) for _ in range(199)]
+    t = make_table([("k", "INT"), ("g", 2), ("x", "INT"), ("s", 3)],
+                   rows + [(3, "zz", 99, "zzz")])
+    tables = {"t": t, "u": make_table([("k", "INT")], [(k,) for k in range(10)])}
+    sql = f"SELECT t.g, MIN(t.{arg}), MAX(t.{arg}), COUNT(*) FROM t"
+    if joined:
+        sql += " JOIN u ON t.k = u.k"
+    sql += " GROUP BY t.g"
+    expected = reference_execute(bind_sql(sql, tables), tables)
+    assert len(expected.rows) == 3 and expected.rows[-1][0] == "zz"
+    results = run_all_candidates(sql, tables, default_library, _device())
+    assert results
+    for cand, table, _ in results:
+        assert table.rows == expected.rows, cand.tag
+
+
 def test_not_reconfigured(default_library):
     t = make_table([("a", "INT")], [(1,)])
     bp = bind_sql("SELECT a FROM t WHERE a > 0", {"t": t})

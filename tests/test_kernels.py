@@ -26,7 +26,8 @@ from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
 from sqf.oracle import reference_execute
 from sqf.planner import enumerate_pipelines
 from sqf.relcore import (
-    Column, ColumnType, Schema, Table, TypeKind, encode_columns, encode_row, table_stats,
+    Column, ColumnType, Schema, Table, TypeKind, encode_columns, encode_row, int_image,
+    table_stats,
 )
 
 EDGES = [INT64_MIN, INT64_MIN + 1, -(2**62), -(2**32), -7, -3, -2, -1, 0, 1, 2, 3, 7,
@@ -183,6 +184,55 @@ def test_checked_arith_truncates_toward_zero():
     assert faults.tolist() == [OK] * 4
 
 
+_M = INT64_MAX // 7  # 7 * _M == INT64_MAX
+
+
+@pytest.mark.parametrize("op, a, b, checked, fault_row", [
+    # corners exactly at the bounds: no row can overflow, no per-row check
+    ("+", [INT64_MAX - 1, 0], [1, 0], False, None),
+    ("+", [INT64_MIN + 1, 0], [-1, 0], False, None),
+    ("-", [-1, 0], [INT64_MAX, 0], False, None),
+    ("-", [INT64_MAX - 3, 0], [-3, 0], False, None),
+    ("*", [_M, 1], [7, 2], False, None),
+    ("*", [2**62, 1], [-2, 1], False, None),
+    ("*", [-(2**31), 1], [2**32, -(2**31)], False, None),  # alo * bhi == INT64_MIN
+    # mixed-sign corners inside the bounds
+    ("*", [-3, 5], [-7, 2], False, None),
+    ("-", [-5, 9], [3, -4], False, None),
+    # one step past a bound: the per-row check runs and finds the fault...
+    ("+", [0, INT64_MAX], [0, 1], True, 1),
+    ("+", [0, INT64_MIN], [0, -1], True, 1),
+    ("-", [0, -2], [0, INT64_MAX], True, 1),
+    ("*", [_M + 1, 1], [7, 1], True, 0),
+    ("*", [2**62, 1], [2, 1], True, 0),
+    ("*", [INT64_MIN, 1], [-1, 1], True, 0),
+    ("*", [-(2**62), 1, -(2**62)], [-1, 4, 4], True, 2),  # only ahi * blo is past
+    # ...or finds none, when no single row pairs the extremes
+    ("+", [INT64_MAX, 0], [0, 1], True, None),
+    ("-", [0, -2], [INT64_MAX, 0], True, None),
+    ("*", [2**62, 1], [1, 4], True, None),
+    ("*", [-(2**62), 1], [-1, 4], True, None),  # mixed signs: alo * bhi is past
+    ("*", [5, -(2**62)], [4, -1], True, None),  # and here ahi * blo
+])
+def test_checked_arith_proves_batches_safe_at_the_bounds(monkeypatch, op, a, b, checked,
+                                                         fault_row):
+    """A batch whose result range lies inside int64 skips the per-row check;
+    one whose range reaches past it is checked row by row, faulting or not."""
+    from sqf.engine import kernels
+
+    calls, real = [], kernels._checked_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_checked_rows", counted)
+    _check_against_scalar(op, list(zip(a, b)))
+    assert len(calls) == checked
+    hits = np.flatnonzero(checked_arith(op, np.array(a), np.array(b))[1])
+    assert hits[:1].tolist() == ([] if fault_row is None else [fault_row])
+
+
 @pytest.mark.parametrize("expr, error", [
     ("(a * b) + (c / d)", ArithmeticOverflow),
     ("(c / d) + (a * b)", DivisionByZero),
@@ -234,9 +284,6 @@ def _check_group_sums(rows):
 @given(st.lists(st.tuples(st.integers(0, 3), int64s), min_size=1, max_size=30))
 def test_group_sums_match_a_streaming_fold(rows):
     _check_group_sums(rows)
-
-
-_M = INT64_MAX // 7  # 7 * _M == INT64_MAX
 
 
 @pytest.mark.parametrize("rows, sorts", [
@@ -317,11 +364,16 @@ def _draw_column(data, kind, min_size=0, max_size=15):
 
 
 def _check_group_ids(keys, n):
-    gid, first = group_ids(keys, n)
+    """Row ids are codes, not renumbered: the ids in appearance order map
+    each group's appearance number to its id, and the counts are per id."""
+    gid, order, first, counts = group_ids(keys, n)
     want_gid, want_first = _first_appearance(list(zip(*[k.tolist() for k in keys]))
                                              if keys else [()] * n)
-    assert gid.tolist() == want_gid
+    assert gid.tolist() == order[np.array(want_gid, dtype=np.intp)].tolist()
     assert first.tolist() == want_first
+    assert len(set(order.tolist())) == len(order)
+    assert counts[order].tolist() == np.bincount(want_gid, minlength=len(order)).tolist()
+    assert counts.sum() == n
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,6 +389,19 @@ def test_group_ids_redensify_when_the_key_product_exceeds_the_rows():
     c = np.array([INT64_MIN, 0, INT64_MIN, INT64_MAX], dtype=np.int64)
     _check_group_ids([a, b, c], 4)
     _check_group_ids([c, a, b, a], 4)
+
+
+@pytest.mark.parametrize("keys", [
+    # a new key in the last row, far past the first 4 x groups rows
+    [np.array([7] * 1000 + [3], dtype=np.int64)],
+    [np.array([b"aa"] * 1000 + [b"ab"])],
+    [np.array([5] * 1000 + [5], dtype=np.int64), np.array([0] * 1000 + [1], dtype=np.int64)],
+    # every row its own group, in descending and in scattered order
+    [np.arange(300, 0, -1, dtype=np.int64)],
+    [np.random.default_rng(3).permutation(500).astype(np.int64) * 2**40],
+])
+def test_group_ids_find_groups_that_first_appear_late(keys):
+    _check_group_ids(keys, len(keys[0]))
 
 
 def _forbid_sorting(monkeypatch):
@@ -381,6 +446,34 @@ class _Cells:
 
     def column(self, ref):
         return self.columns[ref.index]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 9), st.booleans())
+def test_int_image_is_the_big_endian_integer_of_the_bytes(data, width, strided):
+    """Each cell's image is the big-endian integer of its w bytes minus
+    2**(8w - 1), for any byte, read in place or through a stride; CHAR wider
+    than 8 has none."""
+    cells = data.draw(st.lists(st.binary(min_size=width, max_size=width), max_size=12))
+    values = np.array(cells, dtype=f"S{width}")
+    if strided:  # every other cell of a twice-as-long array
+        junk = data.draw(st.lists(st.binary(min_size=width, max_size=width),
+                                  min_size=len(cells), max_size=len(cells)))
+        both = np.empty(2 * len(cells), dtype=f"S{width}")
+        both[::2], both[1::2] = cells, junk
+        values = both[::2]
+    image = int_image(values)
+    if width > 8:
+        assert image is None
+        return
+    want = []
+    for cell in cells:
+        word = 0
+        for byte in cell:
+            word = word * 256 + byte
+        want.append(word - 2 ** (8 * width - 1))
+    assert image.dtype == np.int64
+    assert image.tolist() == want
 
 
 @settings(max_examples=300, deadline=None)
