@@ -56,6 +56,7 @@ from .kernels import (
     checked_arith,
     codes,
     group_extreme,
+    group_extremes,
     group_ids,
     group_sums,
     match_pairs,
@@ -406,7 +407,8 @@ def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
 
     Aggregates fold in code space, one entry per group id (`group_ids`),
     and are put in appearance order once, at the end. Each distinct
-    argument is gathered, and ranked for MIN and MAX, once."""
+    argument is gathered once. An INT MIN or MAX is the per-id extreme of
+    the values; a CHAR one is ranked once and read at its extreme's row."""
     if run.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
         # a global COUNT over no rows is 0; with no NULL in the
         # model, any other aggregate over it yields no row
@@ -428,7 +430,12 @@ def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
                 sums = checked_arith("/", sums, counts[order])[0]
             out.append(Column(agg.ctype, sums))
         else:
-            rows = group_extreme(ranked(agg.arg), gid, len(counts), agg.fn)
-            out.append(column(agg.arg).take(rows[order]))
+            arg = column(agg.arg)
+            if arg.ctype.kind is TypeKind.INT:  # the per-id extreme is the value
+                extremes = group_extremes(arg.values, gid, len(counts), agg.fn)
+                out.append(Column(arg.ctype, extremes[order]))
+            else:
+                rows = group_extreme(ranked(agg.arg), gid, len(counts), agg.fn)
+                out.append(arg.take(rows[order]))
     _raise_first(checks, run.n)
     return out

@@ -23,9 +23,11 @@ inner row with a single gather.
 
 Aggregation runs in code space: a row's group id is the code its keys
 give, never renumbered, and every aggregate folds into one entry per id.
-Only the per-group results are put in first-appearance order. SUM skips its
-running-sum overflow scan only when the row count times the largest
-magnitude proves that no running sum can leave int64.
+Only the per-group results are put in first-appearance order. An INT
+MIN or MAX is its per-id extreme; a CHAR one is the value at the row of
+its extreme rank. SUM skips its running-sum overflow scan only when the
+row count times the largest magnitude proves that no running sum can
+leave int64.
 """
 
 from __future__ import annotations
@@ -198,18 +200,25 @@ def group_sums(values: np.ndarray, gid: np.ndarray, groups: int) -> tuple[np.nda
     return (hi[ends] << 32) + lo[ends], fault
 
 
+def group_extremes(values: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> np.ndarray:
+    """Per id, the MIN or MAX of its rows' int64 `values`. Entries of ids
+    that hold no row are unspecified."""
+    if fn == "MIN":
+        extreme = np.full(n_ids, INT64_MAX, dtype=np.int64)
+        np.minimum.at(extreme, gid, values)
+    else:
+        extreme = np.full(n_ids, INT64_MIN, dtype=np.int64)
+        np.maximum.at(extreme, gid, values)
+    return extreme
+
+
 def group_extreme(code: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> np.ndarray:
     """Per id, the row of its group's first MIN or MAX, in stream order.
 
     `code` is the argument's `rank` at each row, so one ranking serves both
     MIN and MAX of one argument. Entries of ids that hold no row are
     unspecified."""
-    if fn == "MIN":
-        extreme = np.full(n_ids, INT64_MAX, dtype=np.int64)
-        np.minimum.at(extreme, gid, code)
-    else:
-        extreme = np.full(n_ids, INT64_MIN, dtype=np.int64)
-        np.maximum.at(extreme, gid, code)
+    extreme = group_extremes(code, gid, n_ids, fn)
     rows = np.flatnonzero(code == extreme[gid])
     row_of = np.zeros(n_ids, dtype=np.intp)
     ids, at = np.unique(gid[rows], return_index=True)  # each id's first such row

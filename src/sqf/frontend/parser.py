@@ -26,7 +26,7 @@ walks a tree deep enough to exhaust the interpreter's stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..arith import INT64_MAX, INT64_MIN
 from ..errors import QuerySyntaxError
@@ -59,23 +59,24 @@ MAX_NESTING = 32
 
 _SYMBOLS = ("<=", ">=", "<>", ",", "(", ")", "*", ".", ";", "+", "-", "/", "=", "<", ">")
 
-# Every token class once, all ASCII; any other character falls through to
-# `other` and is reported where it stands. A string body is printable ASCII
-# except the quote itself.
+# Every token class once, all ASCII, each after the whitespace that leads
+# it, so one match is one token; whitespace that ends the text matches with
+# no group. Any other character falls through to `other` and is reported
+# where it stands. A string body is printable ASCII except the quote itself.
 _STRING_BODY = re.compile(r"[ -&(-~]*")
 _TOKEN = re.compile(
-    r"[ \t\r\n]+"
-    r"|(?P<int>[0-9]+)"
+    r"[ \t\r\n]*(?:"
+    r"(?P<int>[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     rf"|(?P<string>'{_STRING_BODY.pattern}')"
     rf"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})"
-    r"|(?P<other>.)",
+    r"|(?P<other>.)"
+    r"|\Z)",
     re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "kw", "ident", "int", "string", "sym", "eof"
     text: str
     pos: int
@@ -84,9 +85,10 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind, word, i = m.lastgroup, m.group(), m.start()
-        if kind is None:  # whitespace
+        kind = m.lastgroup
+        if kind is None:  # whitespace at the end
             continue
+        word, i = m[kind], m.start(kind)
         if kind == "other":  # or a quote that opens no valid string literal
             if word != "'":
                 raise QuerySyntaxError(i, ("a token",), repr(word))
@@ -130,9 +132,9 @@ class _Parser:
 
     def eat(self, text: str) -> bool:
         """Consume the keyword or symbol `text` if it is next."""
-        tok = self.peek()
-        if tok.kind in ("kw", "sym") and tok.text == text:
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in ("kw", "sym"):
+            self.pos += 1
             return True
         return False
 

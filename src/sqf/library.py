@@ -24,6 +24,7 @@ objects hold exactly their documented fields plus an optional `comment`.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -218,21 +219,35 @@ def instantiate(
     kind: ModuleKind,
     params: dict | None = None,
 ) -> ModuleInstance:
-    """Create a parameterized instance; slots and bitstream size follow the spec."""
+    """A parameterized instance; slots and bitstream size follow the spec.
+    The range check runs on every call; the instance, a pure function of
+    the spec and the canonical params, is built once and then shared."""
     spec = lib.spec(kind)
     params = dict(params or {})
-    units = 0
-    if kind in _UNITS:
-        name, default, lo, hi, per_unit = _UNITS[kind]
+    sizing = _UNITS.get(kind)
+    if sizing is not None:
+        name, default, lo, hi, _ = sizing
         value = params.setdefault(name, default)
         if not lo <= value <= hi:
             raise ParamOutOfRange(kind.value, f"{name} must be in [{lo}, {hi}]")
-        units = math.ceil(value / per_unit)
-    slots = spec.base_slots + spec.slots_per_unit * units
     canonical = tuple(sorted(params.items()))
+    return _instance(spec, canonical, tuple(type(v) for _, v in canonical))
+
+
+@functools.lru_cache(maxsize=1024)
+def _instance(spec: ModuleSpec, params: tuple, types: tuple) -> ModuleInstance:
+    """The instance of `spec` with canonical `params`. `types` keeps apart
+    values that compare equal but differ in type (`1` and `True`), so an
+    instance holds the values it was asked for."""
+    units = 0
+    sizing = _UNITS.get(spec.kind)
+    if sizing is not None:
+        name, _, _, _, per_unit = sizing
+        units = math.ceil(dict(params)[name] / per_unit)
+    slots = spec.base_slots + spec.slots_per_unit * units
     return ModuleInstance(
         spec=spec,
-        params=canonical,
+        params=params,
         slots=slots,
         bitstream_bytes=slots * spec.bitstream_bytes_per_slot,
     )

@@ -10,13 +10,14 @@ bytes per tuple of each side, which its layout streams. Enumeration decides
 these facts once per plan, from one walk of each top-level WHERE conjunct
 and each computed select item. All cardinalities come from exact table
 statistics through textbook independence heuristics, so estimates are
-deterministic.
+deterministic. They are a stage list's flows, which the layouts of one
+join algorithm share; rates and bytes are each candidate's own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 
 from .engine.align import record_bytes
@@ -59,6 +60,9 @@ class Stage:
     role: str
     module: ModuleInstance | None = None
     predicates: tuple = ()
+
+
+_SOURCE = Stage("source")
 
 
 @dataclass(frozen=True)
@@ -232,11 +236,12 @@ def estimate_selectivity(expr, bp: BoundPlan, stats: dict) -> float:
     return DEFAULT_CMP_SELECTIVITY
 
 
-def _selectivity(predicates, bp: BoundPlan, stats: dict) -> float:
-    """Independence-heuristic selectivity of (slot, predicate) filters."""
+def _selectivity(predicates, selectivity) -> float:
+    """Independence-heuristic selectivity of (slot, predicate) filters, each
+    predicate's from `selectivity(predicate)`."""
     out = 1.0
     for _, pred in predicates:
-        out *= estimate_selectivity(pred, bp, stats)
+        out *= selectivity(pred)
     return _clamp(out)
 
 
@@ -314,18 +319,25 @@ def _plan_steps(bp: BoundPlan, filters, nodes: int, algos) -> dict:
     return {algo: before + joins.get(algo, after_join) + after for algo in algos}
 
 
-def _stages_for(steps, lib: ModuleLibrary):
+def _stages_for(steps, lib: ModuleLibrary, made: dict):
     """A candidate's stages, or None if the library lacks a module kind
     that a fabric stage needs. The host join and every stage after it are
-    host stages, with no module."""
+    host stages, with no module. `made` holds the stage of each (step id,
+    on the fabric) already built for another join algorithm of the plan, so
+    the algorithms share the stages of the steps they share."""
     steps = steps or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
     host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
     if any(module[0] not in lib for _, module, _ in steps[:host]):
         return None
-    return (Stage("source"),) + tuple(
-        Stage(role, instantiate(lib, *module) if i < host else None, preds)
-        for i, (role, module, preds) in enumerate(steps)
-    )
+    stages = [_SOURCE]
+    for i, step in enumerate(steps):
+        key = (id(step), i < host)
+        if key not in made:
+            role, module, preds = step
+            made[key] = (step, Stage(role, instantiate(lib, *module) if i < host else None,
+                                     preds))
+        stages.append(made[key][1])
+    return tuple(stages)
 
 
 def codesign_misfits(bp: BoundPlan, dev: DeviceProfile) -> list[tuple[str, int]]:
@@ -355,7 +367,8 @@ def enumerate_pipelines(
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
     steps = _plan_steps(bp, filters, nodes, dict.fromkeys(algo for _, algo in variants))
-    stages = {algo: _stages_for(algo_steps, lib) for algo, algo_steps in steps.items()}
+    made: dict = {}
+    stages = {algo: _stages_for(algo_steps, lib, made) for algo, algo_steps in steps.items()}
     candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
                                     layouts[layout])
                   for layout, algo in variants if stages[algo] is not None]
@@ -382,63 +395,46 @@ def _join_key_distinct(bp: BoundPlan, stats: dict) -> int:
     return max(d_l, d_r, 1)
 
 
-def _sort_blocking(module, n: float, rate: float) -> float:
-    """Merge passes of a fabric sort; a host sort has no blocking phase."""
-    if module is None:
-        return 0.0
-    cap = module.param("run_capacity")
-    return _merge_levels(n, cap) * (n / rate if rate > 0 else 0.0)
+def _flows(stages, bp: BoundPlan, stats: dict, selectivity):
+    """The logical flows of `stages` on `bp`: (source sides, one (input
+    tuples, selectivity, reported selectivity, blocking levels, blocking
+    tuples) per stage after the source).
 
-
-def estimate_time(
-    c: CandidatePipeline, stats: dict, dev: DeviceProfile
-) -> CostEstimate:
-    """Time fields of the cost model, one StageEstimate per stage of `c`;
-    energy is filled by estimate_energy."""
-    bp = c.plan
+    They depend only on the plan, the statistics and the stage list, so the
+    layouts of one stage list share them. The selectivity is the raw
+    output / input ratio, and the reported one is clipped to [0, 1]. A stage
+    blocks for `levels * (blocking tuples / rate)`: a hash join's build
+    side once, a fabric sort once per merge level. `selectivity(predicate)`
+    gives a predicate's `estimate_selectivity`.
+    """
     _require_stats(bp, stats)
     # the streams: one per table until the join, then the join's output
     sides = [float(stats[table].row_count) for table in bp.tables]
+    source = tuple(sides)
     key_d = _join_key_distinct(bp, stats) if bp.has_join else 1
-
-    source_bytes = sum(map(mul, sides, c.tuple_bytes))
-    source_seconds = source_bytes / dev.mem_bytes_per_s
-    source_tuples = sum(sides)
-    r0 = dev.mem_bytes_per_s / max(*c.tuple_bytes, 1)
-
-    stages = [StageEstimate("source", source_tuples,
-                            source_tuples / source_seconds if source_seconds > 0 else r0,
-                            1.0, 0.0)]
-    stream_seconds = source_seconds
-    blocking_total = host_seconds = 0.0
-    upstream_rate = r0
-    flow = source_tuples
-
-    for stage in c.stages[1:]:
+    flow = sum(sides)
+    flows = []
+    for stage in stages[1:]:
         role, module = stage.role, stage.module
-        if module is None:
-            rate = dev.host_tuples_per_s
-        else:
-            spec = module.spec
-            rate = min(upstream_rate, spec.tuples_per_cycle * min(dev.clock_hz, spec.max_clock_hz))
         n_in = n_out = flow  # default: read the previous stage's output, keep it all
-        blocking = 0.0
+        levels, n_blocking = 0, 0.0
 
         if role == "restriction":
-            sides = [n * _selectivity([p for p in stage.predicates if p[0] in (i, None)], bp, stats)
+            sides = [n * _selectivity([p for p in stage.predicates if p[0] in (i, None)],
+                                      selectivity)
                      for i, n in enumerate(sides)]
             n_out = sum(sides)
         elif role in ("hash_join", "merge_join", "host_join"):
             n_out = sides[0] * sides[1] / key_d
             if role == "hash_join":
                 n_in = max(sides)
-                blocking = min(sides) / rate if rate > 0 else 0.0
+                levels, n_blocking = 1, min(sides)
             elif role == "merge_join":
                 n_in = sides[0] + sides[1]
             sides = [n_out]
         elif role in ("sort_left", "sort_right"):
             n_in = n_out = sides[role == "sort_right"]
-            blocking = _sort_blocking(module, n_in, rate)
+            levels, n_blocking = _sort_levels(module, n_in), n_in
         elif role == "bloom_cascade":
             n_build = min(sides)
             n_in = max(sides)
@@ -452,21 +448,84 @@ def estimate_time(
         elif role == "aggregate":
             n_out = _group_count(bp, stats, n_in)
         elif role == "sort":
-            blocking = _sort_blocking(module, n_in, rate)
+            levels, n_blocking = _sort_levels(module, n_in), n_in
 
         sel = n_out / n_in if n_in > 0 else 1.0
-        stages.append(StageEstimate(role, n_in, rate, _clamp(sel), blocking))
-        if module is None:
-            host_seconds += n_in / rate
-        else:
-            stream_seconds = max(stream_seconds, stages[-1].seconds)
-            blocking_total += blocking
-            upstream_rate = rate * sel if sel > 0 else rate
+        flows.append((n_in, sel, _clamp(sel), levels, n_blocking))
         flow = n_out
+    return source, flows
 
-    reconfig_seconds = (
-        sum(m.bitstream_bytes for m in c.modules) / dev.icap_bytes_per_s
-    )
+
+def _sort_levels(module, n: float) -> int:
+    """Merge passes of a fabric sort; a host sort has no blocking phase."""
+    return 0 if module is None else _merge_levels(n, module.param("run_capacity"))
+
+
+def _memo_flows(c: CandidatePipeline, stats: dict, memo: dict):
+    """`_flows` of `c`, computed once per (plan, stage list) in `memo`, as
+    is each (plan, predicate)'s selectivity. Keys are object ids; each entry
+    holds the objects of its key, so no id is reused while the memo lives."""
+    bp = c.plan
+    hit = memo.get((id(bp), id(c.stages)))
+    if hit is None:
+        def selectivity(pred):
+            known = memo.get((id(bp), id(pred)))
+            if known is None:
+                known = memo[id(bp), id(pred)] = (bp, pred, estimate_selectivity(pred, bp, stats))
+            return known[2]
+
+        hit = memo[id(bp), id(c.stages)] = (bp, c.stages,
+                                            _flows(c.stages, bp, stats, selectivity))
+    return hit[2]
+
+
+def _energy(dev: DeviceProfile, total: float, stream: float, reconfig: float,
+            active) -> float:
+    """Static power over the whole run, per-slot active power while a module
+    streams (plus its own blocking phases), and reconfiguration power;
+    `active` holds each fabric stage's (slots, blocking seconds)."""
+    energy = dev.p_static_w * total
+    for slots, blocking in active:
+        energy += dev.p_slot_active_w * slots * (stream + blocking)
+    return energy + dev.p_reconfig_w * reconfig
+
+
+def _price(c: CandidatePipeline, flows, dev: DeviceProfile, energy: bool) -> CostEstimate:
+    """The estimate of `c` from its plan's `flows` (`_flows`): the rates,
+    blocking and reconfiguration seconds of its layout and modules, and,
+    if `energy`, its energy (else 0.0)."""
+    source, stage_flows = flows
+    source_seconds = sum(map(mul, source, c.tuple_bytes)) / dev.mem_bytes_per_s
+    source_tuples = sum(source)
+    r0 = dev.mem_bytes_per_s / max(*c.tuple_bytes, 1)
+
+    stages = [StageEstimate("source", source_tuples,
+                            source_tuples / source_seconds if source_seconds > 0 else r0,
+                            1.0, 0.0)]
+    stream_seconds = source_seconds
+    blocking_total = host_seconds = 0.0
+    bitstream_bytes = 0
+    active = []  # (slots, blocking seconds) per fabric stage
+    upstream_rate = r0
+    host_rate, clock_hz = dev.host_tuples_per_s, dev.clock_hz
+
+    for stage, (n_in, sel, reported, levels, n_blocking) in zip(c.stages[1:], stage_flows):
+        module = stage.module
+        if module is None:  # a host stage, with no blocking phase
+            stages.append(StageEstimate(stage.role, n_in, host_rate, reported, 0.0))
+            host_seconds += n_in / host_rate
+            continue
+        spec = module.spec
+        rate = min(upstream_rate, spec.tuples_per_cycle * min(clock_hz, spec.max_clock_hz))
+        blocking = levels * (n_blocking / rate) if levels and rate > 0 else 0.0
+        stages.append(StageEstimate(stage.role, n_in, rate, reported, blocking))
+        stream_seconds = max(stream_seconds, n_in / rate if rate > 0 else 0.0)
+        blocking_total += blocking
+        bitstream_bytes += module.bitstream_bytes
+        active.append((module.slots, blocking))
+        upstream_rate = rate * sel if sel > 0 else rate
+
+    reconfig_seconds = bitstream_bytes / dev.icap_bytes_per_s
     total = stream_seconds + blocking_total + reconfig_seconds + host_seconds
     return CostEstimate(
         stream_seconds=stream_seconds,
@@ -474,26 +533,34 @@ def estimate_time(
         reconfig_seconds=reconfig_seconds,
         host_seconds=host_seconds,
         total_seconds=total,
-        energy_joules=0.0,
+        energy_joules=(_energy(dev, total, stream_seconds, reconfig_seconds, active)
+                       if energy else 0.0),
         stages=tuple(stages),
     )
 
 
+def estimate_time(
+    c: CandidatePipeline, stats: dict, dev: DeviceProfile
+) -> CostEstimate:
+    """Time fields of the cost model, one StageEstimate per stage of `c`;
+    energy is filled by estimate_energy."""
+    return _price(c, _memo_flows(c, stats, {}), dev, energy=False)
+
+
 def estimate_energy(c: CandidatePipeline, t: CostEstimate, dev: DeviceProfile) -> float:
-    """Static power over the whole run, per-slot active power while a module
-    streams (plus its own blocking phases), and reconfiguration power."""
-    energy = dev.p_static_w * t.total_seconds
-    for stage, est in zip(c.stages, t.stages):
-        if stage.module is not None:
-            active = t.stream_seconds + est.blocking_seconds
-            energy += dev.p_slot_active_w * stage.module.slots * active
-    energy += dev.p_reconfig_w * t.reconfig_seconds
-    return energy
+    """The energy of `c` with the time estimate `t`."""
+    active = ((stage.module.slots, est.blocking_seconds)
+              for stage, est in zip(c.stages, t.stages) if stage.module is not None)
+    return _energy(dev, t.total_seconds, t.stream_seconds, t.reconfig_seconds, active)
 
 
-def full_estimate(c: CandidatePipeline, stats: dict, dev: DeviceProfile) -> CostEstimate:
-    t = estimate_time(c, stats, dev)
-    return replace(t, energy_joules=estimate_energy(c, t, dev))
+def full_estimate(
+    c: CandidatePipeline, stats: dict, dev: DeviceProfile, memo: dict | None = None
+) -> CostEstimate:
+    """The estimate of `c`, energy included. `rank` passes one `memo` dict to
+    every candidate it prices, so candidates of one plan share its flows and
+    selectivities; a memo serves one `stats`."""
+    return _price(c, _memo_flows(c, stats, {} if memo is None else memo), dev, energy=True)
 
 
 def rank(
@@ -503,7 +570,8 @@ def rank(
     total time, then energy, then enumeration order."""
     if not cands:
         raise NoCandidates()
-    priced = [(c, full_estimate(c, stats, dev)) for c in cands]
+    memo: dict = {}
+    priced = [(c, full_estimate(c, stats, dev, memo)) for c in cands]
     return sorted(priced, key=lambda p: (p[1].total_seconds, p[1].energy_joules))
 
 

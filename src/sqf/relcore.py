@@ -103,11 +103,15 @@ class Schema:
         return tuple(name for name, _ in self.columns)
 
     def index_of(self, name: str) -> int:
-        low = name.lower()
-        for i, (col, _) in enumerate(self.columns):
-            if col.lower() == low:
-                return i
-        raise KeyError(name)
+        index = self._index.get(name.lower())
+        if index is None:
+            raise KeyError(name)
+        return index
+
+    @cached_property
+    def _index(self) -> dict:
+        """Each column's position by its lower-cased name."""
+        return {col.lower(): i for i, (col, _) in enumerate(self.columns)}
 
     def header_text(self) -> str:
         return ",".join(f"{name}:{ctype.render()}" for name, ctype in self.columns)
@@ -472,11 +476,16 @@ class ColumnStats:
     columns: tuple[ColumnStat, ...]
 
     def column(self, name: str) -> ColumnStat:
-        low = name.lower()
-        for stat in self.columns:
-            if stat.name.lower() == low:
-                return stat
-        raise KeyError(name)
+        stat = self._by_name.get(name.lower())
+        if stat is None:
+            raise KeyError(name)
+        return stat
+
+    @cached_property
+    def _by_name(self) -> dict:
+        """Each column's stat by its lower-cased name, the first of a name
+        winning."""
+        return {stat.name.lower(): stat for stat in reversed(self.columns)}
 
 
 def table_stats(table: Table) -> ColumnStats:

@@ -708,13 +708,13 @@ def test_each_candidate_is_priced_once(suite_dir, tmp_path, monkeypatch, command
     import sqf.planner as planner_mod
 
     count = [0]
-    real = planner_mod.estimate_time
+    real = planner_mod._price
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         count[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(planner_mod, "estimate_time", counting)
+    monkeypatch.setattr(planner_mod, "_price", counting)
     if command == "bench":
         argv = ["bench", "--suite", str(suite_dir), "--seed", "7"]
     else:
@@ -722,6 +722,31 @@ def test_each_candidate_is_priced_once(suite_dir, tmp_path, monkeypatch, command
                 "--tables", str(suite_dir / "tables"), "--library", LIB, "--device", DEV]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert count[0] == calls
+
+
+def test_ranking_computes_each_stage_lists_flows_once(suite_dir, monkeypatch):
+    """Ranking the suite's 37 candidates computes flows 24 times, once per
+    distinct stage list: a stage list's layouts share its flows."""
+    import sqf.planner as planner_mod
+    from sqf.cli import _Session
+
+    session = _Session(suite_dir / "tables", LIB, DEV)
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    planned = [session.plan((suite_dir / name).read_text().strip())
+               for name in manifest["queries"]]
+    calls = {"_price": 0, "_flows": 0}
+    for name in calls:
+        real = getattr(planner_mod, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, name, counting)
+    for plan in planned:
+        planner_mod.rank(plan.candidates, plan.stats, session.device)
+    distinct = {id(c.stages) for plan in planned for c in plan.candidates}
+    assert calls == {"_price": 37, "_flows": 24} and len(distinct) == 24
 
 
 def test_choose_matches_select_best_on_the_narrowed_list(suite_dir):

@@ -119,6 +119,37 @@ def test_unterminated_string_fails_at_its_quote():
     assert err.value.found == "end of input"
 
 
+@pytest.mark.parametrize("text", ["", " ", " \t\r\n  "])
+def test_empty_or_blank_query_is_only_end_of_input(text):
+    assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == [("eof", "", len(text))]
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        len(text), ("SELECT",), "end of input")
+
+
+def test_whitespace_after_the_semicolon_is_ignored():
+    text = "SELECT a FROM t; \t\r\n "
+    assert [(t.kind, t.text, t.pos) for t in tokenize(text)][-2:] == [
+        ("sym", ";", 15), ("eof", "", len(text))]
+    assert parse_query(text) == parse_query("SELECT a FROM t")
+
+
+@pytest.mark.parametrize("tail, at, expected, found", [
+    (" \t ²", 3, ("a token",), "'²'"),
+    ("\n\n'a\x01b'", 4, ("printable ASCII character",), "'\\x01'"),
+    ("  \r\n'ab", 4, ("closing quote",), "end of input"),
+])
+def test_whitespace_before_a_bad_token_keeps_its_position(tail, at, expected, found):
+    """Whitespace leading a bad character, a bad quote or an unterminated
+    string moves no error: each is reported where it stands."""
+    head = "SELECT a FROM t WHERE s ="
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(head + tail)
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        len(head) + at, expected, found)
+
+
 _KEYWORD_TEXT = st.sampled_from(sorted(KEYWORDS)).flatmap(
     lambda word: st.tuples(*(st.sampled_from((c.lower(), c)) for c in word))
 ).map("".join)

@@ -16,14 +16,15 @@ from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
 from sqf.engine.exec import _evaluate, result_checksum
 from sqf.engine.kernels import (
-    DIVZERO, OK, OVERFLOW, checked_arith, codes, group_ids, group_sums, match_pairs, sort_order,
+    DIVZERO, OK, OVERFLOW, checked_arith, codes, group_extreme, group_extremes, group_ids,
+    group_sums, match_pairs, rank, sort_order,
 )
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
 from sqf.frontend.ast import StrLiteral
 from sqf.frontend.binder import BCmp, ValueRef
 from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
-from sqf.oracle import reference_execute
+from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines
 from sqf.relcore import (
     Column, ColumnType, Schema, Table, TypeKind, encode_columns, encode_row, int_image,
@@ -313,6 +314,31 @@ def test_group_sums_at_the_overflow_bound(monkeypatch, rows, sorts):
     monkeypatch.setattr(np, "argsort", counted)
     _check_group_sums(rows)
     assert len(calls) == sorts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), int64s), max_size=30))
+def test_int_min_max_are_the_per_id_extremes(default_library, rows):
+    """An INT MIN or MAX is read off the per-id extremes, with no row search.
+    Each equals the value at the row the search over ranks finds, and the
+    engine's grouped and global MIN and MAX equal the oracle's."""
+    gid = np.array([g for g, _ in rows], dtype=np.int64)
+    values = np.array([v for _, v in rows], dtype=np.int64)
+    held = np.unique(gid)
+    for fn in ("MIN", "MAX") if rows else ():
+        searched = values[group_extreme(rank(values), gid, 5, fn)]
+        assert group_extremes(values, gid, 5, fn)[held].tolist() == searched[held].tolist()
+
+    tables_ = {"t": make_table([("g", "INT"), ("v", "INT")], rows)}
+    dev = DeviceProfile()
+    stats = {"t": table_stats(tables_["t"])}
+    for sql in ("SELECT g, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY g",
+                "SELECT MAX(v) AS hi, MIN(v) AS lo FROM t"):
+        bp = bind_sql(sql, tables_)
+        expected = reference_execute(bp, tables_)
+        for cand in enumerate_pipelines(bp, default_library, dev):
+            got, _ = run_candidate(cand, tables_, dev, stats=stats)
+            assert multisets_equal(got, expected), (sql, cand.tag)
 
 
 def _first_appearance(rows):

@@ -151,6 +151,28 @@ def test_instantiate_is_pure(default_library):
     assert a.bitstream_bytes == a.slots * a.spec.bitstream_bytes_per_slot
 
 
+def test_equal_arguments_give_the_identical_instance(default_library):
+    a = instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 3})
+    assert instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 3}) is a
+    # the default is part of the canonical params, and equal specs are one key
+    again = load_library(REPO / "library.default.json")
+    assert instantiate(again, ModuleKind.SORT) is instantiate(
+        default_library, ModuleKind.SORT, {"run_capacity": 1024})
+    # values that compare equal but differ in type are kept apart
+    one = instantiate(default_library, ModuleKind.AGGREGATE, {"grouped": 1})
+    true = instantiate(default_library, ModuleKind.AGGREGATE, {"grouped": True})
+    assert type(one.param("grouped")) is int and type(true.param("grouped")) is bool
+
+
+def test_out_of_range_raises_on_every_call(default_library):
+    assert instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 8}).param("terms") == 8
+    for _ in range(3):
+        with pytest.raises(ParamOutOfRange):
+            instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 9})
+        with pytest.raises(ParamOutOfRange):
+            instantiate(default_library, ModuleKind.SORT, {"run_capacity": 0})
+
+
 def test_every_instance_has_at_least_one_slot(default_library):
     params_by_kind = {
         ModuleKind.RESTRICTION: {"terms": 1},

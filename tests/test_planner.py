@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sqf.planner as planner_mod
+from _qgen import random_case
 from conftest import REPO, bind_sql, make_table
 from sqf.errors import MissingStats, NoCandidates
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure
@@ -330,7 +331,7 @@ def test_energy_increases_when_icap_halved(lib):
 # ---------------------------------------------------------------------------
 
 def _fake_estimates(monkeypatch, table):
-    def fake(cand, stats, dev):
+    def fake(cand, stats, dev, memo=None):
         total, energy = table[cand.tag]
         return CostEstimate(total, 0.0, 0.0, 0.0, total, energy, ())
 
@@ -398,3 +399,23 @@ def test_estimate_monotone_in_row_count(lib, dev):
                 last = est.total_seconds
                 for stage in est.stages:
                     assert 0.0 <= stage.selectivity <= 1.0
+
+
+def test_ranking_with_shared_flows_equals_pricing_each_alone(default_library,
+                                                            default_device):
+    """`rank` shares each plan's flows and selectivities among its
+    candidates. Over criterion 1's case generator, every estimate it gives
+    equals, to the last bit of its repr, the candidate priced alone."""
+    rng = random.Random(0xC0FFEE)
+    priced = 0
+    for _ in range(1000):
+        sql, tables = random_case(rng)
+        bp = bind_sql(sql, tables)
+        stats = {name: table_stats(t) for name, t in tables.items()}
+        cands = enumerate_pipelines(bp, default_library, default_device)
+        ranked = planner_mod.rank(cands, stats, default_device)
+        assert sorted(id(c) for c, _ in ranked) == sorted(map(id, cands))
+        for cand, est in ranked:
+            assert repr(est) == repr(full_estimate(cand, stats, default_device)), (sql, cand.tag)
+        priced += len(ranked)
+    assert priced == 2388
