@@ -32,8 +32,6 @@ from .planner import (
     CandidatePipeline,
     CostEstimate,
     enumerate_pipelines,
-    estimate_energy,
-    estimate_time,
     full_estimate,
     select_best,
 )
@@ -67,7 +65,7 @@ __all__ = [
     "instantiate", "load_library",
     "reference_execute",
     "CandidatePipeline", "CostEstimate", "enumerate_pipelines",
-    "estimate_energy", "estimate_time", "full_estimate", "select_best",
+    "full_estimate", "select_best",
     "ColumnStats", "ColumnType", "Schema", "Table", "TypeKind",
     "dump_csv", "load_csv", "table_stats",
     "BloomCascadeConfig", "ExecReport", "bloom_build", "bloom_probe",

@@ -8,10 +8,13 @@ stage after it) add their own terms. Each candidate carries one ordered
 stage list, which the calculus prices and the engine runs, and the source
 bytes per tuple of each side, which its layout streams. Enumeration decides
 these facts once per plan, from one walk of each top-level WHERE conjunct
-and each computed select item. All cardinalities come from exact table
-statistics through textbook independence heuristics, so estimates are
-deterministic. They are a stage list's flows, which the layouts of one
-join algorithm share; rates and bytes are each candidate's own.
+and each computed select item, and builds each join algorithm's stage list
+directly; the algorithms share the stages they have in common. All
+cardinalities come from exact table statistics through textbook
+independence heuristics, so estimates are deterministic. They are a stage
+list's flows, which the layouts of one join algorithm share; rates and
+bytes are each candidate's own. One function prices a candidate from its
+flows, and every estimate carries its energy.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .library import MAX_RESTRICTION_TERMS, ModuleInstance, ModuleKind, ModuleLi
 from .relcore import TypeKind
 
 DEFAULT_CMP_SELECTIVITY = 1.0 / 3.0
-_SORT = (ModuleKind.SORT, {})
 
 JOIN_ALGO_NONE = "none"
 JOIN_ALGO_HASH = "hash_fpga"
@@ -81,7 +83,7 @@ class CandidatePipeline:
 
     @property
     def host_stage(self) -> str | None:
-        return HOST_HASH_JOIN if any(s.role == "host_join" for s in self.stages) else None
+        return HOST_HASH_JOIN if self.join_algo == JOIN_ALGO_CODESIGN else None
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,6 @@ def _selectivity(predicates, selectivity) -> float:
     return _clamp(out)
 
 
-def _merge_levels(n: float, capacity: int) -> int:
-    runs = math.ceil(n / capacity) if n > 0 else 0
-    if runs <= 1:
-        return 0
-    return math.ceil(math.log2(runs))
-
-
 def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
     if not bp.group_by:
         return 1.0
@@ -269,75 +264,71 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 # pipeline enumeration
 # --------------------------------------------------------------------------
 
-def _restriction(filters):
-    """A chain of restriction steps holding (slot, predicate) filters in order,
-    each sized for the comparisons it evaluates: at most a RESTRICTION
-    module's terms, unless one filter has more. No step when there is no
-    filter."""
-    links = []  # (terms, filters) per step
-    for slot, pred, terms in filters:
-        if links and links[-1][0] + terms <= MAX_RESTRICTION_TERMS:
-            links[-1] = (links[-1][0] + terms, links[-1][1] + ((slot, pred),))
-        else:
-            links.append((terms, ((slot, pred),)))
-    return [("restriction", (ModuleKind.RESTRICTION, {"terms": t}), link) for t, link in links]
-
-
-def _plan_steps(bp: BoundPlan, filters, nodes: int, algos) -> dict:
-    """Each join algorithm's steps, in the order the engine runs them, from
-    the plan's filters and ALU nodes (`_analyse`). A step is (role, (kind,
-    params) or None for a host stage, predicates), a filter (slot, predicate).
+def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) -> dict:
+    """Each join algorithm's stages, from the source in the order the engine
+    runs them, built from the plan's filters and ALU nodes (`_analyse`). An
+    algorithm maps to None when the library lacks the module kind of a stage
+    before its host join. A restriction holds (slot, predicate) filters.
 
     One rule places every WHERE, with or without a join: a conjunct reading
     one table filters that table's slot before the join, and a conjunct
     spanning both sides runs after the join. A predicate holding arithmetic
     runs whole after the join, so a faulting row is found in (left, right)
-    join order, as the reference evaluator finds it. After the host join no
-    module holds the filters, so one host restriction holds them all.
+    join order, as the reference evaluator finds it. The host join and every
+    stage after it are host stages, with no module; there no module holds
+    the filters, so one host restriction holds them all. The stages the
+    algorithms have in common are built once and shared.
     """
-    before = _restriction(f for f in filters if f[0] is not None)
+    def stage(role, kind, preds=(), **params):
+        return Stage(role, instantiate(lib, kind, params) if kind in lib else None, preds)
+
+    def restriction(filters):
+        """A chain of restrictions holding `filters` in order, each sized for
+        the comparisons it evaluates: at most a RESTRICTION module's terms,
+        unless one filter has more; none when there is no filter."""
+        links = []  # (terms, filters) per restriction
+        for slot, pred, terms in filters:
+            if links and links[-1][0] + terms <= MAX_RESTRICTION_TERMS:
+                links[-1] = (links[-1][0] + terms, links[-1][1] + ((slot, pred),))
+            else:
+                links.append((terms, ((slot, pred),)))
+        return [stage("restriction", ModuleKind.RESTRICTION, link, terms=terms)
+                for terms, link in links]
+
+    before = restriction(f for f in filters if f[0] is not None)
     above = [f for f in filters if f[0] is None]
-    after_join = _restriction(above)
-    host_filters = [("restriction", None, tuple(f[:2] for f in above))] if above else []
-    joins = {
-        JOIN_ALGO_HASH: [("hash_join", (ModuleKind.HASH_JOIN, {}), ())] + after_join,
-        JOIN_ALGO_MERGE: [("sort_left", _SORT, ()), ("sort_right", _SORT, ()),
-                          ("merge_join", (ModuleKind.MERGE_JOIN, {}), ())] + after_join,
-        JOIN_ALGO_CODESIGN: [("bloom_cascade", (ModuleKind.BLOOM_CASCADE, {}), ()),
-                             ("align", (ModuleKind.ALIGN, {}), ()),
-                             ("host_join", None, ())] + host_filters,
-    }
+    after_join = restriction(above)
+    host_filters = [Stage("restriction", None, tuple(f[:2] for f in above))] if above else []
     after = []
     if nodes:
-        after.append(("alu", (ModuleKind.ALU, {"nodes": nodes}), ()))
+        after.append(stage("alu", ModuleKind.ALU, nodes=nodes))
     if bp.grouped:
-        after.append(("aggregate", (ModuleKind.AGGREGATE, {"grouped": bool(bp.group_by)}), ()))
+        after.append(stage("aggregate", ModuleKind.AGGREGATE, grouped=bool(bp.group_by)))
     if needs_reorder(bp):
-        after.append(("reorder", (ModuleKind.REORDER, {}), ()))
+        after.append(stage("reorder", ModuleKind.REORDER))
     if bp.order_by:
-        after.append(("sort", _SORT, ()))
-    return {algo: before + joins.get(algo, after_join) + after for algo in algos}
+        after.append(stage("sort", ModuleKind.SORT))
 
-
-def _stages_for(steps, lib: ModuleLibrary, made: dict):
-    """A candidate's stages, or None if the library lacks a module kind
-    that a fabric stage needs. The host join and every stage after it are
-    host stages, with no module. `made` holds the stage of each (step id,
-    on the fabric) already built for another join algorithm of the plan, so
-    the algorithms share the stages of the steps they share."""
-    steps = steps or [("passthrough", (ModuleKind.PASSTHROUGH, {}), ())]
-    host = next((i for i, step in enumerate(steps) if step[1] is None), len(steps))
-    if any(module[0] not in lib for _, module, _ in steps[:host]):
-        return None
-    stages = [_SOURCE]
-    for i, step in enumerate(steps):
-        key = (id(step), i < host)
-        if key not in made:
-            role, module, preds = step
-            made[key] = (step, Stage(role, instantiate(lib, *module) if i < host else None,
-                                     preds))
-        stages.append(made[key][1])
-    return tuple(stages)
+    lists = {}
+    for algo in algos:
+        host = []
+        if algo == JOIN_ALGO_HASH:
+            fabric = [*before, stage("hash_join", ModuleKind.HASH_JOIN), *after_join, *after]
+        elif algo == JOIN_ALGO_MERGE:
+            fabric = [*before, stage("sort_left", ModuleKind.SORT),
+                      stage("sort_right", ModuleKind.SORT),
+                      stage("merge_join", ModuleKind.MERGE_JOIN), *after_join, *after]
+        elif algo == JOIN_ALGO_CODESIGN:
+            fabric = [*before, stage("bloom_cascade", ModuleKind.BLOOM_CASCADE),
+                      stage("align", ModuleKind.ALIGN)]
+            host = [Stage("host_join"), *host_filters,
+                    *(Stage(s.role, None, s.predicates) for s in after)]
+        else:
+            fabric = [*before, *after_join, *after]
+            fabric = fabric or [stage("passthrough", ModuleKind.PASSTHROUGH)]
+        lists[algo] = (None if any(s.module is None for s in fabric)
+                       else (_SOURCE, *fabric, *host))
+    return lists
 
 
 def codesign_misfits(bp: BoundPlan, dev: DeviceProfile) -> list[tuple[str, int]]:
@@ -366,9 +357,7 @@ def enumerate_pipelines(
     if bp.has_join and not codesign_misfits(bp, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
-    steps = _plan_steps(bp, filters, nodes, dict.fromkeys(algo for _, algo in variants))
-    made: dict = {}
-    stages = {algo: _stages_for(algo_steps, lib, made) for algo, algo_steps in steps.items()}
+    stages = _stage_lists(bp, filters, nodes, lib, dict.fromkeys(algo for _, algo in variants))
     candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
                                     layouts[layout])
                   for layout, algo in variants if stages[algo] is not None]
@@ -458,7 +447,8 @@ def _flows(stages, bp: BoundPlan, stats: dict, selectivity):
 
 def _sort_levels(module, n: float) -> int:
     """Merge passes of a fabric sort; a host sort has no blocking phase."""
-    return 0 if module is None else _merge_levels(n, module.param("run_capacity"))
+    runs = math.ceil(n / module.param("run_capacity")) if module is not None and n > 0 else 0
+    return math.ceil(math.log2(runs)) if runs > 1 else 0
 
 
 def _memo_flows(c: CandidatePipeline, stats: dict, memo: dict):
@@ -479,21 +469,10 @@ def _memo_flows(c: CandidatePipeline, stats: dict, memo: dict):
     return hit[2]
 
 
-def _energy(dev: DeviceProfile, total: float, stream: float, reconfig: float,
-            active) -> float:
-    """Static power over the whole run, per-slot active power while a module
-    streams (plus its own blocking phases), and reconfiguration power;
-    `active` holds each fabric stage's (slots, blocking seconds)."""
-    energy = dev.p_static_w * total
-    for slots, blocking in active:
-        energy += dev.p_slot_active_w * slots * (stream + blocking)
-    return energy + dev.p_reconfig_w * reconfig
-
-
-def _price(c: CandidatePipeline, flows, dev: DeviceProfile, energy: bool) -> CostEstimate:
+def _price(c: CandidatePipeline, flows, dev: DeviceProfile) -> CostEstimate:
     """The estimate of `c` from its plan's `flows` (`_flows`): the rates,
-    blocking and reconfiguration seconds of its layout and modules, and,
-    if `energy`, its energy (else 0.0)."""
+    blocking and reconfiguration seconds of its layout and modules, and its
+    energy."""
     source, stage_flows = flows
     source_seconds = sum(map(mul, source, c.tuple_bytes)) / dev.mem_bytes_per_s
     source_tuples = sum(source)
@@ -527,31 +506,20 @@ def _price(c: CandidatePipeline, flows, dev: DeviceProfile, energy: bool) -> Cos
 
     reconfig_seconds = bitstream_bytes / dev.icap_bytes_per_s
     total = stream_seconds + blocking_total + reconfig_seconds + host_seconds
+    # static power over the whole run, per-slot active power while a module
+    # streams (plus its own blocking phases), and reconfiguration power
+    energy = dev.p_static_w * total
+    for slots, blocking in active:
+        energy += dev.p_slot_active_w * slots * (stream_seconds + blocking)
     return CostEstimate(
         stream_seconds=stream_seconds,
         blocking_seconds=blocking_total,
         reconfig_seconds=reconfig_seconds,
         host_seconds=host_seconds,
         total_seconds=total,
-        energy_joules=(_energy(dev, total, stream_seconds, reconfig_seconds, active)
-                       if energy else 0.0),
+        energy_joules=energy + dev.p_reconfig_w * reconfig_seconds,
         stages=tuple(stages),
     )
-
-
-def estimate_time(
-    c: CandidatePipeline, stats: dict, dev: DeviceProfile
-) -> CostEstimate:
-    """Time fields of the cost model, one StageEstimate per stage of `c`;
-    energy is filled by estimate_energy."""
-    return _price(c, _memo_flows(c, stats, {}), dev, energy=False)
-
-
-def estimate_energy(c: CandidatePipeline, t: CostEstimate, dev: DeviceProfile) -> float:
-    """The energy of `c` with the time estimate `t`."""
-    active = ((stage.module.slots, est.blocking_seconds)
-              for stage, est in zip(c.stages, t.stages) if stage.module is not None)
-    return _energy(dev, t.total_seconds, t.stream_seconds, t.reconfig_seconds, active)
 
 
 def full_estimate(
@@ -560,7 +528,7 @@ def full_estimate(
     """The estimate of `c`, energy included. `rank` passes one `memo` dict to
     every candidate it prices, so candidates of one plan share its flows and
     selectivities; a memo serves one `stats`."""
-    return _price(c, _memo_flows(c, stats, {} if memo is None else memo), dev, energy=True)
+    return _price(c, _memo_flows(c, stats, {} if memo is None else memo), dev)
 
 
 def rank(
@@ -587,7 +555,7 @@ def software_baseline(
 ) -> tuple[float, float]:
     """(seconds, joules) for running the same logical stages serially on the
     profile's host processor; the reference point for modeled energy ratios."""
-    t = estimate_time(c, stats, dev)
+    t = _price(c, _memo_flows(c, stats, {}), dev)
     seconds = t.stages[0].seconds
     for stage in t.stages[1:]:
         seconds += stage.input_tuples / dev.host_tuples_per_s

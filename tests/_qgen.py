@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import string
 
-from sqf.relcore import ColumnType, Schema, Table
+from sqf.relcore import ColumnType, Schema, Table, table_stats
 
 _CHAR_POOL = ["a", "b", "xy", "zz", "ab ", "q_1", "LONGTAIL"]
 
@@ -152,6 +152,17 @@ class _QueryBuilder:
             expr = f"({self.ref(table, col)} * {rng.randint(1, 3)}) + {self.ref(t2, c2)}"
         self.computed.append((name, expr))
         return f"{expr} AS {name}"
+
+
+def criterion_1_cases(n: int = 1000) -> list:
+    """Criterion 1's first `n` cases, from seed 0xC0FFEE: (sql text,
+    {table name: Table}, {table name: ColumnStats}) each."""
+    rng = random.Random(0xC0FFEE)
+    cases = []
+    for _ in range(n):
+        sql, tables = random_case(rng)
+        cases.append((sql, tables, {name: table_stats(t) for name, t in tables.items()}))
+    return cases
 
 
 def random_case(rng: random.Random):

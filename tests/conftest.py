@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+import _qgen
 from sqf import suite as suite_mod
 from sqf.engine.exec import execute_pipeline
 from sqf.fabric import DeviceProfile, FabricState, allocate, load_device_profile, reconfigure
@@ -29,6 +30,13 @@ def default_device():
 def suite_dir():
     suite_mod.materialize(REPO / "suite")
     return REPO / "suite"
+
+
+@pytest.fixture(scope="session")
+def criterion_1_cases():
+    """Criterion 1's 1000 random cases (`_qgen.criterion_1_cases`), built
+    once for every test that reads them."""
+    return _qgen.criterion_1_cases()
 
 
 def make_table(cols, rows) -> Table:

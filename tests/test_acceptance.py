@@ -14,7 +14,6 @@ import random
 import numpy as np
 import pytest
 
-from _qgen import random_case
 from conftest import REPO, bind_sql, run_all_candidates, run_candidate
 from sqf.cli import main
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
@@ -22,8 +21,8 @@ from sqf.errors import ArithmeticOverflow, DivisionByZero, InsufficientSlots
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure, release
 from sqf.library import ModuleInstance, ModuleKind, ModuleSpec
 from sqf.oracle import canonical_multiset, order_keys, reference_execute
-from sqf.planner import enumerate_pipelines, estimate_time, select_best
-from sqf.relcore import ColumnStat, ColumnStats, table_stats
+from sqf.planner import enumerate_pipelines, full_estimate, select_best
+from sqf.relcore import ColumnStat, ColumnStats
 
 LIB = str(REPO / "library.default.json")
 DEV = str(REPO / "device.default.json")
@@ -41,17 +40,15 @@ def _outcome(bp, run):
     return ("ok", canonical_multiset(table), order)
 
 
-def test_criterion_1_oracle_equivalence_randomized(default_library, default_device):
+def test_criterion_1_oracle_equivalence_randomized(criterion_1_cases, default_library,
+                                                   default_device):
     """>=1000 random queries x every candidate pipeline == oracle multiset,
     and, with ORDER BY, the oracle's sequence of ORDER BY keys."""
-    rng = random.Random(0xC0FFEE)
     cases = 0
     pipelines = 0
     faults = 0
-    while cases < 1000:
-        sql, tables = random_case(rng)
+    for sql, tables, stats in criterion_1_cases:
         bp = bind_sql(sql, tables)
-        stats = {name: table_stats(t) for name, t in tables.items()}
         expected = _outcome(bp, lambda: reference_execute(bp, tables))
         if expected[0] == "fault":
             faults += 1
@@ -67,6 +64,7 @@ def test_criterion_1_oracle_equivalence_randomized(default_library, default_devi
             )
             pipelines += 1
         cases += 1
+    assert cases == 1000
     assert pipelines >= cases
     print(f"\nPASS criterion 1: {cases} cases, {pipelines} pipelines, "
           f"{faults} matched-fault cases, 100% oracle equivalence")
@@ -203,7 +201,7 @@ def test_criterion_5_calculus_properties(default_library, default_device):
                                      (ColumnStat("c", min(500, scale), 0, 999),
                                       ColumnStat("d", min(40, scale), 0, 999))),
                 }
-                est = estimate_time(cand, stats, default_device)
+                est = full_estimate(cand, stats, default_device)
                 assert est.total_seconds >= last - 1e-15
                 last = est.total_seconds
                 for stage in est.stages:
@@ -211,7 +209,7 @@ def test_criterion_5_calculus_properties(default_library, default_device):
                 checked += 1
             fabric = FabricState(default_device)
             placement = allocate(fabric, cand.modules)
-            assert estimate_time(
+            assert full_estimate(
                 cand, stats, default_device
             ).reconfig_seconds == pytest.approx(reconfigure(fabric, placement).seconds)
         stats = {"t": ColumnStats(5000, (ColumnStat("a", 500, 0, 999),

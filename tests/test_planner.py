@@ -5,17 +5,14 @@ import random
 import pytest
 
 import sqf.planner as planner_mod
-from _qgen import random_case
 from conftest import REPO, bind_sql, make_table
 from sqf.errors import MissingStats, NoCandidates
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure
-from sqf.library import ModuleKind, load_library
+from sqf.library import ModuleKind, ModuleLibrary, load_library
 from sqf.planner import (
     CostEstimate,
     enumerate_pipelines,
-    estimate_energy,
     estimate_selectivity,
-    estimate_time,
     full_estimate,
     select_best,
 )
@@ -116,21 +113,22 @@ def test_column_source_is_priced_on_the_touched_widths(lib, dev):
                    [(1, "ab", 2, "c"), (2, "de", 3, "f")])
     bp = bind_sql("SELECT a, s FROM t", {"t": t})
     stats = {"t": table_stats(t)}
-    seconds = {c.layout: estimate_time(c, stats, dev).stages[0].seconds
+    seconds = {c.layout: full_estimate(c, stats, dev).stages[0].seconds
                for c in enumerate_pipelines(bp, lib, dev)}
     assert seconds["row"] == pytest.approx(2 * 24 / dev.mem_bytes_per_s)
     assert seconds["column"] == pytest.approx(2 * 13 / dev.mem_bytes_per_s)
 
 
-def test_enumerate_missing_kind_raises(lib, dev):
-    # a library file without SORT cannot even load, so build the gap in memory
-    from sqf.library import ModuleLibrary
-
-    specs = {k: v for k, v in lib.specs.items() if k is not ModuleKind.SORT}
-    small = ModuleLibrary(specs)
-    bp = bind_sql("SELECT a FROM t WHERE a > 0 ORDER BY a",
-                  {"t": two_int_table([(1, 2)])})
-    with pytest.raises(NoCandidates):
+@pytest.mark.parametrize("missing, sql", [
+    (ModuleKind.SORT, "SELECT a FROM t WHERE a > 0 ORDER BY a"),
+    (ModuleKind.PASSTHROUGH, "SELECT * FROM t"),
+    (ModuleKind.RESTRICTION, "SELECT a FROM t WHERE a > 0"),
+], ids=["sort", "passthrough", "restriction"])
+def test_enumerate_missing_kind_raises(lib, dev, missing, sql):
+    # a library file without these kinds cannot even load, so build the gap in memory
+    small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
+    bp = bind_sql(sql, {"t": two_int_table([(1, 2)])})
+    with pytest.raises(NoCandidates, match="library lacks a module kind for none"):
         enumerate_pipelines(bp, small, dev)
 
 
@@ -144,8 +142,6 @@ def test_enumerate_missing_kind_raises(lib, dev):
 def test_enumerate_prunes_the_algorithms_a_missing_kind_rules_out(lib, dev, missing, tags):
     """A library without one module kind drops exactly the join algorithms
     that need it on the fabric; the others stay in both layouts."""
-    from sqf.library import ModuleLibrary
-
     small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
     bp = bind_sql("SELECT t.a FROM t JOIN u ON t.a = u.c ORDER BY a", _join_tables())
     cands = enumerate_pipelines(bp, small, dev)
@@ -171,7 +167,7 @@ def test_stream_seconds_restriction_example(lib, dev):
     cands = enumerate_pipelines(bp, lib, dev)
     row = next(c for c in cands if c.layout == "row")
     assert [m.kind for m in row.modules] == [ModuleKind.RESTRICTION]
-    est = estimate_time(row, {"t": stats_for(1_000_000)}, dev)
+    est = full_estimate(row, {"t": stats_for(1_000_000)}, dev)
     # 1e6 tuples x 16 B at 1.6e9 B/s; the module keeps up
     assert est.stream_seconds == pytest.approx(0.01)
 
@@ -180,17 +176,17 @@ def test_sort_blocking_vanishes_at_run_capacity(lib, dev):
     bp = bind_sql("SELECT a, b FROM t ORDER BY a", {"t": two_int_table([(1, 2)])})
     cand = enumerate_pipelines(bp, lib, dev)[0]
     assert [m.kind for m in cand.modules] == [ModuleKind.SORT]
-    est = estimate_time(cand, {"t": stats_for(1024)}, dev)
+    est = full_estimate(cand, {"t": stats_for(1024)}, dev)
     assert est.blocking_seconds == 0.0
-    est_big = estimate_time(cand, {"t": stats_for(4096)}, dev)
+    est_big = full_estimate(cand, {"t": stats_for(4096)}, dev)
     assert est_big.blocking_seconds > 0.0
 
 
 def test_stream_linear_in_row_count(lib, dev):
     bp = bind_sql("SELECT a, b FROM t WHERE a > 5", {"t": two_int_table([(1, 2)])})
     cand = enumerate_pipelines(bp, lib, dev)[0]
-    one = estimate_time(cand, {"t": stats_for(100_000)}, dev)
-    two = estimate_time(cand, {"t": stats_for(200_000)}, dev)
+    one = full_estimate(cand, {"t": stats_for(100_000)}, dev)
+    two = full_estimate(cand, {"t": stats_for(200_000)}, dev)
     assert two.stream_seconds == pytest.approx(2 * one.stream_seconds)
 
 
@@ -198,7 +194,7 @@ def test_missing_stats(lib, dev):
     bp = bind_sql("SELECT a FROM t WHERE a > 0", {"t": two_int_table([(1, 2)])})
     cand = enumerate_pipelines(bp, lib, dev)[0]
     with pytest.raises(MissingStats):
-        estimate_time(cand, {}, dev)
+        full_estimate(cand, {}, dev)
 
 
 def test_total_is_exact_sum(lib, dev):
@@ -207,7 +203,7 @@ def test_total_is_exact_sum(lib, dev):
         _join_tables(),
     )
     for cand in enumerate_pipelines(bp, lib, dev):
-        est = estimate_time(cand, stats_pair(5000, 800), dev)
+        est = full_estimate(cand, stats_pair(5000, 800), dev)
         assert est.total_seconds == pytest.approx(
             est.stream_seconds + est.blocking_seconds
             + est.reconfig_seconds + est.host_seconds
@@ -219,7 +215,7 @@ def test_reconfig_agrees_with_fabric(lib, dev):
         "SELECT t.a, u.d FROM t JOIN u ON t.a = u.c WHERE t.b > 3", _join_tables()
     )
     for cand in enumerate_pipelines(bp, lib, dev):
-        est = estimate_time(cand, stats_pair(100, 50), dev)
+        est = full_estimate(cand, stats_pair(100, 50), dev)
         fabric = FabricState(dev)
         placement = allocate(fabric, cand.modules)
         report = reconfigure(fabric, placement)
@@ -274,16 +270,16 @@ def test_selectivity_always_in_unit_interval():
 # energy model
 # ---------------------------------------------------------------------------
 
-def _estimate(total, stream, reconfig=0.0, stages=()):
-    return CostEstimate(
-        stream_seconds=stream,
-        blocking_seconds=total - stream - reconfig,
-        reconfig_seconds=reconfig,
-        host_seconds=0.0,
-        total_seconds=total,
-        energy_joules=0.0,
-        stages=stages,
-    )
+def _energy_formula(cand, est, dev):
+    """docs/calculus.md's energy, from the fields of `est` and the slots of
+    `cand`'s modules: static power over the run, each fabric stage's slots
+    over the stream and its own blocking, and reconfiguration power."""
+    active = sum(dev.p_slot_active_w * stage.module.slots
+                 * (est.stream_seconds + stage_est.blocking_seconds)
+                 for stage, stage_est in zip(cand.stages, est.stages)
+                 if stage.module is not None)
+    return (dev.p_static_w * est.total_seconds + active
+            + dev.p_reconfig_w * est.reconfig_seconds)
 
 
 def test_energy_example_static_plus_one_module(lib):
@@ -291,27 +287,24 @@ def test_energy_example_static_plus_one_module(lib):
     bp = bind_sql("SELECT a FROM t", {"t": two_int_table([(1, 2)])})
     cand = enumerate_pipelines(bp, lib, dev)[0]
     assert sum(m.slots for m in cand.modules) == 1
-    from sqf.planner import StageEstimate
-
-    est = _estimate(0.01, 0.01, stages=(
-        StageEstimate("source", 1.0, 1.0, 1.0, 0.0),
-        StageEstimate("reorder", 1.0, 1.0, 1.0, 0.0),
-    ))
-    assert estimate_energy(cand, est, dev) == pytest.approx(0.06)
+    est = full_estimate(cand, {"t": stats_for(1_000_000)}, dev)
+    # 1e6 tuples x 16 B at 1.6e9 B/s stream for 0.01 s, with no blocking:
+    # 5 W x (0.01 s + reconfig) + 1 W x 1 slot x 0.01 s + 2 W x reconfig
+    assert est.stream_seconds == pytest.approx(0.01)
+    assert est.blocking_seconds == 0.0 and est.host_seconds == 0.0
+    assert est.energy_joules == pytest.approx(0.06 + 7.0 * est.reconfig_seconds)
+    assert est.energy_joules == pytest.approx(_energy_formula(cand, est, dev))
 
 
 def test_energy_zero_duration_is_reconfig_only(lib):
     dev = DeviceProfile(p_static_w=5.0, p_slot_active_w=1.0, p_reconfig_w=2.0)
     bp = bind_sql("SELECT a FROM t", {"t": two_int_table([(1, 2)])})
     cand = enumerate_pipelines(bp, lib, dev)[0]
-    from sqf.planner import StageEstimate
-
-    est = _estimate(0.001, 0.0, reconfig=0.001, stages=(
-        StageEstimate("source", 0.0, 1.0, 1.0, 0.0),
-        StageEstimate("reorder", 0.0, 1.0, 1.0, 0.0),
-    ))
-    energy = estimate_energy(cand, est, dev)
-    assert energy == pytest.approx((5.0 + 2.0) * 0.001)
+    est = full_estimate(cand, {"t": stats_for(0)}, dev)
+    assert est.stream_seconds == 0.0 and est.blocking_seconds == 0.0
+    assert est.total_seconds == est.reconfig_seconds > 0.0
+    assert est.energy_joules == pytest.approx((5.0 + 2.0) * est.reconfig_seconds)
+    assert est.energy_joules == pytest.approx(_energy_formula(cand, est, dev))
 
 
 def test_energy_increases_when_icap_halved(lib):
@@ -394,24 +387,22 @@ def test_estimate_monotone_in_row_count(lib, dev):
             last = -1.0
             for scale in (100, 500, 2500, 12_500):
                 stats = stats_pair(scale, max(1, scale // 8))
-                est = estimate_time(cand, stats, dev)
+                est = full_estimate(cand, stats, dev)
                 assert est.total_seconds >= last - 1e-15, (sql, cand.tag, scale)
                 last = est.total_seconds
                 for stage in est.stages:
                     assert 0.0 <= stage.selectivity <= 1.0
 
 
-def test_ranking_with_shared_flows_equals_pricing_each_alone(default_library,
+def test_ranking_with_shared_flows_equals_pricing_each_alone(criterion_1_cases,
+                                                            default_library,
                                                             default_device):
     """`rank` shares each plan's flows and selectivities among its
     candidates. Over criterion 1's case generator, every estimate it gives
     equals, to the last bit of its repr, the candidate priced alone."""
-    rng = random.Random(0xC0FFEE)
     priced = 0
-    for _ in range(1000):
-        sql, tables = random_case(rng)
+    for sql, tables, stats in criterion_1_cases:
         bp = bind_sql(sql, tables)
-        stats = {name: table_stats(t) for name, t in tables.items()}
         cands = enumerate_pipelines(bp, default_library, default_device)
         ranked = planner_mod.rank(cands, stats, default_device)
         assert sorted(id(c) for c, _ in ranked) == sorted(map(id, cands))

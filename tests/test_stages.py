@@ -4,11 +4,9 @@ runs, in the order it runs them."""
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
-from _qgen import random_case
 from conftest import REPO, bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.cli import main
 from sqf.errors import ArithmeticOverflow, DivisionByZero, ParamOutOfRange
@@ -74,16 +72,14 @@ def test_suite_estimates_list_the_executed_stages(suite, default_library, defaul
     assert checked == 37
 
 
-def test_random_estimates_list_the_executed_stages(default_library, default_device):
+def test_random_estimates_list_the_executed_stages(criterion_1_cases, default_library,
+                                                   default_device):
     """Criterion 1's random queries; a candidate that faults reports no stages.
     Only restrictions filter, each holds a filter, a fabric restriction is
     sized for the comparisons of its filters, and no restriction follows the
     ALU or the aggregate."""
-    rng = random.Random(0xC0FFEE)
     checked = 0
-    for case in range(1000):
-        sql, tables = random_case(rng)
-        stats = {name: table_stats(t) for name, t in tables.items()}
+    for case, (sql, tables, stats) in enumerate(criterion_1_cases):
         for cand in enumerate_pipelines(bind_sql(sql, tables), default_library,
                                         default_device):
             restrictions = [s for s in cand.stages if s.role == "restriction"]
