@@ -9,8 +9,13 @@ Probing also returns each key's stage-0 hash, the hash a co-design record
 forwards to the host. The engine reads nothing of it; only tests read the
 returned hashes. The forwarded hash enters the model as the 8 bytes
 `align.record_bytes` adds to each record, and the host join pairs rows on
-their canonical keys, which is what matching forwarded hashes and then
+their key codes, which is what matching forwarded hashes and then
 verifying the keys yields.
+
+The engine's bloom stage calls `bloom_build_probe` once, on one key per
+code that either join side holds: a single hash pass sets the bits from
+the build side's codes and gives every code its pass flag. Bit indices
+are cast to intp once per pass.
 
 Every bit index uses its own independently seeded 64-bit hash (see
 sqf.hashing): index_j = hash(key, seed(stage, j)) mod m. Double hashing
@@ -83,24 +88,44 @@ def _key_array(keys) -> np.ndarray:
 def _hash_all(cascade: BloomCascade, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hashes, bit indices) of every key under every (stage, j) seed, from
     one kernel pass: hashes is (stages * hashes_per_stage, keys) with the
-    stage-0 hash first, the indices (stages, hashes_per_stage, keys)."""
+    stage-0 hash first, the indices (stages, hashes_per_stage, keys), cast
+    to intp once so that every bit access indexes without a cast."""
     cfg = cascade.config
     seeds = [cascade.hash_seed(stage, j)
              for stage in range(cfg.stages) for j in range(cfg.hashes_per_stage)]
     hashes = fnv1a64_u64_many(keys, seeds)
-    idx = hashes % np.uint64(cfg.bits_per_stage)
+    idx = (hashes % np.uint64(cfg.bits_per_stage)).astype(np.intp)
     return hashes, idx.reshape(cfg.stages, cfg.hashes_per_stage, -1)
+
+
+def _insert(cascade: BloomCascade, indices: np.ndarray) -> None:
+    for bits, idx in zip(cascade.stage_bits, indices):
+        bits[idx] = True
+
+
+def _passes(cascade: BloomCascade, indices: np.ndarray) -> np.ndarray:
+    passed = np.ones(indices.shape[2], dtype=bool)
+    for bits, idx in zip(cascade.stage_bits, indices):
+        passed &= bits[idx].all(axis=0)
+    return passed
 
 
 def bloom_build(config: BloomCascadeConfig, keys) -> BloomCascade:
     """Insert every 64-bit key into every stage."""
     cascade = BloomCascade(config)
-    arr = _key_array(keys)
-    if not len(arr):
-        return cascade
-    for bits, idx in zip(cascade.stage_bits, _hash_all(cascade, arr)[1]):
-        bits[idx] = True
+    _insert(cascade, _hash_all(cascade, _key_array(keys))[1])
     return cascade
+
+
+def bloom_build_probe(config: BloomCascadeConfig, keys: np.ndarray,
+                      built: np.ndarray) -> tuple[BloomCascade, np.ndarray]:
+    """(cascade of the keys where `built` holds, pass mask of every key)
+    from one hash pass over a 1-D uint64 key array: `bloom_build` of
+    `keys[built]` and the mask of `bloom_probe_many` of `keys`."""
+    cascade = BloomCascade(config)
+    indices = _hash_all(cascade, keys)[1]
+    _insert(cascade, indices.take(np.flatnonzero(built), axis=2))
+    return cascade, _passes(cascade, indices)
 
 
 def bloom_probe(cascade: BloomCascade, key: int) -> tuple[bool, int]:
@@ -122,7 +147,4 @@ def bloom_probe_many(cascade: BloomCascade, keys: np.ndarray) -> tuple[np.ndarra
     """Vectorized probe of a 1-D key array: (boolean pass mask, stage-0
     hashes); agrees with bloom_probe bit for bit."""
     hashes, indices = _hash_all(cascade, np.asarray(keys, dtype=np.uint64))
-    passed = np.ones(hashes.shape[1], dtype=bool)
-    for bits, idx in zip(cascade.stage_bits, indices):
-        passed &= bits[idx].all(axis=0)
-    return passed, hashes[0]
+    return _passes(cascade, indices), hashes[0]

@@ -47,19 +47,19 @@ from ..relcore import (
     TypeKind,
     encode_columns,
     int_image,
+    joint_codes,
     pad_bytes,
 )
 from .align import check_record_fits
-from .bloom import BloomCascadeConfig, bloom_build, bloom_dims, bloom_probe_many
+from .bloom import BloomCascadeConfig, bloom_build_probe, bloom_dims
 from .kernels import (
     OVERFLOW,
     checked_arith,
-    codes,
     group_extreme,
     group_extremes,
     group_ids,
     group_sums,
-    match_pairs,
+    pair_codes,
     rank,
     sort_order,
 )
@@ -239,7 +239,10 @@ class _Run:
     columns and join keys are read in place. Until the join, each slot's
     positions are filtered on their own; the join pairs them, and from then
     on (from the start without a join) the slots and the computed columns
-    are aligned, one entry per row.
+    are aligned, one entry per row. The join keys are coded once per run,
+    jointly for both sides: by the bloom stage, whose codes `narrow` keeps
+    aligned with the rows until the host join pairs on them, or else by
+    the join itself.
     """
 
     def __init__(self, bp: BoundPlan, tables: dict, dev: DeviceProfile, seed: int):
@@ -249,6 +252,7 @@ class _Run:
         self.joined = not bp.has_join
         self.computed: list[Column] = []
         self.columns = None  # output columns, once projected or aggregated
+        self.codes = None  # ([codes per slot], number of codes) of the join keys
         self.bloom_fp = None
 
     def rows(self, slot: int) -> int:
@@ -261,9 +265,12 @@ class _Run:
         return self.rows(0) if self.joined else self.rows(0) + self.rows(1)
 
     def narrow(self, slot: int, index: np.ndarray) -> None:
-        """Keep a slot's rows at `index`, positions into its current rows."""
+        """Keep a slot's rows at `index`, positions into its current rows,
+        and the join key codes of those rows, once coded."""
         pos = self.positions[slot]
         self.positions[slot] = index if pos is None else pos[index]
+        if self.codes is not None:
+            self.codes[0][slot] = self.codes[0][slot][index]
 
     def column(self, ref: ValueRef) -> Column:
         """A table column or a computed attribute at the current rows."""
@@ -287,9 +294,14 @@ class _Run:
         return self.columns
 
     def _join(self, n_in):
-        """Pair the sides' rows with equal keys in (left, right) order."""
-        for slot, pairs in enumerate(match_pairs(*self.keys())):
-            self.narrow(slot, pairs)
+        """Pair the sides' rows with equal keys in (left, right) order, on
+        their key codes: the bloom stage's, else coded here."""
+        if self.codes is None:
+            self.codes = joint_codes(self.keys())
+        (left, right), n_codes = self.codes
+        self.codes = None  # the key codes end with the join
+        for slot, index in enumerate(pair_codes(left, right, n_codes)):
+            self.narrow(slot, index)
         self.joined = True
         return n_in, self.n
 
@@ -329,32 +341,32 @@ class _Run:
         """Build the cascade over the smaller side and keep the probe rows
         that pass it, a side filter like a pushed-down restriction.
 
-        Each distinct key is hashed once: both sides are coded together, the
-        cascade is built over the build side's codes and probed with the
-        probe side's, and the pass mask is gathered back to rows by code.
+        Each distinct key of either side is hashed once: both sides' keys
+        are coded jointly (`joint_codes`), and one hash pass over the codes
+        either side holds sets the bits of the codes the build side holds
+        and yields a pass flag per code, gathered back to the probe rows.
         Setting a bit twice changes nothing, so the bits and the mask are
-        those of hashing every row."""
-        keys, key_type = self.keys(), self.bp.join_key_type
+        those of hashing every row. The probe side's codes are narrowed
+        with its rows, and the host join pairs on them."""
+        keys = self.keys()
+        self.codes = side_codes, n_codes = joint_codes(keys)
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
         probe = 1 - build
-        every = np.concatenate(keys)
-        code, n_codes = codes(every)
-        side_codes = (code[: len(keys[0])], code[len(keys[0]):])
-        held = np.zeros((2, n_codes), dtype=bool)  # the codes each side holds
+        held = [np.zeros(n_codes, dtype=bool) for _ in keys]  # the codes each side holds
+        key_of = np.empty(n_codes, dtype=keys[0].dtype)  # the key of each code held
         for side in (0, 1):
-            held[side, side_codes[side]] = True
-        row_of = np.zeros(n_codes, dtype=np.intp)  # a row of each code held
-        row_of[code] = np.arange(len(code))
-        images = key_images(every[row_of], key_type)
+            held[side][side_codes[side]] = True
+            key_of[side_codes[side]] = keys[side]
+        union = np.flatnonzero(held[0] | held[1])
         m_bits, k = bloom_dims(len(keys[build]))
         config = BloomCascadeConfig(stage.module.param("stages"), m_bits, k, self.seed)
-        cascade = bloom_build(config, images[held[build]])
+        images = key_images(key_of[union], self.bp.join_key_type)
         passes = np.zeros(n_codes, dtype=bool)
-        passes[held[probe]] = bloom_probe_many(cascade, images[held[probe]])[0]
-        passed = passes[side_codes[probe]]
-        self.narrow(probe, np.flatnonzero(passed))
-        self.bloom_fp = int(np.count_nonzero(passed & ~held[build][side_codes[probe]]))
-        return len(keys[probe]), self.rows(probe)
+        passes[union] = bloom_build_probe(config, images, held[build][union])[1]
+        self.narrow(probe, np.flatnonzero(passes[side_codes[probe]]))
+        kept = self.codes[0][probe]  # the codes of the probe rows kept
+        self.bloom_fp = len(kept) - int(np.count_nonzero(held[build][kept]))
+        return len(keys[probe]), len(kept)
 
     def align(self, stage):
         """Alignment packs each side's co-design records into cache-line

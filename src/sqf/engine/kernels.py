@@ -16,10 +16,14 @@ order-preserving int64 image (`relcore.int_image`: the INT value, or the
 big-endian integer of the CHAR bytes), which is its rank. An image whose
 span is smaller than its row count is coded by its offset from the
 minimum, with no sort; a wider image is coded by sorting int64, and a
-wider CHAR key by sorting its bytes. Every join strategy pairs rows
-through `match_pairs` on canonical keys, which returns pair indices, not
-rows; when the inner keys are unique it maps each outer row to its one
-inner row with a single gather.
+wider CHAR key by sorting its bytes. `match_pairs` is one coding step,
+the two sides' canonical keys coded jointly (`relcore.joint_codes`, with
+no concatenation when they are coded by offset), plus one pairing kernel
+on the codes, `pair_codes`, which returns pair indices, not rows; when
+the inner codes are unique it maps each outer row to its one inner row
+with a single gather. Every join strategy pairs rows this way, and codes
+its keys once: the co-design host join pairs on the codes its bloom
+stage made.
 
 Aggregation runs in code space: a row's group id is the code its keys
 give, never renumbered, and every aggregate folds into one entry per id.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..arith import INT64_MAX, INT64_MIN
-from ..relcore import codes, int_image
+from ..relcore import codes, int_image, joint_codes
 
 OK, OVERFLOW, DIVZERO = 0, 1, 2  # per-row fault codes
 
@@ -107,24 +111,30 @@ def _checked_rows(op: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 
 def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (outer position, inner position) pairs with equal keys, ordered
-    by outer position, then inner position.
+    by outer position, then inner position: the keys coded jointly, then
+    paired on their codes."""
+    (outer_code, inner_code), n_codes = joint_codes([outer, inner])
+    return pair_codes(outer_code, inner_code, n_codes)
 
-    When no inner key repeats, each outer row has at most one partner, so
+
+def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
+               n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`match_pairs` of keys given by their joint codes in [0, n_codes).
+
+    When no inner code repeats, each outer row has at most one partner, so
     one gather of an inner row per code pairs them. Otherwise the inner rows
-    are grouped by key and each outer row is repeated once per partner."""
-    code, n_codes = codes(np.concatenate((outer, inner)))
-    outer_code, inner_code = code[: len(outer)], code[len(outer):]
+    are grouped by code and each outer row is repeated once per partner."""
     per_key = np.bincount(inner_code, minlength=n_codes)
     if per_key.max(initial=0) <= 1:
         row_of = np.full(n_codes, -1, dtype=np.intp)  # the inner row of each code
-        row_of[inner_code] = np.arange(len(inner))
+        row_of[inner_code] = np.arange(len(inner_code))
         partner = row_of[outer_code]
         outer_pos = np.flatnonzero(partner >= 0)
         return outer_pos, partner[outer_pos]
-    order = np.argsort(inner_code, kind="stable")  # inner rows grouped by key
+    order = np.argsort(inner_code, kind="stable")  # inner rows grouped by code
     counts = per_key[outer_code]
     lo = (np.cumsum(per_key) - per_key)[outer_code]
-    outer_pos = np.repeat(np.arange(len(outer)), counts)
+    outer_pos = np.repeat(np.arange(len(outer_code)), counts)
     first = np.cumsum(counts) - counts  # each outer row's first pair
     inner_pos = order[np.repeat(lo - first, counts) + np.arange(counts.sum())]
     return outer_pos, inner_pos

@@ -58,6 +58,10 @@ class ModuleKind(enum.Enum):
     ALIGN = "ALIGN"
     PASSTHROUGH = "PASSTHROUGH"
 
+    # Members are singletons, so equality is identity: the identity hash
+    # keeps every dict lookup keyed on a kind out of Python-level hashing.
+    __hash__ = object.__hash__
+
 
 OPTIONAL_KINDS = frozenset({ModuleKind.BLOOM_CASCADE, ModuleKind.ALIGN})
 

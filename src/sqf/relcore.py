@@ -182,22 +182,34 @@ def int_image(values: np.ndarray) -> np.ndarray | None:
     return image
 
 
-def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(code per value, number of codes): equal values share a code, codes
+def joint_codes(arrays: list) -> tuple[list, int]:
+    """(code per value of each array, number of codes) of arrays of one
+    dtype, coded as one: equal values of any of them share a code, codes
     order like the values, and every code is in [0, number of codes). An
     INT key or a CHAR key of width at most 8 is coded on its int64 image
-    (`int_image`): by its offset from the minimum when the image's span is
-    below the row count (codes may then skip values no row holds), else by
-    sorting the image. Anything else is coded by sorting."""
-    image = int_image(values)
-    if image is not None and len(image):
-        lo = int(image.min())
-        span = int(image.max()) - lo
-        if span < len(image):
-            return image - lo, span + 1
-        values = image
+    (`int_image`): by its offset from the joint minimum when the images'
+    joint span is below their total row count (codes may then skip values
+    no row holds), with no concatenation; else by sorting the images, and
+    anything else by sorting the values."""
+    images = [int_image(values) for values in arrays]
+    if images[0] is not None:
+        held = [image for image in images if len(image)]
+        if held:
+            lo = min(int(image.min()) for image in held)
+            span = max(int(image.max()) for image in held) - lo
+            if span < sum(map(len, images)):
+                return [image - lo for image in images], span + 1
+        arrays = images
+    values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     distinct, code = np.unique(values, return_inverse=True)
-    return code.reshape(-1), len(distinct)
+    ends = np.cumsum([len(array) for array in arrays])
+    return np.split(code.reshape(-1), ends[:-1]), len(distinct)
+
+
+def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """`joint_codes` of one array: (code per value, number of codes)."""
+    (code,), n_codes = joint_codes([values])
+    return code, n_codes
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,9 @@ from sqf.engine.bloom import (
     bloom_probe,
     bloom_probe_many,
 )
+import sqf.engine.exec as exec_mod
 from sqf.engine.exec import execute_pipeline, key_images, result_checksum
+from sqf.engine.kernels import pair_codes
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -30,7 +32,7 @@ from sqf.hashing import fnv1a64, fnv1a64_u64, fnv1a64_u64_many
 from sqf.library import ModuleKind, instantiate
 from sqf.oracle import canonical_multiset, multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, estimate_selectivity
-from sqf.relcore import ColumnType, Schema, Table, TypeKind, load_csv, table_stats
+from sqf.relcore import Column, ColumnType, Schema, Table, TypeKind, load_csv, table_stats
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,70 @@ def test_bloom_stage_matches_a_per_row_cascade(default_library, kind, small, emp
     assert (stage.input_count, stage.output_count) == (len(probe_keys), int(passed.sum()))
     false_positives = np.count_nonzero(~np.isin(probe_keys[passed], keys[build]))
     assert report.bloom_false_positives == false_positives
+
+
+@pytest.mark.parametrize("query", ["q07", "q08", "q09", "q10", "q11", "q12"])
+def test_each_join_codes_its_keys_once(suite_dir, default_library, default_device,
+                                       monkeypatch, query):
+    """Every join candidate reads and codes its join keys once. A co-design
+    run does both in its bloom stage, and its host join pairs on the
+    stage's codes without reading a column."""
+    events = []
+
+    def logged(name, real):
+        def call(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(exec_mod, "joint_codes", logged("code", exec_mod.joint_codes))
+    monkeypatch.setattr(exec_mod._Run, "keys", logged("keys", exec_mod._Run.keys))
+    monkeypatch.setattr(Column, "take", logged("take", Column.take))
+    real_host_join = exec_mod._Run.host_join
+
+    def host_join(run, stage):
+        events.append("host_join")
+        out = real_host_join(run, stage)
+        events.append("host_join done")
+        return out
+
+    monkeypatch.setattr(exec_mod._Run, "host_join", host_join)
+    tables = _suite_tables(suite_dir)
+    bp = bind_sql((suite_dir / f"{query}.sql").read_text(), tables)
+    joins = {c.join_algo: c for c in enumerate_pipelines(bp, default_library, default_device)
+             if c.join_algo is not None}
+    assert set(joins) == {"hash_fpga", "merge_fpga", "hash_codesign"}
+    for algo, cand in joins.items():
+        events.clear()
+        run_candidate(cand, tables, default_device)
+        assert (events.count("keys"), events.count("code")) == (1, 1), algo
+        if algo == "hash_codesign":
+            at = events.index("host_join")
+            assert events[at:at + 2] == ["host_join", "host_join done"]
+            assert events.index("code") < at
+
+
+def test_narrowing_a_side_keeps_its_key_codes_aligned(default_library):
+    """Once the join keys are coded, narrowing a side narrows its codes with
+    its rows, and the codes still pair like the keys; the join drops them."""
+    tables = {"l": make_table([("k", "INT")], [(k,) for k in (4, 1, 4, 2, 9, 1)]),
+              "r": make_table([("k", "INT")], [(k,) for k in (1, 4, 7, 4)])}
+    bp = bind_sql("SELECT l.k, r.k FROM l JOIN r ON l.k = r.k", tables)
+    run = exec_mod._Run(bp, tables, DeviceProfile(), seed=0)
+    run.codes = exec_mod.joint_codes(run.keys())
+    (left, right), n_codes = run.codes
+    run.narrow(0, np.array([5, 0, 2, 3]))
+    run.narrow(1, np.array([3, 0]))
+    assert run.codes[0][0].tolist() == left[[5, 0, 2, 3]].tolist()
+    assert run.codes[0][1].tolist() == right[[3, 0]].tolist()
+    keys = [k.tolist() for k in run.keys()]
+    assert keys == [[1, 4, 4, 2], [4, 1]]
+    pairs = pair_codes(*run.codes[0], run.codes[1])
+    assert list(zip(*(p.tolist() for p in pairs))) == [
+        (a, b) for a, x in enumerate(keys[0]) for b, y in enumerate(keys[1]) if x == y]
+    run.host_join(None)
+    assert run.codes is None
+    assert [k.tolist() for k in run.keys()] == [[1, 4, 4], [1, 4, 4]]
 
 
 def test_align_tuple_too_large(default_library, default_device, suite_dir):

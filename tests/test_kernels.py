@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
-from sqf.engine.bloom import BloomCascadeConfig, bloom_build, bloom_probe, bloom_probe_many
+from sqf.engine.bloom import (
+    BloomCascadeConfig, bloom_build, bloom_build_probe, bloom_probe, bloom_probe_many,
+)
 from sqf.engine.exec import _evaluate, result_checksum
 from sqf.engine.kernels import (
     DIVZERO, OK, OVERFLOW, checked_arith, codes, group_extreme, group_extremes, group_ids,
-    group_sums, match_pairs, rank, sort_order,
+    group_sums, match_pairs, pair_codes, rank, sort_order,
 )
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
@@ -28,7 +30,7 @@ from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines
 from sqf.relcore import (
     Column, ColumnType, Schema, Table, TypeKind, encode_columns, encode_row, int_image,
-    table_stats,
+    joint_codes, pad_bytes, table_stats,
 )
 
 EDGES = [INT64_MIN, INT64_MIN + 1, -(2**62), -(2**32), -7, -3, -2, -1, 0, 1, 2, 3, 7,
@@ -109,6 +111,22 @@ def test_bloom_hashes_keys_of_all_eight_bytes_like_scalar():
     for i, key in enumerate(keys.tolist()):
         assert bloom_probe(cascade, key) == (bool(mask[i]), int(hashes[i]))
     assert mask[::3].all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.lists(st.integers(0, MASK64), max_size=40, unique=True),
+       st.integers(1, 3))
+def test_bloom_build_probe_is_a_build_and_a_probe(data, keys, stages):
+    """One hash pass sets the bits `bloom_build` sets from the built keys
+    and passes every key `bloom_probe_many` passes."""
+    built = np.array(data.draw(st.lists(st.booleans(), min_size=len(keys),
+                                        max_size=len(keys))), dtype=bool)
+    keys = np.array(keys, dtype=np.uint64)
+    config = BloomCascadeConfig(stages, 96, 2, seed=4)
+    cascade, passed = bloom_build_probe(config, keys, built)
+    want = bloom_build(config, keys[built])
+    assert [b.tolist() for b in cascade.stage_bits] == [b.tolist() for b in want.stage_bits]
+    assert passed.tolist() == bloom_probe_many(want, keys)[0].tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -462,6 +480,68 @@ def test_match_pairs_is_the_ordered_nested_loop(data, kind):
 def test_match_pairs_with_and_without_unique_inner_keys(outer, inner, pairs):
     o, i = match_pairs(np.array(outer, dtype=np.int64), np.array(inner, dtype=np.int64))
     assert list(zip(o.tolist(), i.tolist())) == pairs
+
+
+def _draw_key_sides(data, case):
+    """Two key arrays of one dtype: both of a `key_kinds` kind; CHAR keys
+    of two widths padded to the wider one, as the engine pads join keys;
+    or one kind with one side or both empty."""
+    if case == "padded":
+        widths = sorted(data.draw(st.lists(st.integers(1, 9), min_size=2, max_size=2,
+                                           unique=True)))
+        cells = st.text("ab ", max_size=widths[0]).map(str.encode)
+        sides = [np.array(data.draw(st.lists(cells, max_size=15)), dtype=f"S{w}")
+                 for w in widths]
+        return [pad_bytes(side, widths[1]) for side in sides]
+    if case == "empty":
+        kind = data.draw(key_kinds(("narrow", "wide", "hash", "char")))
+        sizes = data.draw(st.sampled_from([(0, 0), (0, 15), (15, 0)]))
+        return [_draw_column(data, kind, n, n) for n in sizes]
+    kind = data.draw(key_kinds((case,)))
+    return [_draw_column(data, kind), _draw_column(data, kind)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["narrow", "wide", "hash", "char", "padded", "empty"]))
+def test_joint_codes_code_two_sides_as_one_and_pair_on_codes(data, case):
+    """Keys of either side share a code exactly when they are equal, codes
+    lie in [0, n_codes) and order like the keys, and pairing on the codes
+    is the ordered nested loop over the keys."""
+    outer, inner = _draw_key_sides(data, case)
+    (outer_code, inner_code), n_codes = joint_codes([outer, inner])
+    assert (outer_code.shape, inner_code.shape) == (outer.shape, inner.shape)
+    keys = outer.tolist() + inner.tolist()
+    code = outer_code.tolist() + inner_code.tolist()
+    assert all(0 <= c < n_codes for c in code)
+    for x, cx in zip(keys, code):
+        for y, cy in zip(keys, code):
+            assert ((x == y), (x < y)) == ((cx == cy), (cx < cy))
+    o, i = pair_codes(outer_code, inner_code, n_codes)
+    assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
+                                                                      inner.tolist())
+
+
+@pytest.mark.parametrize("outer, inner, dtype, want, sorts", [
+    # a joint span of 7 below 7 rows: coded by offset from the joint minimum
+    ([5, 3, 9], [4, 3, 8, 7], np.int64, ([2, 0, 6], [1, 0, 5, 4], 7), False),
+    ([b"b", b"a"], [b"c", b"c"], "S1", ([1, 0], [2, 2], 3), False),
+    ([], [2, 1], np.int64, ([], [1, 0], 2), False),
+    # a joint span at least the row count: coded by sorting
+    ([0, 2**40], [5, 0], np.int64, ([0, 2], [1, 0], 3), True),
+    ([b"abcdefghi"], [b"abcdefghh", b"abcdefghi"], "S9", ([1], [0, 1], 2), True),
+    ([], [], np.int64, ([], [], 0), True),
+])
+def test_joint_codes_by_offset_neither_sort_nor_concatenate(monkeypatch, outer, inner, dtype,
+                                                            want, sorts):
+    sides = [np.array(outer, dtype=dtype), np.array(inner, dtype=dtype)]
+    calls = []
+    for name in ("unique", "concatenate"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    (outer_code, inner_code), n_codes = joint_codes(sides)
+    assert (outer_code.tolist(), inner_code.tolist(), n_codes) == want
+    assert calls == (["concatenate", "unique"] if sorts else [])
 
 
 class _Cells:

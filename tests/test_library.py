@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import enum
 import json
 
 import pytest
 
-from conftest import REPO
+from conftest import REPO, bind_sql
 from sqf.errors import (
     DuplicateKind,
     InvalidField,
@@ -13,12 +14,35 @@ from sqf.errors import (
     UnknownModuleKind,
 )
 from sqf.library import ModuleKind, instantiate, load_library
+from sqf.planner import enumerate_pipelines
+from sqf.relcore import load_csv
 
 
 def test_default_library_has_all_kinds(default_library):
     assert len(default_library.kinds) == 10
     for kind in ModuleKind:
         assert kind in default_library
+
+
+def test_planning_hashes_no_kind_in_python(default_library, default_device, suite_dir,
+                                           monkeypatch):
+    """Dicts keyed on a kind look it up by its identity hash: enumerating
+    the suite's queries calls no Python-level `Enum.__hash__`."""
+    calls = [0]
+    real = enum.Enum.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting)
+    tables = {name: load_csv(suite_dir / "tables" / f"{name}.csv")
+              for name in ("orders", "customers")}
+    for query in sorted(suite_dir.glob("q*.sql")):
+        assert enumerate_pipelines(bind_sql(query.read_text(), tables), default_library,
+                                   default_device)
+    assert calls[0] == 0
+    assert {kind: kind.value for kind in ModuleKind}[ModuleKind("SORT")] == "SORT"
 
 
 def _records():
