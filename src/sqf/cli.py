@@ -3,11 +3,13 @@
 All three commands share one path: a session loads the profiles once and
 each table (with its stats) on first use; a query is read, parsed, bound,
 enumerated and priced once; the chosen candidate is placed on a fresh fabric
-and run.
+and run. In `bench`, the rows of one query that choose the same candidate
+share its one run, checksum and software baseline.
 
 Reports are JSON with stable key order and floats printed with 9 significant
-digits; everything outside the `meta` section is byte-deterministic for a
-fixed --seed. `SQF_LOG=debug|info|warn` controls diagnostics on stderr.
+digits, written in one walk as `json.dumps(indent=2)` would write them;
+everything outside the `meta` section is byte-deterministic for a fixed
+--seed. `SQF_LOG=debug|info|warn` controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -56,19 +58,83 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _round9(value):
-    """Limit floats to 9 significant digits, recursively, for stable reports."""
-    if isinstance(value, float):
-        return float(f"{value:.9g}")
-    if isinstance(value, dict):
-        return {k: _round9(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round9(v) for v in value]
-    return value
+_ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps' string escaper
+
+
+def _float9(value: float) -> str:
+    """A float limited to 9 significant digits, as json.dumps prints that."""
+    value = float(f"{value:.9g}")
+    if value - value == 0.0:  # finite
+        return repr(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the text of a leaf value by its exact type
+_LEAF = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float9,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _report_text(report) -> str:
+    """`json.dumps(report, indent=2)` with every float value limited to 9
+    significant digits, for stable reports, written in one walk. A leaf is
+    written with its separator, key and indent in one piece; a subclass of
+    str, int or float is written as its base type, as json.dumps does."""
+    chunks = []
+    put = chunks.append
+    leaf = _LEAF.get
+
+    def walk(value, indent):
+        text = leaf(type(value))
+        if text is not None:
+            put(text(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                text = leaf(type(item))
+                if text is None:
+                    put(f"{sep}{_ESCAPE(key)}: ")
+                    walk(item, inner)
+                else:
+                    put(f"{sep}{_ESCAPE(key)}: {text(item)}")
+                sep = "," + inner
+            put(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in value:
+                text = leaf(type(item))
+                if text is None:
+                    put(sep)
+                    walk(item, inner)
+                else:
+                    put(sep + text(item))
+                sep = "," + inner
+            put(indent + "]")
+        else:
+            for base in (str, int, float):
+                if isinstance(value, base):
+                    put(_LEAF[base](value))
+                    return
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    walk(report, "\n")
+    return "".join(chunks)
 
 
 def _write_report(path, report: dict):
-    text = json.dumps(_round9(report), indent=2) + "\n"
+    text = _report_text(report) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -176,11 +242,9 @@ class _Session:
             device=self.device,
         )
 
-    def run_chosen(self, planned: _Planned, layout: str, join: str, seed: int):
-        """Choose the best candidate --layout/--join leave, place it on a fresh
-        fabric and execute it:
-        (chosen, estimate, placement, reconfig, result, exec report)."""
-        chosen, est = planned.choose(layout, join)
+    def run(self, planned: _Planned, chosen, est, seed: int):
+        """Place a chosen candidate on a fresh fabric and execute it:
+        (placement, reconfig, result, exec report)."""
         log.info("chosen candidate: %s", chosen.tag)
         fabric = FabricState(self.device)
         placement = allocate(fabric, chosen.modules)
@@ -189,7 +253,7 @@ class _Session:
             chosen, planned.tables, fabric, placement, self.device,
             seed=seed, estimate=est,
         )
-        return chosen, est, placement, reconfig, result, exec_report
+        return placement, reconfig, result, exec_report
 
 
 def _candidate_dict(cand, est) -> dict:
@@ -216,8 +280,8 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     session = _Session(args.tables, args.library, args.device)
     planned = session.plan(_read_query(args.query))
-    chosen, _, placement, reconfig, result, exec_report = session.run_chosen(
-        planned, args.layout, args.join, args.seed)
+    chosen, est = planned.choose(args.layout, args.join)
+    placement, reconfig, result, exec_report = session.run(planned, chosen, est, args.seed)
 
     # oracle_checked is true only when the check ran AND the results match:
     # the same multiset and, with ORDER BY, the same sequence of ORDER BY
@@ -320,12 +384,12 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _bench_fields(session, planned, strategy, seed, baseline_dev) -> dict:
+def _bench_fields(session, planned, chosen, est, seed, baseline_dev) -> dict:
+    """A bench row's fields for one run of the chosen candidate."""
     started = time.perf_counter()
-    chosen, est, _, _, result, exec_report = session.run_chosen(
-        planned, "auto", strategy, seed)
+    _, _, result, exec_report = session.run(planned, chosen, est, seed)
     wall = time.perf_counter() - started
-    base_seconds, base_joules = software_baseline(chosen, planned.stats, baseline_dev)
+    base_seconds, base_joules = software_baseline(chosen, est, planned.stats, baseline_dev)
     return {
         "chosen": chosen.tag,
         "estimated_total_seconds": est.total_seconds,
@@ -365,6 +429,7 @@ def cmd_bench(args) -> int:
             planned = session.plan(text, parsed)
         except (SqfError, FileNotFoundError) as exc:
             error = exc
+        runs = {}  # id(chosen candidate) -> its run's row fields, or what the run raised
         for strategy in BENCH_STRATEGIES:
             row = {"query": query_name, "strategy": strategy, "status": "ok"}
             rows.append(row)
@@ -374,8 +439,18 @@ def cmd_bench(args) -> int:
             try:
                 if error is not None:
                     raise error
-                row.update(_bench_fields(session, planned, strategy, args.seed,
-                                         baseline_dev))
+                chosen, est = planned.choose("auto", strategy)
+                fields = runs.get(id(chosen))
+                if fields is None:
+                    try:
+                        fields = _bench_fields(session, planned, chosen, est, args.seed,
+                                               baseline_dev)
+                    except (SqfError, FileNotFoundError) as exc:
+                        fields = exc
+                    runs[id(chosen)] = fields
+                if isinstance(fields, Exception):
+                    raise fields
+                row.update(fields)
             except (SqfError, FileNotFoundError) as exc:
                 row.update(status=type(exc).__name__, detail=str(exc))
 

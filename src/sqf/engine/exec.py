@@ -252,7 +252,7 @@ class _Run:
         self.joined = not bp.has_join
         self.computed: list[Column] = []
         self.columns = None  # output columns, once projected or aggregated
-        self.codes = None  # ([codes per slot], number of codes) of the join keys
+        self.codes = None  # `joint_codes` of the join keys: ([codes per slot], count, base)
         self.bloom_fp = None
 
     def rows(self, slot: int) -> int:
@@ -298,7 +298,7 @@ class _Run:
         their key codes: the bloom stage's, else coded here."""
         if self.codes is None:
             self.codes = joint_codes(self.keys())
-        (left, right), n_codes = self.codes
+        (left, right), n_codes, _ = self.codes
         self.codes = None  # the key codes end with the join
         for slot, index in enumerate(pair_codes(left, right, n_codes)):
             self.narrow(slot, index)
@@ -346,21 +346,28 @@ class _Run:
         either side holds sets the bits of the codes the build side holds
         and yields a pass flag per code, gathered back to the probe rows.
         Setting a bit twice changes nothing, so the bits and the mask are
-        those of hashing every row. The probe side's codes are narrowed
-        with its rows, and the host join pairs on them."""
+        those of hashing every row. An offset-coded INT code's key is the
+        base plus the code; any other code's key is scattered from the rows
+        that hold it. The probe side's codes are narrowed with its rows, and
+        the host join pairs on them."""
         keys = self.keys()
-        self.codes = side_codes, n_codes = joint_codes(keys)
+        self.codes = side_codes, n_codes, base = joint_codes(keys)
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
         probe = 1 - build
         held = [np.zeros(n_codes, dtype=bool) for _ in keys]  # the codes each side holds
-        key_of = np.empty(n_codes, dtype=keys[0].dtype)  # the key of each code held
         for side in (0, 1):
             held[side][side_codes[side]] = True
-            key_of[side_codes[side]] = keys[side]
         union = np.flatnonzero(held[0] | held[1])
+        if base is not None and self.bp.join_key_type.kind is TypeKind.INT:
+            union_keys = union + np.int64(base)
+        else:
+            key_of = np.empty(n_codes, dtype=keys[0].dtype)  # the key of each code held
+            for side in (0, 1):
+                key_of[side_codes[side]] = keys[side]
+            union_keys = key_of[union]
         m_bits, k = bloom_dims(len(keys[build]))
         config = BloomCascadeConfig(stage.module.param("stages"), m_bits, k, self.seed)
-        images = key_images(key_of[union], self.bp.join_key_type)
+        images = key_images(union_keys, self.bp.join_key_type)
         passes = np.zeros(n_codes, dtype=bool)
         passes[union] = bloom_build_probe(config, images, held[build][union])[1]
         self.narrow(probe, np.flatnonzero(passes[side_codes[probe]]))

@@ -113,7 +113,7 @@ def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.nd
     """All (outer position, inner position) pairs with equal keys, ordered
     by outer position, then inner position: the keys coded jointly, then
     paired on their codes."""
-    (outer_code, inner_code), n_codes = joint_codes([outer, inner])
+    (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
     return pair_codes(outer_code, inner_code, n_codes)
 
 

@@ -469,19 +469,25 @@ def _memo_flows(c: CandidatePipeline, stats: dict, memo: dict):
     return hit[2]
 
 
+def _source_stage(source, tuple_bytes, dev: DeviceProfile):
+    """(seconds, upstream rate, StageEstimate) of the source stage, which
+    streams `source` tuples per side from memory at `tuple_bytes` each: its
+    seconds, the tuple rate of its widest side, which caps the first fabric
+    stage, and its estimate."""
+    seconds = sum(map(mul, source, tuple_bytes)) / dev.mem_bytes_per_s
+    tuples = sum(source)
+    r0 = dev.mem_bytes_per_s / max(*tuple_bytes, 1)
+    return seconds, r0, StageEstimate("source", tuples, tuples / seconds if seconds > 0 else r0,
+                                      1.0, 0.0)
+
+
 def _price(c: CandidatePipeline, flows, dev: DeviceProfile) -> CostEstimate:
     """The estimate of `c` from its plan's `flows` (`_flows`): the rates,
     blocking and reconfiguration seconds of its layout and modules, and its
     energy."""
     source, stage_flows = flows
-    source_seconds = sum(map(mul, source, c.tuple_bytes)) / dev.mem_bytes_per_s
-    source_tuples = sum(source)
-    r0 = dev.mem_bytes_per_s / max(*c.tuple_bytes, 1)
-
-    stages = [StageEstimate("source", source_tuples,
-                            source_tuples / source_seconds if source_seconds > 0 else r0,
-                            1.0, 0.0)]
-    stream_seconds = source_seconds
+    stream_seconds, r0, source_stage = _source_stage(source, c.tuple_bytes, dev)
+    stages = [source_stage]
     blocking_total = host_seconds = 0.0
     bitstream_bytes = 0
     active = []  # (slots, blocking seconds) per fabric stage
@@ -551,12 +557,18 @@ def select_best(
 
 
 def software_baseline(
-    c: CandidatePipeline, stats: dict, dev: DeviceProfile
+    c: CandidatePipeline, est: CostEstimate, stats: dict, dev: DeviceProfile
 ) -> tuple[float, float]:
     """(seconds, joules) for running the same logical stages serially on the
-    profile's host processor; the reference point for modeled energy ratios."""
-    t = _price(c, _memo_flows(c, stats, {}), dev)
-    seconds = t.stages[0].seconds
-    for stage in t.stages[1:]:
+    profile's host processor; the reference point for modeled energy ratios.
+
+    `est` is an estimate of `c` on any profile, as `rank` gives it. Its
+    stages hold each stage's input tuples, which the profile does not
+    change, so no flow is computed and nothing is priced again: the source
+    streams from `dev`'s memory, and every later stage's input runs at its
+    host rate."""
+    source = [float(stats[table].row_count) for table in c.plan.tables]
+    seconds = _source_stage(source, c.tuple_bytes, dev)[2].seconds
+    for stage in est.stages[1:]:
         seconds += stage.input_tuples / dev.host_tuples_per_s
     return seconds, dev.p_static_w * seconds

@@ -182,15 +182,16 @@ def int_image(values: np.ndarray) -> np.ndarray | None:
     return image
 
 
-def joint_codes(arrays: list) -> tuple[list, int]:
-    """(code per value of each array, number of codes) of arrays of one
-    dtype, coded as one: equal values of any of them share a code, codes
-    order like the values, and every code is in [0, number of codes). An
-    INT key or a CHAR key of width at most 8 is coded on its int64 image
-    (`int_image`): by its offset from the joint minimum when the images'
-    joint span is below their total row count (codes may then skip values
-    no row holds), with no concatenation; else by sorting the images, and
-    anything else by sorting the values."""
+def joint_codes(arrays: list) -> tuple[list, int, int | None]:
+    """(code per value of each array, number of codes, base) of arrays of
+    one dtype, coded as one: equal values of any of them share a code,
+    codes order like the values, and every code is in [0, number of codes).
+    An INT key or a CHAR key of width at most 8 is coded on its int64 image
+    (`int_image`): by its offset from the joint minimum, the base, when the
+    images' joint span is below their total row count (a code's image is
+    then the base plus the code, and codes may skip values no row holds),
+    with no concatenation; else by sorting the images, and anything else by
+    sorting the values, with base None."""
     images = [int_image(values) for values in arrays]
     if images[0] is not None:
         held = [image for image in images if len(image)]
@@ -198,17 +199,17 @@ def joint_codes(arrays: list) -> tuple[list, int]:
             lo = min(int(image.min()) for image in held)
             span = max(int(image.max()) for image in held) - lo
             if span < sum(map(len, images)):
-                return [image - lo for image in images], span + 1
+                return [image - lo for image in images], span + 1, lo
         arrays = images
     values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     distinct, code = np.unique(values, return_inverse=True)
     ends = np.cumsum([len(array) for array in arrays])
-    return np.split(code.reshape(-1), ends[:-1]), len(distinct)
+    return np.split(code.reshape(-1), ends[:-1]), len(distinct), None
 
 
 def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
     """`joint_codes` of one array: (code per value, number of codes)."""
-    (code,), n_codes = joint_codes([values])
+    (code,), n_codes, _ = joint_codes([values])
     return code, n_codes
 
 

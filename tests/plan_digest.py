@@ -47,10 +47,12 @@ def digest() -> str:
     for sql, tables, stats in cases():
         bp = bind(parse_query(sql), {name: t.schema for name, t in tables.items()})
         cands = enumerate_pipelines(bp, lib, dev)
+        ranked = rank(cands, stats, dev)
+        est_of = {id(c): est for c, est in ranked}
         for c in cands:
             h.update(repr((c.tag, c.stages, c.tuple_bytes,
-                           software_baseline(c, stats, baseline))).encode())
-        for c, est in rank(cands, stats, dev):
+                           software_baseline(c, est_of[id(c)], stats, baseline))).encode())
+        for c, est in ranked:
             h.update(repr((c.tag, est)).encode())
     return h.hexdigest()
 

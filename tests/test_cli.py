@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO
 from sqf import suite as suite_mod
@@ -702,7 +705,7 @@ def test_suite_reports_match_golden(suite_dir, tmp_path):
 
 @pytest.mark.parametrize("command, calls", [
     ("run", 3), ("explain", 3),
-    ("bench", 67),  # 37 suite candidates, plus 30 ok rows priced on the baseline profile
+    ("bench", 37),  # the 37 suite candidates; the baseline reads the chosen estimate
 ])
 def test_each_candidate_is_priced_once(suite_dir, tmp_path, monkeypatch, command, calls):
     import sqf.planner as planner_mod
@@ -772,6 +775,141 @@ def test_choose_matches_select_best_on_the_narrowed_list(suite_dir):
                     continue
                 got = planned.choose(layout, join)
                 assert (got[0].tag, got[1]) == (want[0].tag, want[1]), (name, layout, join)
+
+
+# --------------------------------------------------------------------------
+# one run per chosen pipeline in a bench
+# --------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Wrap each named function of `module` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+_SUITE_JOINS = {f"q{n:02d}.sql" for n in range(7, 13)}
+
+
+def test_bench_runs_each_chosen_pipeline_once(suite_dir, tmp_path, monkeypatch):
+    """On the suite, each join query's auto row chooses the candidate of one
+    forced row and shares its run: 24 executions and checksums for 30 ok
+    rows, and each auto row equals its forced twin but for `strategy`."""
+    import sqf.cli as cli_mod
+
+    calls = _count_calls(monkeypatch, cli_mod, ("execute_pipeline", "result_checksum"))
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--suite", str(suite_dir), "--out", str(out), "--seed", "7"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert calls == {"execute_pipeline": 24, "result_checksum": 24}
+    assert sum(r["status"] == "ok" for r in rows) == 30
+    twins = 0
+    for auto in (r for r in rows if r["strategy"] == "auto"):
+        forced = [r for r in rows if r["query"] == auto["query"] and r["strategy"] != "auto"
+                  and r.get("chosen") == auto["chosen"]]
+        assert len(forced) == (auto["query"] in _SUITE_JOINS), auto["query"]
+        for twin in forced:
+            assert {**twin, "strategy": "auto"} == auto
+            twins += 1
+    assert twins == len(_SUITE_JOINS)
+
+
+def test_bench_rows_sharing_a_faulting_run_share_its_error(tmp_path, monkeypatch):
+    """A run that raises is run once; every row that chose its candidate
+    records the error's class and message."""
+    import sqf.cli as cli_mod
+
+    suite = _mini_suite(tmp_path)
+    (suite / "q2.sql").write_text(
+        "SELECT items.a / (dims.y - dims.y) AS z FROM items JOIN dims ON items.b = dims.x\n")
+    calls = _count_calls(monkeypatch, cli_mod, ("execute_pipeline",))
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    rows = [r for r in json.loads(out.read_text())["rows"] if r["query"] == "q2.sql"]
+    assert {(r["status"], r["detail"]) for r in rows} == {
+        ("DivisionByZero", rows[0]["detail"])}
+    assert len(rows) == 4 and "division by zero" in rows[0]["detail"].lower()
+    # q1 runs once (its forced rows do not apply); q2's auto row shares a run
+    assert calls["execute_pipeline"] == 1 + 3
+
+
+# --------------------------------------------------------------------------
+# the report writer
+# --------------------------------------------------------------------------
+
+def _round9(value):
+    """Floats limited to 9 significant digits, recursively: with
+    `json.dumps(..., indent=2)`, the reference the report writer matches."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {k: _round9(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round9(v) for v in value]
+    return value
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-07, 1e16,
+                     0.1, 123456789.5, 1.0000000005, 5e-324, 1.7976931348623157e308]),
+)
+_TEXT = st.one_of(st.text(), st.text(st.characters(max_codepoint=0x1F)),
+                  st.sampled_from(["", "\u00e9\u4e2d\U0001f600", '"\\/\x7f']))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _FLOATS, _FLOATS.map(np.float64),
+    st.integers(), st.integers(min_value=-(2**80), max_value=2**80), _TEXT,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_VALUES)
+def test_report_writer_is_json_dumps_of_round9(value):
+    from sqf.cli import _report_text
+
+    assert _report_text(value) == json.dumps(_round9(value), indent=2)
+
+
+def test_every_suite_report_is_written_as_json_dumps_of_round9(suite_dir, tmp_path,
+                                                               monkeypatch):
+    """Every run, explain and bench report of the suite is the text that
+    `json.dumps(_round9(report), indent=2)` gives, byte for byte."""
+    import sqf.cli as cli_mod
+
+    written = []
+    real = cli_mod._report_text
+    monkeypatch.setattr(cli_mod, "_report_text", lambda report: written.append(report)
+                        or real(report))
+    manifest = json.loads((suite_dir / "manifest.json").read_text())
+    paths = []
+    for name in manifest["queries"]:
+        for command in ("run", "explain"):
+            paths.append(tmp_path / f"{command}-{name}.json")
+            assert main([command, "--query", str(suite_dir / name),
+                         "--tables", str(suite_dir / "tables"), "--library", LIB,
+                         "--device", DEV, "--out", str(paths[-1])]) == 0
+    paths.append(tmp_path / "bench.json")
+    assert main(["bench", "--suite", str(suite_dir), "--out", str(paths[-1]),
+                 "--seed", "7"]) == 0
+    assert len(written) == len(paths) == 2 * 12 + 1
+    for path, report in zip(paths, written):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(_round9(report), indent=2) + "\n", path.name
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
 
 
 # --------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_narrowing_a_side_keeps_its_key_codes_aligned(default_library):
     bp = bind_sql("SELECT l.k, r.k FROM l JOIN r ON l.k = r.k", tables)
     run = exec_mod._Run(bp, tables, DeviceProfile(), seed=0)
     run.codes = exec_mod.joint_codes(run.keys())
-    (left, right), n_codes = run.codes
+    (left, right), n_codes, _ = run.codes
     run.narrow(0, np.array([5, 0, 2, 3]))
     run.narrow(1, np.array([3, 0]))
     assert run.codes[0][0].tolist() == left[[5, 0, 2, 3]].tolist()

@@ -508,7 +508,7 @@ def test_joint_codes_code_two_sides_as_one_and_pair_on_codes(data, case):
     lie in [0, n_codes) and order like the keys, and pairing on the codes
     is the ordered nested loop over the keys."""
     outer, inner = _draw_key_sides(data, case)
-    (outer_code, inner_code), n_codes = joint_codes([outer, inner])
+    (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
     assert (outer_code.shape, inner_code.shape) == (outer.shape, inner.shape)
     keys = outer.tolist() + inner.tolist()
     code = outer_code.tolist() + inner_code.tolist()
@@ -519,6 +519,21 @@ def test_joint_codes_code_two_sides_as_one_and_pair_on_codes(data, case):
     o, i = pair_codes(outer_code, inner_code, n_codes)
     assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
                                                                       inner.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["narrow", "wide", "hash", "char", "padded", "empty"]))
+def test_joint_codes_name_the_base_of_offset_codes(data, case):
+    """Offset codes come with their base, the joint minimum image: each
+    value's image is the base plus its code. Sorted codes have no base."""
+    sides = _draw_key_sides(data, case)
+    codes_, n_codes, base = joint_codes(sides)
+    images = [int_image(side) for side in sides]
+    if base is None:
+        return
+    assert base == min(int(i.min()) for i in images if len(i))
+    for image, code in zip(images, codes_):
+        assert (image - base).tolist() == code.tolist()
 
 
 @pytest.mark.parametrize("outer, inner, dtype, want, sorts", [
@@ -539,7 +554,7 @@ def test_joint_codes_by_offset_neither_sort_nor_concatenate(monkeypatch, outer, 
         real = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **k:
                             calls.append(_name) or _real(*a, **k))
-    (outer_code, inner_code), n_codes = joint_codes(sides)
+    (outer_code, inner_code), n_codes, _ = joint_codes(sides)
     assert (outer_code.tolist(), inner_code.tolist(), n_codes) == want
     assert calls == (["concatenate", "unique"] if sorts else [])
 

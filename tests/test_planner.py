@@ -7,7 +7,7 @@ import pytest
 import sqf.planner as planner_mod
 from conftest import REPO, bind_sql, make_table
 from sqf.errors import MissingStats, NoCandidates
-from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure
+from sqf.fabric import DeviceProfile, FabricState, allocate, load_device_profile, reconfigure
 from sqf.library import ModuleKind, ModuleLibrary, load_library
 from sqf.planner import (
     CostEstimate,
@@ -392,6 +392,27 @@ def test_estimate_monotone_in_row_count(lib, dev):
                 last = est.total_seconds
                 for stage in est.stages:
                     assert 0.0 <= stage.selectivity <= 1.0
+
+
+def test_software_baseline_reads_the_estimate_bit_for_bit(criterion_1_cases, default_library,
+                                                         default_device):
+    """The baseline built from a ranked estimate's stage inputs equals, to
+    the last bit, the baseline priced afresh on the baseline profile: its
+    source stage's seconds plus every later stage's input at host rate."""
+    baseline = load_device_profile(REPO / "device.baseline.json")
+    checked = 0
+    for sql, tables, stats in criterion_1_cases:
+        cands = enumerate_pipelines(bind_sql(sql, tables), default_library, default_device)
+        for cand, est in planner_mod.rank(cands, stats, default_device):
+            priced = planner_mod._price(cand, planner_mod._memo_flows(cand, stats, {}), baseline)
+            seconds = priced.stages[0].seconds
+            for stage in priced.stages[1:]:
+                seconds += stage.input_tuples / baseline.host_tuples_per_s
+            want = (seconds, baseline.p_static_w * seconds)
+            got = planner_mod.software_baseline(cand, est, stats, baseline)
+            assert repr(got) == repr(want), (sql, cand.tag)
+            checked += 1
+    assert checked == 2388
 
 
 def test_ranking_with_shared_flows_equals_pricing_each_alone(criterion_1_cases,

@@ -252,7 +252,7 @@ def test_host_stages_are_priced(suite, default_library, default_device):
     assert all(s.blocking_seconds == 0.0 for s in host)
     assert est.host_seconds == pytest.approx(sum(s.input_tuples for s in host)
                                              / dev.host_tuples_per_s)
-    seconds, _ = software_baseline(cand, stats, dev)
+    seconds, _ = software_baseline(cand, est, stats, dev)
     assert seconds == pytest.approx(est.stages[0].seconds + sum(
         s.input_tuples for s in est.stages[1:]) / dev.host_tuples_per_s)
 
