@@ -24,13 +24,11 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import suite as suite_mod
 from .engine.exec import execute_pipeline, result_checksum
 from .errors import NoCandidates, SqfError
 from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
-from .oracle import first_multiset_diff, first_order_diff, multisets_equal, reference_execute
 from .planner import (
     codesign_misfits,
     enumerate_pipelines,
@@ -290,9 +288,11 @@ def cmd_run(args) -> int:
     oracle_match = None
     first_diff = None
     if args.oracle:
-        expected = reference_execute(planned.bound, planned.tables)
-        if not multisets_equal(result, expected):
-            row, engine_count, oracle_count = first_multiset_diff(result, expected)
+        from . import oracle
+
+        expected = oracle.reference_execute(planned.bound, planned.tables)
+        if not oracle.multisets_equal(result, expected):
+            row, engine_count, oracle_count = oracle.first_multiset_diff(result, expected)
             first_diff = {
                 "row": list(row),
                 "engine_count": engine_count,
@@ -300,7 +300,7 @@ def cmd_run(args) -> int:
             }
         else:
             keys = [i for i, _ in planned.bound.order_by]
-            diff = first_order_diff(result, expected, keys)
+            diff = oracle.first_order_diff(result, expected, keys)
             if diff is not None:
                 first_diff = {
                     "position": diff[0],
@@ -410,6 +410,8 @@ def _bench_fields(session, planned, chosen, est, seed, baseline_dev) -> dict:
 
 
 def cmd_bench(args) -> int:
+    from . import suite as suite_mod
+
     suite_dir = Path(args.suite)
     manifest = suite_mod.load_manifest(suite_dir)
     suite_mod.materialize(suite_dir)
@@ -488,7 +490,6 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool):
     p.add_argument("--library", required=True, help="module library JSON")
     p.add_argument("--device", required=True, help="device profile JSON")
     p.add_argument("--out", required=out_required, default=None, help="report JSON path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layout", choices=["row", "column", "auto"], default="auto")
     p.add_argument("--join", choices=["hash", "merge", "codesign", "auto"],
                    default="auto")
@@ -504,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="plan, place, execute, and report")
     _add_common(run, out_required=True)
+    run.add_argument("--seed", type=int, default=0, help="bloom filter seed, in [0, 2^64)")
     run.add_argument("--oracle", action="store_true",
                      help="verify the result against the reference evaluator")
     run.set_defaults(fn=cmd_run)
@@ -515,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the query suite under every strategy")
     bench.add_argument("--suite", required=True, help="suite directory with manifest.json")
     bench.add_argument("--out", default="bench_report.json")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int, default=0, help="bloom filter seed, in [0, 2^64)")
     bench.add_argument("--library", default=None, help="override the manifest library")
     bench.add_argument("--device", default=None, help="override the manifest device")
     bench.set_defaults(fn=cmd_bench)
@@ -526,6 +528,8 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise SqfError(f"--seed must be in [0, 2^64), got {args.seed}")
         return args.fn(args)
     except (SqfError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,7 +369,7 @@ class _Run:
         config = BloomCascadeConfig(stage.module.param("stages"), m_bits, k, self.seed)
         images = key_images(union_keys, self.bp.join_key_type)
         passes = np.zeros(n_codes, dtype=bool)
-        passes[union] = bloom_build_probe(config, images, held[build][union])[1]
+        passes[union] = bloom_build_probe(config, images, held[build][union])
         self.narrow(probe, np.flatnonzero(passes[side_codes[probe]]))
         kept = self.codes[0][probe]  # the codes of the probe rows kept
         self.bloom_fp = len(kept) - int(np.count_nonzero(held[build][kept]))

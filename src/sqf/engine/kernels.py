@@ -16,14 +16,14 @@ order-preserving int64 image (`relcore.int_image`: the INT value, or the
 big-endian integer of the CHAR bytes), which is its rank. An image whose
 span is smaller than its row count is coded by its offset from the
 minimum, with no sort; a wider image is coded by sorting int64, and a
-wider CHAR key by sorting its bytes. `match_pairs` is one coding step,
-the two sides' canonical keys coded jointly (`relcore.joint_codes`, with
-no concatenation when they are coded by offset), plus one pairing kernel
-on the codes, `pair_codes`, which returns pair indices, not rows; when
-the inner codes are unique it maps each outer row to its one inner row
-with a single gather. Every join strategy pairs rows this way, and codes
-its keys once: the co-design host join pairs on the codes its bloom
-stage made.
+wider CHAR key by sorting its bytes. A join is one coding step, the two
+sides' canonical keys coded jointly (`relcore.joint_codes`, with no
+concatenation when they are coded by offset), plus one pairing kernel on
+the codes, `pair_codes`, which returns pair indices, not rows; when the
+inner codes are unique it maps each outer row to its one inner row with a
+single gather. Every join strategy pairs rows this way, and codes its
+keys once: the co-design host join pairs on the codes its bloom stage
+made.
 
 Aggregation runs in code space: a row's group id is the code its keys
 give, never renumbered, and every aggregate folds into one entry per id.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..arith import INT64_MAX, INT64_MIN
-from ..relcore import codes, int_image, joint_codes
+from ..relcore import codes, int_image
 
 OK, OVERFLOW, DIVZERO = 0, 1, 2  # per-row fault codes
 
@@ -109,17 +109,10 @@ def _checked_rows(op: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return r, fault.astype(np.uint8)
 
 
-def match_pairs(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All (outer position, inner position) pairs with equal keys, ordered
-    by outer position, then inner position: the keys coded jointly, then
-    paired on their codes."""
-    (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
-    return pair_codes(outer_code, inner_code, n_codes)
-
-
 def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
                n_codes: int) -> tuple[np.ndarray, np.ndarray]:
-    """`match_pairs` of keys given by their joint codes in [0, n_codes).
+    """All (outer position, inner position) pairs with equal joint codes in
+    [0, n_codes), ordered by outer position, then inner position.
 
     When no inner code repeats, each outer row has at most one partner, so
     one gather of an inner row per code pairs them. Otherwise the inner rows

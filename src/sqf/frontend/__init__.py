@@ -15,7 +15,6 @@ from .ast import (
     QueryPlan,
     Star,
     StrLiteral,
-    pretty_print,
     render_expr,
 )
 from .binder import (
@@ -35,7 +34,7 @@ from .parser import parse_query, tokenize
 __all__ = [
     "AggItem", "AggSpec", "Arith", "BoolOp", "Cmp", "ColumnRef", "Expr",
     "IntLiteral", "JoinSpec", "NamedItem", "OrderItem", "QueryPlan", "Star",
-    "StrLiteral", "pretty_print", "render_expr",
+    "StrLiteral", "render_expr",
     "BCmp", "BoundAgg", "BoundComputed", "BoundPlan", "FromAggregate",
     "FromGroupKey", "FromValue", "OutputCol", "ValueRef", "bind",
     "parse_query", "tokenize",

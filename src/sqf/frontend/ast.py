@@ -1,7 +1,7 @@
 """Logical query plan and expression tree produced by the parser.
 
 Everything here is an immutable value object; structural equality is used by
-the parse/pretty-print round-trip tests.
+the parse/pretty-print round-trip tests (`pretty_print` is in tests/_ref.py).
 """
 
 from __future__ import annotations
@@ -141,34 +141,3 @@ def render_expr(expr: Expr) -> str:
         body = f" {expr.op} ".join(render_expr(c) for c in expr.children)
         return f"({body})"
     raise TypeError(f"not an expression: {expr!r}")
-
-
-def pretty_print(plan: QueryPlan) -> str:
-    """Canonical SQL text for a plan; parse(pretty_print(p)) == p."""
-    computed = dict(plan.computed)
-    items = []
-    for item in plan.projection:
-        if isinstance(item, Star):
-            items.append("*")
-        elif isinstance(item, AggItem):
-            items.append(plan.aggregates[item.index].render())
-        elif item.ref.qualifier is None and item.ref.name in computed:
-            items.append(f"{render_expr(computed[item.ref.name])} AS {item.ref.name}")
-        else:
-            items.append(item.ref.render())
-    parts = [f"SELECT {', '.join(items)} FROM {plan.source}"]
-    if plan.join:
-        parts.append(
-            f"JOIN {plan.join.table} ON "
-            f"{plan.join.left_key.render()} = {plan.join.right_key.render()}"
-        )
-    if plan.restriction is not None:
-        parts.append(f"WHERE {render_expr(plan.restriction)}")
-    if plan.group_by:
-        parts.append("GROUP BY " + ", ".join(c.render() for c in plan.group_by))
-    if plan.order_by:
-        keys = ", ".join(
-            f"{o.name} {'ASC' if o.ascending else 'DESC'}" for o in plan.order_by
-        )
-        parts.append("ORDER BY " + keys)
-    return " ".join(parts)

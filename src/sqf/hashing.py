@@ -4,12 +4,12 @@ The function is an FNV-1a variant: the 8 little-endian bytes of a seed word
 are absorbed before the payload, and the raw FNV state is passed through a
 final avalanche mix (raw FNV-1a has weak low bits, which matters when bit
 indices are taken modulo a power of two). The exact byte-level definition
-lives in docs/hashing.md. The one vectorized kernel, `fnv1a64_rows`, hashes
-rows given as per-column byte views under several seeds in one pass. An
-FNV-1a step on a zero byte is a bare multiply by the prime, so a byte
-column that is zero in every row is folded into the multiply of the step
-before it, and only the columns that vary are absorbed. The scalar
-`fnv1a64` is its test reference, and the two must agree bit for bit.
+lives in docs/hashing.md, and its scalar form in the tests' `_ref.py`, which
+the kernel must match bit for bit. The one vectorized kernel,
+`fnv1a64_rows`, hashes rows given as per-column byte views under several
+seeds in one pass. An FNV-1a step on a zero byte is a bare multiply by the
+prime, so a byte column that is zero in every row is folded into the
+multiply of the step before it, and only the columns that vary are absorbed.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ CHECKSUM_SEED = 0x5143_4845_434B_0001  # row checksum folding
 KEY_IMAGE_SEED = 0x4B45_5949_4D47_0001  # CHAR join keys -> 64-bit image
 
 
-def mix64(h: int) -> int:
-    h ^= h >> 33
-    h = (h * _MIX_C1) & MASK64
-    h ^= h >> 33
-    h = (h * _MIX_C2) & MASK64
-    h ^= h >> 33
-    return h
-
-
 def _seeded_state(seed: int) -> int:
     """FNV state after absorbing the 8 little-endian bytes of `seed`."""
     h = FNV_OFFSET
@@ -47,27 +38,12 @@ def _seeded_state(seed: int) -> int:
     return h
 
 
-def fnv1a64(data: bytes, seed: int = 0) -> int:
-    """Hash `data` under `seed`; the result is a uniform 64-bit value.
-
-    Scalar reference for fnv1a64_rows."""
-    h = _seeded_state(seed)
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK64
-    return mix64(h)
-
-
-def fnv1a64_u64(key: int, seed: int = 0) -> int:
-    """Hash one unsigned 64-bit key (its 8 little-endian bytes)."""
-    return fnv1a64((key & MASK64).to_bytes(8, "little"), seed)
-
-
 def fnv1a64_rows(parts, seeds) -> np.ndarray:
-    """fnv1a64 of every row under every seed, as a (seeds, rows) uint64 array.
+    """The hash of every row under every seed, as a (seeds, rows) uint64 array.
 
     A row is the concatenation of its bytes in `parts`, a sequence of
-    (rows, w) uint8 byte views: element [s, i] is fnv1a64 of row i under
-    seeds[s]. The kernel absorbs one byte column across all rows per step,
+    (rows, w) uint8 byte views: element [s, i] is the hash of row i under
+    seeds[s] (docs/hashing.md). The kernel absorbs one byte column across all rows per step,
     except a run of byte columns that is zero in every row: absorbing a zero
     byte is a multiply by the prime, so the run becomes one multiply by the
     prime's power, merged into the step before it (or, at the start of the
@@ -103,7 +79,7 @@ def fnv1a64_rows(parts, seeds) -> np.ndarray:
 
 
 def fnv1a64_u64_many(keys: np.ndarray, seeds) -> np.ndarray:
-    """fnv1a64_u64 of every key of a 1-D uint64 array under every seed, as
-    a (seeds, keys) uint64 array."""
+    """The hash of the 8 little-endian bytes of every key of a 1-D uint64
+    array under every seed, as a (seeds, keys) uint64 array."""
     keys = np.ascontiguousarray(keys, dtype="<u8").reshape(-1)
     return fnv1a64_rows([keys.view(np.uint8).reshape(-1, 8)], seeds)

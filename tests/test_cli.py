@@ -967,3 +967,98 @@ def test_unwritable_out_is_an_error(tmp_path, capsys, command, target):
     assert rc == 1
     assert err.startswith(f"error: cannot write report {out}: ")
     assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# --seed and what each command imports
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, seed", [
+    ("run", -1), ("run", 1 << 64), ("bench", -1), ("run", (1 << 64) - 1),
+])
+def test_seed_is_an_unsigned_64_bit_value(tmp_path, capsys, command, seed):
+    """--seed seeds the bloom filter with a 64-bit unsigned value: any other
+    ends the command with an error, before any input is read and with no
+    report."""
+    out = tmp_path / "report.json"
+    if command == "bench":
+        argv = ["bench", "--suite", str(_mini_suite(tmp_path))]
+    else:
+        argv = ["run", "--query", _query(tmp_path, "SELECT t.a, u.d FROM t JOIN u ON t.a = u.c"),
+                "--tables", str(_write_tables(tmp_path)), "--library", LIB, "--device", DEV,
+                "--join", "codesign"]
+    rc = main([*argv, "--out", str(out), "--seed", str(seed)])
+    err = capsys.readouterr().err
+    if 0 <= seed < 1 << 64:
+        assert (rc, err) == (0, "")
+        assert json.loads(out.read_text())["seed"] == seed
+    else:
+        assert rc == 1
+        assert err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+        assert not out.exists()
+
+
+def test_explain_takes_no_seed(tmp_path, capsys):
+    """explain runs nothing, so it has no seed to take."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["explain", "--query", _query(tmp_path, "SELECT a FROM t"),
+              "--tables", str(_write_tables(tmp_path)), "--library", LIB, "--device", DEV,
+              "--seed", "7"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def _fresh_python(code: str, *argv) -> str:
+    """The stdout of `code` run in a new interpreter, which fails on any
+    warning, with `argv` as its arguments."""
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_importing_the_cli_loads_neither_oracle_nor_suite():
+    assert _fresh_python("import sys, sqf.cli; "
+                         "print(sorted({'sqf.oracle', 'sqf.suite'} & set(sys.modules)))"
+                         ) == "[]\n"
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_run_imports_the_oracle_only_to_check(tmp_path, oracle):
+    argv = ["run", "--query", _query(tmp_path, "SELECT a FROM t WHERE a > 10"),
+            "--tables", str(_write_tables(tmp_path)), "--library", LIB, "--device", DEV,
+            "--out", str(tmp_path / "r.json")] + (["--oracle"] if oracle else [])
+    out = _fresh_python("import sys, sqf.cli; rc = sqf.cli.main(sys.argv[1:]); "
+                        "print(rc, 'sqf.oracle' in sys.modules, 'sqf.suite' in sys.modules)",
+                        *argv)
+    assert out == f"0 {oracle} False\n"
+
+
+def test_star_import_binds_every_public_name():
+    """`from sqf import *` binds each name of `sqf.__all__` to the object
+    the module that defines it holds under that name."""
+    out = _fresh_python(
+        "import importlib, sqf\n"
+        "ns = {}\n"
+        "exec('from sqf import *', ns)\n"
+        "assert ns['__version__'] == sqf.__version__\n"
+        "for name in sqf.__all__:\n"
+        "    obj = ns[name]\n"
+        "    if name != '__version__':\n"
+        "        assert obj.__name__ == name, name\n"
+        "        assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
+        "        assert getattr(sqf, name) is obj, name\n"
+        "print(len(sqf.__all__))\n")
+    assert out == "38\n"
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    assert _fresh_python(
+        "import sqf\n"
+        "try:\n"
+        "    sqf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n") == "module 'sqf' has no attribute 'no_such_name'\n"

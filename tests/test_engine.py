@@ -9,15 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _ref import bloom_build_probe as scalar_build_probe
+from _ref import fnv1a64, fnv1a64_u64
 from conftest import bind_sql, make_table, run_all_candidates, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN
-from sqf.engine.bloom import (
-    BloomCascadeConfig,
-    bloom_build,
-    bloom_dims,
-    bloom_probe,
-    bloom_probe_many,
-)
+from sqf.engine.bloom import BloomCascadeConfig, bloom_build_probe, bloom_dims
 import sqf.engine.exec as exec_mod
 from sqf.engine.exec import execute_pipeline, key_images, result_checksum
 from sqf.engine.kernels import pair_codes
@@ -28,7 +24,7 @@ from sqf.errors import (
     TupleTooLarge,
 )
 from sqf.fabric import DeviceProfile, FabricState, allocate, reconfigure, release
-from sqf.hashing import fnv1a64, fnv1a64_u64, fnv1a64_u64_many
+from sqf.hashing import fnv1a64_u64_many
 from sqf.library import ModuleKind, instantiate
 from sqf.oracle import canonical_multiset, multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines, estimate_selectivity
@@ -61,26 +57,29 @@ def test_hash_seed_changes_value():
 def test_bloom_no_false_negatives():
     cfg = BloomCascadeConfig(stages=2, bits_per_stage=256, hashes_per_stage=2, seed=42)
     keys = list(range(100))
-    cascade = bloom_build(cfg, keys)
-    for key in keys:
-        passed, _ = bloom_probe(cascade, key)
-        assert passed
+    passed = bloom_build_probe(cfg, keys, [True] * len(keys))
+    assert passed.all()
 
 
 def test_bloom_empty_filter_rejects_everything():
     cfg = BloomCascadeConfig(stages=1, bits_per_stage=128, hashes_per_stage=2, seed=0)
-    cascade = bloom_build(cfg, [])
-    for key in (0, 1, 42, 2**40):
-        passed, _ = bloom_probe(cascade, key)
-        assert not passed
+    passed = bloom_build_probe(cfg, [0, 1, 42, 2**40], [False] * 4)
+    assert not passed.any()
 
 
 def test_bloom_probe_deterministic_hash():
     cfg = BloomCascadeConfig(stages=2, bits_per_stage=512, hashes_per_stage=2, seed=9)
-    a = bloom_build(cfg, [42])
-    b = bloom_build(cfg, [42])
-    assert bloom_probe(a, 42) == bloom_probe(b, 42)
-    assert bloom_probe(a, 42)[0] is True
+    a = bloom_build_probe(cfg, [42], [True])
+    b = bloom_build_probe(cfg, [42], [True])
+    assert a.tolist() == b.tolist() == [True]
+
+
+def _built_then_probed(cfg, keys, probes):
+    """The pass mask of each probe against the cascade built from `keys`."""
+    flags = [True] * len(keys) + [False] * len(probes)
+    return bloom_build_probe(cfg, np.concatenate([np.asarray(keys, dtype=np.uint64),
+                                                  np.asarray(probes, dtype=np.uint64)]),
+                             flags)[len(keys):]
 
 
 def test_cascade_is_and_of_stages():
@@ -88,13 +87,10 @@ def test_cascade_is_and_of_stages():
     single = BloomCascadeConfig(stages=1, bits_per_stage=512, hashes_per_stage=2, seed=5)
     triple = BloomCascadeConfig(stages=3, bits_per_stage=512, hashes_per_stage=2, seed=5)
     keys = list(range(40))
-    c1 = bloom_build(single, keys)
-    c3 = bloom_build(triple, keys)
-    for probe in range(4000, 6000):
-        p1, _ = bloom_probe(c1, probe)
-        p3, _ = bloom_probe(c3, probe)
-        if not p1:
-            assert not p3
+    probes = list(range(4000, 6000))
+    p1 = _built_then_probed(single, keys, probes)
+    p3 = _built_then_probed(triple, keys, probes)
+    assert not (p3 & ~p1).any()
 
 
 def test_bloom_fp_rate_example():
@@ -106,8 +102,7 @@ def test_bloom_fp_rate_example():
         probes = np.arange(10**6, 10**6 + 10_000, dtype=np.uint64)
         for seed in range(10):
             cfg = BloomCascadeConfig(stages, m, k, seed)
-            cascade = bloom_build(cfg, list(range(n)))
-            mask, _ = bloom_probe_many(cascade, probes)
+            mask = _built_then_probed(cfg, list(range(n)), probes)
             hits += int(mask.sum())
         measured = hits / (10 * len(probes))
         assert abs(measured - analytic) <= 0.2 * analytic
@@ -115,13 +110,10 @@ def test_bloom_fp_rate_example():
 
 def test_vectorized_probe_matches_scalar():
     cfg = BloomCascadeConfig(stages=2, bits_per_stage=300, hashes_per_stage=3, seed=3)
-    cascade = bloom_build(cfg, [10, 20, 30])
-    probes = np.array(range(0, 200, 7), dtype=np.uint64)
-    mask, hashes = bloom_probe_many(cascade, probes)
-    for i, key in enumerate(probes):
-        passed, h = bloom_probe(cascade, int(key))
-        assert passed == bool(mask[i])
-        assert h == int(hashes[i])
+    keys = [10, 20, 30] + list(range(0, 200, 7))
+    built = [True] * 3 + [False] * (len(keys) - 3)
+    mask = bloom_build_probe(cfg, keys, built)
+    assert mask.tolist() == scalar_build_probe(cfg, keys, built)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +264,8 @@ def test_bloom_stage_matches_a_per_row_cascade(default_library, kind, small, emp
                 if c.tag == "row/hash_codesign")
     stages = next(s.module.param("stages") for s in cand.stages if s.role == "bloom_cascade")
     config = BloomCascadeConfig(stages, *bloom_dims(len(keys[build])), seed=7)  # the run's seed
-    cascade = bloom_build(config, key_images(keys[build], key_type))
-    passed = bloom_probe_many(cascade, key_images(probe_keys, key_type))[0]
+    passed = _built_then_probed(config, key_images(keys[build], key_type),
+                                key_images(probe_keys, key_type))
 
     report = results["row/hash_codesign"][1]
     stage = next(s for s in report.stages if s.name == "bloom_cascade")

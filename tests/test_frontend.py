@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _ref import pretty_print
 from conftest import make_table, run_candidate
 from sqf.errors import (
     AmbiguousColumn,
@@ -25,7 +26,6 @@ from sqf.frontend import (
     ValueRef,
     bind,
     parse_query,
-    pretty_print,
     tokenize,
 )
 from sqf.frontend.binder import FromValue, walk_bound

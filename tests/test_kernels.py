@@ -1,31 +1,33 @@
 """Vector kernels against their scalar references: the row hash against
-`fnv1a64(encode_row(...))` and the bloom hashes against `bloom_probe`, checked arithmetic against `sqf.arith`,
-and the grouping and pairing kernels against naive loops."""
+`fnv1a64(encode_row(...))` and the bloom function against the scalar
+cascade of `_ref.py`, checked arithmetic against `sqf.arith`, and the
+grouping and pairing kernels against naive loops."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _ref
 from conftest import bind_sql, make_table, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
-from sqf.engine.bloom import (
-    BloomCascadeConfig, bloom_build, bloom_build_probe, bloom_probe, bloom_probe_many,
-)
+from sqf.engine.bloom import BloomCascadeConfig, bloom_build_probe
 from sqf.engine.exec import _evaluate, result_checksum
 from sqf.engine.kernels import (
     DIVZERO, OK, OVERFLOW, checked_arith, codes, group_extreme, group_extremes, group_ids,
-    group_sums, match_pairs, pair_codes, rank, sort_order,
+    group_sums, pair_codes, rank, sort_order,
 )
 from sqf.errors import ArithmeticOverflow, DivisionByZero
 from sqf.fabric import DeviceProfile
+from sqf.library import MAX_BLOOM_STAGES
 from sqf.frontend.ast import StrLiteral
 from sqf.frontend.binder import BCmp, ValueRef
-from sqf.hashing import MASK64, fnv1a64, fnv1a64_rows
+from sqf.hashing import MASK64, fnv1a64_rows
 from sqf.oracle import multisets_equal, reference_execute
 from sqf.planner import enumerate_pipelines
 from sqf.relcore import (
@@ -62,7 +64,7 @@ def _assert_rows_hash_like_scalar(table, seeds):
     assert hashes.shape == (len(seeds), table.row_count)
     for per_seed, seed in zip(hashes.tolist(), seeds):
         for h, row in zip(per_seed, table.rows):
-            assert h == fnv1a64(encode_row(row, table.schema), seed)
+            assert h == _ref.fnv1a64(encode_row(row, table.schema), seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,34 +101,53 @@ def test_row_hash_folds_zero_byte_columns_exactly(case):
     _assert_rows_hash_like_scalar(make_table(cols, rows), FOLD_SEEDS)
 
 
+# keys that span all 8 bytes
+BLOOM_KEYS = np.concatenate([
+    np.array([5, 0, 1 << 56, 0xFF << 48, MASK64, 1 << 63], dtype=np.uint64),
+    np.random.default_rng(23).integers(0, 1 << 63, 40, dtype=np.uint64) * np.uint64(2),
+])
+
+
 def test_bloom_hashes_keys_of_all_eight_bytes_like_scalar():
-    rng = np.random.default_rng(23)
-    keys = np.concatenate([
-        np.array([5, 0, 1 << 56, 0xFF << 48, MASK64, 1 << 63], dtype=np.uint64),
-        rng.integers(0, 1 << 63, 40, dtype=np.uint64) * np.uint64(2),
-    ])
-    cascade = bloom_build(BloomCascadeConfig(3, 256, 2, seed=9), keys[::3])
-    mask, hashes = bloom_probe_many(cascade, keys)
-    assert hashes.shape == keys.shape
-    for i, key in enumerate(keys.tolist()):
-        assert bloom_probe(cascade, key) == (bool(mask[i]), int(hashes[i]))
+    config = BloomCascadeConfig(3, 256, 2, seed=9)
+    built = np.arange(len(BLOOM_KEYS)) % 3 == 0
+    mask = bloom_build_probe(config, BLOOM_KEYS, built)
+    assert mask.tolist() == _ref.bloom_build_probe(config, BLOOM_KEYS.tolist(), built)
     assert mask[::3].all()
+
+
+@pytest.mark.parametrize("built", ["none", "every other", "all"])
+@pytest.mark.parametrize("hashes", [1, 2, 3, 5])
+@pytest.mark.parametrize("stages", range(1, MAX_BLOOM_STAGES + 1))
+def test_bloom_build_probe_matches_the_scalar_reference(stages, hashes, built):
+    """The engine's one bloom function gives the pass mask of the spec's
+    scalar cascade, over every stage count the library allows. The filter
+    is sized so that a key not built passes with probability about 1/2,
+    so a wrong seed or index changes the mask."""
+    flags = {"none": np.arange(len(BLOOM_KEYS)) < 0, "all": np.arange(len(BLOOM_KEYS)) >= 0,
+             "every other": np.arange(len(BLOOM_KEYS)) % 2 == 0}[built]
+    n = len(BLOOM_KEYS) // 2
+    bits = max(hashes, round(-n * hashes / math.log(1 - 0.5 ** (1 / (stages * hashes)))))
+    config = BloomCascadeConfig(stages, bits, hashes, seed=0x51F)
+    mask = bloom_build_probe(config, BLOOM_KEYS, flags)
+    assert mask.tolist() == _ref.bloom_build_probe(config, BLOOM_KEYS.tolist(), flags)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.lists(st.integers(0, MASK64), max_size=40, unique=True),
        st.integers(1, 3))
 def test_bloom_build_probe_is_a_build_and_a_probe(data, keys, stages):
-    """One hash pass sets the bits `bloom_build` sets from the built keys
-    and passes every key `bloom_probe_many` passes."""
+    """One call over the keys, with the built ones flagged, passes every key
+    that a call over the built keys followed by all the keys passes."""
     built = np.array(data.draw(st.lists(st.booleans(), min_size=len(keys),
                                         max_size=len(keys))), dtype=bool)
     keys = np.array(keys, dtype=np.uint64)
     config = BloomCascadeConfig(stages, 96, 2, seed=4)
-    cascade, passed = bloom_build_probe(config, keys, built)
-    want = bloom_build(config, keys[built])
-    assert [b.tolist() for b in cascade.stage_bits] == [b.tolist() for b in want.stage_bits]
-    assert passed.tolist() == bloom_probe_many(want, keys)[0].tolist()
+    passed = bloom_build_probe(config, keys, built)
+    n_built = int(built.sum())
+    want = bloom_build_probe(config, np.concatenate([keys[built], keys]),
+                             np.arange(n_built + len(keys)) < n_built)[n_built:]
+    assert passed.tolist() == want.tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -134,7 +155,7 @@ def test_bloom_build_probe_is_a_build_and_a_probe(data, keys, stages):
 def test_checksum_is_sum_of_scalar_row_hashes(table):
     from sqf.hashing import CHECKSUM_SEED
 
-    expected = sum(fnv1a64(encode_row(row, table.schema), CHECKSUM_SEED)
+    expected = sum(_ref.fnv1a64(encode_row(row, table.schema), CHECKSUM_SEED)
                    for row in table.rows) & MASK64
     assert result_checksum(table) == expected
 
@@ -453,6 +474,13 @@ def _forbid_sorting(monkeypatch):
         raise AssertionError("np.unique called")
 
     monkeypatch.setattr(np, "unique", unsorted)
+
+
+def match_pairs(outer, inner):
+    """Pairs as a join makes them: the keys coded jointly, then paired on
+    their codes."""
+    (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
+    return pair_codes(outer_code, inner_code, n_codes)
 
 
 def _pairs_by_nested_loop(outer, inner):
