@@ -16,8 +16,11 @@ columns (`Table.columns`). Rows are held as positions by join slot into the
 tables they read, independent per slot until the join pairs them and aligned
 after it, and cells are gathered only where a stage reads them. A slot that
 still holds every row of its table has no positions: its columns are read
-in place. A filter turns its mask into an index list once and narrows the
-slot's positions with it; a join's pair indices become the positions.
+in place. That holds also after a stage that keeps every row in order (a
+filter or bloom stage that passes every row, or a join that pairs each
+outer row with exactly one inner row), which leaves the slot as it is. A
+filter turns its mask into an index list once and narrows the slot's
+positions with it; a join's pair indices become the positions.
 Arithmetic yields a fault code per row; a stage raises the fault of its
 first faulting row, which is the row the reference evaluator faults on.
 """
@@ -236,13 +239,14 @@ class _Run:
 
     Its rows are positions by join slot, plus the computed columns. A
     slot's positions are None while it holds every row of its table, so its
-    columns and join keys are read in place. Until the join, each slot's
-    positions are filtered on their own; the join pairs them, and from then
-    on (from the start without a join) the slots and the computed columns
-    are aligned, one entry per row. The join keys are coded once per run,
-    jointly for both sides: by the bloom stage, whose codes `narrow` keeps
-    aligned with the rows until the host join pairs on them, or else by
-    the join itself.
+    columns and join keys are read in place. A stage that keeps every row
+    in order narrows nothing, so a slot's positions stay None past it.
+    Until the join, each slot's positions are filtered on their own; the
+    join pairs them, and from then on (from the start without a join) the
+    slots and the computed columns are aligned, one entry per row. The
+    join keys are coded once per run, jointly for both sides: by the bloom
+    stage, whose codes `narrow` keeps aligned with the rows until the host
+    join pairs on them, or else by the join itself.
     """
 
     def __init__(self, bp: BoundPlan, tables: dict, dev: DeviceProfile, seed: int):
@@ -264,9 +268,12 @@ class _Run:
     def n(self) -> int:
         return self.rows(0) if self.joined else self.rows(0) + self.rows(1)
 
-    def narrow(self, slot: int, index: np.ndarray) -> None:
+    def narrow(self, slot: int, index: np.ndarray | None) -> None:
         """Keep a slot's rows at `index`, positions into its current rows,
-        and the join key codes of those rows, once coded."""
+        and the join key codes of those rows, once coded. None keeps every
+        row in order: the positions and codes stay as they are."""
+        if index is None:
+            return
         pos = self.positions[slot]
         self.positions[slot] = index if pos is None else pos[index]
         if self.codes is not None:
@@ -312,13 +319,15 @@ class _Run:
 
     def restriction(self, stage):
         """Apply (slot, predicate) filters: slot 0/1 filters that slot's
-        positions, None every slot. Each mask becomes one index list. A
-        restriction runs before the ALU, so there are no computed columns
-        to filter."""
+        positions, None every slot. Each mask becomes one index list, and
+        one that keeps every row narrows nothing. A restriction runs before
+        the ALU, so there are no computed columns to filter."""
         n_in = self.n
         for slot, pred in stage.predicates:
             slots = range(len(self.sides)) if slot is None else (slot,)
-            keep = np.flatnonzero(_mask(pred, self, self.rows(slots[0])))
+            rows = self.rows(slots[0])
+            keep = np.flatnonzero(_mask(pred, self, rows))
+            keep = None if len(keep) == rows else keep  # increasing: all rows is the identity
             for s in slots:
                 self.narrow(s, keep)
         return n_in, self.n
@@ -349,7 +358,8 @@ class _Run:
         those of hashing every row. An offset-coded INT code's key is the
         base plus the code; any other code's key is scattered from the rows
         that hold it. The probe side's codes are narrowed with its rows, and
-        the host join pairs on them."""
+        the host join pairs on them; when every probe row passes, neither
+        is touched."""
         keys = self.keys()
         self.codes = side_codes, n_codes, base = joint_codes(keys)
         self.build = build = 0 if len(keys[0]) <= len(keys[1]) else 1
@@ -370,7 +380,8 @@ class _Run:
         images = key_images(union_keys, self.bp.join_key_type)
         passes = np.zeros(n_codes, dtype=bool)
         passes[union] = bloom_build_probe(config, images, held[build][union])
-        self.narrow(probe, np.flatnonzero(passes[side_codes[probe]]))
+        keep = np.flatnonzero(passes[side_codes[probe]])
+        self.narrow(probe, None if len(keep) == len(keys[probe]) else keep)
         kept = self.codes[0][probe]  # the codes of the probe rows kept
         self.bloom_fp = len(kept) - int(np.count_nonzero(held[build][kept]))
         return len(keys[probe]), len(kept)

@@ -21,9 +21,17 @@ sides' canonical keys coded jointly (`relcore.joint_codes`, with no
 concatenation when they are coded by offset), plus one pairing kernel on
 the codes, `pair_codes`, which returns pair indices, not rows; when the
 inner codes are unique it maps each outer row to its one inner row with a
-single gather. Every join strategy pairs rows this way, and codes its
-keys once: the co-design host join pairs on the codes its bloom stage
-made.
+single gather, and when every outer row has exactly one partner it
+returns no outer indices at all (None: every row, in order). Every join
+strategy pairs rows this way, and codes its keys once: the co-design host
+join pairs on the codes its bloom stage made.
+
+Ordering packs each row's ranks into one int64 sort key (a normalized
+key): the row's position, plus each key's offset from its minimum rank
+weighted by the row count and the spans of the less significant keys.
+The packed keys are distinct, so one `np.sort` of them, modulo the row
+count, is the stable multi-key order; keys whose spans leave no room in
+int64 are sorted by `np.lexsort`.
 
 Aggregation runs in code space: a row's group id is the code its keys
 give, never renumbered, and every aggregate folds into one entry per id.
@@ -35,6 +43,8 @@ leave int64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -114,14 +124,20 @@ def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
     """All (outer position, inner position) pairs with equal joint codes in
     [0, n_codes), ordered by outer position, then inner position.
 
-    When no inner code repeats, each outer row has at most one partner, so
-    one gather of an inner row per code pairs them. Otherwise the inner rows
-    are grouped by code and each outer row is repeated once per partner."""
+    When every outer row has exactly one partner, the outer positions are
+    every outer row in order, and come back as None instead of an index
+    (as with no outer rows at all); the inner positions are then one per
+    outer row. When no inner code repeats, each outer row has at most one
+    partner, so one gather of an inner row per code pairs them. Otherwise
+    the inner rows are grouped by code and each outer row is repeated once
+    per partner."""
     per_key = np.bincount(inner_code, minlength=n_codes)
     if per_key.max(initial=0) <= 1:
         row_of = np.full(n_codes, -1, dtype=np.intp)  # the inner row of each code
         row_of[inner_code] = np.arange(len(inner_code))
         partner = row_of[outer_code]
+        if partner.min(initial=0) >= 0:  # no outer row unmatched
+            return None, partner
         outer_pos = np.flatnonzero(partner >= 0)
         return outer_pos, partner[outer_pos]
     order = np.argsort(inner_code, kind="stable")  # inner rows grouped by code
@@ -130,6 +146,8 @@ def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
     outer_pos = np.repeat(np.arange(len(outer_code)), counts)
     first = np.cumsum(counts) - counts  # each outer row's first pair
     inner_pos = order[np.repeat(lo - first, counts) + np.arange(counts.sum())]
+    if len(outer_pos) == len(outer_code) and counts.all():  # one partner each
+        return None, inner_pos
     return outer_pos, inner_pos
 
 
@@ -230,6 +248,26 @@ def group_extreme(code: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> np.
 
 
 def sort_order(keys) -> np.ndarray:
-    """Stable permutation by (values, ascending) keys, first key major."""
-    codes = [rank(values) if asc else ~rank(values) for values, asc in reversed(keys)]
-    return np.lexsort(codes)
+    """Stable permutation by (values, ascending) keys, first key major.
+
+    Each key is ranked (`rank`, inverted for a descending key), and the
+    ranks are packed into one int64 per row: the row's position plus each
+    key's rank offset from its minimum, times the row count and the spans
+    of the less significant keys. Every packed value is distinct, so one
+    sort of them, modulo the row count, is the stable lexicographic order.
+    When the row count times the spans leaves int64, the keys are sorted
+    by `np.lexsort` instead."""
+    ranks = [rank(values) if asc else ~rank(values) for values, asc in keys]
+    n = len(ranks[0])
+    if n == 0:
+        return np.arange(0)
+    # Python ints: a span may exceed int64
+    lows = [int(r.min()) for r in ranks]
+    spans = [int(r.max()) - low + 1 for r, low in zip(ranks, lows)]
+    if n * math.prod(spans) > INT64_MAX:
+        return np.lexsort(ranks[::-1])
+    packed = ranks[0] - lows[0]
+    for r, low, span in zip(ranks[1:], lows[1:], spans[1:]):
+        packed = packed * span + (r - low)
+    packed = packed * n + np.arange(n)
+    return np.sort(packed) % n

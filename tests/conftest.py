@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import pathlib
 
+import numpy as np
 import pytest
 
 import _qgen
 from sqf import suite as suite_mod
 from sqf.engine.exec import execute_pipeline
+from sqf.engine.kernels import pair_codes
 from sqf.fabric import DeviceProfile, FabricState, allocate, load_device_profile, reconfigure
 from sqf.frontend import bind, parse_query
 from sqf.library import load_library
@@ -76,3 +78,21 @@ def run_all_candidates(sql: str, tables: dict, lib, dev, seed: int = 7):
         result, report = run_candidate(cand, tables, dev, seed=seed, stats=stats)
         out.append((cand, result, report))
     return out
+
+
+def pair_positions(outer_code, inner_code, n_codes):
+    """`pair_codes` with None outer positions (every outer row, in order)
+    written out as `np.arange`, for tests that zip the pairs."""
+    outer_pos, inner_pos = pair_codes(outer_code, inner_code, n_codes)
+    return np.arange(len(outer_code)) if outer_pos is None else outer_pos, inner_pos
+
+
+def half_passing_bits(n_built: int, stages: int, hashes: int) -> int:
+    """Bits per stage of a cascade over `n_built` keys that a key not built
+    passes with probability about 1/2, so that a wrong seed or bit index
+    changes which keys pass. Each of the stages x hashes bits it tests must
+    be set with probability 0.5 ** (1 / (stages x hashes)); after hashes x
+    n_built insertions into m bits, a bit is set with probability
+    1 - (1 - 1/m) ** (hashes x n_built), exact where few keys are built."""
+    unset = 1 - 0.5 ** (1 / (stages * hashes))
+    return max(hashes, round(1 / (1 - unset ** (1 / (hashes * n_built)))))

@@ -11,12 +11,13 @@ import pytest
 
 from _ref import bloom_build_probe as scalar_build_probe
 from _ref import fnv1a64, fnv1a64_u64
-from conftest import bind_sql, make_table, run_all_candidates, run_candidate
+from conftest import (
+    bind_sql, half_passing_bits, make_table, pair_positions, run_all_candidates, run_candidate,
+)
 from sqf.arith import INT64_MAX, INT64_MIN
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build_probe, bloom_dims
 import sqf.engine.exec as exec_mod
 from sqf.engine.exec import execute_pipeline, key_images, result_checksum
-from sqf.engine.kernels import pair_codes
 from sqf.errors import (
     ArithmeticOverflow,
     DivisionByZero,
@@ -109,7 +110,8 @@ def test_bloom_fp_rate_example():
 
 
 def test_vectorized_probe_matches_scalar():
-    cfg = BloomCascadeConfig(stages=2, bits_per_stage=300, hashes_per_stage=3, seed=3)
+    cfg = BloomCascadeConfig(stages=2, bits_per_stage=half_passing_bits(3, 2, 3),
+                             hashes_per_stage=3, seed=3)
     keys = [10, 20, 30] + list(range(0, 200, 7))
     built = [True] * 3 + [False] * (len(keys) - 3)
     mask = bloom_build_probe(cfg, keys, built)
@@ -330,12 +332,81 @@ def test_narrowing_a_side_keeps_its_key_codes_aligned(default_library):
     assert run.codes[0][1].tolist() == right[[3, 0]].tolist()
     keys = [k.tolist() for k in run.keys()]
     assert keys == [[1, 4, 4, 2], [4, 1]]
-    pairs = pair_codes(*run.codes[0], run.codes[1])
+    pairs = pair_positions(*run.codes[0], run.codes[1])
     assert list(zip(*(p.tolist() for p in pairs))) == [
         (a, b) for a, x in enumerate(keys[0]) for b, y in enumerate(keys[1]) if x == y]
     run.host_join(None)
     assert run.codes is None
     assert [k.tolist() for k in run.keys()] == [[1, 4, 4], [1, 4, 4]]
+
+
+def _positions_around(monkeypatch, roles):
+    """Patch `_Run` so that each stage of a role in `roles` records (role,
+    the slots' positions before it, after it); returns the record."""
+    seen = []
+    for role in roles:
+        def call(run, stage, _real=getattr(exec_mod._Run, role), _role=role):
+            before = list(run.positions)
+            out = _real(run, stage)
+            seen.append((_role, before, list(run.positions)))
+            return out
+        monkeypatch.setattr(exec_mod._Run, role, call)
+    return seen
+
+
+def test_a_join_of_one_partner_per_outer_row_keeps_its_positions(
+        suite_dir, default_library, default_device, monkeypatch):
+    """q08 joins each order to its one customer with no WHERE: under every
+    join algorithm the order slot still holds every row in order, so it has
+    no positions, and the co-design bloom stage passes every order."""
+    seen = _positions_around(monkeypatch, ["bloom_cascade", "hash_join", "merge_join",
+                                           "host_join"])
+    tables = _suite_tables(suite_dir)
+    bp = bind_sql((suite_dir / "q08.sql").read_text(), tables)
+    joins = {c.join_algo: c for c in enumerate_pipelines(bp, default_library, default_device)
+             if c.join_algo is not None}
+    assert set(joins) == {"hash_fpga", "merge_fpga", "hash_codesign"}
+    for algo, cand in joins.items():
+        seen.clear()
+        run_candidate(cand, tables, default_device)
+        assert [role for role, _, _ in seen] == (
+            ["bloom_cascade", "host_join"] if algo == "hash_codesign"
+            else ["hash_join" if algo == "hash_fpga" else "merge_join"]), algo
+        assert all(after[0] is None for _, _, after in seen), algo
+        assert seen[-1][2][1] is not None, algo  # the customers are gathered per order
+
+
+@pytest.mark.parametrize("where", ["", " WHERE l.v > 0"])
+def test_a_bloom_stage_that_passes_every_probe_row_leaves_its_positions(default_library,
+                                                                        monkeypatch, where):
+    """Every probe key is built, so every probe row passes: the probe
+    slot's positions are those it had before, None or a WHERE's index."""
+    tables = {"l": make_table([("k", "INT"), ("v", "INT")],
+                              [(k % 5, k % 7) for k in range(40)]),
+              "r": make_table([("k", "INT")], [(k,) for k in range(6)])}
+    seen = _positions_around(monkeypatch, ["bloom_cascade"])
+    sql = f"SELECT l.v, r.k FROM l JOIN r ON l.k = r.k{where}"
+    results = _codesign_against_hash_fpga(sql, tables, default_library)
+    (_, before, after), = seen
+    stage = next(s for s in results["row/hash_codesign"][1].stages if s.name == "bloom_cascade")
+    assert stage.input_count == stage.output_count
+    assert after[0] is before[0]
+    assert (before[0] is None) == (where == "")
+
+
+def test_a_where_that_keeps_every_row_leaves_no_positions(default_library, monkeypatch):
+    """A WHERE that every row passes narrows nothing, before a join or
+    without one; one that drops a row narrows its slot."""
+    tables = {"l": make_table([("k", "INT"), ("v", "INT")], [(k % 3, k) for k in range(9)]),
+              "r": make_table([("k", "INT")], [(k,) for k in range(3)])}
+    seen = _positions_around(monkeypatch, ["restriction"])
+    for sql, kept in [("SELECT v FROM l WHERE v >= 0", True),
+                      ("SELECT v FROM l WHERE v > 0", False),
+                      ("SELECT l.v, r.k FROM l JOIN r ON l.k = r.k WHERE l.v < 9", True)]:
+        for cand in enumerate_pipelines(bind_sql(sql, tables), default_library, _device()):
+            seen.clear()
+            run_candidate(cand, tables, _device())
+            assert [after[0] is None for _, _, after in seen] == [kept], (sql, cand.tag)
 
 
 def test_align_tuple_too_large(default_library, default_device, suite_dir):

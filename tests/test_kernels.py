@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref
-from conftest import bind_sql, make_table, run_candidate
+from conftest import bind_sql, half_passing_bits, make_table, pair_positions, run_candidate
 from sqf.arith import INT64_MAX, INT64_MIN, add64, div64, mul64, sub64
 from sqf.engine.bloom import BloomCascadeConfig, bloom_build_probe
 from sqf.engine.exec import _evaluate, result_checksum
@@ -109,8 +109,8 @@ BLOOM_KEYS = np.concatenate([
 
 
 def test_bloom_hashes_keys_of_all_eight_bytes_like_scalar():
-    config = BloomCascadeConfig(3, 256, 2, seed=9)
     built = np.arange(len(BLOOM_KEYS)) % 3 == 0
+    config = BloomCascadeConfig(3, half_passing_bits(int(built.sum()), 3, 2), 2, seed=9)
     mask = bloom_build_probe(config, BLOOM_KEYS, built)
     assert mask.tolist() == _ref.bloom_build_probe(config, BLOOM_KEYS.tolist(), built)
     assert mask[::3].all()
@@ -480,7 +480,7 @@ def match_pairs(outer, inner):
     """Pairs as a join makes them: the keys coded jointly, then paired on
     their codes."""
     (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
-    return pair_codes(outer_code, inner_code, n_codes)
+    return pair_positions(outer_code, inner_code, n_codes)
 
 
 def _pairs_by_nested_loop(outer, inner):
@@ -508,6 +508,43 @@ def test_match_pairs_is_the_ordered_nested_loop(data, kind):
 def test_match_pairs_with_and_without_unique_inner_keys(outer, inner, pairs):
     o, i = match_pairs(np.array(outer, dtype=np.int64), np.array(inner, dtype=np.int64))
     assert list(zip(o.tolist(), i.tolist())) == pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), key_kinds(("narrow", "wide", "hash", "char")), st.booleans())
+def test_pair_codes_leave_out_the_outer_positions_of_one_partner_each(data, kind, from_inner):
+    """The outer positions are None exactly when every outer row has one
+    partner; the inner positions are then each outer row's partner. With
+    `from_inner`, the outer keys are drawn from the inner ones, so that
+    every outer row matches, once or more."""
+    inner = _draw_column(data, kind)
+    if from_inner and len(inner):
+        outer = np.array(data.draw(st.lists(st.sampled_from(inner.tolist()), max_size=15)),
+                         dtype=inner.dtype)
+    else:
+        outer = _draw_column(data, kind)
+    (outer_code, inner_code), n_codes, _ = joint_codes([outer, inner])
+    o, i = pair_codes(outer_code, inner_code, n_codes)
+    pairs = _pairs_by_nested_loop(outer.tolist(), inner.tolist())
+    one_each = [a for a, _ in pairs] == list(range(len(outer)))
+    assert (o is None) == one_each
+    if one_each:
+        assert list(enumerate(i.tolist())) == pairs
+
+
+@pytest.mark.parametrize("outer, inner, outer_pos, inner_pos", [
+    ([3, 1, 3], [1, 3, 5], None, [1, 0, 1]),  # unique inner keys, each outer row matched
+    ([3, 1, 4], [1, 3, 5], [0, 1], [1, 0]),  # an unmatched outer row
+    ([3, 1], [3, 1, 3], [0, 0, 1], [0, 2, 1]),  # an outer row meets a repeated inner key
+    ([1, 1], [3, 1, 3], None, [1, 1]),  # a repeated inner key no outer row meets
+    ([], [1, 2], None, []),
+    ([], [1, 1], None, []),
+])
+def test_pair_codes_with_one_partner_each_or_not(outer, inner, outer_pos, inner_pos):
+    (outer_code, inner_code), n_codes, _ = joint_codes([np.array(outer, dtype=np.int64),
+                                                        np.array(inner, dtype=np.int64)])
+    o, i = pair_codes(outer_code, inner_code, n_codes)
+    assert (None if o is None else o.tolist(), i.tolist()) == (outer_pos, inner_pos)
 
 
 def _draw_key_sides(data, case):
@@ -544,7 +581,7 @@ def test_joint_codes_code_two_sides_as_one_and_pair_on_codes(data, case):
     for x, cx in zip(keys, code):
         for y, cy in zip(keys, code):
             assert ((x == y), (x < y)) == ((cx == cy), (cx < cy))
-    o, i = pair_codes(outer_code, inner_code, n_codes)
+    o, i = pair_positions(outer_code, inner_code, n_codes)
     assert list(zip(o.tolist(), i.tolist())) == _pairs_by_nested_loop(outer.tolist(),
                                                                       inner.tolist())
 
@@ -695,3 +732,49 @@ def test_sort_order_of_char_keys_is_pythons_stable_sort(data, ascending):
     for cells, _, asc in reversed(keys):  # least significant key first
         expected.sort(key=cells.__getitem__, reverse=not asc)
     assert sort_order([(values, asc) for _, values, asc in keys]).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.lists(st.tuples(key_kinds(("narrow", "wide", "char")), st.booleans()),
+                           min_size=1, max_size=3), st.booleans())
+def test_sort_order_is_pythons_stable_multi_key_sort(data, kinds, all_int):
+    """INT keys (narrow with ties, or from EDGES, INT64_MIN and INT64_MAX
+    among them) alone or mixed with CHAR keys, in mixed directions, order
+    like Python's stable sort by each key, least significant first."""
+    n = data.draw(st.integers(0, 40))
+    if all_int:
+        kinds = [(data.draw(key_kinds(("narrow", "wide"))), asc) for _, asc in kinds]
+    keys = []
+    for (cell, dtype), asc in kinds:
+        cells = data.draw(st.lists(cell, min_size=n, max_size=n))
+        keys.append((cells, np.array(cells, dtype=dtype), asc))
+    expected = list(range(n))
+    for cells, _, asc in reversed(keys):
+        expected.sort(key=cells.__getitem__, reverse=not asc)
+    assert sort_order([(values, asc) for _, values, asc in keys]).tolist() == expected
+
+
+@pytest.mark.parametrize("keys, lexsorts", [
+    # spans 4 and 3 over 5 rows: packed into one int64
+    ([([3, 0, 3, 1, 0], True), ([b"b", b"a", b"a", b"c", b"b"], False)], False),
+    # 3 rows times a span of INT64_MAX // 3: the largest packed value is
+    # just inside int64
+    ([([INT64_MIN, INT64_MIN + INT64_MAX // 3 - 1, INT64_MIN], False)], False),
+    # one row more than fits
+    ([([INT64_MIN, INT64_MIN + INT64_MAX // 3 - 1, INT64_MIN, INT64_MIN], False)], True),
+    # a key spanning all of int64, ties broken by a narrow one
+    ([([INT64_MAX, INT64_MIN, INT64_MAX, 0], True), ([1, 0, 0, 1], False)], True),
+])
+def test_sort_order_packs_its_keys_while_they_fit_int64(monkeypatch, keys, lexsorts):
+    """Keys whose row count times spans fits int64 are sorted as one packed
+    key, with no `np.lexsort`; wider ones fall back to it, in the same order."""
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *a, **k: calls.append(1) or real(*a, **k))
+    columns = [(np.array(cells, dtype=np.int64 if isinstance(cells[0], int) else "S1"), asc)
+               for cells, asc in keys]
+    expected = list(range(len(keys[0][0])))
+    for cells, asc in reversed(keys):
+        expected.sort(key=cells.__getitem__, reverse=not asc)
+    assert sort_order(columns).tolist() == expected
+    assert bool(calls) == lexsorts
