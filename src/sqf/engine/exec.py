@@ -17,8 +17,8 @@ tables they read, independent per slot until the join pairs them and aligned
 after it, and cells are gathered only where a stage reads them. A slot that
 still holds every row of its table has no positions: its columns are read
 in place. That holds also after a stage that keeps every row in order (a
-filter or bloom stage that passes every row, or a join that pairs each
-outer row with exactly one inner row), which leaves the slot as it is. A
+bloom stage that passes every probe row, or a join that pairs each outer
+row with exactly one inner row), which leaves the slot as it is. A
 filter turns its mask into an index list once and narrows the slot's
 positions with it; a join's pair indices become the positions.
 Arithmetic yields a fault code per row; a stage raises the fault of its
@@ -239,8 +239,9 @@ class _Run:
 
     Its rows are positions by join slot, plus the computed columns. A
     slot's positions are None while it holds every row of its table, so its
-    columns and join keys are read in place. A stage that keeps every row
-    in order narrows nothing, so a slot's positions stay None past it.
+    columns and join keys are read in place. A bloom stage or join that
+    keeps every row in order narrows nothing, so a slot's positions stay
+    None past it.
     Until the join, each slot's positions are filtered on their own; the
     join pairs them, and from then on (from the start without a join) the
     slots and the computed columns are aligned, one entry per row. The
@@ -319,15 +320,13 @@ class _Run:
 
     def restriction(self, stage):
         """Apply (slot, predicate) filters: slot 0/1 filters that slot's
-        positions, None every slot. Each mask becomes one index list, and
-        one that keeps every row narrows nothing. A restriction runs before
-        the ALU, so there are no computed columns to filter."""
+        positions, None every slot. Each mask becomes one index list. A
+        restriction runs before the ALU, so there are no computed columns
+        to filter."""
         n_in = self.n
         for slot, pred in stage.predicates:
             slots = range(len(self.sides)) if slot is None else (slot,)
-            rows = self.rows(slots[0])
-            keep = np.flatnonzero(_mask(pred, self, rows))
-            keep = None if len(keep) == rows else keep  # increasing: all rows is the identity
+            keep = np.flatnonzero(_mask(pred, self, self.rows(slots[0])))
             for s in slots:
                 self.narrow(s, keep)
         return n_in, self.n

@@ -21,8 +21,8 @@ sides' canonical keys coded jointly (`relcore.joint_codes`, with no
 concatenation when they are coded by offset), plus one pairing kernel on
 the codes, `pair_codes`, which returns pair indices, not rows; when the
 inner codes are unique it maps each outer row to its one inner row with a
-single gather, and when every outer row has exactly one partner it
-returns no outer indices at all (None: every row, in order). Every join
+single gather, and when every outer row then has its partner it returns
+no outer indices at all (None: every row, in order). Every join
 strategy pairs rows this way, and codes its keys once: the co-design host
 join pairs on the codes its bloom stage made.
 
@@ -120,17 +120,17 @@ def _checked_rows(op: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 
 
 def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
-               n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+               n_codes: int) -> tuple[np.ndarray | None, np.ndarray]:
     """All (outer position, inner position) pairs with equal joint codes in
     [0, n_codes), ordered by outer position, then inner position.
 
-    When every outer row has exactly one partner, the outer positions are
-    every outer row in order, and come back as None instead of an index
-    (as with no outer rows at all); the inner positions are then one per
-    outer row. When no inner code repeats, each outer row has at most one
-    partner, so one gather of an inner row per code pairs them. Otherwise
-    the inner rows are grouped by code and each outer row is repeated once
-    per partner."""
+    When no inner code repeats, each outer row has at most one partner, so
+    one gather of an inner row per code pairs them; if every outer row then
+    has its partner, the outer positions are every outer row in order and
+    come back as None instead of an index (as with no outer rows at all).
+    Otherwise the inner rows are grouped by code and each outer row is
+    repeated once per partner; the outer positions are always an index
+    there, even where each outer row meets one inner row."""
     per_key = np.bincount(inner_code, minlength=n_codes)
     if per_key.max(initial=0) <= 1:
         row_of = np.full(n_codes, -1, dtype=np.intp)  # the inner row of each code
@@ -146,8 +146,6 @@ def pair_codes(outer_code: np.ndarray, inner_code: np.ndarray,
     outer_pos = np.repeat(np.arange(len(outer_code)), counts)
     first = np.cumsum(counts) - counts  # each outer row's first pair
     inner_pos = order[np.repeat(lo - first, counts) + np.arange(counts.sum())]
-    if len(outer_pos) == len(outer_code) and counts.all():  # one partner each
-        return None, inner_pos
     return outer_pos, inner_pos
 
 

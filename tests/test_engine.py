@@ -394,21 +394,6 @@ def test_a_bloom_stage_that_passes_every_probe_row_leaves_its_positions(default_
     assert (before[0] is None) == (where == "")
 
 
-def test_a_where_that_keeps_every_row_leaves_no_positions(default_library, monkeypatch):
-    """A WHERE that every row passes narrows nothing, before a join or
-    without one; one that drops a row narrows its slot."""
-    tables = {"l": make_table([("k", "INT"), ("v", "INT")], [(k % 3, k) for k in range(9)]),
-              "r": make_table([("k", "INT")], [(k,) for k in range(3)])}
-    seen = _positions_around(monkeypatch, ["restriction"])
-    for sql, kept in [("SELECT v FROM l WHERE v >= 0", True),
-                      ("SELECT v FROM l WHERE v > 0", False),
-                      ("SELECT l.v, r.k FROM l JOIN r ON l.k = r.k WHERE l.v < 9", True)]:
-        for cand in enumerate_pipelines(bind_sql(sql, tables), default_library, _device()):
-            seen.clear()
-            run_candidate(cand, tables, _device())
-            assert [after[0] is None for _, _, after in seen] == [kept], (sql, cand.tag)
-
-
 def test_align_tuple_too_large(default_library, default_device, suite_dir):
     """A device whose cache line is narrower than a record fails the align
     stage, even for a candidate planned on a device it fits."""

@@ -513,10 +513,11 @@ def test_match_pairs_with_and_without_unique_inner_keys(outer, inner, pairs):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), key_kinds(("narrow", "wide", "hash", "char")), st.booleans())
 def test_pair_codes_leave_out_the_outer_positions_of_one_partner_each(data, kind, from_inner):
-    """The outer positions are None exactly when every outer row has one
-    partner; the inner positions are then each outer row's partner. With
-    `from_inner`, the outer keys are drawn from the inner ones, so that
-    every outer row matches, once or more."""
+    """The outer positions are None exactly when the inner keys are
+    unique and every outer row has its partner; the inner positions are
+    then each outer row's partner. With `from_inner`, the outer keys are
+    drawn from the inner ones, so that every outer row matches, once or
+    more."""
     inner = _draw_column(data, kind)
     if from_inner and len(inner):
         outer = np.array(data.draw(st.lists(st.sampled_from(inner.tolist()), max_size=15)),
@@ -527,7 +528,8 @@ def test_pair_codes_leave_out_the_outer_positions_of_one_partner_each(data, kind
     o, i = pair_codes(outer_code, inner_code, n_codes)
     pairs = _pairs_by_nested_loop(outer.tolist(), inner.tolist())
     one_each = [a for a, _ in pairs] == list(range(len(outer)))
-    assert (o is None) == one_each
+    unique_inner = len(np.unique(inner_code)) == len(inner_code)
+    assert (o is None) == (one_each and unique_inner)
     if one_each:
         assert list(enumerate(i.tolist())) == pairs
 
@@ -536,9 +538,9 @@ def test_pair_codes_leave_out_the_outer_positions_of_one_partner_each(data, kind
     ([3, 1, 3], [1, 3, 5], None, [1, 0, 1]),  # unique inner keys, each outer row matched
     ([3, 1, 4], [1, 3, 5], [0, 1], [1, 0]),  # an unmatched outer row
     ([3, 1], [3, 1, 3], [0, 0, 1], [0, 2, 1]),  # an outer row meets a repeated inner key
-    ([1, 1], [3, 1, 3], None, [1, 1]),  # a repeated inner key no outer row meets
+    ([1, 1], [3, 1, 3], [0, 1], [1, 1]),  # one partner each, but a repeated inner key
     ([], [1, 2], None, []),
-    ([], [1, 1], None, []),
+    ([], [1, 1], [], []),
 ])
 def test_pair_codes_with_one_partner_each_or_not(outer, inner, outer_pos, inner_pos):
     (outer_code, inner_code), n_codes, _ = joint_codes([np.array(outer, dtype=np.int64),
