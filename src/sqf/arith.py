@@ -1,7 +1,7 @@
 """Checked 64-bit signed arithmetic.
 
-Both query evaluators (the pipeline engine and the reference evaluator) use
-these primitives so that overflow and division semantics are identical on
+The oracle uses these scalar primitives; the engine's vector kernel
+`checked_arith` is tested against them, so overflow and division agree on
 both routes. Division truncates toward zero, matching AVG.
 """
 

@@ -7,9 +7,9 @@ and run. In `bench`, the rows of one query that choose the same candidate
 share its one run, checksum and software baseline.
 
 Reports are JSON with stable key order and floats printed with 9 significant
-digits, written in one walk as `json.dumps(indent=2)` would write them;
-everything outside the `meta` section is byte-deterministic for a fixed
---seed. `SQF_LOG=debug|info|warn` controls diagnostics on stderr.
+digits, written by `json.dumps(indent=2)`; everything outside the `meta`
+section but a bench row's `measured_wall_seconds` is byte-deterministic for
+a fixed --seed. `SQF_LOG=debug|info|warn` controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -56,83 +56,19 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps' string escaper
-
-
-def _float9(value: float) -> str:
-    """A float limited to 9 significant digits, as json.dumps prints that."""
-    value = float(f"{value:.9g}")
-    if value - value == 0.0:  # finite
-        return repr(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-# the text of a leaf value by its exact type
-_LEAF = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    float: _float9,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _report_text(report) -> str:
-    """`json.dumps(report, indent=2)` with every float value limited to 9
-    significant digits, for stable reports, written in one walk. A leaf is
-    written with its separator, key and indent in one piece; a subclass of
-    str, int or float is written as its base type, as json.dumps does."""
-    chunks = []
-    put = chunks.append
-    leaf = _LEAF.get
-
-    def walk(value, indent):
-        text = leaf(type(value))
-        if text is not None:
-            put(text(value))
-        elif isinstance(value, dict):
-            if not value:
-                put("{}")
-                return
-            inner = indent + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                text = leaf(type(item))
-                if text is None:
-                    put(f"{sep}{_ESCAPE(key)}: ")
-                    walk(item, inner)
-                else:
-                    put(f"{sep}{_ESCAPE(key)}: {text(item)}")
-                sep = "," + inner
-            put(indent + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                put("[]")
-                return
-            inner = indent + "  "
-            sep = "[" + inner
-            for item in value:
-                text = leaf(type(item))
-                if text is None:
-                    put(sep)
-                    walk(item, inner)
-                else:
-                    put(sep + text(item))
-                sep = "," + inner
-            put(indent + "]")
-        else:
-            for base in (str, int, float):
-                if isinstance(value, base):
-                    put(_LEAF[base](value))
-                    return
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    walk(report, "\n")
-    return "".join(chunks)
+def _round9(value):
+    """Limit floats to 9 significant digits, recursively, for stable reports."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {k: _round9(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round9(v) for v in value]
+    return value
 
 
 def _write_report(path, report: dict):
-    text = _report_text(report) + "\n"
+    text = json.dumps(_round9(report), indent=2) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -140,11 +76,14 @@ def _write_report(path, report: dict):
 
 
 def _read_query(path) -> str:
-    """The query file's text. A directory or a file that is not UTF-8 is an
-    SqfError; a missing file stays FileNotFoundError."""
+    """The query file's text. A file that cannot be read (a directory, a
+    symlink loop) or decoded is an SqfError; a missing one stays
+    FileNotFoundError."""
     try:
         return Path(path).read_text(encoding="utf-8").strip()
-    except (IsADirectoryError, UnicodeError) as exc:
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeError) as exc:
         raise SqfError(f"cannot read query file {path}: {exc}") from None
 
 

@@ -111,8 +111,9 @@ def _evaluate(expr, run: _Run):
     """(values, fault codes or None) of a bound expression at a run's rows.
 
     INT values are int64, CHAR values padded bytes, conditions booleans;
-    literals broadcast. A CHAR comparison of width at most 8 compares the
-    padded cells' int64 images (`int_image`), which order like their bytes.
+    literals broadcast. A CHAR comparison compares the padded cells' int64
+    images (`int_image`) where they have them, which order like their
+    bytes, and the padded bytes otherwise.
     A row's fault is its first in evaluation order: left operand, right
     operand, then the operation itself.
     """
@@ -132,8 +133,9 @@ def _evaluate(expr, run: _Run):
         b, fb = _evaluate(expr.rhs, run)
         if expr.kind is TypeKind.CHAR:
             a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
-            if expr.width <= 8:  # compare order-preserving int64 images
-                a, b = int_image(a), int_image(b)
+            image = int_image(a)
+            if image is not None:  # compare order-preserving int64 images
+                a, b = image, int_image(b)
         return _CMP[expr.op](a, b), _first_fault(fa, fb)
     if isinstance(expr, BoolOp):
         parts = [_evaluate(child, run) for child in expr.children]

@@ -5,9 +5,10 @@ equi-join, tree-walking expression interpreter, per-group row lists folded
 at the end. No indexes, no shortcuts. Row order is deterministic: input
 order, then group keys in first-appearance order, then ORDER BY last.
 
-Shared with the engine by design: the checked 64-bit arithmetic primitives
-and the CHAR padding rules, so both routes fault identically; everything
-else (evaluation, joins, grouping, sorting) is implemented independently.
+Shared with the engine by design: the CHAR padding rules. The engine's
+vector `checked_arith` is tested against the oracle's scalar `sqf.arith`
+primitives, so both routes fault identically. Everything else (evaluation,
+joins, grouping, sorting) is implemented independently.
 Predicates evaluate all operands, mirroring the engine's no-short-circuit
 rule, so faults do not depend on operand order.
 """

@@ -129,7 +129,10 @@ def materialize(suite_dir, force: bool = False) -> list:
         lines = [header]
         for i in range(spec["rows"]):
             lines.append(",".join(_gen_cell(rng, c, i) for c in spec["columns"]))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        try:
+            path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        except OSError as exc:  # a directory in its place, or not writable
+            raise SqfError(f"cannot write suite table {path}: {exc.strerror or exc}") from None
         written.append(path)
     return written
 

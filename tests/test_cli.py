@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import REPO
 from sqf import suite as suite_mod
@@ -514,6 +512,27 @@ def test_directory_as_query_is_an_error(tmp_path, capsys):
     assert str(tables) in _explain_fails_cleanly(capsys, tables, tables)
 
 
+def _link_to_itself(path):
+    """Make `path` a symlink to itself, which no open can resolve (ELOOP)."""
+    path.unlink(missing_ok=True)
+    path.symlink_to(path.name)
+
+
+def test_self_linked_query_is_an_error(tmp_path, capsys):
+    """`sqf run` on a query file that links to itself: exit 1 and one
+    `error:` line naming the file."""
+    tables = _write_tables(tmp_path)
+    query = tmp_path / "q.sql"
+    _link_to_itself(query)
+    rc = main(["run", "--query", str(query), "--tables", str(tables),
+               "--library", LIB, "--device", DEV, "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot read query file {query}: ")
+    assert err.count("\n") == 1
+
+
 def test_non_ascii_table_byte_is_an_error(tmp_path, capsys):
     tables = _write_tables(tmp_path)
     (tables / "t.csv").write_bytes(b"a:INT,b:INT,s:CHAR(2)\n1,2,ab\n3,4,\xc3\xa9\n")
@@ -559,14 +578,36 @@ def test_run_on_bad_input_is_an_error(tmp_path, capsys, table, query, named):
 
 
 def test_bench_unreadable_query_is_a_failed_row(tmp_path):
+    """A query file that is not UTF-8, or that links to itself, fails only
+    its own rows."""
+    unreadable = {"not-utf8": lambda path: path.write_bytes(b"SELECT \xff FROM items\n"),
+                  "self-linked": _link_to_itself}
+    for case, make in unreadable.items():
+        (tmp_path / case).mkdir()
+        suite = _mini_suite(tmp_path / case)
+        make(suite / "q1.sql")
+        out = tmp_path / case / "bench.json"
+        rc = main(["bench", "--suite", str(suite), "--out", str(out)])
+        assert rc == 0, case
+        rows = json.loads(out.read_text())["rows"]
+        assert {r["status"] for r in rows if r["query"] == "q1.sql"} == {"SqfError"}, case
+        assert {r["status"] for r in rows if r["query"] == "q2.sql"} == {"ok"}, case
+
+
+def test_directory_in_place_of_a_suite_table_is_an_error(tmp_path, capsys):
+    """A directory at `tables/items.csv`: `sqf bench` and `python -m
+    sqf.suite` exit 1 with one `error:` line naming it."""
     suite = _mini_suite(tmp_path)
-    (suite / "q1.sql").write_bytes(b"SELECT \xff FROM items\n")
-    out = tmp_path / "bench.json"
-    rc = main(["bench", "--suite", str(suite), "--out", str(out)])
-    assert rc == 0
-    rows = json.loads(out.read_text())["rows"]
-    assert {r["status"] for r in rows if r["query"] == "q1.sql"} == {"SqfError"}
-    assert {r["status"] for r in rows if r["query"] == "q2.sql"} == {"ok"}
+    table = suite / "tables" / "items.csv"
+    table.mkdir(parents=True)
+    for entry, argv in ((main, ["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")]),
+                        (suite_mod.main, [str(suite)])):  # `python -m sqf.suite`
+        rc = entry(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot write suite table {table}: ")
+        assert err.count("\n") == 1
 
 
 _ITEMS_GEN = ("tables", "items", "columns", 0, "gen")
@@ -856,32 +897,30 @@ def _round9(value):
     return value
 
 
-_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-07, 1e16,
-                     0.1, 123456789.5, 1.0000000005, 5e-324, 1.7976931348623157e308]),
-)
-_TEXT = st.one_of(st.text(), st.text(st.characters(max_codepoint=0x1F)),
-                  st.sampled_from(["", "\u00e9\u4e2d\U0001f600", '"\\/\x7f']))
-_LEAVES = st.one_of(
-    st.none(), st.booleans(), _FLOATS, _FLOATS.map(np.float64),
-    st.integers(), st.integers(min_value=-(2**80), max_value=2**80), _TEXT,
-)
-_VALUES = st.recursive(
-    _LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(_TEXT, inner, max_size=4)),
-    max_leaves=20,
-)
+@pytest.mark.parametrize("value, rounded", [
+    (float("nan"), float("nan")),
+    (float("inf"), float("inf")),
+    (-float("inf"), -float("inf")),
+    (-0.0, -0.0),
+    (5e-324, 5e-324),
+    (1e16, 1e16),
+    (0.1234567891234, 0.123456789),
+    (np.float64(2 / 3), 0.666666667),
+    ((0.1234567891234, "x", None), [0.123456789, "x", None]),
+    ({"k": [1.23456789012e-7]}, {"k": [1.23456789e-07]}),
+    (True, True),
+    (2**70, 2**70),
+], ids=["nan", "inf", "-inf", "-0.0", "5e-324", "1e16", "float", "np.float64",
+        "tuple", "nested", "bool", "int-2**70"])
+def test_round9_limits_floats_to_9_significant_digits(value, rounded):
+    """Every float, np.float64 included, becomes a plain float of at most 9
+    significant digits; a tuple becomes a list; a bool and an int beyond
+    int64 stay as they are."""
+    import sqf.cli as cli_mod
 
-
-@settings(max_examples=500, deadline=None)
-@given(_VALUES)
-def test_report_writer_is_json_dumps_of_round9(value):
-    from sqf.cli import _report_text
-
-    assert _report_text(value) == json.dumps(_round9(value), indent=2)
+    got = cli_mod._round9(value)
+    assert repr(got) == repr(rounded)
+    assert type(got) is type(rounded)
 
 
 def test_every_suite_report_is_written_as_json_dumps_of_round9(suite_dir, tmp_path,
@@ -891,9 +930,9 @@ def test_every_suite_report_is_written_as_json_dumps_of_round9(suite_dir, tmp_pa
     import sqf.cli as cli_mod
 
     written = []
-    real = cli_mod._report_text
-    monkeypatch.setattr(cli_mod, "_report_text", lambda report: written.append(report)
-                        or real(report))
+    real = cli_mod._write_report
+    monkeypatch.setattr(cli_mod, "_write_report", lambda path, report: written.append(report)
+                        or real(path, report))
     manifest = json.loads((suite_dir / "manifest.json").read_text())
     paths = []
     for name in manifest["queries"]:
