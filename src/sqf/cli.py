@@ -30,7 +30,7 @@ from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
 from .planner import (
-    codesign_misfits,
+    codesign_blockers,
     enumerate_pipelines,
     rank,
     software_baseline,
@@ -98,7 +98,7 @@ class _Planned:
     stats: dict
     candidates: list
     ranked: list  # every (candidate, estimate), in selection order
-    device: object
+    session: _Session
 
     def choose(self, layout: str, join: str) -> tuple:
         """The best-ranked (candidate, estimate) that --layout/--join leave.
@@ -115,11 +115,9 @@ class _Planned:
         if join != "auto" and not self.bound.has_join:
             rules.append("the query has no join")
         elif join == "codesign":
-            misfits = codesign_misfits(self.bound, self.device)
-            if misfits:
-                rules.append(f"co-design records wider than the {self.device.cache_line_bytes}"
-                             " B cache line: " + ", ".join(f"{t} {n} B" for t, n in misfits))
-            elif layout == "column":
+            blockers = codesign_blockers(self.bound, self.session.library, self.session.device)
+            rules += blockers
+            if not blockers and layout == "column":
                 rules.append("co-design is offered in row layout only")
         reason = f"no candidates left after --layout={layout} --join={join}"
         raise NoCandidates(reason + (f" ({'; '.join(rules)})" if rules else ""))
@@ -176,7 +174,7 @@ class _Session:
             stats=stats,
             candidates=candidates,
             ranked=rank(candidates, stats, self.device),
-            device=self.device,
+            session=self,
         )
 
     def run(self, planned: _Planned, chosen, est, seed: int):
@@ -230,12 +228,12 @@ def cmd_run(args) -> int:
         from . import oracle
 
         expected = oracle.reference_execute(planned.bound, planned.tables)
-        if not oracle.multisets_equal(result, expected):
-            row, engine_count, oracle_count = oracle.first_multiset_diff(result, expected)
+        diff = oracle.first_multiset_diff(result, expected)
+        if diff is not None:
             first_diff = {
-                "row": list(row),
-                "engine_count": engine_count,
-                "oracle_count": oracle_count,
+                "row": list(diff[0]),
+                "engine_count": diff[1],
+                "oracle_count": diff[2],
             }
         else:
             keys = [i for i, _ in planned.bound.order_by]

@@ -2,7 +2,8 @@
 
 Every error raised by the library (as opposed to programming mistakes, which
 surface as ValueError/TypeError) derives from SqfError so the CLI can map any
-failure to a single-line diagnostic and exit status 1.
+failure to a single-line diagnostic and exit status 1. Each error derives
+directly from SqfError or CsvError, and keeps only the fields callers read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class MalformedCell(CsvError):
         super().__init__(f"line {line}, column {column}: {reason}")
         self.line = line
         self.column = column
-        self.reason = reason
 
 
 class CharOverflow(CsvError):
@@ -33,8 +33,6 @@ class CharOverflow(CsvError):
         )
         self.line = line
         self.column = column
-        self.width = width
-        self.got = got
 
 
 # --- query frontend ------------------------------------------------------
@@ -50,17 +48,12 @@ class QuerySyntaxError(SqfError):
         self.found = found
 
 
-class BindError(SqfError):
-    pass
-
-
-class UnknownTable(BindError):
+class UnknownTable(SqfError):
     def __init__(self, name: str):
         super().__init__(f"unknown table `{name}`")
-        self.name = name
 
 
-class UnknownColumn(BindError):
+class UnknownColumn(SqfError):
     def __init__(self, name: str, context: str = ""):
         msg = f"unknown column `{name}`"
         if context:
@@ -69,70 +62,54 @@ class UnknownColumn(BindError):
         self.name = name
 
 
-class AmbiguousColumn(BindError):
+class AmbiguousColumn(SqfError):
     def __init__(self, name: str):
         super().__init__(f"column `{name}` exists on both join sides; qualify it")
-        self.name = name
 
 
-class QueryTypeError(BindError):
-    """A type rule violation, carrying the offending expression's location."""
+class QueryTypeError(SqfError):
+    """A type rule violation at the offending expression's location."""
 
     def __init__(self, location: str, reason: str):
         super().__init__(f"{location}: {reason}")
-        self.location = location
-        self.reason = reason
 
 
 # --- module library ------------------------------------------------------
 
-class LibraryError(SqfError):
+class LibraryParseError(SqfError):
     pass
 
 
-class LibraryParseError(LibraryError):
-    pass
-
-
-class MissingKind(LibraryError):
+class MissingKind(SqfError):
     def __init__(self, kind):
         super().__init__(f"library is missing required module kind {kind}")
         self.kind = kind
 
 
-class DuplicateKind(LibraryError):
+class DuplicateKind(SqfError):
     def __init__(self, kind):
         super().__init__(f"library defines module kind {kind} twice")
-        self.kind = kind
 
 
-class InvalidField(LibraryError):
+class InvalidField(SqfError):
     def __init__(self, name: str, reason: str):
         super().__init__(f"invalid field `{name}`: {reason}")
         self.name = name
-        self.reason = reason
 
 
-class UnknownModuleKind(LibraryError):
+class UnknownModuleKind(SqfError):
     def __init__(self, kind):
         super().__init__(f"module kind {kind} is not in the library")
-        self.kind = kind
 
 
-class ParamOutOfRange(LibraryError):
+class ParamOutOfRange(SqfError):
     def __init__(self, kind, reason: str):
         super().__init__(f"{kind}: {reason}")
-        self.kind = kind
-        self.reason = reason
 
 
 # --- fabric --------------------------------------------------------------
 
-class FabricError(SqfError):
-    pass
-
-
-class InsufficientSlots(FabricError):
+class InsufficientSlots(SqfError):
     def __init__(self, needed: int, max_contiguous_free: int):
         super().__init__(
             f"pipeline needs {needed} contiguous slots; "
@@ -142,54 +119,43 @@ class InsufficientSlots(FabricError):
         self.max_contiguous_free = max_contiguous_free
 
 
-class NotAllocated(FabricError):
+class NotAllocated(SqfError):
     def __init__(self, detail: str = "placement is not allocated on this fabric"):
         super().__init__(detail)
 
 
 # --- planner -------------------------------------------------------------
 
-class PlannerError(SqfError):
-    pass
-
-
-class NoCandidates(PlannerError):
+class NoCandidates(SqfError):
     def __init__(self, reason: str = "no feasible candidate pipelines"):
         super().__init__(reason)
 
 
-class MissingStats(PlannerError):
+class MissingStats(SqfError):
     def __init__(self, table: str):
         super().__init__(f"no statistics for table `{table}`")
-        self.table = table
 
 
 # --- engine --------------------------------------------------------------
 
-class EngineError(SqfError):
-    pass
-
-
-class ArithmeticOverflow(EngineError):
+class ArithmeticOverflow(SqfError):
     def __init__(self, row: int = -1, expr: str = ""):
         super().__init__(f"64-bit overflow at row {row}" + (f" in {expr}" if expr else ""))
         self.row = row
         self.expr = expr
 
 
-class DivisionByZero(EngineError):
+class DivisionByZero(SqfError):
     def __init__(self, row: int = -1):
         super().__init__(f"division by zero at row {row}")
         self.row = row
 
 
-class NotReconfigured(EngineError):
+class NotReconfigured(SqfError):
     def __init__(self, detail: str = "fabric does not hold this pipeline's modules"):
         super().__init__(detail)
 
 
-class TupleTooLarge(EngineError):
+class TupleTooLarge(SqfError):
     def __init__(self, record_bytes: int, block_bytes: int):
         super().__init__(f"record of {record_bytes} B does not fit a {block_bytes} B block")
-        self.record_bytes = record_bytes
-        self.block_bytes = block_bytes

@@ -63,7 +63,9 @@ class ModuleKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-OPTIONAL_KINDS = frozenset({ModuleKind.BLOOM_CASCADE, ModuleKind.ALIGN})
+# the co-design filter kinds, in the order a forced choice's error names them
+OPTIONAL_KINDS = (ModuleKind.BLOOM_CASCADE, ModuleKind.ALIGN)
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -117,10 +119,6 @@ class ModuleLibrary:
         if kind not in self.specs:
             raise UnknownModuleKind(kind.value)
         return self.specs[kind]
-
-    @property
-    def kinds(self) -> tuple[ModuleKind, ...]:
-        return tuple(self.specs)
 
 
 def json_int(rec: dict, name: str) -> int:

@@ -37,7 +37,14 @@ from .frontend.binder import (
     split_conjuncts,
     walk_bound,
 )
-from .library import MAX_RESTRICTION_TERMS, ModuleInstance, ModuleKind, ModuleLibrary, instantiate
+from .library import (
+    MAX_RESTRICTION_TERMS,
+    OPTIONAL_KINDS,
+    ModuleInstance,
+    ModuleKind,
+    ModuleLibrary,
+    instantiate,
+)
 from .relcore import TypeKind
 
 DEFAULT_CMP_SELECTIVITY = 1.0 / 3.0
@@ -266,9 +273,8 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 
 def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) -> dict:
     """Each join algorithm's stages, from the source in the order the engine
-    runs them, built from the plan's filters and ALU nodes (`_analyse`). An
-    algorithm maps to None when the library lacks the module kind of a stage
-    before its host join. A restriction holds (slot, predicate) filters.
+    runs them, built from the plan's filters and ALU nodes (`_analyse`). A
+    restriction holds (slot, predicate) filters.
 
     One rule places every WHERE, with or without a join: a conjunct reading
     one table filters that table's slot before the join, and a conjunct
@@ -280,7 +286,7 @@ def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) 
     algorithms have in common are built once and shared.
     """
     def stage(role, kind, preds=(), **params):
-        return Stage(role, instantiate(lib, kind, params) if kind in lib else None, preds)
+        return Stage(role, instantiate(lib, kind, params), preds)
 
     def restriction(filters):
         """A chain of restrictions holding `filters` in order, each sized for
@@ -326,17 +332,22 @@ def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) 
         else:
             fabric = [*before, *after_join, *after]
             fabric = fabric or [stage("passthrough", ModuleKind.PASSTHROUGH)]
-        lists[algo] = (None if any(s.module is None for s in fabric)
-                       else (_SOURCE, *fabric, *host))
+        lists[algo] = (_SOURCE, *fabric, *host)
     return lists
 
 
-def codesign_misfits(bp: BoundPlan, dev: DeviceProfile) -> list[tuple[str, int]]:
-    """(table, record bytes) of each side whose co-design record is wider
-    than the device's cache line, the alignment block (its multiplier is
-    fixed at 1). A join offers the co-design variant only when none is."""
-    return [(table, record_bytes(schema)) for table, schema in zip(bp.tables, bp.schemas)
-            if record_bytes(schema) > dev.cache_line_bytes]
+def codesign_blockers(bp: BoundPlan, lib: ModuleLibrary, dev: DeviceProfile) -> list[str]:
+    """Why a join gets no co-design variant: each filter kind the library
+    lacks, then the sides whose co-design record is wider than the device's
+    cache line, the alignment block (its multiplier is fixed at 1)."""
+    blockers = [f"the library has no {kind.value} module"
+                for kind in OPTIONAL_KINDS if kind not in lib]
+    misfits = [f"{table} {record_bytes(schema)} B" for table, schema in zip(bp.tables, bp.schemas)
+               if record_bytes(schema) > dev.cache_line_bytes]
+    if misfits:
+        blockers.append(f"co-design records wider than the {dev.cache_line_bytes}"
+                        " B cache line: " + ", ".join(misfits))
+    return blockers
 
 
 def enumerate_pipelines(
@@ -345,27 +356,23 @@ def enumerate_pipelines(
     """All executable pipelines for a plan, in deterministic order:
     row-layout FPGA-only per join algorithm, column-layout variants when the
     plan touches at most half of the source columns, then the co-design
-    variant when a join exists and the library carries the filter modules.
-    The plan is analysed once; each candidate carries its stages and the
-    source bytes per tuple its layout streams."""
+    variant when a join exists and `codesign_blockers` names nothing; a
+    stage whose kind the library lacks raises UnknownModuleKind. The plan is
+    analysed once; each candidate carries its stages and the source bytes
+    per tuple its layout streams."""
     filters, nodes, column_bytes = _analyse(bp)
     algos = [JOIN_ALGO_HASH, JOIN_ALGO_MERGE] if bp.has_join else [JOIN_ALGO_NONE]
     layouts = {"row": tuple(schema.tuple_bytes for schema in bp.schemas),
                "column": column_bytes}
     variants = [(layout, algo) for layout, tb in layouts.items() if tb is not None
                 for algo in algos]
-    if bp.has_join and not codesign_misfits(bp, dev):
+    if bp.has_join and not codesign_blockers(bp, lib, dev):
         variants.append(("row", JOIN_ALGO_CODESIGN))
 
     stages = _stage_lists(bp, filters, nodes, lib, dict.fromkeys(algo for _, algo in variants))
-    candidates = [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
-                                    layouts[layout])
-                  for layout, algo in variants if stages[algo] is not None]
-    if not candidates:
-        missing = [algo for algo, found in stages.items() if found is None]
-        raise NoCandidates(f"library lacks a module kind for {missing[-1]}" if missing
-                           else "no feasible candidate pipelines")
-    return candidates
+    return [CandidatePipeline(f"{layout}/{algo}", algo, layout, stages[algo], bp,
+                              layouts[layout])
+            for layout, algo in variants]
 
 
 # --------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def test_criterion_1_oracle_equivalence_randomized(criterion_1_cases, default_li
 
 def test_criterion_2_cross_algorithm_equivalence(suite_dir, default_library,
                                                  default_device):
-    """Hash, merge, and co-design joins agree on every suite join query."""
+    """Hash, merge, and co-design joins agree on every suite join query, and
+    every candidate of each matches the reference evaluator's rows and, with
+    ORDER BY, its sequence of ORDER BY keys."""
     from sqf.relcore import load_csv
 
     tables = {
@@ -85,9 +87,13 @@ def test_criterion_2_cross_algorithm_equivalence(suite_dir, default_library,
         sql = (suite_dir / name).read_text().strip()
         if " JOIN " not in sql:
             continue
+        bp = bind_sql(sql, tables)
+        expected = _outcome(bp, lambda: reference_execute(bp, tables))
         results = run_all_candidates(sql, tables, default_library, default_device)
         by_algo = {}
         for cand, table, _ in results:
+            assert _outcome(bp, lambda: table) == expected, (
+                f"{name}: {cand.tag} differs from the reference")
             by_algo.setdefault(cand.join_algo, canonical_multiset(table))
         assert {"hash_fpga", "merge_fpga", "hash_codesign"} <= set(by_algo)
         reference = by_algo["hash_fpga"]
@@ -96,7 +102,7 @@ def test_criterion_2_cross_algorithm_equivalence(suite_dir, default_library,
         checked += 1
     assert checked >= 3
     print(f"\nPASS criterion 2: {checked} join queries identical across "
-          f"hash_fpga/merge_fpga/hash_codesign")
+          f"hash_fpga/merge_fpga/hash_codesign and to the reference")
 
 
 @pytest.mark.parametrize("m", [512, 4096])

@@ -105,6 +105,22 @@ def test_forced_codesign_names_records_wider_than_the_cache_line(
         "error: no candidates left after --layout=auto --join=codesign" + reason + "\n")
 
 
+def test_forced_codesign_names_the_filter_kind_the_library_lacks(suite_dir, tmp_path, capsys):
+    """A library without BLOOM_CASCADE loads, offers no co-design variant,
+    and a forced co-design run says which module is missing."""
+    specs = [s for s in json.loads((REPO / "library.default.json").read_text())
+             if s["kind"] != "BLOOM_CASCADE"]
+    (tmp_path / "library.json").write_text(json.dumps(specs))
+    rc = main(["run", "--query", str(suite_dir / "q09.sql"),
+               "--tables", str(suite_dir / "tables"), "--library", str(tmp_path / "library.json"),
+               "--device", DEV, "--out", str(tmp_path / "r.json"), "--join", "codesign"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: no candidates left after --layout=auto --join=codesign"
+        " (the library has no BLOOM_CASCADE module)\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("query, flags, reason", [
     # q07 has a row-layout co-design candidate, and co-design is row-only
     ("q07.sql", ["--layout", "column", "--join", "codesign"],

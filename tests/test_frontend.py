@@ -139,6 +139,8 @@ def test_whitespace_after_the_semicolon_is_ignored():
     (" \t ²", 3, ("a token",), "'²'"),
     ("\n\n'a\x01b'", 4, ("printable ASCII character",), "'\\x01'"),
     ("  \r\n'ab", 4, ("closing quote",), "end of input"),
+    # a minus sign must start an integer literal
+    (" -b", 2, ("integer literal",), "b"),
 ])
 def test_whitespace_before_a_bad_token_keeps_its_position(tail, at, expected, found):
     """Whitespace leading a bad character, a bad quote or an unterminated
@@ -335,6 +337,14 @@ def test_bind_star_expansion_order_and_dedup():
     bp = bind(parse_query("SELECT * FROM t JOIN v ON t.a = v.a"),
               {"t": T.schema, "v": v.schema})
     assert bp.output_schema.names == ("a", "b", "d", "v_a", "z")
+
+
+@pytest.mark.parametrize("items, names", [
+    ("a, a", ("a", "a_2")),
+    ("COUNT(*), COUNT(*)", ("count_star", "count_star_2")),
+])
+def test_bind_suffixes_a_repeated_output_name(items, names):
+    assert bind(parse_query(f"SELECT {items} FROM t"), CATALOG).output_schema.names == names
 
 
 def test_bind_is_idempotent():

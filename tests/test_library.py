@@ -19,7 +19,7 @@ from sqf.relcore import load_csv
 
 
 def test_default_library_has_all_kinds(default_library):
-    assert len(default_library.kinds) == 10
+    assert len(default_library.specs) == 10
     for kind in ModuleKind:
         assert kind in default_library
 

@@ -6,7 +6,7 @@ import pytest
 
 import sqf.planner as planner_mod
 from conftest import REPO, bind_sql, make_table
-from sqf.errors import MissingStats, NoCandidates
+from sqf.errors import MissingStats, NoCandidates, UnknownModuleKind
 from sqf.fabric import DeviceProfile, FabricState, allocate, load_device_profile, reconfigure
 from sqf.library import ModuleKind, ModuleLibrary, load_library
 from sqf.planner import (
@@ -128,20 +128,19 @@ def test_enumerate_missing_kind_raises(lib, dev, missing, sql):
     # a library file without these kinds cannot even load, so build the gap in memory
     small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
     bp = bind_sql(sql, {"t": two_int_table([(1, 2)])})
-    with pytest.raises(NoCandidates, match="library lacks a module kind for none"):
+    with pytest.raises(UnknownModuleKind, match=f"module kind {missing.value} is not"):
         enumerate_pipelines(bp, small, dev)
 
 
 @pytest.mark.parametrize("missing, tags", [
-    # every fabric sort goes; the co-design sort runs after the host join
-    (ModuleKind.SORT, ["row/hash_codesign"]),
-    (ModuleKind.MERGE_JOIN, ["row/hash_fpga", "column/hash_fpga", "row/hash_codesign"]),
     (ModuleKind.BLOOM_CASCADE, ["row/hash_fpga", "row/merge_fpga",
                                 "column/hash_fpga", "column/merge_fpga"]),
-], ids=["sort", "merge_join", "bloom_cascade"])
+    (ModuleKind.ALIGN, ["row/hash_fpga", "row/merge_fpga",
+                        "column/hash_fpga", "column/merge_fpga"]),
+], ids=["bloom_cascade", "align"])
 def test_enumerate_prunes_the_algorithms_a_missing_kind_rules_out(lib, dev, missing, tags):
-    """A library without one module kind drops exactly the join algorithms
-    that need it on the fabric; the others stay in both layouts."""
+    """A library without a co-design filter kind drops the co-design
+    variant only; the fabric algorithms stay in both layouts."""
     small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
     bp = bind_sql("SELECT t.a FROM t JOIN u ON t.a = u.c ORDER BY a", _join_tables())
     cands = enumerate_pipelines(bp, small, dev)
