@@ -12,7 +12,8 @@ stages exist, their order, and where each predicate applies are decided
 there, so the stages the calculus prices are the stages that run.
 
 The engine is columnar: every stage runs as vector kernels over numpy
-columns (`Table.columns`). Rows are held as positions by join slot into the
+columns (`Table.columns`, one array per column; the plan's schemas give
+their types). Rows are held as positions by join slot into the
 tables they read, independent per slot until the join pairs them and aligned
 after it, and cells are gathered only where a stage reads them. A slot that
 still holds every row of its table has no positions: its columns are read
@@ -44,7 +45,6 @@ from ..frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
 from ..frontend.binder import BCmp, BoundPlan, FromGroupKey, ValueRef
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
 from ..relcore import (
-    Column,
     ColumnType,
     Table,
     TypeKind,
@@ -107,8 +107,10 @@ def _first_fault(*faults):
     return out
 
 
-def _evaluate(expr, run: _Run):
-    """(values, fault codes or None) of a bound expression at a run's rows.
+def _evaluate(expr, column):
+    """(values, fault codes or None) of a bound expression, reading each
+    ValueRef's values through `column(ref)`: the engine passes a run's
+    `_Run.column`.
 
     INT values are int64, CHAR values padded bytes, conditions booleans;
     literals broadcast. A CHAR comparison compares the padded cells' int64
@@ -118,19 +120,19 @@ def _evaluate(expr, run: _Run):
     operand, then the operation itself.
     """
     if isinstance(expr, ValueRef):
-        return run.column(expr).values, None
+        return column(expr), None
     if isinstance(expr, IntLiteral):
         return np.int64(expr.value), None
     if isinstance(expr, StrLiteral):  # padded to its bound width, at least 1
         return np.array([expr.value.ljust(1).encode("ascii")]), None
     if isinstance(expr, Arith):
-        a, fa = _evaluate(expr.lhs, run)
-        b, fb = _evaluate(expr.rhs, run)
+        a, fa = _evaluate(expr.lhs, column)
+        b, fb = _evaluate(expr.rhs, column)
         values, fault = checked_arith(expr.op, a, b)
         return values, _first_fault(fa, fb, fault)
     if isinstance(expr, BCmp):
-        a, fa = _evaluate(expr.lhs, run)
-        b, fb = _evaluate(expr.rhs, run)
+        a, fa = _evaluate(expr.lhs, column)
+        b, fb = _evaluate(expr.rhs, column)
         if expr.kind is TypeKind.CHAR:
             a, b = pad_bytes(a, expr.width), pad_bytes(b, expr.width)
             image = int_image(a)
@@ -138,7 +140,7 @@ def _evaluate(expr, run: _Run):
                 a, b = image, int_image(b)
         return _CMP[expr.op](a, b), _first_fault(fa, fb)
     if isinstance(expr, BoolOp):
-        parts = [_evaluate(child, run) for child in expr.children]
+        parts = [_evaluate(child, column) for child in expr.children]
         if expr.op == "NOT":
             values = np.logical_not(parts[0][0])
         else:
@@ -165,9 +167,10 @@ def _raise_first(checks, n: int) -> None:
         raise DivisionByZero(row)
 
 
-def _mask(pred, run: _Run, n: int) -> np.ndarray:
-    """Which of `n` rows pass a predicate; an arithmetic fault raises for its row."""
-    values, fault = _evaluate(pred, run)
+def _mask(pred, column, n: int) -> np.ndarray:
+    """Which of `n` rows pass a predicate, its columns read through
+    `column`; an arithmetic fault raises for its row."""
+    values, fault = _evaluate(pred, column)
     _raise_first([(fault, "WHERE")], n)
     return np.broadcast_to(values, (n,))
 
@@ -191,6 +194,12 @@ def result_checksum(table: Table) -> int:
 # --------------------------------------------------------------------------
 # the executor
 # --------------------------------------------------------------------------
+
+def gather(values: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
+    """A table column's values at a slot's positions, in that order; None
+    is every row, read in place (the column itself)."""
+    return values if pos is None else values[pos]
+
 
 def execute_pipeline(
     c: "CandidatePipeline",
@@ -257,7 +266,7 @@ class _Run:
         self.sides = tuple(tables[name] for name in bp.table_names())
         self.positions = [None] * len(self.sides)  # None: every row
         self.joined = not bp.has_join
-        self.computed: list[Column] = []
+        self.computed: list[np.ndarray] = []
         self.columns = None  # output columns, once projected or aggregated
         self.codes = None  # `joint_codes` of the join keys: ([codes per slot], count, base)
         self.bloom_fp = None
@@ -282,25 +291,25 @@ class _Run:
         if self.codes is not None:
             self.codes[0][slot] = self.codes[0][slot][index]
 
-    def column(self, ref: ValueRef) -> Column:
+    def column(self, ref: ValueRef) -> np.ndarray:
         """A table column or a computed attribute at the current rows."""
         if ref.kind == "computed":
             return self.computed[ref.index]
-        return self.sides[ref.slot].columns[ref.index].take(self.positions[ref.slot])
+        return gather(self.sides[ref.slot].columns[ref.index], self.positions[ref.slot])
 
     def keys(self) -> list[np.ndarray]:
         """Canonical join keys of each side's current rows: INT values, or
         CHAR bytes padded to the key width."""
         bp = self.bp
-        keys = [side.columns[k].take(pos).values for side, k, pos in
+        keys = [gather(side.columns[k], pos) for side, k, pos in
                 zip(self.sides, bp.join_keys, self.positions)]
         if bp.join_key_type.kind is TypeKind.CHAR:
             keys = [pad_bytes(k, bp.join_key_type.width_bytes) for k in keys]
         return keys
 
-    def output(self) -> list[Column]:
+    def output(self) -> list[np.ndarray]:
         if self.columns is None:
-            self.columns = [self.column(col.source.ref) for col in self.bp.output]
+            self.columns = [self.column(source.ref) for source in self.bp.output]
         return self.columns
 
     def _join(self, n_in):
@@ -328,7 +337,7 @@ class _Run:
         n_in = self.n
         for slot, pred in stage.predicates:
             slots = range(len(self.sides)) if slot is None else (slot,)
-            keep = np.flatnonzero(_mask(pred, self, self.rows(slots[0])))
+            keep = np.flatnonzero(_mask(pred, self.column, self.rows(slots[0])))
             for s in slots:
                 self.narrow(s, keep)
         return n_in, self.n
@@ -402,18 +411,18 @@ class _Run:
         bp = self.bp
         canonical = _aggregate(bp, self)
         n_keys = len(bp.group_by)
-        self.columns = [canonical[col.source.index if isinstance(col.source, FromGroupKey)
-                                  else n_keys + col.source.index] for col in bp.output]
-        return self.n, len(canonical[0].values)
+        self.columns = [canonical[source.index if isinstance(source, FromGroupKey)
+                                  else n_keys + source.index] for source in bp.output]
+        return self.n, len(canonical[0])
 
     def reorder(self, stage):
-        n = len(self.output()[0].values)
+        n = len(self.output()[0])
         return n, n
 
     def sort(self, stage):
         columns = self.output()
-        order = sort_order([(columns[idx].values, asc) for idx, asc in self.bp.order_by])
-        self.columns = [col.take(order) for col in columns]
+        order = sort_order([(columns[idx], asc) for idx, asc in self.bp.order_by])
+        self.columns = [col[order] for col in columns]
         return len(order), len(order)
 
 
@@ -421,9 +430,9 @@ def _alu(bp: BoundPlan, run: _Run) -> None:
     """Append the computed columns; raise at the first row that faults."""
     checks = []
     for comp in bp.computed:
-        values, fault = _evaluate(comp.expr, run)
+        values, fault = _evaluate(comp.expr, run.column)
         checks.append((fault, comp.name))
-        run.computed.append(Column(comp.ctype, np.broadcast_to(values, (run.n,))))
+        run.computed.append(np.broadcast_to(values, (run.n,)))
     _raise_first(checks, run.n)
 
 
@@ -431,7 +440,7 @@ def _alu(bp: BoundPlan, run: _Run) -> None:
 # aggregation
 # --------------------------------------------------------------------------
 
-def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
+def _aggregate(bp: BoundPlan, run: _Run) -> list[np.ndarray]:
     """Fold the run's rows into canonical (group keys..., aggregates...)
     columns, groups in first-appearance order. SUM and AVG accumulate in row
     order and raise at the first row whose running sum overflows.
@@ -443,30 +452,27 @@ def _aggregate(bp: BoundPlan, run: _Run) -> list[Column]:
     if run.n == 0 and not bp.group_by and all(a.fn == "COUNT" for a in bp.aggregates):
         # a global COUNT over no rows is 0; with no NULL in the
         # model, any other aggregate over it yields no row
-        return [Column(a.ctype, np.zeros(1, dtype=np.int64)) for a in bp.aggregates]
+        return [np.zeros(1, dtype=np.int64) for _ in bp.aggregates]
     column = functools.cache(run.column)  # each column gathered once
     keys = [column(ref) for ref in bp.group_by]
-    gid, order, first, counts = group_ids([col.values for col in keys], run.n)
-    out = [col.take(first) for col in keys]
-    ranked = functools.cache(lambda ref: rank(column(ref).values))
+    gid, order, first, counts = group_ids(keys, run.n)
+    out = [key[first] for key in keys]
+    ranked = functools.cache(lambda ref: rank(column(ref)))
     checks = []
     for agg in bp.aggregates:
         if agg.fn == "COUNT":
-            out.append(Column(agg.ctype, counts[order]))
+            out.append(counts[order])
         elif agg.fn in ("SUM", "AVG"):
-            sums, fault = group_sums(column(agg.arg).values, gid, len(counts))
+            sums, fault = group_sums(column(agg.arg), gid, len(counts))
             checks.append((fault, agg.name))
             sums = sums[order]
             if agg.fn == "AVG":
                 sums = checked_arith("/", sums, counts[order])[0]
-            out.append(Column(agg.ctype, sums))
+            out.append(sums)
+        elif agg.arg.ctype.kind is TypeKind.INT:  # the per-id extreme is the value
+            out.append(group_extremes(column(agg.arg), gid, len(counts), agg.fn)[order])
         else:
-            arg = column(agg.arg)
-            if arg.ctype.kind is TypeKind.INT:  # the per-id extreme is the value
-                extremes = group_extremes(arg.values, gid, len(counts), agg.fn)
-                out.append(Column(arg.ctype, extremes[order]))
-            else:
-                rows = group_extreme(ranked(agg.arg), gid, len(counts), agg.fn)
-                out.append(arg.take(rows[order]))
+            rows = group_extreme(ranked(agg.arg), gid, len(counts), agg.fn)
+            out.append(column(agg.arg)[rows[order]])
     _raise_first(checks, run.n)
     return out

@@ -25,7 +25,6 @@ from .binder import (
     FromAggregate,
     FromGroupKey,
     FromValue,
-    OutputCol,
     ValueRef,
     bind,
 )
@@ -36,6 +35,6 @@ __all__ = [
     "IntLiteral", "JoinSpec", "NamedItem", "OrderItem", "QueryPlan", "Star",
     "StrLiteral", "render_expr",
     "BCmp", "BoundAgg", "BoundComputed", "BoundPlan", "FromAggregate",
-    "FromGroupKey", "FromValue", "OutputCol", "ValueRef", "bind",
+    "FromGroupKey", "FromValue", "ValueRef", "bind",
     "parse_query", "tokenize",
 ]

@@ -3,7 +3,8 @@
 Binding resolves each column reference to a ValueRef (slot, column index,
 type) and types each comparison as a BCmp; every other expression node (the
 literals, Arith and BoolOp) passes through as the parser's own class. A bound
-plan also carries the fully determined output schema. Binding is a pure
+plan's output is one source per column of its fully determined output
+schema, which alone names and types the output columns. Binding is a pure
 function of (plan, catalog) and re-binding a bound plan's query yields an
 equal BoundPlan.
 """
@@ -85,18 +86,12 @@ class FromAggregate:
 
 
 @dataclass(frozen=True)
-class OutputCol:
-    name: str
-    source: object  # FromValue | FromGroupKey | FromAggregate
-    ctype: ColumnType
-
-
-@dataclass(frozen=True)
 class BoundPlan:
     """A plan resolved against its tables. `tables`, `schemas` and `join_keys`
     (each side's key column, empty without a join) are indexed by slot, as
     `ValueRef.slot` is: slot 0 is the FROM table and slot 1 the JOIN table.
-    `tables` names each table by its catalog key, whatever the query's case."""
+    `tables` names each table by its catalog key, whatever the query's case.
+    `output` holds the source of each `output_schema` column, in order."""
 
     plan: QueryPlan
     tables: tuple[str, ...]
@@ -107,7 +102,7 @@ class BoundPlan:
     computed: tuple[BoundComputed, ...]
     group_by: tuple[ValueRef, ...]
     aggregates: tuple[BoundAgg, ...]
-    output: tuple[OutputCol, ...]
+    output: tuple[object, ...]  # FromValue | FromGroupKey | FromAggregate
     order_by: tuple[tuple[int, bool], ...]  # (output column index, ascending)
     output_schema: Schema
 
@@ -156,13 +151,13 @@ def needs_reorder(bp: "BoundPlan") -> bool:
     if bp.grouped:
         canonical = [FromGroupKey(i) for i in range(len(bp.group_by))]
         canonical += [FromAggregate(i) for i in range(len(bp.aggregates))]
-        return [c.source for c in bp.output] != canonical
+        return list(bp.output) != canonical
     if bp.computed:
         return True
     natural = [FromValue(ValueRef("column", slot, idx, ctype))
                for slot, schema in enumerate(bp.schemas)
                for idx, (_, ctype) in enumerate(schema.columns)]
-    return [c.source for c in bp.output] != natural
+    return list(bp.output) != natural
 
 
 class _Binder:
@@ -304,9 +299,8 @@ class _Binder:
 
         group_by = tuple(self.resolve_value(ref) for ref in plan.group_by)
         aggregates = tuple(self._bind_aggregate(spec) for spec in plan.aggregates)
-        output = self._bind_projection(plan, group_by, aggregates)
-        order_by = self._bind_order(plan, output)
-        schema = Schema(tuple((c.name, c.ctype) for c in output))
+        output, schema = self._bind_projection(plan, group_by, aggregates)
+        order_by = self._bind_order(plan, schema)
         return BoundPlan(
             plan=plan,
             tables=self.tables,
@@ -365,7 +359,8 @@ class _Binder:
         return BoundAgg(spec.fn, ref, spec.name, ctype)
 
     def _bind_projection(self, plan, group_by, aggregates):
-        output: list[OutputCol] = []
+        """(source of each output column, output schema)."""
+        sources, columns = [], []
         taken: set[str] = set()
 
         def add(name: str, source, ctype: ColumnType, qualifier: str | None):
@@ -373,7 +368,8 @@ class _Binder:
                 name = f"{qualifier}_{name}"
             final = unique_name(name, taken)
             taken.add(final.lower())
-            output.append(OutputCol(final, source, ctype))
+            sources.append(source)
+            columns.append((final, ctype))
 
         grouped = bool(plan.aggregates or plan.group_by)
         for item in plan.projection:
@@ -396,18 +392,15 @@ class _Binder:
                                              "projection must use group columns or aggregates")
                     source = FromGroupKey(group_by.index(ref))
                 add(item.ref.name, source, ref.ctype, item.ref.qualifier)
-        return tuple(output)
+        return tuple(sources), Schema(tuple(columns))
 
-    def _bind_order(self, plan, output):
+    def _bind_order(self, plan, schema: Schema):
         order = []
         for key in plan.order_by:
-            low = key.name.lower()
-            for idx, col in enumerate(output):
-                if col.name.lower() == low:
-                    order.append((idx, key.ascending))
-                    break
-            else:
-                raise UnknownColumn(key.name, "ORDER BY keys must name output columns")
+            try:
+                order.append((schema.index_of(key.name), key.ascending))
+            except KeyError:
+                raise UnknownColumn(key.name, "ORDER BY keys must name output columns") from None
         return tuple(order)
 
 

@@ -112,7 +112,7 @@ def reference_execute(bp: BoundPlan, tables: dict) -> Table:
         out_rows = _grouped_rows(bp, rows)
     else:
         out_rows = [
-            tuple(row[bp.flat_index(col.source.ref)] for col in bp.output)
+            tuple(row[bp.flat_index(source.ref)] for source in bp.output)
             for row in rows
         ]
 
@@ -182,11 +182,11 @@ def _fold(bp: BoundPlan, agg, members):
 
 def _shape_output(bp: BoundPlan, raw_keys, agg_values):
     cells = []
-    for col in bp.output:
-        if isinstance(col.source, FromGroupKey):
-            cells.append(raw_keys[col.source.index])
-        elif isinstance(col.source, FromAggregate):
-            cells.append(agg_values[col.source.index])
+    for source in bp.output:
+        if isinstance(source, FromGroupKey):
+            cells.append(raw_keys[source.index])
+        elif isinstance(source, FromAggregate):
+            cells.append(agg_values[source.index])
         else:  # pragma: no cover - binder prevents this
             raise AssertionError("plain value in grouped projection")
     return tuple(cells)
@@ -198,10 +198,6 @@ def _shape_output(bp: BoundPlan, raw_keys, agg_values):
 
 def canonical_multiset(table: Table) -> Counter:
     return Counter(table.rows)
-
-
-def multisets_equal(a: Table, b: Table) -> bool:
-    return canonical_multiset(a) == canonical_multiset(b)
 
 
 def first_multiset_diff(a: Table, b: Table):

@@ -166,7 +166,7 @@ def _analyse(bp: BoundPlan):
     nodes = sum(max(1, walk(comp.expr)[2]) for comp in bp.computed)
 
     refs = [*bp.group_by, *(agg.arg for agg in bp.aggregates if agg.arg is not None),
-            *(col.source.ref for col in bp.output if isinstance(col.source, FromValue))]
+            *(source.ref for source in bp.output if isinstance(source, FromValue))]
     for ref in refs:
         if ref.kind == "column":
             touched[ref.slot].add(ref.index)

@@ -1,10 +1,12 @@
 """Relational data model: typed columns, immutable tables, CSV ingest, statistics.
 
 The data model is deliberately small: 64-bit signed integers and fixed-width
-ASCII CHAR(n) cells. A table is stored as its columns, one numpy-backed
-`Column` per schema column; row tuples are a view read off them. A CHAR
-cell has one representation, its bytes space-padded to the column width,
-so rows, results and dumps carry it padded, as SQL CHAR(n) values are.
+ASCII CHAR(n) cells. A table is stored as its columns, one numpy array per
+schema column: int64 for INT, `S<n>` for CHAR(n). The schema is the one
+record of each column's name and type; row tuples are a view read off the
+arrays. A CHAR cell has one representation, its bytes space-padded to the
+column width, so rows, results and dumps carry it padded, as SQL CHAR(n)
+values are.
 Tables are immutable after load and safe to share across concurrently
 executing pipelines.
 
@@ -213,45 +215,33 @@ def codes(values: np.ndarray) -> tuple[np.ndarray, int]:
     return code, n_codes
 
 
-@dataclass(frozen=True, eq=False)
-class Column:
-    """One column as an array. INT cells are an int64 array. CHAR cells are
-    an `S<width>` array of their space-padded bytes, the one form a CHAR
-    cell takes: it compares and hashes as the padded content, and reads back
-    as the padded text."""
+def column_array(ctype: ColumnType, values) -> np.ndarray:
+    """A column's array from its Python cells: int64 for INT; for CHAR(w),
+    an `S<w>` array of each cell's bytes space-padded to w, the one form a
+    CHAR cell takes: it compares and hashes as the padded content, and
+    reads back as the padded text."""
+    if ctype.kind is TypeKind.INT:
+        return np.array(values, dtype=np.int64)
+    width = ctype.width_bytes
+    if any(len(v) > width for v in values):
+        raise ValueError(f"CHAR({width}) column holds a longer value")
+    return np.array([pad_char(v, width) for v in values], dtype=f"S{width}")
 
-    ctype: ColumnType
-    values: np.ndarray
 
-    @staticmethod
-    def from_values(ctype: ColumnType, values) -> "Column":
-        if ctype.kind is TypeKind.INT:
-            return Column(ctype, np.array(values, dtype=np.int64))
-        width = ctype.width_bytes
-        if any(len(v) > width for v in values):
-            raise ValueError(f"CHAR({width}) column holds a longer value")
-        return Column(ctype, np.array([pad_char(v, width) for v in values], dtype=f"S{width}"))
-
-    def take(self, index) -> "Column":
-        """Rows at the positions `index`, in that order; None is every row,
-        read in place (the column itself)."""
-        return self if index is None else Column(self.ctype, self.values[index])
-
-    def tolist(self) -> list:
-        """The cells as Python values: ints, or the padded CHAR text."""
-        char = self.ctype.kind is TypeKind.CHAR
-        return (self.values.astype(str) if char else self.values).tolist()
+def column_cells(values: np.ndarray) -> list:
+    """A column's cells as Python values: ints, or the padded CHAR text."""
+    return (values.astype(str) if values.dtype.kind == "S" else values).tolist()
 
 
 def encode_columns(columns) -> list[np.ndarray]:
     """One (rows, cell bytes) uint8 view per column; row i of the views,
     concatenated, is encode_row of row i. No bytes are copied for a
     contiguous little-endian column."""
-    n = len(columns[0].values)
+    n = len(columns[0])
     views = []
     for col in columns:
-        values = np.ascontiguousarray(col.values)
-        if col.ctype.kind is TypeKind.INT:
+        values = np.ascontiguousarray(col)
+        if values.dtype.kind == "i":
             values = values.astype("<i8", copy=False)
         views.append(values.view(np.uint8).reshape(n, values.dtype.itemsize))
     return views
@@ -259,31 +249,32 @@ def encode_columns(columns) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """An immutable table: one Column per schema column, all of one length.
-    Its column arrays are made read-only, so a column handed out to be read
-    in place cannot be written through. Tables compare by identity; compare
-    results with `rows` or the oracle's multisets."""
+    """An immutable table: one array per schema column (`column_array`'s
+    dtypes), all of one length. The arrays are made read-only, so a column
+    handed out to be read in place cannot be written through. Tables
+    compare by identity; compare results with `rows` or the oracle's
+    multisets."""
 
     schema: Schema
-    columns: tuple[Column, ...]
+    columns: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if len(self.columns) != self.schema.arity:
             raise ValueError(f"{len(self.columns)} columns, schema has {self.schema.arity}")
-        if len({len(col.values) for col in self.columns}) != 1:
+        if len(set(map(len, self.columns))) != 1:
             raise ValueError("columns differ in length")
         for col in self.columns:
-            col.values.flags.writeable = False
+            col.flags.writeable = False
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0].values)
+        return len(self.columns[0])
 
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
         """Row tuples read off the columns (CHAR cells as their padded
         text), built on first use and kept."""
-        return tuple(zip(*(col.tolist() for col in self.columns)))
+        return tuple(zip(*map(column_cells, self.columns)))
 
     @classmethod
     def from_rows(cls, schema: Schema, rows) -> "Table":
@@ -295,7 +286,7 @@ class Table:
             i, row = next((i, r) for i, r in enumerate(rows) if len(r) != arity)
             raise ValueError(f"row {i} has {len(row)} cells, schema has {arity}")
         cells = list(zip(*rows)) or [()] * arity
-        return cls(schema, tuple(Column.from_values(ctype, list(values))
+        return cls(schema, tuple(column_array(ctype, list(values))
                                  for values, (_, ctype) in zip(cells, schema.columns)))
 
 
@@ -379,7 +370,7 @@ def _load_rows(data: bytes) -> Table:
             raise MalformedCell(line_no, len(cells), f"expected {arity} cells, got {len(cells)}")
         for col_no, (cell, ctype, out) in enumerate(zip(cells, types, values), start=1):
             out.append(_parse_cell(cell, ctype, line_no, col_no))
-    return Table(schema, tuple(Column.from_values(ctype, column)
+    return Table(schema, tuple(column_array(ctype, column)
                                for ctype, column in zip(types, values)))
 
 
@@ -429,8 +420,8 @@ def _load_bulk(data: bytes) -> Table | None:
     return Table(schema, tuple(columns))
 
 
-def _bulk_int(body, start, end, ctype: ColumnType) -> Column | None:
-    """Cells `body[start:end]` matching `-?[0-9]{1,18}` as an int64 Column,
+def _bulk_int(body, start, end, ctype: ColumnType) -> np.ndarray | None:
+    """Cells `body[start:end]` matching `-?[0-9]{1,18}` as an int64 array,
     else None. Digits accumulate one position at a time across all cells."""
     negative = body[start] == ord("-")  # an empty cell reads its separator
     first = start + negative
@@ -444,12 +435,12 @@ def _bulk_int(body, start, end, ctype: ColumnType) -> Column | None:
         if (live & (digit > 9)).any():
             return None
         value = np.where(live, value * 10 + digit, value)
-    return Column(ctype, np.where(negative, -value, value))
+    return np.where(negative, -value, value)
 
 
-def _bulk_char(body, start, end, ctype: ColumnType) -> Column | None:
-    """Cells `body[start:end]` of at most the declared width as a CHAR
-    Column, else None."""
+def _bulk_char(body, start, end, ctype: ColumnType) -> np.ndarray | None:
+    """Cells `body[start:end]` of at most the declared width as an
+    `S<width>` array, else None."""
     width = ctype.width_bytes
     length = end - start
     if length.size and length.max() > width:
@@ -458,18 +449,14 @@ def _bulk_char(body, start, end, ctype: ColumnType) -> Column | None:
     for k in range(int(length.max()) if length.size else 0):
         cells[:, k] = body[np.minimum(start + k, end)]
     cells[np.arange(width) >= length[:, None]] = 0x20
-    return Column(ctype, cells.view(f"S{width}").reshape(-1))
+    return cells.view(f"S{width}").reshape(-1)
 
 
 def dump_csv(table: Table) -> str:
     """Serialize with a normalized header; the inverse of load_csv up to CHAR
     padding, as each CHAR cell is written padded to its column width."""
     out = [table.schema.header_text()]
-    for row in table.rows:
-        cells = []
-        for value, (_, ctype) in zip(row, table.schema.columns):
-            cells.append(str(value) if ctype.kind is TypeKind.INT else value)
-        out.append(",".join(cells))
+    out += (",".join(map(str, row)) for row in table.rows)
     return "\n".join(out) + "\n"
 
 
@@ -505,12 +492,12 @@ def table_stats(table: Table) -> ColumnStats:
     """Exact counts, no sampling. CHAR min/max compare on padded content.
     Each column is counted on its `codes`, which order like its values."""
     stats = []
-    for (name, _), col in zip(table.schema.columns, table.columns):
-        if not len(col.values):
+    for name, col in zip(table.schema.names, table.columns):
+        if not len(col):
             stats.append(ColumnStat(name, 0, None, None))
             continue
-        code, n_codes = codes(col.values)
+        code, n_codes = codes(col)
         count = int(np.count_nonzero(np.bincount(code, minlength=n_codes)))
         ends = [int(code.argmin()), int(code.argmax())]
-        stats.append(ColumnStat(name, count, *col.take(ends).tolist()))
+        stats.append(ColumnStat(name, count, *column_cells(col[ends])))
     return ColumnStats(table.row_count, tuple(stats))

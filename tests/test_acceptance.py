@@ -30,14 +30,16 @@ DEV = str(REPO / "device.default.json")
 
 def _outcome(bp, run):
     """("ok", row multiset, ORDER BY key tuples in row order, or None without
-    ORDER BY) of `run()`'s table, or ("fault", (fault, row))."""
+    ORDER BY, each column's dtype) of `run()`'s table, or ("fault", (fault,
+    row)). The oracle's `Table.from_rows` gives int64 for INT and `S<w>`
+    for CHAR(w), so an engine column of another dtype differs from it."""
     try:
         table = run()
     except (ArithmeticOverflow, DivisionByZero) as exc:
         return ("fault", (type(exc).__name__, exc.row))
     keys = [idx for idx, _ in bp.order_by]
     order = order_keys(table, keys) if keys else None
-    return ("ok", canonical_multiset(table), order)
+    return ("ok", canonical_multiset(table), order, [col.dtype for col in table.columns])
 
 
 def test_criterion_1_oracle_equivalence_randomized(criterion_1_cases, default_library,
@@ -60,7 +62,9 @@ def test_criterion_1_oracle_equivalence_randomized(criterion_1_cases, default_li
                 f"case {cases}: candidate {cand.tag} diverged from the oracle\n"
                 f"query: {sql}\noracle: {expected[0]}, engine: {got[0]}"
                 + (", same multiset, ORDER BY keys out of order"
-                   if got[:2] == expected[:2] else "")
+                   if got[:2] == expected[:2] and got[2] != expected[2] else "")
+                + (f", same rows, dtypes {got[3]} against {expected[3]}"
+                   if got[:3] == expected[:3] else "")
             )
             pipelines += 1
         cases += 1

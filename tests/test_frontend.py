@@ -30,7 +30,7 @@ from sqf.frontend import (
 )
 from sqf.frontend.binder import FromValue, walk_bound
 from sqf.frontend.parser import _SYMBOLS, KEYWORDS
-from sqf.oracle import multisets_equal, reference_execute
+from sqf.oracle import first_multiset_diff, reference_execute
 from sqf.planner import enumerate_pipelines, select_best
 from sqf.relcore import table_stats
 
@@ -322,7 +322,7 @@ def test_bound_plan_names_tables_as_the_catalog_does(default_library, default_de
     cand, _ = select_best(enumerate_pipelines(bp, default_library, default_device),
                           stats, default_device)
     result, _ = run_candidate(cand, tables, default_device)
-    assert multisets_equal(result, reference_execute(bp, tables))
+    assert first_multiset_diff(result, reference_execute(bp, tables)) is None
 
 
 def test_bind_ambiguous_column():
@@ -419,5 +419,5 @@ def test_bind_error_names_its_rule(text, error, message):
 
 def test_bind_projection_sources():
     bp = bind(parse_query("SELECT d, a FROM t"), CATALOG)
-    assert [c.name for c in bp.output] == ["d", "a"]
-    assert all(isinstance(c.source, FromValue) for c in bp.output)
+    assert bp.output_schema.names == ("d", "a")
+    assert all(isinstance(source, FromValue) for source in bp.output)

@@ -6,7 +6,6 @@ from conftest import bind_sql, make_table
 from sqf.oracle import (
     canonical_multiset,
     first_multiset_diff,
-    multisets_equal,
     reference_execute,
 )
 from sqf.relcore import Table
@@ -63,7 +62,7 @@ def test_output_invariant_under_input_permutation():
     ):
         r1 = reference_execute(bind_sql(sql, {"t": t1}), {"t": t1})
         r2 = reference_execute(bind_sql(sql, {"t": t2}), {"t": t2})
-        assert multisets_equal(r1, r2)
+        assert first_multiset_diff(r1, r2) is None
         if "ORDER BY" in sql:
             assert r1.rows == r2.rows
 

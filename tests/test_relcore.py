@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sqf.arith import INT64_MAX, INT64_MIN
 from sqf.errors import CharOverflow, CsvError, MalformedCell
 from sqf.relcore import (
-    Column,
     ColumnStat,
     ColumnStats,
     ColumnType,
@@ -18,6 +17,7 @@ from sqf.relcore import (
     Table,
     _load_rows,
     canon_cell,
+    column_cells,
     dump_csv,
     load_csv,
     table_stats,
@@ -40,7 +40,7 @@ def test_a_loaded_tables_columns_are_read_only(tmp_path, index, cell):
     # the engine reads unfiltered columns in place, so no kernel may write them
     path = tmp_path / "t.csv"
     path.write_text("id:INT,name:CHAR(8)\n1,ann\n")
-    values = load_csv(path).columns[index].values
+    values = load_csv(path).columns[index]
     with pytest.raises(ValueError, match="read-only"):
         values[0] = cell
 
@@ -193,9 +193,9 @@ def test_stats_properties(table):
 def _stats_by_sorting(table):
     """table_stats by its definition: each column's sorted distinct values."""
     stats = []
-    for (name, ctype), col in zip(table.schema.columns, table.columns):
-        distinct = np.unique(col.values)
-        ends = Column(ctype, distinct[[0, -1]]).tolist() if len(distinct) else [None, None]
+    for name, col in zip(table.schema.names, table.columns):
+        distinct = np.unique(col)
+        ends = column_cells(distinct[[0, -1]]) if len(distinct) else [None, None]
         stats.append(ColumnStat(name, len(distinct), *ends))
     return ColumnStats(table.row_count, tuple(stats))
 
@@ -276,9 +276,8 @@ def _assert_same_load(path):
     assert isinstance(bulk, Table), bulk
     assert bulk.schema == rows.schema
     for got, want in zip(bulk.columns, rows.columns):
-        assert got.ctype == want.ctype
-        assert got.values.dtype == want.values.dtype
-        assert np.array_equal(got.values, want.values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     return rows
 
 
@@ -322,7 +321,7 @@ def test_bulk_load_char_cells_keep_their_spaces(tmp_path):
     path.write_bytes(text)
     table = _assert_same_load(path)
     assert [row[0] for row in table.rows] == ["    ", "    ", "ab  ", " a  ", "abcd"]
-    assert table.columns[0].values.tolist() == [b"    ", b"    ", b"ab  ", b" a  ", b"abcd"]
+    assert table.columns[0].tolist() == [b"    ", b"    ", b"ab  ", b" a  ", b"abcd"]
 
 
 @pytest.mark.parametrize("data, rows", [

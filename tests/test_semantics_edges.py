@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import pytest
@@ -12,17 +11,21 @@ from hypothesis import strategies as st
 from conftest import bind_sql, make_table, run_all_candidates
 from sqf.errors import QuerySyntaxError, UnknownColumn
 from sqf.frontend import parse_query
-from sqf.oracle import multisets_equal, reference_execute
+from sqf.oracle import first_multiset_diff, reference_execute
 from sqf.relcore import _load_bulk, _load_rows, load_csv
 
 
 def _check_all(sql, tables, default_library, default_device):
+    """Every candidate gives the oracle's rows in the oracle's column
+    dtypes: int64 for INT and `S<w>` for CHAR(w)."""
     bp = bind_sql(sql, tables)
     expected = reference_execute(bp, tables)
+    dtypes = [col.dtype for col in expected.columns]
     results = run_all_candidates(sql, tables, default_library, default_device)
     assert results
     for cand, table, _ in results:
-        assert multisets_equal(table, expected), (sql, cand.tag)
+        assert first_multiset_diff(table, expected) is None, (sql, cand.tag)
+        assert [col.dtype for col in table.columns] == dtypes, (sql, cand.tag)
     return expected, results
 
 
