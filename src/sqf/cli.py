@@ -30,6 +30,9 @@ from .fabric import FabricState, allocate, load_device_profile, reconfigure
 from .frontend import bind, parse_query
 from .library import load_library
 from .planner import (
+    JOIN_ALGO_CODESIGN,
+    JOIN_ALGO_HASH,
+    JOIN_ALGO_MERGE,
     codesign_blockers,
     enumerate_pipelines,
     rank,
@@ -40,12 +43,12 @@ from .relcore import load_csv, table_stats
 log = logging.getLogger("sqf")
 
 _JOIN_FILTER = {
-    "hash": "hash_fpga",
-    "merge": "merge_fpga",
-    "codesign": "hash_codesign",
+    "hash": JOIN_ALGO_HASH,
+    "merge": JOIN_ALGO_MERGE,
+    "codesign": JOIN_ALGO_CODESIGN,
 }
 
-BENCH_STRATEGIES = ("auto", "hash", "merge", "codesign")
+BENCH_STRATEGIES = ("auto", *_JOIN_FILTER)
 
 
 def _setup_logging():
@@ -353,8 +356,7 @@ def cmd_bench(args) -> int:
     manifest = suite_mod.load_manifest(suite_dir)
     suite_mod.materialize(suite_dir)
     session = _Session(suite_dir / manifest["tables_dir"],
-                       args.library or suite_dir / manifest["library"],
-                       args.device or suite_dir / manifest["device"])
+                       suite_dir / manifest["library"], suite_dir / manifest["device"])
     baseline_dev = load_device_profile(suite_dir / manifest["baseline_device"])
 
     rows = []
@@ -428,8 +430,7 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool):
     p.add_argument("--device", required=True, help="device profile JSON")
     p.add_argument("--out", required=out_required, default=None, help="report JSON path")
     p.add_argument("--layout", choices=["row", "column", "auto"], default="auto")
-    p.add_argument("--join", choices=["hash", "merge", "codesign", "auto"],
-                   default="auto")
+    p.add_argument("--join", choices=[*_JOIN_FILTER, "auto"], default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True, help="suite directory with manifest.json")
     bench.add_argument("--out", default="bench_report.json")
     bench.add_argument("--seed", type=int, default=0, help="bloom filter seed, in [0, 2^64)")
-    bench.add_argument("--library", default=None, help="override the manifest library")
-    bench.add_argument("--device", default=None, help="override the manifest device")
     bench.set_defaults(fn=cmd_bench)
     return parser
 

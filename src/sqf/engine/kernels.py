@@ -232,16 +232,16 @@ def group_extremes(values: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> 
 
 
 def group_extreme(code: np.ndarray, gid: np.ndarray, n_ids: int, fn: str) -> np.ndarray:
-    """Per id, the row of its group's first MIN or MAX, in stream order.
+    """Per id, a row that holds its group's MIN or MAX.
 
     `code` is the argument's `rank` at each row, so one ranking serves both
-    MIN and MAX of one argument. Entries of ids that hold no row are
-    unspecified."""
+    MIN and MAX of one argument. Rows of equal rank hold equal values, so
+    any row at the extreme serves and none is searched for first. Entries
+    of ids that hold no row are unspecified."""
     extreme = group_extremes(code, gid, n_ids, fn)
     rows = np.flatnonzero(code == extreme[gid])
     row_of = np.zeros(n_ids, dtype=np.intp)
-    ids, at = np.unique(gid[rows], return_index=True)  # each id's first such row
-    row_of[ids] = rows[at]
+    row_of[gid[rows]] = rows
     return row_of
 
 

@@ -5,8 +5,8 @@ type) and types each comparison as a BCmp; every other expression node (the
 literals, Arith and BoolOp) passes through as the parser's own class. A bound
 plan's output is one source per column of its fully determined output
 schema, which alone names and types the output columns. Binding is a pure
-function of (plan, catalog) and re-binding a bound plan's query yields an
-equal BoundPlan.
+function of (plan, catalog): binding one parsed plan twice yields equal
+BoundPlans.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AmbiguousColumn, QueryTypeError, UnknownColumn, UnknownTable
-from ..relcore import ColumnType, Schema, TypeKind
+from ..relcore import CHAR_MAX_WIDTH, ColumnType, Schema, TypeKind
 from .ast import (
     AggItem,
     AggSpec,
@@ -93,7 +93,6 @@ class BoundPlan:
     `tables` names each table by its catalog key, whatever the query's case.
     `output` holds the source of each `output_schema` column, in order."""
 
-    plan: QueryPlan
     tables: tuple[str, ...]
     schemas: tuple[Schema, ...]
     join_keys: tuple[int, ...]
@@ -252,8 +251,9 @@ class _Binder:
         if isinstance(expr, IntLiteral):
             return expr, ColumnType.int64()
         if isinstance(expr, StrLiteral):
-            if len(expr.value) > 64:
-                raise QueryTypeError(render_expr(expr), "string literal longer than 64 bytes")
+            if len(expr.value) > CHAR_MAX_WIDTH:
+                raise QueryTypeError(render_expr(expr),
+                                     f"string literal longer than {CHAR_MAX_WIDTH} bytes")
             return expr, ColumnType.char(max(1, len(expr.value)))
         if isinstance(expr, Arith):
             lhs, lt = self.bind_value_expr(expr.lhs, expr)
@@ -302,7 +302,6 @@ class _Binder:
         output, schema = self._bind_projection(plan, group_by, aggregates)
         order_by = self._bind_order(plan, schema)
         return BoundPlan(
-            plan=plan,
             tables=self.tables,
             schemas=self.schemas,
             join_keys=join_keys,

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from ..arith import INT64_MAX, INT64_MIN
 from ..errors import QuerySyntaxError
+from ..relcore import IDENTIFIER
 from .ast import (
     AGG_FNS,
     AggItem,
@@ -67,7 +68,7 @@ _STRING_BODY = re.compile(r"[ -&(-~]*")
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:"
     r"(?P<int>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{IDENTIFIER})"
     rf"|(?P<string>'{_STRING_BODY.pattern}')"
     rf"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})"
     r"|(?P<other>.)"

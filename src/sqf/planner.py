@@ -187,7 +187,9 @@ def _clamp(x: float) -> float:
 
 
 def _column_stat(slot: int, index: int, bp: BoundPlan, stats: dict):
-    return stats[bp.tables[slot]].column(bp.schemas[slot].columns[index][0])
+    """The stat of column `index` of the table in `slot`: `ColumnStats`
+    holds one per schema column, in schema order."""
+    return stats[bp.tables[slot]].columns[index]
 
 
 def _cmp_selectivity(cmp: BCmp, bp: BoundPlan, stats: dict) -> float:

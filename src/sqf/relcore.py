@@ -38,9 +38,11 @@ from .errors import CharOverflow, MalformedCell
 
 CHAR_MAX_WIDTH = 64
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"  # column, table and query names alike
+
+_IDENT_RE = re.compile(rf"{IDENTIFIER}\Z")
 _INT_CELL_RE = re.compile(r"-?[0-9]+\Z")
-_HEADER_COL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(INT|CHAR\(([0-9]+)\))\Z")
+_HEADER_COL_RE = re.compile(rf"({IDENTIFIER}):(INT|CHAR\(([0-9]+)\))\Z")
 
 
 class TypeKind(enum.Enum):
@@ -462,7 +464,6 @@ def dump_csv(table: Table) -> str:
 
 @dataclass(frozen=True)
 class ColumnStat:
-    name: str
     distinct_count: int
     min_value: object | None
     max_value: object | None
@@ -470,34 +471,25 @@ class ColumnStat:
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Exact per-table statistics; the planner's selectivity inputs."""
+    """Exact per-table statistics; the planner's selectivity inputs.
+    `columns` holds one stat per schema column, in schema order, so a
+    column's stat is found by the index its `ValueRef` carries."""
 
     row_count: int
     columns: tuple[ColumnStat, ...]
 
-    def column(self, name: str) -> ColumnStat:
-        stat = self._by_name.get(name.lower())
-        if stat is None:
-            raise KeyError(name)
-        return stat
-
-    @cached_property
-    def _by_name(self) -> dict:
-        """Each column's stat by its lower-cased name, the first of a name
-        winning."""
-        return {stat.name.lower(): stat for stat in reversed(self.columns)}
-
 
 def table_stats(table: Table) -> ColumnStats:
-    """Exact counts, no sampling. CHAR min/max compare on padded content.
-    Each column is counted on its `codes`, which order like its values."""
+    """Exact counts, no sampling, one stat per column of `table.columns`.
+    CHAR min/max compare on padded content. Each column is counted on its
+    `codes`, which order like its values."""
     stats = []
-    for name, col in zip(table.schema.names, table.columns):
+    for col in table.columns:
         if not len(col):
-            stats.append(ColumnStat(name, 0, None, None))
+            stats.append(ColumnStat(0, None, None))
             continue
         code, n_codes = codes(col)
         count = int(np.count_nonzero(np.bincount(code, minlength=n_codes)))
         ends = [int(code.argmin()), int(code.argmax())]
-        stats.append(ColumnStat(name, count, *column_cells(col[ends])))
+        stats.append(ColumnStat(count, *column_cells(col[ends])))
     return ColumnStats(table.row_count, tuple(stats))

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import InvalidField, SqfError
 from .library import json_float, json_int, read_json, record
+from .relcore import IDENTIFIER
 
 
 def _text(rec: dict, name: str, csv: bool = False) -> str:
@@ -61,7 +62,7 @@ _MANIFEST_CHECKS = {"seed": json_int, "max_overhead_fraction": json_float,
 _TABLE_CHECKS = {"rows": json_int, "columns": _typed(list, "a list")}
 _COLUMN_CHECKS = {"name": partial(_text, csv=True), "type": partial(_text, csv=True),
                   "gen": _typed(dict, "an object")}
-_TABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the table names a query can read
+_TABLE_NAME = re.compile(IDENTIFIER)  # the table names a query can read
 _GEN_CHECKS = {  # by the generator's `kind`; `start` is optional
     "serial": {"kind": _text, "start": json_int},
     "randint": {"kind": _text, "lo": json_int, "hi": json_int},

@@ -204,11 +204,11 @@ def test_criterion_5_calculus_properties(default_library, default_device):
             last = -1.0
             for scale in (10, 100, 1_000, 10_000, 100_000):
                 stats = {
-                    "t": ColumnStats(scale, (ColumnStat("a", min(500, scale), 0, 999),
-                                             ColumnStat("b", min(40, scale), 0, 999))),
+                    "t": ColumnStats(scale, (ColumnStat(min(500, scale), 0, 999),
+                                             ColumnStat(min(40, scale), 0, 999))),
                     "u": ColumnStats(max(1, scale // 10),
-                                     (ColumnStat("c", min(500, scale), 0, 999),
-                                      ColumnStat("d", min(40, scale), 0, 999))),
+                                     (ColumnStat(min(500, scale), 0, 999),
+                                      ColumnStat(min(40, scale), 0, 999))),
                 }
                 est = full_estimate(cand, stats, default_device)
                 assert est.total_seconds >= last - 1e-15
@@ -221,10 +221,10 @@ def test_criterion_5_calculus_properties(default_library, default_device):
             assert full_estimate(
                 cand, stats, default_device
             ).reconfig_seconds == pytest.approx(reconfigure(fabric, placement).seconds)
-        stats = {"t": ColumnStats(5000, (ColumnStat("a", 500, 0, 999),
-                                         ColumnStat("b", 40, 0, 999))),
-                 "u": ColumnStats(700, (ColumnStat("c", 500, 0, 999),
-                                        ColumnStat("d", 40, 0, 999)))}
+        stats = {"t": ColumnStats(5000, (ColumnStat(500, 0, 999),
+                                         ColumnStat(40, 0, 999))),
+                 "u": ColumnStats(700, (ColumnStat(500, 0, 999),
+                                        ColumnStat(40, 0, 999)))}
         chosen, _ = select_best(cands, stats, default_device)
         rng = random.Random(1)
         for _ in range(5):

@@ -453,14 +453,20 @@ def test_bench_missing_table_fails_only_its_rows(tmp_path):
     assert report["summary"]["ok"] == 5
 
 
-def test_bench_bad_library_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("field", ["library", "device", "baseline_device"])
+def test_bench_bad_profile_exits_1(tmp_path, capsys, field):
+    """A profile the manifest names that does not load ends `bench` with one
+    `error: …` line and exit 1, and writes no report."""
     suite = _mini_suite(tmp_path)
-    bad = tmp_path / "bad_library.json"
+    bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json"),
-               "--library", str(bad)])
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest[field] = str(bad)
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "b.json")])
+    err = capsys.readouterr().err.splitlines()
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "b.json").exists()
 
 

@@ -348,19 +348,19 @@ def test_bind_suffixes_a_repeated_output_name(items, names):
 
 
 def test_bind_is_idempotent():
-    bp = bind(parse_query("SELECT t.a, u.e FROM t JOIN u ON t.a = u.c WHERE t.d > 0"),
-              CATALOG)
-    assert bind(bp.plan, CATALOG) == bp
+    plan = parse_query("SELECT t.a, u.e FROM t JOIN u ON t.a = u.c WHERE t.d > 0")
+    assert bind(plan, CATALOG) == bind(plan, CATALOG)
 
 
 def test_bound_expressions_reuse_the_parser_nodes():
-    bp = bind(parse_query("SELECT a * 2 AS x FROM t "
-                          "WHERE NOT (a + 1 > d) AND (b = 'x' OR d < -3)"), CATALOG)
+    plan = parse_query("SELECT a * 2 AS x FROM t "
+                       "WHERE NOT (a + 1 > d) AND (b = 'x' OR d < -3)")
+    bp = bind(plan, CATALOG)
     nodes = [*walk_bound(bp.restriction), *walk_bound(bp.computed[0].expr)]
     kinds = {type(node) for node in nodes}
     assert kinds == {BoolOp, Arith, IntLiteral, StrLiteral, ValueRef, BCmp}
     assert {k for k in kinds if k.__module__ == "sqf.frontend.binder"} == {ValueRef, BCmp}
-    assert bind(bp.plan, CATALOG) == bp
+    assert bind(plan, CATALOG) == bp
 
 
 def test_bind_grouping_projection_rule():

@@ -23,17 +23,15 @@ def two_int_table(rows):
     return make_table([("a", "INT"), ("b", "INT")], rows)
 
 
-def stats_for(row_count, names=("a", "b"), distinct=1000, lo=0, hi=999):
-    cols = tuple(
-        ColumnStat(name, min(distinct, row_count), lo, hi) for name in names
-    )
-    return ColumnStats(row_count, cols)
+def stats_for(row_count, distinct=1000, lo=0, hi=999):
+    """Stats of a two-column table whose columns share one stat."""
+    return ColumnStats(row_count, (ColumnStat(min(distinct, row_count), lo, hi),) * 2)
 
 
 def stats_pair(n_t, n_u):
     return {
-        "t": stats_for(n_t, names=("a", "b")),
-        "u": stats_for(n_u, names=("c", "d")),
+        "t": stats_for(n_t),
+        "u": stats_for(n_u),
     }
 
 
@@ -242,8 +240,8 @@ def test_range_uses_min_max():
 
 
 def test_and_multiplies_or_adds():
-    stats = ColumnStats(1000, (ColumnStat("a", 1000, 0, 1000),
-                                ColumnStat("b", 10, 0, 999)))
+    stats = ColumnStats(1000, (ColumnStat(1000, 0, 1000),
+                                ColumnStat(10, 0, 999)))
     s_and = _sel("a < 500 AND b = 3", stats)
     assert s_and == pytest.approx(0.5 * 0.1)
     s_or = _sel("a < 500 OR b = 3", stats)
@@ -252,8 +250,8 @@ def test_and_multiplies_or_adds():
 
 def test_selectivity_always_in_unit_interval():
     rng = random.Random(7)
-    stats = ColumnStats(500, (ColumnStat("a", 40, -20, 20),
-                              ColumnStat("b", 3, 0, 2)))
+    stats = ColumnStats(500, (ColumnStat(40, -20, 20),
+                              ColumnStat(3, 0, 2)))
     preds = ["a < -100", "a > 100", "a = 5 AND a = 6 AND b = 1", "NOT a <> 5",
              "a < 10 OR a > -10 OR b = 0", "a * 2 < b + 1"]
     for _ in range(40):

@@ -193,10 +193,10 @@ def test_stats_properties(table):
 def _stats_by_sorting(table):
     """table_stats by its definition: each column's sorted distinct values."""
     stats = []
-    for name, col in zip(table.schema.names, table.columns):
+    for col in table.columns:
         distinct = np.unique(col)
         ends = column_cells(distinct[[0, -1]]) if len(distinct) else [None, None]
-        stats.append(ColumnStat(name, len(distinct), *ends))
+        stats.append(ColumnStat(len(distinct), *ends))
     return ColumnStats(table.row_count, tuple(stats))
 
 
