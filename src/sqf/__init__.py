@@ -19,8 +19,8 @@ _EXPORTS = {  # public name -> the submodule that defines it
     **dict.fromkeys(("DeviceProfile", "FabricState", "Placement", "ReconfigReport",
                      "allocate", "load_device_profile", "reconfigure", "release"), "fabric"),
     **dict.fromkeys(("BoundPlan", "QueryPlan", "bind", "parse_query"), "frontend"),
-    **dict.fromkeys(("ModuleInstance", "ModuleKind", "ModuleLibrary", "ModuleSpec",
-                     "instantiate", "load_library"), "library"),
+    **dict.fromkeys(("ModuleInstance", "ModuleKind", "ModuleSpec", "instantiate",
+                     "load_library"), "library"),
     "reference_execute": "oracle",
     **dict.fromkeys(("CandidatePipeline", "CostEstimate", "enumerate_pipelines",
                      "full_estimate", "select_best"), "planner"),

@@ -274,7 +274,7 @@ def cmd_run(args) -> int:
         "execution": {
             "result_rows": exec_report.result_rows,
             "checksum": f"0x{result_checksum(result):016x}",
-            "order": "specified" if exec_report.order_specified else "unspecified",
+            "order": "specified" if planned.bound.order_by else "unspecified",
             "simulated_seconds": exec_report.simulated_seconds,
             "bloom_false_positives": exec_report.bloom_false_positives,
             "stages": [

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # runtime import would be circular via the planner
 from ..errors import ArithmeticOverflow, DivisionByZero, NotReconfigured
 from ..fabric import DeviceProfile, FabricState, Placement
 from ..frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
-from ..frontend.binder import BCmp, BoundPlan, FromGroupKey, ValueRef
+from ..frontend.binder import BCmp, BoundPlan, ValueRef
 from ..hashing import CHECKSUM_SEED, KEY_IMAGE_SEED, fnv1a64_rows
 from ..relcore import (
     ColumnType,
@@ -85,7 +85,6 @@ class ExecReport:
     wall_seconds: float
     simulated_seconds: float | None
     bloom_false_positives: int | None
-    order_specified: bool
     result_rows: int
 
 
@@ -226,7 +225,6 @@ def execute_pipeline(
         wall_seconds=time.perf_counter() - started,
         simulated_seconds=estimate.total_seconds if estimate is not None else None,
         bloom_false_positives=run.bloom_fp,
-        order_specified=bool(bp.order_by),
         result_rows=table.row_count,
     )
     return table, report
@@ -309,7 +307,7 @@ class _Run:
 
     def output(self) -> list[np.ndarray]:
         if self.columns is None:
-            self.columns = [self.column(source.ref) for source in self.bp.output]
+            self.columns = [self.column(ref) for ref in self.bp.output]
         return self.columns
 
     def _join(self, n_in):
@@ -408,11 +406,8 @@ class _Run:
         return self.n, self.n
 
     def aggregate(self, stage):
-        bp = self.bp
-        canonical = _aggregate(bp, self)
-        n_keys = len(bp.group_by)
-        self.columns = [canonical[source.index if isinstance(source, FromGroupKey)
-                                  else n_keys + source.index] for source in bp.output]
+        canonical = _aggregate(self.bp, self)
+        self.columns = [canonical[i] for i in self.bp.output]
         return self.n, len(canonical[0])
 
     def reorder(self, stage):

@@ -10,7 +10,6 @@ from .ast import (
     Expr,
     IntLiteral,
     JoinSpec,
-    NamedItem,
     OrderItem,
     QueryPlan,
     Star,
@@ -22,9 +21,6 @@ from .binder import (
     BoundAgg,
     BoundComputed,
     BoundPlan,
-    FromAggregate,
-    FromGroupKey,
-    FromValue,
     ValueRef,
     bind,
 )
@@ -32,9 +28,8 @@ from .parser import parse_query, tokenize
 
 __all__ = [
     "AggItem", "AggSpec", "Arith", "BoolOp", "Cmp", "ColumnRef", "Expr",
-    "IntLiteral", "JoinSpec", "NamedItem", "OrderItem", "QueryPlan", "Star",
+    "IntLiteral", "JoinSpec", "OrderItem", "QueryPlan", "Star",
     "StrLiteral", "render_expr",
-    "BCmp", "BoundAgg", "BoundComputed", "BoundPlan", "FromAggregate",
-    "FromGroupKey", "FromValue", "ValueRef", "bind",
+    "BCmp", "BoundAgg", "BoundComputed", "BoundPlan", "ValueRef", "bind",
     "parse_query", "tokenize",
 ]

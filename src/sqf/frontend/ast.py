@@ -60,20 +60,15 @@ class Star:
 
 
 @dataclass(frozen=True)
-class NamedItem:
-    """Projection of a column or of a computed attribute defined in the list."""
-
-    ref: ColumnRef
-
-
-@dataclass(frozen=True)
 class AggItem:
     """Projection of aggregate number `index` in QueryPlan.aggregates."""
 
     index: int
 
 
-ProjItem = Union[Star, NamedItem, AggItem]
+# A projection item: `*`, a column or computed attribute named by its
+# ColumnRef, or one of the aggregates.
+ProjItem = Union[Star, ColumnRef, AggItem]
 
 
 @dataclass(frozen=True)

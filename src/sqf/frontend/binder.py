@@ -4,9 +4,9 @@ Binding resolves each column reference to a ValueRef (slot, column index,
 type) and types each comparison as a BCmp; every other expression node (the
 literals, Arith and BoolOp) passes through as the parser's own class. A bound
 plan's output is one source per column of its fully determined output
-schema, which alone names and types the output columns. Binding is a pure
-function of (plan, catalog): binding one parsed plan twice yields equal
-BoundPlans.
+schema, which alone names and types the output columns: a ValueRef, or in a
+grouped plan a position in the grouped row. Binding is a pure function of
+(plan, catalog): binding one parsed plan twice yields equal BoundPlans.
 """
 
 from __future__ import annotations
@@ -71,27 +71,14 @@ class BoundAgg:
 
 
 @dataclass(frozen=True)
-class FromValue:
-    ref: ValueRef
-
-
-@dataclass(frozen=True)
-class FromGroupKey:
-    index: int
-
-
-@dataclass(frozen=True)
-class FromAggregate:
-    index: int
-
-
-@dataclass(frozen=True)
 class BoundPlan:
     """A plan resolved against its tables. `tables`, `schemas` and `join_keys`
     (each side's key column, empty without a join) are indexed by slot, as
     `ValueRef.slot` is: slot 0 is the FROM table and slot 1 the JOIN table.
     `tables` names each table by its catalog key, whatever the query's case.
-    `output` holds the source of each `output_schema` column, in order."""
+    `output` holds the source of each `output_schema` column, in order: its
+    ValueRef in an ungrouped plan, and in a grouped one its position in the
+    grouped row, which is the group keys and then the aggregates."""
 
     tables: tuple[str, ...]
     schemas: tuple[Schema, ...]
@@ -101,7 +88,7 @@ class BoundPlan:
     computed: tuple[BoundComputed, ...]
     group_by: tuple[ValueRef, ...]
     aggregates: tuple[BoundAgg, ...]
-    output: tuple[object, ...]  # FromValue | FromGroupKey | FromAggregate
+    output: tuple  # ValueRef each (ungrouped) | int each (grouped)
     order_by: tuple[tuple[int, bool], ...]  # (output column index, ascending)
     output_schema: Schema
 
@@ -146,17 +133,16 @@ def split_conjuncts(expr) -> list:
 
 def needs_reorder(bp: "BoundPlan") -> bool:
     """True when the output layout differs from the natural stream layout,
-    i.e. attributes are reordered, inserted, or removed."""
+    i.e. attributes are reordered, inserted, or removed. A grouped stream is
+    the grouped row (group keys, then aggregates); an ungrouped one is the
+    sides' columns in slot order."""
     if bp.grouped:
-        canonical = [FromGroupKey(i) for i in range(len(bp.group_by))]
-        canonical += [FromAggregate(i) for i in range(len(bp.aggregates))]
-        return list(bp.output) != canonical
+        return bp.output != tuple(range(len(bp.group_by) + len(bp.aggregates)))
     if bp.computed:
         return True
-    natural = [FromValue(ValueRef("column", slot, idx, ctype))
-               for slot, schema in enumerate(bp.schemas)
-               for idx, (_, ctype) in enumerate(schema.columns)]
-    return list(bp.output) != natural
+    return bp.output != tuple(ValueRef("column", slot, idx, ctype)
+                              for slot, schema in enumerate(bp.schemas)
+                              for idx, (_, ctype) in enumerate(schema.columns))
 
 
 class _Binder:
@@ -377,20 +363,18 @@ class _Binder:
                     raise QueryTypeError("*", "star projection cannot be mixed with grouping")
                 for slot, (table, schema) in enumerate(zip(self.tables, self.schemas)):
                     for idx, (name, ctype) in enumerate(schema.columns):
-                        add(name, FromValue(ValueRef("column", slot, idx, ctype)),
-                            ctype, table)
+                        add(name, ValueRef("column", slot, idx, ctype), ctype, table)
             elif isinstance(item, AggItem):  # only a grouped plan has aggregates
                 agg = aggregates[item.index]
-                add(agg.name, FromAggregate(item.index), agg.ctype, None)
+                add(agg.name, len(group_by) + item.index, agg.ctype, None)
             else:
-                ref = self.resolve_value(item.ref)
-                source = FromValue(ref)
+                ref = source = self.resolve_value(item)
                 if grouped:
                     if ref not in group_by:
-                        raise QueryTypeError(item.ref.render(),
+                        raise QueryTypeError(item.render(),
                                              "projection must use group columns or aggregates")
-                    source = FromGroupKey(group_by.index(ref))
-                add(item.ref.name, source, ref.ctype, item.ref.qualifier)
+                    source = group_by.index(ref)
+                add(item.name, source, ref.ctype, item.qualifier)
         return tuple(sources), Schema(tuple(columns))
 
     def _bind_order(self, plan, schema: Schema):

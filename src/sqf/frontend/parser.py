@@ -42,7 +42,6 @@ from .ast import (
     Expr,
     IntLiteral,
     JoinSpec,
-    NamedItem,
     OrderItem,
     QueryPlan,
     Star,
@@ -257,9 +256,9 @@ class _Parser:
         if self.eat("AS"):
             alias = self.expect_ident("alias")
             self.computed.append((alias, expr))
-            return NamedItem(ColumnRef(None, alias))
+            return ColumnRef(None, alias)
         if isinstance(expr, ColumnRef):
-            return NamedItem(expr)
+            return expr
         self.fail("AS")
 
     def parse_colref(self) -> ColumnRef:

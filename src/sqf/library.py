@@ -108,19 +108,6 @@ class ModuleInstance:
         return (self.spec.kind.value, self.params)
 
 
-@dataclass(frozen=True)
-class ModuleLibrary:
-    specs: dict
-
-    def __contains__(self, kind: ModuleKind) -> bool:
-        return kind in self.specs
-
-    def spec(self, kind: ModuleKind) -> ModuleSpec:
-        if kind not in self.specs:
-            raise UnknownModuleKind(kind.value)
-        return self.specs[kind]
-
-
 def json_int(rec: dict, name: str) -> int:
     """An integer field of a JSON record; booleans and fractions are rejected."""
     value = rec[name]
@@ -187,9 +174,9 @@ _SPEC_CHECKS = {"kind": _kind, "base_slots": json_int, "slots_per_unit": json_in
                 "max_clock_hz": json_float}
 
 
-def load_library(path) -> ModuleLibrary:
-    """Load the module catalog from a JSON array of spec records, each a
-    `record` of exactly the ModuleSpec fields."""
+def load_library(path) -> dict:
+    """Load the module catalog, `{ModuleKind: ModuleSpec}`, from a JSON array
+    of spec records, each a `record` of exactly the ModuleSpec fields."""
     specs: dict = {}
     for rec in read_json(path, "library file", list):
         spec = ModuleSpec(**record(rec, "spec record", _SPEC_CHECKS))
@@ -200,7 +187,7 @@ def load_library(path) -> ModuleLibrary:
     for kind in ModuleKind:
         if kind not in specs and kind not in OPTIONAL_KINDS:
             raise MissingKind(kind.value)
-    return ModuleLibrary(specs)
+    return specs
 
 
 # kind -> (sizing parameter, default, smallest, largest, values per slot
@@ -217,14 +204,16 @@ _UNITS = {
 
 
 def instantiate(
-    lib: ModuleLibrary,
+    lib: dict,
     kind: ModuleKind,
     params: dict | None = None,
 ) -> ModuleInstance:
     """A parameterized instance; slots and bitstream size follow the spec.
     The range check runs on every call; the instance, a pure function of
     the spec and the canonical params, is built once and then shared."""
-    spec = lib.spec(kind)
+    if kind not in lib:
+        raise UnknownModuleKind(kind.value)
+    spec = lib[kind]
     params = dict(params or {})
     sizing = _UNITS.get(kind)
     if sizing is not None:

@@ -20,7 +20,7 @@ from collections import Counter
 from .arith import add64, div64, mul64, sub64
 from .errors import ArithmeticOverflow, DivisionByZero
 from .frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
-from .frontend.binder import BCmp, BoundPlan, FromAggregate, FromGroupKey, ValueRef
+from .frontend.binder import BCmp, BoundPlan, ValueRef
 from .relcore import Table, TypeKind, canon_cell, encode_row, pad_char
 
 
@@ -112,7 +112,7 @@ def reference_execute(bp: BoundPlan, tables: dict) -> Table:
         out_rows = _grouped_rows(bp, rows)
     else:
         out_rows = [
-            tuple(row[bp.flat_index(source.ref)] for source in bp.output)
+            tuple(row[bp.flat_index(ref)] for ref in bp.output)
             for row in rows
         ]
 
@@ -181,15 +181,9 @@ def _fold(bp: BoundPlan, agg, members):
 
 
 def _shape_output(bp: BoundPlan, raw_keys, agg_values):
-    cells = []
-    for source in bp.output:
-        if isinstance(source, FromGroupKey):
-            cells.append(raw_keys[source.index])
-        elif isinstance(source, FromAggregate):
-            cells.append(agg_values[source.index])
-        else:  # pragma: no cover - binder prevents this
-            raise AssertionError("plain value in grouped projection")
-    return tuple(cells)
+    """The output row of one group: each column's cell of the grouped row."""
+    row = raw_keys + agg_values
+    return tuple(row[i] for i in bp.output)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .frontend.ast import Arith, BoolOp, IntLiteral, StrLiteral
 from .frontend.binder import (
     BCmp,
     BoundPlan,
-    FromValue,
     ValueRef,
     needs_reorder,
     split_conjuncts,
@@ -42,7 +41,6 @@ from .library import (
     OPTIONAL_KINDS,
     ModuleInstance,
     ModuleKind,
-    ModuleLibrary,
     instantiate,
 )
 from .relcore import TypeKind
@@ -166,7 +164,7 @@ def _analyse(bp: BoundPlan):
     nodes = sum(max(1, walk(comp.expr)[2]) for comp in bp.computed)
 
     refs = [*bp.group_by, *(agg.arg for agg in bp.aggregates if agg.arg is not None),
-            *(source.ref for source in bp.output if isinstance(source, FromValue))]
+            *(() if bp.grouped else bp.output)]
     for ref in refs:
         if ref.kind == "column":
             touched[ref.slot].add(ref.index)
@@ -273,7 +271,7 @@ def _group_count(bp: BoundPlan, stats: dict, n_in: float) -> float:
 # pipeline enumeration
 # --------------------------------------------------------------------------
 
-def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) -> dict:
+def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: dict, algos) -> dict:
     """Each join algorithm's stages, from the source in the order the engine
     runs them, built from the plan's filters and ALU nodes (`_analyse`). A
     restriction holds (slot, predicate) filters.
@@ -338,7 +336,7 @@ def _stage_lists(bp: BoundPlan, filters, nodes: int, lib: ModuleLibrary, algos) 
     return lists
 
 
-def codesign_blockers(bp: BoundPlan, lib: ModuleLibrary, dev: DeviceProfile) -> list[str]:
+def codesign_blockers(bp: BoundPlan, lib: dict, dev: DeviceProfile) -> list[str]:
     """Why a join gets no co-design variant: each filter kind the library
     lacks, then the sides whose co-design record is wider than the device's
     cache line, the alignment block (its multiplier is fixed at 1)."""
@@ -353,7 +351,7 @@ def codesign_blockers(bp: BoundPlan, lib: ModuleLibrary, dev: DeviceProfile) -> 
 
 
 def enumerate_pipelines(
-    bp: BoundPlan, lib: ModuleLibrary, dev: DeviceProfile
+    bp: BoundPlan, lib: dict, dev: DeviceProfile
 ) -> list[CandidatePipeline]:
     """All executable pipelines for a plan, in deterministic order:
     row-layout FPGA-only per join algorithm, column-layout variants when the

@@ -68,10 +68,10 @@ def pretty_print(plan: QueryPlan) -> str:
             items.append("*")
         elif isinstance(item, AggItem):
             items.append(plan.aggregates[item.index].render())
-        elif item.ref.qualifier is None and item.ref.name in computed:
-            items.append(f"{render_expr(computed[item.ref.name])} AS {item.ref.name}")
+        elif item.qualifier is None and item.name in computed:
+            items.append(f"{render_expr(computed[item.name])} AS {item.name}")
         else:
-            items.append(item.ref.render())
+            items.append(item.render())
     parts = [f"SELECT {', '.join(items)} FROM {plan.source}"]
     if plan.join:
         parts.append(

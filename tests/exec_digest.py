@@ -41,7 +41,7 @@ def execution(cand, tables, dev) -> tuple:
         table, report = run_candidate(cand, tables, dev)
     except SqfError as exc:
         return type(exc).__name__, str(exc)
-    rows = table.rows if report.order_specified else sorted(table.rows)
+    rows = table.rows if cand.plan.order_by else sorted(table.rows)
     return rows, result_checksum(table), report.stages, report.bloom_false_positives
 
 

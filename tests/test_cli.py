@@ -1113,7 +1113,7 @@ def test_star_import_binds_every_public_name():
         "        assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
         "        assert getattr(sqf, name) is obj, name\n"
         "print(len(sqf.__all__))\n")
-    assert out == "38\n"
+    assert out == "37\n"
 
 
 def test_unknown_package_attribute_is_an_attribute_error():

@@ -618,8 +618,7 @@ def test_sort_is_stable_permutation(default_library):
     t = make_table([("a", "INT"), ("b", "INT")], rows)
     results = run_all_candidates("SELECT a, b FROM t ORDER BY a", {"t": t},
                                  default_library, _device())
-    for _, table, report in results:
-        assert report.order_specified
+    for _, table, _ in results:
         assert sorted(table.rows) == sorted(rows)
         keys = [r[0] for r in table.rows]
         assert keys == sorted(keys)
@@ -627,13 +626,6 @@ def test_sort_is_stable_permutation(default_library):
         for k in range(5):
             bs = [r[1] for r in table.rows if r[0] == k]
             assert bs == sorted(bs)
-
-
-def test_order_unspecified_flag(default_library):
-    t = make_table([("a", "INT")], [(2,), (1,)])
-    _, _, report = run_all_candidates("SELECT a FROM t", {"t": t},
-                                      default_library, _device())[0]
-    assert not report.order_specified
 
 
 def test_filters_are_sub_multisets(default_library):

@@ -21,14 +21,13 @@ from sqf.frontend import (
     Cmp,
     ColumnRef,
     IntLiteral,
-    NamedItem,
     StrLiteral,
     ValueRef,
     bind,
     parse_query,
     tokenize,
 )
-from sqf.frontend.binder import FromValue, walk_bound
+from sqf.frontend.binder import walk_bound
 from sqf.frontend.parser import _SYMBOLS, KEYWORDS
 from sqf.oracle import first_multiset_diff, reference_execute
 from sqf.planner import enumerate_pipelines, select_best
@@ -38,7 +37,7 @@ from sqf.relcore import table_stats
 def test_parse_simple_select():
     plan = parse_query("SELECT a FROM t")
     assert plan.source == "t"
-    assert plan.projection == (NamedItem(ColumnRef(None, "a")),)
+    assert plan.projection == (ColumnRef(None, "a"),)
     assert plan.join is None and plan.restriction is None
 
 
@@ -420,4 +419,4 @@ def test_bind_error_names_its_rule(text, error, message):
 def test_bind_projection_sources():
     bp = bind(parse_query("SELECT d, a FROM t"), CATALOG)
     assert bp.output_schema.names == ("d", "a")
-    assert all(isinstance(source, FromValue) for source in bp.output)
+    assert all(isinstance(source, ValueRef) for source in bp.output)

@@ -19,7 +19,7 @@ from sqf.relcore import load_csv
 
 
 def test_default_library_has_all_kinds(default_library):
-    assert len(default_library.specs) == 10
+    assert len(default_library) == 10
     for kind in ModuleKind:
         assert kind in default_library
 
@@ -98,7 +98,7 @@ def test_unknown_field_rejected(tmp_path):
 def test_restriction_sizing(default_library):
     inst = instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 2})
     # 2 terms fit one 4-term block
-    spec = default_library.spec(ModuleKind.RESTRICTION)
+    spec = default_library[ModuleKind.RESTRICTION]
     assert inst.slots == spec.base_slots + spec.slots_per_unit * 1
     five = instantiate(default_library, ModuleKind.RESTRICTION, {"terms": 5})
     assert five.slots == spec.base_slots + spec.slots_per_unit * 2
@@ -119,7 +119,7 @@ def test_restriction_two_terms_single_slot(tmp_path):
 
 
 def test_sort_sizing(default_library):
-    spec = default_library.spec(ModuleKind.SORT)
+    spec = default_library[ModuleKind.SORT]
     inst = instantiate(default_library, ModuleKind.SORT, {"run_capacity": 4096})
     assert inst.slots == spec.base_slots + spec.slots_per_unit * 4
 

@@ -8,7 +8,7 @@ import sqf.planner as planner_mod
 from conftest import REPO, bind_sql, make_table
 from sqf.errors import MissingStats, NoCandidates, UnknownModuleKind
 from sqf.fabric import DeviceProfile, FabricState, allocate, load_device_profile, reconfigure
-from sqf.library import ModuleKind, ModuleLibrary, load_library
+from sqf.library import ModuleKind, load_library
 from sqf.planner import (
     CostEstimate,
     enumerate_pipelines,
@@ -124,7 +124,7 @@ def test_column_source_is_priced_on_the_touched_widths(lib, dev):
 ], ids=["sort", "passthrough", "restriction"])
 def test_enumerate_missing_kind_raises(lib, dev, missing, sql):
     # a library file without these kinds cannot even load, so build the gap in memory
-    small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
+    small = {k: v for k, v in lib.items() if k is not missing}
     bp = bind_sql(sql, {"t": two_int_table([(1, 2)])})
     with pytest.raises(UnknownModuleKind, match=f"module kind {missing.value} is not"):
         enumerate_pipelines(bp, small, dev)
@@ -139,7 +139,7 @@ def test_enumerate_missing_kind_raises(lib, dev, missing, sql):
 def test_enumerate_prunes_the_algorithms_a_missing_kind_rules_out(lib, dev, missing, tags):
     """A library without a co-design filter kind drops the co-design
     variant only; the fabric algorithms stay in both layouts."""
-    small = ModuleLibrary({k: v for k, v in lib.specs.items() if k is not missing})
+    small = {k: v for k, v in lib.items() if k is not missing}
     bp = bind_sql("SELECT t.a FROM t JOIN u ON t.a = u.c ORDER BY a", _join_tables())
     cands = enumerate_pipelines(bp, small, dev)
     assert [c.tag for c in cands] == tags

@@ -306,3 +306,24 @@ def test_alu_nodes_count_computed_items(sql, nodes, default_library, default_dev
         alu = [s.module for s in cand.stages if s.role == "alu"]
         assert [m.param("nodes") for m in alu] == [nodes], cand.tag
         assert first_multiset_diff(table, expected) is None, cand.tag
+
+
+@pytest.mark.parametrize("sql, reorders", [
+    ("SELECT g, COUNT(*) AS n FROM t GROUP BY g", False),
+    ("SELECT COUNT(*) AS n, g FROM t GROUP BY g", True),
+    ("SELECT g, g FROM t GROUP BY g", True),
+    ("SELECT COUNT(*) FROM t", False),
+    ("SELECT g, a FROM t", False),
+    ("SELECT a, g FROM t", True),
+    ("SELECT a + 1 AS b FROM t", True),
+])
+def test_a_reorder_stage_runs_where_the_output_layout_differs(sql, reorders, default_library,
+                                                               default_device):
+    """Every candidate has a REORDER stage exactly when the output columns
+    are not the stream's own: the grouped row (group keys, then aggregates)
+    in a grouped plan, the table's columns in an ungrouped one."""
+    t = make_table([("g", "INT"), ("a", "INT")], [(1, 2), (1, 3), (4, 5)])
+    cands = enumerate_pipelines(bind_sql(sql, {"t": t}), default_library, default_device)
+    assert cands
+    for cand in cands:
+        assert ("reorder" in [s.role for s in cand.stages]) is reorders, cand.tag
